@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from . import __version__
 from .freegroup import (
-    DEFAULT_WORD_BUDGET,
     FreeEndo,
     Word,
     WordError,
@@ -41,6 +40,7 @@ from .matrep import (
 )
 
 FORMAT_VERSION = 1
+MAX_PERIOD = 4096  # longest orbit the search turns into a certificate
 
 MatData = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 TupleData = tuple[MatData, ...]
@@ -60,12 +60,9 @@ class CertifyConfig:
     seeds_per_field: int = 64
     orbit_budget: int = DEFAULT_ORBIT_BUDGET
     seed: int = 0
-    prime_floor: int = 2
     max_primes: int = 6
-    max_period: int = 4096
     allow_noninjective: bool = False
     order_cap: int = DEFAULT_ORDER_CAP
-    word_budget: int = DEFAULT_WORD_BUDGET
 
 
 @dataclass(frozen=True)
@@ -173,7 +170,8 @@ def certificate_from_dict(data: dict) -> Certificate:
 def certificate_from_bytes(raw: bytes) -> Certificate:
     try:
         data = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError covers bad UTF-8, bad JSON and integers past the digit limit
+    except (ValueError, RecursionError) as exc:
         raise _shape_error(f"not valid JSON: {exc}") from exc
     return certificate_from_dict(data)
 
@@ -197,15 +195,14 @@ def _materialize(cert: Certificate, field: FqField) -> list[MatTuple]:
 # ---------------------------------------------------------------------------
 # prime selection
 
-def admissible_primes(phi: FreeEndo, w: Word, floor: int = 2,
-                      word_budget: int = DEFAULT_WORD_BUDGET):
+def admissible_primes(phi: FreeEndo, w: Word, floor: int = 2):
     """Primes keeping the integer matrix of phi^(4k)(w) non-scalar mod p.
 
     The matrix is non-scalar over the integers, so only finitely many primes
     are excluded: the divisors of gcd of its off-diagonals and diagonal
     difference.
     """
-    ok, mat = nonscalar_sanity_check(phi, w, 4 * phi.rank, word_budget)
+    ok, mat = nonscalar_sanity_check(phi, w, 4 * phi.rank)
     if not ok:
         raise CertifyError("integer matrix is scalar; word reduces to the identity "
                            "or the endomorphism is not injective")
@@ -217,10 +214,9 @@ def admissible_primes(phi: FreeEndo, w: Word, floor: int = 2,
         p += 1
 
 
-def pick_prime(phi: FreeEndo, w: Word, floor: int = 2,
-               word_budget: int = DEFAULT_WORD_BUDGET) -> int:
+def pick_prime(phi: FreeEndo, w: Word, floor: int = 2) -> int:
     """Least prime >= floor at which the lifted word value stays non-scalar."""
-    return next(admissible_primes(phi, w, floor, word_budget))
+    return next(admissible_primes(phi, w, floor))
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +227,7 @@ class SearchOutcome:
     certificate: Certificate | None
     frontier: tuple[tuple[int, int, int], ...] = ()  # (p, s, seeds tried)
     reason: str = ""
+    verdict: CertVerdict | None = None  # the search's own verification of the certificate
 
     @property
     def found(self) -> bool:
@@ -254,7 +251,7 @@ def search_certificate(phi: FreeEndo, w: Word,
                            "to search anyway")
     k = phi.rank
     frontier: list[tuple[int, int, int]] = []
-    primes = admissible_primes(phi, w, config.prime_floor, config.word_budget)
+    primes = admissible_primes(phi, w)
     for _ in range(config.max_primes):
         p = next(primes)
         for s in range(1, config.s_max + 1):
@@ -266,7 +263,7 @@ def search_certificate(phi: FreeEndo, w: Word,
                 rng = random.Random(f"{config.seed}:{p}:{s}:{seed_index}")
                 start = random_projpoint(field, k, rng)
                 result = find_periodic_orbit(phi, start, config.orbit_budget)
-                if not result.found or result.period > config.max_period:
+                if not result.found or result.period > MAX_PERIOD:
                     continue
                 trace_points = [result.point]
                 for _ in range(result.period - 1):
@@ -291,7 +288,7 @@ def search_certificate(phi: FreeEndo, w: Word,
                         raise RuntimeError(
                             f"internal error: fresh certificate failed verification: "
                             f"{verdict.failures}")
-                    return SearchOutcome(cert, tuple(frontier))
+                    return SearchOutcome(cert, tuple(frontier), verdict=verdict)
     return SearchOutcome(None, tuple(frontier), reason="budget exhausted")
 
 
@@ -408,6 +405,16 @@ class CertVerdict:
                            for c in self.checks]}
 
 
+def _order_within_cap(p: int, s: int, cap: int) -> bool:
+    """Whether p^s <= cap for p >= 2, in at most log2(cap) + 1 multiplications."""
+    order = 1
+    for _ in range(s):
+        order *= p
+        if order > cap:
+            return False
+    return True
+
+
 def _structure_problems(cert: Certificate, order_cap: int) -> list[str]:
     problems = []
     if cert.format_version != FORMAT_VERSION:
@@ -416,12 +423,13 @@ def _structure_problems(cert: Certificate, order_cap: int) -> list[str]:
         problems.append("rank must be >= 1")
     if len(cert.images) != cert.rank:
         problems.append(f"{len(cert.images)} images for rank {cert.rank}")
-    if not is_prime(cert.p):
+    # p and s are untrusted: bound them before trial division or p**s runs
+    if cert.p >= 2 and not _order_within_cap(cert.p, max(cert.s, 1), order_cap):
+        problems.append(f"field order {cert.p}^{cert.s} exceeds cap {order_cap}")
+    elif not is_prime(cert.p):
         problems.append(f"p = {cert.p} is not prime")
     if cert.s < 1:
         problems.append(f"field degree s = {cert.s} must be >= 1")
-    elif is_prime(cert.p) and cert.p**cert.s > order_cap:
-        problems.append(f"field order {cert.p}^{cert.s} exceeds cap {order_cap}")
     if cert.period < 1:
         problems.append(f"period {cert.period} must be >= 1")
     if len(cert.trace) != cert.period:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from math import lcm
 from typing import Iterator, Sequence
 
-from .gf import DEFAULT_ORDER_CAP, FqElement, FqField, field_create, min_subfield_degree
+from .gf import DEFAULT_ORDER_CAP, FqElement, FqField, field_create
 from .poly import MPoly, PolyError, PolyMap, parse_poly
 
 DEFAULT_POINT_CAP = 2**20
@@ -57,14 +57,10 @@ class VarietySpec:
         return cls(tuple(parse_poly(t, nvars, p) for t in texts))
 
     def membership(self, point: Sequence[FqElement]) -> bool:
+        if self.polys and len(point) != self.polys[0].nvars:
+            raise PolyError(f"point has {len(point)} coordinates, variety expects "
+                            f"{self.polys[0].nvars}")
         return all(f.evaluate(point).is_zero() for f in self.polys)
-
-
-def variety_membership(v: VarietySpec, point: Sequence[FqElement]) -> bool:
-    if v.polys and len(point) != v.polys[0].nvars:
-        raise PolyError(f"point has {len(point)} coordinates, variety expects "
-                        f"{v.polys[0].nvars}")
-    return v.membership(point)
 
 
 def _frobenius_table(field: FqField) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
@@ -97,7 +93,9 @@ def enumerate_quasi_fixed(pmap: PolyMap, s_max: int,
                 f"enumerating {p}^{s * n} points exceeds cap {point_cap}")
         field = field_create(p, s, order_cap)
         frob = _frobenius_table(field)
-        mindeg = {a.coeffs: min_subfield_degree(a) for a in field}
+        # least d | s with a^(p^d) = a, read off the row just built
+        mindeg = {key: next(d for d in range(1, s + 1) if s % d == 0 and row[d - 1] == key)
+                  for key, row in frob.items()}
         elems = list(field)
         found: list[tuple[int, tuple[tuple[int, ...], ...], QuasiFixedWitness]] = []
         for point in itertools.product(elems, repeat=n):

@@ -3,8 +3,8 @@
 Words are stored as freely reduced sequences of signed generator indices
 (+i for the i-th generator, -i for its inverse).  Injectivity of an
 endomorphism is decided through Stallings folding: the images generate a
-free subgroup whose rank is read off the folded core graph, and k elements
-generating a rank-k subgroup of a free group are a free basis.
+free subgroup whose rank is read off the core graph left by folding, and
+k elements generating a rank-k subgroup of a free group are a free basis.
 """
 
 from __future__ import annotations
@@ -119,19 +119,6 @@ class Word:
         return f"Word({self.to_text()!r}, rank={self.rank})"
 
 
-def word_multiply(u: Word, v: Word) -> Word:
-    return u * v
-
-
-def word_invert(w: Word) -> Word:
-    return w.inverse()
-
-
-def free_reduce(letters: Iterable[int], rank: int) -> Word:
-    """Freely reduce a raw letter sequence into a Word."""
-    return Word(letters, rank)
-
-
 class FreeEndo:
     """Endomorphism of the free group of rank k, given by generator images."""
 
@@ -160,11 +147,14 @@ class FreeEndo:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FreeEndo":
-        try:
-            rank = int(data["rank"])
-            images = list(data["images"])
-        except (KeyError, TypeError) as exc:
-            raise WordError(f"endomorphism object needs 'rank' and 'images': {exc}") from exc
+        """Read {"rank": k, "images": [...]}; anything else is a WordError."""
+        if not isinstance(data, dict) or "rank" not in data or "images" not in data:
+            raise WordError("endomorphism object needs 'rank' and 'images'")
+        rank, images = data["rank"], data["images"]
+        if isinstance(rank, bool) or not isinstance(rank, int):
+            raise WordError(f"endomorphism rank must be an integer, got {rank!r}")
+        if not isinstance(images, list) or not all(isinstance(t, str) for t in images):
+            raise WordError("endomorphism images must be a list of strings")
         return cls.parse(images, rank)
 
     def to_dict(self) -> dict:
@@ -208,18 +198,6 @@ class FreeEndo:
         return f"FreeEndo({[w.to_text() for w in self.images]})"
 
 
-def endo_apply(phi: FreeEndo, w: Word) -> Word:
-    return phi.apply(w)
-
-
-def endo_compose(phi: FreeEndo, psi: FreeEndo) -> FreeEndo:
-    return phi.compose(psi)
-
-
-def endo_power(phi: FreeEndo, n: int) -> FreeEndo:
-    return phi.power(n)
-
-
 T = TypeVar("T")
 
 
@@ -245,7 +223,6 @@ class StallingsGraph:
     vertices: frozenset[int]
     edges: frozenset[tuple[int, int, int]]
     basepoint: int
-    folded: bool = True
 
 
 def _fold_edges(edges: set[tuple[int, int, int]]) -> set[tuple[int, int, int]]:
@@ -308,13 +285,6 @@ def stallings_fold(words: Sequence[Word], rank: int | None = None) -> StallingsG
         edges = {e for e in edges if leaf not in (e[0], e[2])}
     vertices = {0} | {u for (u, _, v) in edges} | {v for (u, _, v) in edges}
     return StallingsGraph(frozenset(vertices), frozenset(edges), 0)
-
-
-def fold_graph(graph: StallingsGraph) -> StallingsGraph:
-    """Re-fold an existing graph (idempotent on folded graphs)."""
-    edges = _fold_edges(set(graph.edges))
-    vertices = {graph.basepoint} | {u for (u, _, v) in edges} | {v for (u, _, v) in edges}
-    return StallingsGraph(frozenset(vertices), frozenset(edges), graph.basepoint)
 
 
 def subgroup_rank(graph: StallingsGraph) -> int:

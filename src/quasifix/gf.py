@@ -55,23 +55,6 @@ def _umul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
     return _trim(out)
 
 
-def _umod(a: Sequence[int], mod: Sequence[int], p: int) -> tuple[int, ...]:
-    r = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    while len(r) - 1 >= dm and r:
-        if r[-1] == 0:
-            r.pop()
-            continue
-        coef = (r[-1] * inv_lead) % p
-        shift = len(r) - 1 - dm
-        for i, mi in enumerate(mod):
-            if mi:
-                r[shift + i] = (r[shift + i] - coef * mi) % p
-        r.pop()
-    return _trim(r)
-
-
 def _usub(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
     n = max(len(a), len(b))
     out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
@@ -100,7 +83,7 @@ def _udivmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[tuple[int, ...
 def _ugcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
     a, b = _trim(list(a)), _trim(list(b))
     while b:
-        a, b = b, _umod(a, b, p)
+        a, b = b, _udivmod(a, b, p)[1]
     if a:
         inv = pow(a[-1], p - 2, p)
         a = tuple((c * inv) % p for c in a)
@@ -109,11 +92,11 @@ def _ugcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
 
 def _upowmod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> tuple[int, ...]:
     result: tuple[int, ...] = (1,)
-    b = _umod(base, mod, p)
+    b = _udivmod(base, mod, p)[1]
     while e:
         if e & 1:
-            result = _umod(_umul(result, b, p), mod, p)
-        b = _umod(_umul(b, b, p), mod, p)
+            result = _udivmod(_umul(result, b, p), mod, p)[1]
+        b = _udivmod(_umul(b, b, p), mod, p)[1]
         e >>= 1
     return result
 
@@ -122,7 +105,7 @@ def _is_irreducible(mod: Sequence[int], p: int) -> bool:
     """Rabin test: x^(p^m) = x mod f, and x^(p^(m/l)) - x coprime to f."""
     m = len(mod) - 1
     x = (0, 1)
-    if _upowmod(x, p**m, mod, p) != _umod(x, mod, p):
+    if _upowmod(x, p**m, mod, p) != _udivmod(x, mod, p)[1]:
         return False
     for ell in range(2, m + 1):
         if m % ell == 0 and is_prime(ell):

@@ -206,18 +206,6 @@ def phi_lift_polynomials(phi: FreeEndo, p: int) -> PolyMap:
     return PolyMap(coords)
 
 
-def flatten_tuple(t: MatTuple) -> tuple[FqElement, ...]:
-    """Matrix entries in the coordinate order used by phi_lift_polynomials."""
-    out: list[FqElement] = []
-    for m in t.mats:
-        out.extend(m.entries())
-    return tuple(out)
-
-
-def frobenius_tuple(t: MatTuple, e: int) -> MatTuple:
-    return t.frobenius(e)
-
-
 def proj_normalize(t: MatTuple) -> ProjPoint:
     """Scalar-canonical representative; every component must be invertible."""
     normalized = []

@@ -302,14 +302,6 @@ class PolyMap:
         return f"PolyMap([{', '.join(f.to_text() for f in self.coords)}])"
 
 
-def compose(outer: MPoly, inner: PolyMap) -> MPoly:
-    return outer.substitute(inner.coords)
-
-
-def map_compose(g: PolyMap, h: PolyMap) -> PolyMap:
-    return g.compose(h)
-
-
 class IqSystem:
     """The zero-dimensional system generated by f_i - x_i^Q, Q > deg f_i."""
 
@@ -395,16 +387,3 @@ class IqSystem:
                 return False
         return True
 
-
-def iq_normal_form(sys: IqSystem, g: MPoly,
-                   term_budget: int = DEFAULT_TERM_BUDGET) -> MPoly:
-    return sys.normal_form(g, term_budget)
-
-
-def iq_quotient_dimension(sys: IqSystem) -> int:
-    return sys.quotient_dimension()
-
-
-def iterate_congruence_check(sys: IqSystem, j: int,
-                             term_budget: int = DEFAULT_TERM_BUDGET) -> bool:
-    return sys.iterate_congruence_check(j, term_budget)

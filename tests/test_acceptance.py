@@ -28,8 +28,8 @@ from quasifix.dynamics import (
 )
 from quasifix.freegroup import FreeEndo, Word, endo_is_injective, stallings_fold, subgroup_rank
 from quasifix.gf import field_create
-from quasifix.matrep import MatTuple, Mat2, frobenius_tuple, phi_lift
-from quasifix.poly import IqSystem, MPoly, PolyMap, iterate_congruence_check, parse_poly
+from quasifix.matrep import MatTuple, Mat2, phi_lift
+from quasifix.poly import IqSystem, MPoly, PolyMap, parse_poly
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -173,7 +173,7 @@ def test_criterion_4_iq_length_and_congruence():
         system = IqSystem(PolyMap.parse(texts, nvars, p), Q)
         assert system.quotient_dimension() == Q**nvars, f"dimension off for {texts}, Q={Q}"
         for j in (1, 2):
-            assert iterate_congruence_check(system, j), f"congruence failed {texts} j={j}"
+            assert system.iterate_congruence_check(j), f"congruence failed {texts} j={j}"
     report(4, True, f"{len(IQ_CASES)} systems: dimension Q^n exact, "
                     f"iterate congruence holds for j in {{1, 2}}")
 
@@ -210,8 +210,8 @@ def test_criterion_5_frobenius_equivariance():
                                               for _ in range(4)])
                     for _ in range(2)))
                 for e in (1, 2):
-                    assert phi_lift(phi, frobenius_tuple(t, e)) == \
-                        frobenius_tuple(phi_lift(phi, t), e)
+                    assert phi_lift(phi, t.frobenius(e)) == \
+                        phi_lift(phi, t).frobenius(e)
                     checked += 1
     report(5, True, f"zero equivariance violations across {checked} exact checks")
 

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 
 import pytest
 
@@ -26,7 +27,6 @@ from quasifix.freegroup import (
 from quasifix.gf import field_create
 from quasifix.matrep import (
     find_periodic_orbit,
-    frobenius_tuple,
     pgl_dynamics_step,
     pi_w,
     proj_normalize,
@@ -143,6 +143,19 @@ def test_noninjective_override_runs():
                              CertifyConfig(allow_noninjective=True))
     assert out.found
     assert verify_certificate(out.certificate).passed
+
+
+def test_search_verdict_matches_independent_verify():
+    # the certify command prints the search's own verdict, so it must equal a
+    # fresh verification; jobs as in acceptance criterion 6
+    letters = ["a", "b", "A", "B"]
+    length_two = [x + y for x in letters for y in letters
+                  if len(Word.parse(x + y, 2)) == 2]
+    jobs = [(BS12, "a"), (BS12, "aa")] + [(SWAPMIX, t) for t in letters + length_two]
+    for phi, text in jobs:
+        out = search_certificate(phi, Word.parse(text, phi.rank))
+        assert out.found and out.verdict.passed
+        assert out.verdict.to_dict() == verify_certificate(out.certificate).to_dict()
 
 
 def test_search_rejects_rank_mismatch():
@@ -337,6 +350,28 @@ def test_malformed_json_raises():
             "format_version": 1, "rank": True, "images": [], "word": "a",
             "p": 3, "s": 1, "period": 1, "tuple": [], "trace": [[]],
             "metadata": {}}).encode())
+    # an integer past Python's 4300-digit conversion limit, and nesting past
+    # the recursion limit, must not escape as bare ValueError/RecursionError
+    with pytest.raises(CertificateFormatError):
+        certificate_from_bytes(b'{"format_version": 1, "p": ' + b"7" * 5000 + b"}")
+    with pytest.raises(CertificateFormatError):
+        certificate_from_bytes(b"[" * 100000 + b"]" * 100000)
+
+
+@pytest.mark.parametrize("field_edit", [
+    {"p": 1000000000000000003},        # 19-digit prime
+    {"p": 9999999943 * 9999999967},    # 20-digit composite, no factor below 10^9
+    {"s": 10**9},
+], ids=["prime19", "composite20", "s1e9"])
+def test_verifier_bounds_untrusted_p_and_s(swapmix_cert, field_edit):
+    # p and s are checked against the cap before primality or p**s runs
+    cert = mutate(swapmix_cert, lambda d: d.update(field_edit))
+    start = time.perf_counter()
+    verdict = verify_certificate(cert)
+    elapsed = time.perf_counter() - start
+    assert verdict.failures == ["structure"]
+    assert "exceeds cap" in verdict.checks[0].detail
+    assert elapsed < 1.0, f"rejecting {field_edit} took {elapsed:.2f}s"
 
 
 # -- the Frobenius shortcut behind the search ---------------------------------
@@ -352,7 +387,7 @@ def test_projective_quasi_fixed_points_are_periodic():
         h = random_projpoint(field, 1, rng)
         lifted = pgl_dynamics_step(phi, h)
         for m in (1, 2):
-            frobbed = proj_normalize(frobenius_tuple(h.tuple, m))
+            frobbed = proj_normalize(h.tuple.frobenius(m))
             if lifted == frobbed:
                 bound = 2 // math.gcd(m, 2)
                 cur = h

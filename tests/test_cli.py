@@ -132,6 +132,8 @@ def test_certify_and_verify_roundtrip(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", str(cert_path), "--format", "json")
     assert code == 0
     assert json.loads(out)["verdict"]["passed"]
+    # certify reports the search's verdict; it must be the one verify gives
+    assert json.loads(out)["verdict"] == data["verdict"]
 
 
 def test_certify_deterministic_bytes(capsys, tmp_path):
@@ -172,6 +174,16 @@ def test_certify_refuses_noninjective(capsys, tmp_path):
     code, _, err = run_cli(capsys, "certify", "--endo", str(endo), "--word", "a",
                            "--out", str(tmp_path / "c.json"))
     assert code == 2 and "not injective" in err
+
+
+def test_certify_rejects_malformed_endo(capsys, tmp_path):
+    # a string of images is refused, not split into one-letter images
+    endo = tmp_path / "endo.json"
+    endo.write_text(json.dumps({"rank": 2, "images": "ab"}))
+    code, _, err = run_cli(capsys, "certify", "--endo", str(endo), "--word", "a",
+                           "--out", str(tmp_path / "c.json"))
+    assert code == 2 and "error:" in err
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_text_format_mirrors_json(capsys):

@@ -8,10 +8,9 @@ from quasifix.dynamics import (
     enumerate_quasi_fixed,
     find_quasi_fixed_avoiding,
     image_point_sample,
-    variety_membership,
 )
 from quasifix.gf import field_create
-from quasifix.poly import PolyMap, parse_poly
+from quasifix.poly import PolyError, PolyMap, parse_poly
 
 
 def test_identity_map_witnesses_over_f2():
@@ -77,12 +76,21 @@ def test_agrees_with_bruteforce_oracle_spot():
 def test_variety_membership_examples():
     f5 = field_create(5, 1)
     empty = VarietySpec()
-    assert variety_membership(empty, (f5.scalar(3), f5.scalar(1)))
+    assert empty.membership((f5.scalar(3), f5.scalar(1)))
     v = VarietySpec.parse(["x2"], 2, 5)
-    assert variety_membership(v, (f5.scalar(5), f5.zero()))
+    assert v.membership((f5.scalar(5), f5.zero()))
     v2 = VarietySpec.parse(["x1^2", "x2+4"], 2, 5)
-    assert variety_membership(v2, (f5.zero(), f5.one()))
-    assert not variety_membership(v2, (f5.one(), f5.one()))
+    assert v2.membership((f5.zero(), f5.one()))
+    assert not v2.membership((f5.one(), f5.one()))
+
+
+def test_variety_membership_rejects_wrong_arity():
+    f5 = field_create(5, 1)
+    v = VarietySpec.parse(["x1^2", "x2+4"], 2, 5)
+    with pytest.raises(PolyError, match="variety expects 2"):
+        v.membership((f5.zero(),))
+    with pytest.raises(PolyError, match="variety expects 2"):
+        v.membership((f5.zero(), f5.one(), f5.one()))
 
 
 def test_containment_collapsing_map():

@@ -7,19 +7,12 @@ from quasifix.freegroup import (
     IntMatrix2,
     Word,
     WordError,
-    endo_apply,
-    endo_compose,
     endo_is_injective,
-    endo_power,
-    fold_graph,
-    free_reduce,
     nonscalar_sanity_check,
     sanov_embed,
     stallings_fold,
     subgroup_rank,
     word_evaluate,
-    word_invert,
-    word_multiply,
 )
 
 
@@ -62,14 +55,13 @@ def test_group_laws():
         v = random_word(rng, 2, rng.randrange(0, 8))
         assert (u * u.inverse()).is_identity()
         assert (u * v).inverse() == v.inverse() * u.inverse()
-        assert word_multiply(u, word_invert(u)).is_identity()
 
 
 def test_free_reduce_raw_letters():
-    assert free_reduce([1, 2, -2, -1, 3], 3) == Word((3,), 3)
-    assert free_reduce([], 2).is_identity()
+    assert Word([1, 2, -2, -1, 3], 3) == Word((3,), 3)
+    assert Word([], 2).is_identity()
     with pytest.raises(WordError):
-        free_reduce([4], 3)
+        Word([4], 3)
 
 
 def test_reduction_confluence_under_insertion():
@@ -100,7 +92,7 @@ def test_endo_apply_substitution_example():
 
 def test_endo_power_doubling():
     phi = FreeEndo.parse(["aa"], 1)
-    cube = endo_power(phi, 3)
+    cube = phi.power(3)
     assert cube.images[0] == Word.parse("a", 1) ** 8
 
 
@@ -118,8 +110,8 @@ def test_endo_power_additivity():
     words = [Word.parse(t, 2) for t in ["a", "b", "aB", "ba"]]
     for m in range(3):
         for n in range(3):
-            lhs = endo_power(phi, m + n)
-            rhs = endo_compose(endo_power(phi, m), endo_power(phi, n))
+            lhs = phi.power(m + n)
+            rhs = phi.power(m).compose(phi.power(n))
             for w in words:
                 assert lhs.apply(w) == rhs.apply(w)
 
@@ -175,8 +167,12 @@ def test_fold_ab_ba():
 def test_fold_idempotent():
     for words in [["ab", "ba"], ["aa", "b"], ["abA", "bb"]]:
         graph = stallings_fold([Word.parse(t, 2) for t in words])
-        again = fold_graph(graph)
-        assert again.edges == graph.edges and again.vertices == graph.vertices
+        # folded means no further fold applies: no (vertex, label) repeats
+        # among the out-edges or among the in-edges
+        out_keys = [(u, lab) for (u, lab, _) in graph.edges]
+        in_keys = [(v, lab) for (_, lab, v) in graph.edges]
+        assert len(set(out_keys)) == len(out_keys)
+        assert len(set(in_keys)) == len(in_keys)
 
 
 INJECTIVITY_SUITE = [
@@ -291,3 +287,20 @@ def test_endo_file_roundtrip():
     assert FreeEndo.from_dict(phi.to_dict()) == phi
     with pytest.raises(WordError):
         FreeEndo.from_dict({"images": ["a"]})
+
+
+MALFORMED_ENDOS = [
+    {"rank": 2, "images": "ab"},          # a string is not read as a list of letters
+    {"rank": True, "images": ["a"]},      # bool is not an integer rank
+    {"rank": 2.7, "images": ["ab", "ba"]},
+    {"rank": "2", "images": ["ab", "ba"]},
+    {"rank": 2, "images": ["ab", 2]},     # non-string image entry
+    {"rank": 1, "images": {"a": "ab"}},   # a mapping is not read as its keys
+    ["ab", "ba"],                         # not an object at all
+]
+
+
+@pytest.mark.parametrize("data", MALFORMED_ENDOS)
+def test_endo_from_dict_rejects_malformed(data):
+    with pytest.raises(WordError):
+        FreeEndo.from_dict(data)

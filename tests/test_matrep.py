@@ -10,8 +10,6 @@ from quasifix.matrep import (
     ProjPoint,
     SingularMatrixError,
     find_periodic_orbit,
-    flatten_tuple,
-    frobenius_tuple,
     pgl_dynamics_step,
     phi_lift,
     phi_lift_polynomials,
@@ -25,6 +23,11 @@ from quasifix.poly import MPoly, PolyMap
 def rand_mat(field, rng):
     return Mat2.from_entries(field, [field.from_int(rng.randrange(field.order))
                                      for _ in range(4)])
+
+
+def flatten(t):
+    """Matrix entries in the coordinate order of phi_lift_polynomials."""
+    return tuple(x for m in t.mats for x in m.entries())
 
 
 def rand_sl2(field, rng):
@@ -124,8 +127,8 @@ def test_phi_lift_polynomials_agree_pointwise_random():
     pmap = phi_lift_polynomials(phi, 5)
     for _ in range(100):
         t = MatTuple((rand_mat(f5, rng), rand_mat(f5, rng)))
-        symbolic = pmap.apply(flatten_tuple(t))
-        direct = flatten_tuple(phi_lift(phi, t))
+        symbolic = pmap.apply(flatten(t))
+        direct = flatten(phi_lift(phi, t))
         assert symbolic == direct
 
 
@@ -136,14 +139,14 @@ def test_phi_lift_polynomials_agree_exhaustive_f2():
     for code in range(16):
         entries = [f2.from_int((code >> i) & 1) for i in range(4)]
         t = MatTuple((Mat2.from_entries(f2, entries),))
-        assert pmap.apply(flatten_tuple(t)) == flatten_tuple(phi_lift(phi, t))
+        assert pmap.apply(flatten(t)) == flatten(phi_lift(phi, t))
 
 
 def test_frobenius_tuple_prime_field_fixed():
     f5 = field_create(5, 1)
     rng = random.Random(7)
     t = MatTuple((rand_mat(f5, rng), rand_mat(f5, rng)))
-    assert frobenius_tuple(t, 1) == t
+    assert t.frobenius(1) == t
 
 
 def test_frobenius_equivariance():
@@ -154,7 +157,7 @@ def test_frobenius_equivariance():
         for _ in range(30):
             t = MatTuple((rand_mat(field, rng), rand_mat(field, rng)))
             for e in (1, 2):
-                assert phi_lift(phi, frobenius_tuple(t, e)) == frobenius_tuple(phi_lift(phi, t), e)
+                assert phi_lift(phi, t.frobenius(e)) == phi_lift(phi, t).frobenius(e)
 
 
 def test_proj_normalize_examples():
