@@ -149,7 +149,10 @@ def cmd_fold(args) -> int:
 def cmd_certify(args) -> int:
     cap = order_cap_from_env()
     with open(args.endo, "r", encoding="utf-8") as handle:
-        endo_data = json.load(handle)
+        try:
+            endo_data = json.load(handle)
+        except RecursionError as exc:
+            raise WordError(f"{args.endo}: JSON nested too deeply") from exc
     phi = FreeEndo.from_dict(endo_data)
     w = Word.parse(args.word, phi.rank)
     config = CertifyConfig(s_max=args.smax, seeds_per_field=args.seeds,

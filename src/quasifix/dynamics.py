@@ -11,6 +11,7 @@ deterministic order: ascending (field degree, m, point coordinates).
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass, field as dc_field
 from math import lcm
 from typing import Iterator, Sequence
@@ -63,17 +64,45 @@ class VarietySpec:
         return all(f.evaluate(point).is_zero() for f in self.polys)
 
 
-def _frobenius_table(field: FqField) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """coeffs -> [a^(p^1), ..., a^(p^s)] as coefficient keys."""
-    table = {}
-    for a in field:
-        row = []
-        cur = a
-        for _ in range(field.m):
-            cur = cur.frobenius(1)
-            row.append(cur.coeffs)
-        table[a.coeffs] = row
-    return table
+def _log_eval(terms: list[tuple[int, tuple[int, ...]]], point: tuple[int, ...],
+              zech: array, n: int) -> int:
+    """log f(a) from (log c, exponents) terms and the logs of a's coordinates.
+
+    Logs live mod n = q - 1 and n itself stands for 0, as in `log_tables`.
+    """
+    acc = n
+    for c, expo in terms:
+        term = c
+        for e, x in zip(expo, point):
+            if e:
+                if x == n:
+                    break
+                term += e * x
+        else:
+            term %= n
+            if acc == n:
+                acc = term
+            else:
+                z = zech[(term - acc) % n]
+                acc = n if z == n else (acc + z) % n
+    return acc
+
+
+def _frobenius_orbits(p: int, n: int, degree: bytearray) -> tuple[array, bytearray]:
+    """orbit[x], pos[x] with x = orbit[x] * p^pos[x] mod n for nonzero logs x.
+
+    orbit[x] is the least log in the Frobenius orbit of x, whose size is
+    degree[x]; so g^v is a Frobenius power of g^x iff orbit[v] == orbit[x].
+    """
+    orbit = array("q", [-1]) * n
+    pos = bytearray(n)
+    for x in range(n):
+        if orbit[x] < 0:
+            y = x
+            for j in range(degree[x]):
+                orbit[y], pos[y] = x, j
+                y = y * p % n
+    return orbit, pos
 
 
 def enumerate_quasi_fixed(pmap: PolyMap, s_max: int,
@@ -83,31 +112,53 @@ def enumerate_quasi_fixed(pmap: PolyMap, s_max: int,
 
     Witnesses stream in ascending (s, m, coordinate) order.  A point is
     attributed to its minimal field degree and carries its minimal valid m.
+    The search runs on logarithms to a primitive element (`log_tables`):
+    f(a) is a Zech-logarithm sum, a^(p^m) is log(a) * p^m, and a lies in
+    F_{p^d} iff (q - 1) / (p^d - 1) divides log(a).
     """
-    n, p = pmap.nvars, pmap.p
+    if s_max < 1:
+        raise PolyError(f"largest field degree must be >= 1, got {s_max}")
+    nv, p = pmap.nvars, pmap.p
     for s in range(1, s_max + 1):
         if p**s > order_cap:
             raise EnumerationCapExceeded(f"field order {p}^{s} exceeds cap {order_cap}")
-        if p ** (s * n) > point_cap:
+        if p ** (s * nv) > point_cap:
             raise EnumerationCapExceeded(
-                f"enumerating {p}^{s * n} points exceeds cap {point_cap}")
+                f"enumerating {p}^{s * nv} points exceeds cap {point_cap}")
         field = field_create(p, s, order_cap)
-        frob = _frobenius_table(field)
-        # least d | s with a^(p^d) = a, read off the row just built
-        mindeg = {key: next(d for d in range(1, s + 1) if s % d == 0 and row[d - 1] == key)
-                  for key, row in frob.items()}
-        elems = list(field)
+        exp, log, zech = field.log_tables()
+        n = field.order - 1
+        coords = [[(log[c], e) for e, c in f.terms.items()] for f in pmap.coords]
+        divisors = [d for d in range(1, s + 1) if s % d == 0]
+        # degree[x]: least d | s with g^x in F_{p^d}; smaller d overwrite larger
+        degree = bytearray([s]) * (n + 1)
+        for d in reversed(divisors[:-1]):
+            degree[::n // (p**d - 1)] = bytes([d]) * p**d
+        by_degree = {d: [x for x in range(n + 1) if degree[x] == d] for d in divisors}
+        orbit, pos = _frobenius_orbits(p, n, degree)
         found: list[tuple[int, tuple[tuple[int, ...], ...], QuasiFixedWitness]] = []
-        for point in itertools.product(elems, repeat=n):
-            if lcm(*(mindeg[a.coeffs] for a in point)) != s:
+        for degs in itertools.product(divisors, repeat=nv):
+            if lcm(*degs) != s:
                 continue
-            values = pmap.apply(point)
-            for m in range(1, s + 1):
-                if all(v.coeffs == frob[a.coeffs][m - 1]
-                       for v, a in zip(values, point)):
-                    key = tuple(a.coeffs for a in point)
-                    found.append((m, key, QuasiFixedWitness(tuple(point), m, s)))
-                    break
+            for point in itertools.product(*(by_degree[d] for d in degs)):
+                # f_i(a) = a_i^(p^m) fixes m modulo the degree of each nonzero a_i
+                residues = []
+                for x, terms in zip(point, coords):
+                    v = _log_eval(terms, point, zech, n)
+                    if x == n or v == n:
+                        if x != v:
+                            break
+                    elif orbit[x] != orbit[v]:
+                        break
+                    else:
+                        residues.append((pos[v] - pos[x], degree[x]))
+                else:
+                    m = next((m for m in range(1, s + 1)
+                              if all((m - r) % d == 0 for r, d in residues)), None)
+                    if m is not None:
+                        witness = QuasiFixedWitness(
+                            tuple(field.from_int(exp[x]) for x in point), m, s)
+                        found.append((m, tuple(a.coeffs for a in witness.point), witness))
         found.sort(key=lambda item: (item[0], item[1]))
         for _, _, witness in found:
             yield witness

@@ -6,10 +6,19 @@ processes) always agree on the representation.  Elements are dense
 coefficient vectors in the polynomial basis 1, t, ..., t^{m-1}, always fully
 reduced.  Everything is exact integer arithmetic; fields and elements are
 immutable and safe to share.
+
+An element's index is the base-p value of its coefficients (`from_int`,
+`to_int`).  `FqField.log_tables` gives exp/log/Zech tables over these
+indices for one primitive element, so products, sums and Frobenius powers
+become integer arithmetic on logarithms.  They take three `array`s of q
+ints (12 bytes per element) and O(q*m) integer steps to build, about a
+second for F_{2^20}; a field builds them on first use, and only
+quasi-fixed point enumeration asks for them.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterator, Sequence
 
 DEFAULT_ORDER_CAP = 2**20
@@ -135,7 +144,7 @@ def _min_irreducible(p: int, m: int) -> tuple[int, ...]:
 class FqField:
     """Descriptor of F_{p^m} with a fixed monic irreducible modulus."""
 
-    __slots__ = ("p", "m", "modulus", "order", "_red", "_embed_cache")
+    __slots__ = ("p", "m", "modulus", "order", "_red", "_embed_cache", "_log_tables")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
@@ -153,6 +162,7 @@ class FqField:
                 cur = [(ci + top * ri) % p for ci, ri in zip(cur, red[0])]
         self._red = red
         self._embed_cache: dict[tuple, tuple["FqField", "FqElement"]] = {}
+        self._log_tables: tuple[array, array, array] | None = None
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, FqField) and self.p == other.p
@@ -175,11 +185,7 @@ class FqField:
         """Element with index n in enumeration order (base-p digits of n)."""
         if not 0 <= n < self.order:
             raise FieldError(f"element index {n} out of range for order {self.order}")
-        coeffs = []
-        for _ in range(self.m):
-            coeffs.append(n % self.p)
-            n //= self.p
-        return FqElement(self, tuple(coeffs))
+        return FqElement(self, self._coeffs(n))
 
     def scalar(self, c: int) -> "FqElement":
         """Image of the prime-field residue c under F_p -> F_{p^m}."""
@@ -196,6 +202,19 @@ class FqField:
             yield self.from_int(n)
 
     # -- raw coefficient-vector arithmetic
+
+    def _coeffs(self, n: int) -> tuple[int, ...]:
+        coeffs = []
+        for _ in range(self.m):
+            coeffs.append(n % self.p)
+            n //= self.p
+        return tuple(coeffs)
+
+    def _index(self, coeffs: Sequence[int]) -> int:
+        n = 0
+        for c in reversed(coeffs):
+            n = n * self.p + c
+        return n
 
     def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         p, m = self.p, self.m
@@ -231,6 +250,22 @@ class FqField:
         lead_inv = pow(r0[-1], p - 2, p)
         inv = [(c * lead_inv) % p for c in s0]
         return tuple((inv + [0] * self.m)[: self.m])
+
+    # -- logarithm tables
+
+    def log_tables(self) -> tuple[array, array, array]:
+        """(exp, log, zech) for g, the first primitive element in index order.
+
+        With n = q - 1: exp[k] is the index of g^k for k < n, log is its
+        inverse on the nonzero indices, and zech[k] = log(1 + g^k).  The
+        value n is the logarithm of 0: log[0] = n, exp[n] = 0, zech[k] = n
+        when 1 + g^k = 0, and zech[n] = log(1) = 0.  So a product is a sum
+        of logs mod n, a sum is a + zech[(b - a) % n] mod n, and the
+        Frobenius a -> a^(p^e) is log(a) * p^e mod n.  Built on first call.
+        """
+        if self._log_tables is None:
+            self._log_tables = _build_log_tables(self)
+        return self._log_tables
 
 
 class FqElement:
@@ -297,10 +332,7 @@ class FqElement:
 
     def to_int(self) -> int:
         """Index in enumeration order (base-p value of the coefficients)."""
-        n = 0
-        for c in reversed(self.coeffs):
-            n = n * self.field.p + c
-        return n
+        return self.field._index(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, FqElement) and self.field == other.field
@@ -333,6 +365,84 @@ def field_create(p: int, m: int, cap: int = DEFAULT_ORDER_CAP) -> FqField:
     if p**m > cap:
         raise FieldError(f"field order {p}^{m} exceeds cap {cap}")
     return FqField(p, m, _min_irreducible(p, m))
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return out + [n] if n > 1 else out
+
+
+def _build_log_tables(field: FqField) -> tuple[array, array, array]:
+    """The tables of `FqField.log_tables`, in O(q*m) integer steps.
+
+    The build walks indices under multiplication by w, where w = g when
+    m = 1 and w = t (the class of x) otherwise.  Multiplying by t shifts
+    the digits up and adds top * (x^m mod modulus), top being the digit
+    shifted out, so output digit i only depends on input digits i-1 and
+    m-1.  With h = ceil(m/2), t*a is the sum of a lookup keyed by the input
+    digits below h-1 and top (output digits below h) and one keyed by the
+    input digits from h-1 up (the other output digits): tables of at most
+    p*sqrt(q) entries.  t need not be primitive: with r its order and
+    k = n / r, g^k = t^u for some u, and exp[a + k*b] = g^a * t^(u*b) is a
+    walk through the coset g^a <t>.
+    """
+    p, m, n = field.p, field.m, field.order - 1
+    primes = _prime_factors(n)
+    g_coeffs = next(c for c in map(field._coeffs, range(1, field.order))
+                    if all(_upowmod(c, n // ell, field.modulus, p) != (1,) for ell in primes))
+    if m == 1:
+        g = g_coeffs[0]
+
+        def step(a: int) -> int:
+            return a * g % p
+    else:
+        h = (m + 1) // 2
+        ph1, pm1 = p ** (h - 1), p ** (m - 1)
+        red = field._red[0]
+
+        def digits_of_t_times(top: int, first: int, stop: int) -> list[int]:
+            # digits first..stop-1 of t*a for a_(m-1) = top, keyed by a_(first-1)..a_(stop-2)
+            out = [0]
+            for i in range(first, stop):
+                out = [v + (d + top * red[i]) % p * p**i for d in range(p) for v in out]
+            return out
+
+        lo = array("q", (v + top * red[0] % p for top in range(p)
+                         for v in digits_of_t_times(top, 1, h)))
+        hi = array("q", (v for top in range(p) for v in digits_of_t_times(top, h, m)))
+
+        def step(a: int) -> int:
+            return hi[a // ph1] + lo[a % ph1 + a // pm1 * ph1]
+
+    code = "i" if n < 2**31 else "q"
+    coset = array(code, [1])
+    a = step(1)
+    while a != 1:
+        coset.append(a)
+        a = step(a)
+    r = len(coset)
+    k = n // r
+    u = coset.index(field._index(_upowmod(g_coeffs, k, field.modulus, p)))
+    exp = array(code, [0]) * (n + 1)
+    rep = field._coeffs(1)
+    for a in range(k):
+        if a:
+            rep = field._mul(rep, g_coeffs)
+            coset[0] = field._index(rep)
+            for i in range(1, r):
+                coset[i] = step(coset[i - 1])
+        exp[a:n:k] = array(code, (coset[u * b % r] for b in range(r)))
+    log = array(code, [0]) * (n + 1)
+    for i, e in enumerate(exp):
+        log[e] = i
+    zech = array(code, (log[e + 1 if e % p != p - 1 else e + 1 - p] for e in exp))
+    return exp, log, zech
 
 
 def embed(a: FqElement, target: FqField) -> FqElement:

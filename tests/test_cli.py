@@ -186,6 +186,23 @@ def test_certify_rejects_malformed_endo(capsys, tmp_path):
     assert not (tmp_path / "c.json").exists()
 
 
+def test_certify_rejects_deeply_nested_endo(capsys, tmp_path):
+    endo = tmp_path / "endo.json"
+    endo.write_text("[" * 100000 + "]" * 100000)
+    code, _, err = run_cli(capsys, "certify", "--endo", str(endo), "--word", "a",
+                           "--out", str(tmp_path / "c.json"))
+    assert code == 2 and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("command,smax", [("quasifixed", "-3"), ("density", "0")])
+def test_smax_below_one_rejected(capsys, command, smax):
+    argv = [command, "--p", "2", "--n", "1", "--map", "x1", "--smax", smax]
+    if command == "density":
+        argv += ["--w", "x1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and ">= 1" in err
+
+
 def test_text_format_mirrors_json(capsys):
     code, text_out, _ = run_cli(capsys, "iq", "--p", "2", "--n", "1",
                                 "--map", "x1^2", "--q", "4", "--j", "1")

@@ -73,6 +73,21 @@ def test_agrees_with_bruteforce_oracle_spot():
         assert lib == oracle_quasi_fixed(pmap, s_max)
 
 
+@pytest.mark.parametrize("texts,p,s_max", [
+    (["x1^3+x1"], 2, 4),              # f(1) = 1 + 1 cancels to 0
+    (["x1*x2+1", "x2"], 2, 3),        # zero coordinates, constant term
+    (["x1*x2", "x1+x2^2"], 2, 3),     # zero coordinates, no constant term
+    (["1"], 3, 3),                    # constant maps
+    (["2", "0"], 3, 2),
+    (["x1^21+x1"], 2, 3),             # 21 is a multiple of q - 1 for q = 2, 4, 8
+    (["x1^2*x2+2*x2", "x1+x2^3+1"], 3, 2),
+], ids=["cancel", "zero-const", "zero-noconst", "const1", "const2", "exp-mult", "n2p3"])
+def test_log_space_edge_cases_match_oracle(texts, p, s_max):
+    pmap = PolyMap.parse(texts, len(texts), p)
+    lib = witness_key_set(enumerate_quasi_fixed(pmap, s_max))
+    assert lib == oracle_quasi_fixed(pmap, s_max)
+
+
 def test_variety_membership_examples():
     f5 = field_create(5, 1)
     empty = VarietySpec()
@@ -192,6 +207,13 @@ def test_enumeration_caps():
     f5 = field_create(5, 2)
     with pytest.raises(EnumerationCapExceeded):
         image_point_sample(pmap, 1, f5, point_cap=100)
+
+
+def test_enumeration_rejects_smax_below_one():
+    pmap = PolyMap.parse(["x1^2"], 1, 3)
+    for s_max in (0, -3):
+        with pytest.raises(PolyError, match=">= 1"):
+            next(enumerate_quasi_fixed(pmap, s_max))
 
 
 def test_witness_json_shape():

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -229,3 +230,42 @@ def test_element_roundtrip_and_hash():
     for a in f9:
         assert f9.from_int(a.to_int()) == a
     assert len({a for a in f9}) == 9
+
+
+SMALL_FIELDS = [(p, m) for p in (2, 3, 5, 7) for m in range(1, 9) if p**m <= 256]
+
+
+@pytest.mark.parametrize("p,m", SMALL_FIELDS)
+def test_log_tables_exhaustive(p, m):
+    field = field_create(p, m)
+    exp, log, zech = field.log_tables()
+    n = field.order - 1
+    assert sorted(exp[:n]) == list(range(1, field.order))
+    assert all(log[exp[k]] == k for k in range(n))
+    assert (exp[n], log[0]) == (0, n)  # n is the logarithm of 0
+    elems = list(field)
+    for a, b in itertools.product(elems[1:], repeat=2):
+        assert exp[(log[a.to_int()] + log[b.to_int()]) % n] == (a * b).to_int()
+    one = field.one()
+    for k in range(n):
+        assert exp[zech[k]] == (field.from_int(exp[k]) + one).to_int()
+
+
+@pytest.mark.parametrize("p,m", SMALL_FIELDS)
+def test_log_space_frobenius_and_subfield_degree(p, m):
+    field = field_create(p, m)
+    _, log, _ = field.log_tables()
+    n = field.order - 1
+    for a in list(field)[1:]:
+        x = log[a.to_int()]
+        for e in range(1, m + 1):
+            assert log[a.frobenius(e).to_int()] == x * p**e % n
+        degree = next(d for d in range(1, m + 1) if m % d == 0 and x * (p**d - 1) % n == 0)
+        assert degree == min_subfield_degree(a)
+
+
+def test_log_tables_build_time_f_2_16():
+    field = field_create(2, 16)
+    start = time.perf_counter()
+    field.log_tables()
+    assert time.perf_counter() - start < 5.0
