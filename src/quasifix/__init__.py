@@ -19,7 +19,6 @@ from .certify import (
     Certificate,
     CertifyConfig,
     build_wreath,
-    pick_prime,
     search_certificate,
     verify_certificate,
 )
@@ -31,6 +30,6 @@ __all__ = [
     "Mat2", "MatTuple", "ProjPoint", "find_periodic_orbit", "phi_lift", "pi_w",
     "QuasiFixedWitness", "VarietySpec", "containment_check",
     "enumerate_quasi_fixed", "find_quasi_fixed_avoiding", "image_point_sample",
-    "Certificate", "CertifyConfig", "build_wreath", "pick_prime",
+    "Certificate", "CertifyConfig", "build_wreath",
     "search_certificate", "verify_certificate",
 ]

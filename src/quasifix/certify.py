@@ -64,6 +64,12 @@ class CertifyConfig:
     allow_noninjective: bool = False
     order_cap: int = DEFAULT_ORDER_CAP
 
+    def __post_init__(self):
+        for name in ("s_max", "seeds_per_field", "orbit_budget", "max_primes"):
+            value = getattr(self, name)
+            if value < 1:
+                raise CertifyError(f"{name} must be >= 1, got {value}")
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -195,7 +201,7 @@ def _materialize(cert: Certificate, field: FqField) -> list[MatTuple]:
 # ---------------------------------------------------------------------------
 # prime selection
 
-def admissible_primes(phi: FreeEndo, w: Word, floor: int = 2):
+def admissible_primes(phi: FreeEndo, w: Word):
     """Primes keeping the integer matrix of phi^(4k)(w) non-scalar mod p.
 
     The matrix is non-scalar over the integers, so only finitely many primes
@@ -207,16 +213,11 @@ def admissible_primes(phi: FreeEndo, w: Word, floor: int = 2):
         raise CertifyError("integer matrix is scalar; word reduces to the identity "
                            "or the endomorphism is not injective")
     g = math.gcd(math.gcd(abs(mat.b), abs(mat.c)), abs(mat.a - mat.d))
-    p = max(floor, 2)
+    p = 2
     while True:
         if is_prime(p) and g % p != 0:
             yield p
         p += 1
-
-
-def pick_prime(phi: FreeEndo, w: Word, floor: int = 2) -> int:
-    """Least prime >= floor at which the lifted word value stays non-scalar."""
-    return next(admissible_primes(phi, w, floor))
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +303,13 @@ class _WreathElement:
 
 
 class WreathOps:
-    """Group operations of PGL2(F) wr C_n, coordinates as normalized matrices."""
+    """Group operations of GL2(F) wr C_n with the adjugate as the inverse.
+
+    adj(A) is A^-1 up to a scalar, so the results are exact once each
+    coordinate is projected to PGL2(F), which is a homomorphism.
+    """
 
     def __init__(self, field: FqField, n: int):
-        self.field = field
         self.n = n
         self.identity = _WreathElement((Mat2.identity(field),) * n, 0)
 
@@ -315,20 +319,13 @@ class WreathOps:
 
     def mul(self, x: _WreathElement, y: _WreathElement) -> _WreathElement:
         shifted = self._rot(y.coords, x.shift)
-        coords = tuple((xc * yc).normalized()
-                       for xc, yc in zip(x.coords, shifted))
+        coords = tuple(xc * yc for xc, yc in zip(x.coords, shifted))
         return _WreathElement(coords, (x.shift + y.shift) % self.n)
 
     def inv(self, x: _WreathElement) -> _WreathElement:
-        inverted = tuple(c.adj().normalized() for c in x.coords)
+        inverted = tuple(c.adj() for c in x.coords)
         return _WreathElement(self._rot(inverted, -x.shift % self.n),
                               (-x.shift) % self.n)
-
-    def embed_row(self, row: tuple[Mat2, ...]) -> _WreathElement:
-        return _WreathElement(row, 0)
-
-    def shift_generator(self) -> _WreathElement:
-        return _WreathElement(self.identity.coords, 1 % self.n)
 
 
 @dataclass(frozen=True)
@@ -345,36 +342,29 @@ class WreathData:
         return all(self.relations_hold)
 
 
-def build_wreath(cert: Certificate) -> WreathData:
-    """Extract the y_j rows from the orbit trace and check the quotient map.
+def build_wreath(phi: FreeEndo, w: Word, trace: list[MatTuple]) -> WreathData:
+    """Extract the y_j rows from an orbit trace and check the quotient map.
 
     The assignment (stable letter -> shift, generator j -> its orbit row)
-    extends to a homomorphism exactly when conjugating each row by the shift
-    equals the row of its image word, computed coordinatewise.
+    extends to a homomorphism into PGL2(F) wr C_n exactly when conjugating
+    each row by the shift equals the row of its image word, coordinatewise
+    up to scalars.  Every trace matrix must be invertible.
     """
-    try:
-        phi = FreeEndo.parse(cert.images, cert.rank)
-        w = Word.parse(cert.word, cert.rank)
-        field = field_create(cert.p, cert.s)
-        points = _materialize(cert, field)
-    except (WordError, ValueError) as exc:
-        raise CertifyError(f"inconsistent certificate: {exc}") from exc
-    n = cert.period
-    if len(points) != n:
-        raise CertifyError("inconsistent certificate: trace length differs from period")
-    ops = WreathOps(field, n)
-    rows = tuple(tuple(points[i][j] for i in range(n)) for j in range(cert.rank))
-    embedded = [ops.embed_row(row) for row in rows]
-    c = ops.shift_generator()
+    n = len(trace)
+    ops = WreathOps(trace[0].field, n)
+    rows = tuple(tuple(t[j] for t in trace) for j in range(phi.rank))
+    embedded = [_WreathElement(row, 0) for row in rows]
+    c = _WreathElement(ops.identity.coords, 1 % n)
     relations = []
-    for j in range(cert.rank):
+    for j in range(phi.rank):
         conjugated = ops.mul(ops.mul(c, embedded[j]), ops.inv(c))
         image_row = word_evaluate(phi.images[j], embedded, ops.mul, ops.inv,
                                   ops.identity)
-        relations.append(conjugated == image_row)
+        # both sides have shift 0: the rows do, and c and its inverse cancel
+        relations.append(all(x.normalized() == y.normalized()
+                             for x, y in zip(conjugated.coords, image_row.coords)))
     w_value = word_evaluate(w, embedded, ops.mul, ops.inv, ops.identity)
-    nontrivial = w_value.shift == 0 and w_value.coords[0] != Mat2.identity(field)
-    return WreathData(n, rows, tuple(relations), nontrivial)
+    return WreathData(n, rows, tuple(relations), not w_value.coords[0].is_scalar())
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +405,11 @@ def _order_within_cap(p: int, s: int, cap: int) -> bool:
     return True
 
 
-def _structure_problems(cert: Certificate, order_cap: int) -> list[str]:
+def _structure_problems(cert: Certificate, order_cap: int
+                        ) -> tuple[list[str], tuple[FreeEndo, Word] | None]:
+    """Problems found, and the parsed endomorphism and word when both parse."""
     problems = []
+    parsed = None
     if cert.format_version != FORMAT_VERSION:
         problems.append(f"unsupported format_version {cert.format_version}")
     if cert.rank < 1:
@@ -439,10 +432,11 @@ def _structure_problems(cert: Certificate, order_cap: int) -> list[str]:
     try:
         phi = FreeEndo.parse(cert.images, cert.rank)
         w = Word.parse(cert.word, cert.rank)
+        parsed = (phi, w)
         if w.is_identity():
             problems.append("certified word reduces to the identity")
-        for text, parsed in zip(cert.images, phi.images):
-            if parsed.to_text() != text:
+        for text, image in zip(cert.images, phi.images):
+            if image.to_text() != text:
                 problems.append(f"image {text!r} is not freely reduced")
         if w.to_text() != cert.word.strip():
             problems.append(f"word {cert.word!r} is not freely reduced")
@@ -461,7 +455,7 @@ def _structure_problems(cert: Certificate, order_cap: int) -> list[str]:
     shape_problem = first_shape_problem()
     if shape_problem:
         problems.append(shape_problem)
-    return problems
+    return problems, parsed
 
 
 def verify_certificate(cert: Certificate,
@@ -474,7 +468,7 @@ def verify_certificate(cert: Certificate,
     """
     checks: list[CheckResult] = []
 
-    problems = _structure_problems(cert, order_cap)
+    problems, parsed = _structure_problems(cert, order_cap)
     if problems:
         checks.append(CheckResult("structure", "fail", "; ".join(problems)))
         for name in ("tuple_in_group", "condition_i", "condition_ii",
@@ -483,8 +477,7 @@ def verify_certificate(cert: Certificate,
         return CertVerdict(tuple(checks))
     checks.append(CheckResult("structure", "pass", "fields, words and shapes are coherent"))
 
-    phi = FreeEndo.parse(cert.images, cert.rank)
-    w = Word.parse(cert.word, cert.rank)
+    phi, w = parsed
     field = field_create(cert.p, cert.s, order_cap)
     tuples = _materialize(cert, field)
 
@@ -535,11 +528,7 @@ def verify_certificate(cert: Certificate,
         checks.append(CheckResult("condition_iii", "pass",
                                   "word value at the base tuple is non-scalar"))
 
-    try:
-        wreath = build_wreath(cert)
-    except CertifyError as exc:
-        checks.append(CheckResult("wreath_relations", "fail", str(exc)))
-        return CertVerdict(tuple(checks))
+    wreath = build_wreath(phi, w, tuples)
     if wreath.all_relations_hold and wreath.w_first_coordinate_nontrivial:
         checks.append(CheckResult(
             "wreath_relations", "pass",

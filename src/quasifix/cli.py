@@ -124,6 +124,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_iq(args) -> int:
+    if args.j < 1:
+        raise PolyError(f"--j must be >= 1, got {args.j}")
     pmap = PolyMap.parse(_split_polys(args.map), args.n, args.p)
     system = IqSystem(pmap, args.q)
     congruence = {str(j): system.iterate_congruence_check(j)

@@ -10,9 +10,11 @@ from quasifix.certify import (
     CertificateFormatError,
     CertifyConfig,
     CertifyError,
+    _materialize,
+    admissible_primes,
     build_wreath,
     certificate_from_bytes,
-    pick_prime,
+    certificate_from_dict,
     search_certificate,
     verify_certificate,
 )
@@ -26,6 +28,7 @@ from quasifix.freegroup import (
 )
 from quasifix.gf import field_create
 from quasifix.matrep import (
+    MatTuple,
     find_periodic_orbit,
     pgl_dynamics_step,
     pi_w,
@@ -55,6 +58,23 @@ def swapmix_cert():
     return search_certificate(SWAPMIX, Word.parse("a", 2)).certificate
 
 
+@pytest.fixture(scope="module")
+def criterion6_outcomes():
+    # the certificate jobs of acceptance criterion 6
+    letters = ["a", "b", "A", "B"]
+    length_two = [x + y for x in letters for y in letters
+                  if len(Word.parse(x + y, 2)) == 2]
+    jobs = [(BS12, "a"), (BS12, "aa")] + [(SWAPMIX, t) for t in letters + length_two]
+    return [search_certificate(phi, Word.parse(text, phi.rank)) for phi, text in jobs]
+
+
+def wreath_inputs(cert: Certificate):
+    """The parsed endomorphism, word and trace that verify_certificate holds."""
+    field = field_create(cert.p, cert.s)
+    return (FreeEndo.parse(cert.images, cert.rank), Word.parse(cert.word, cert.rank),
+            _materialize(cert, field))
+
+
 # -- prime selection ---------------------------------------------------------
 
 def test_pick_prime_squaring_map():
@@ -62,13 +82,12 @@ def test_pick_prime_squaring_map():
     # Sanov matrix is [[1, 32], [0, 1]]; only divisors of 32 are excluded
     mat = sanov_embed(Word.parse("a", 1) ** 16)
     assert mat == IntMatrix2(1, 32, 0, 1)
-    assert pick_prime(BS12, Word.parse("a", 1)) == 3
-    assert pick_prime(BS12, Word.parse("a", 1), floor=5) == 5
+    assert next(admissible_primes(BS12, Word.parse("a", 1))) == 3
 
 
 def test_pick_prime_rejects_identity_word():
     with pytest.raises(CertifyError):
-        pick_prime(BS12, Word.identity(1))
+        next(admissible_primes(BS12, Word.identity(1)))
 
 
 def test_excluded_primes_form_finite_divisor_set():
@@ -76,7 +95,7 @@ def test_excluded_primes_form_finite_divisor_set():
     w = Word.parse("a", 2)
     _, mat = nonscalar_sanity_check(phi, w, 8)
     g = math.gcd(math.gcd(abs(mat.b), abs(mat.c)), abs(mat.a - mat.d))
-    p = pick_prime(phi, w)
+    p = next(admissible_primes(phi, w))
     assert g % p != 0
     for q in (2, 3, 5, 7, 11):
         if q < p:
@@ -145,15 +164,17 @@ def test_noninjective_override_runs():
     assert verify_certificate(out.certificate).passed
 
 
-def test_search_verdict_matches_independent_verify():
+@pytest.mark.parametrize("field", ["s_max", "seeds_per_field", "orbit_budget",
+                                   "max_primes"])
+def test_config_counts_below_one_rejected(field):
+    with pytest.raises(CertifyError, match=">= 1"):
+        CertifyConfig(**{field: 0})
+
+
+def test_search_verdict_matches_independent_verify(criterion6_outcomes):
     # the certify command prints the search's own verdict, so it must equal a
-    # fresh verification; jobs as in acceptance criterion 6
-    letters = ["a", "b", "A", "B"]
-    length_two = [x + y for x in letters for y in letters
-                  if len(Word.parse(x + y, 2)) == 2]
-    jobs = [(BS12, "a"), (BS12, "aa")] + [(SWAPMIX, t) for t in letters + length_two]
-    for phi, text in jobs:
-        out = search_certificate(phi, Word.parse(text, phi.rank))
+    # fresh verification
+    for out in criterion6_outcomes:
         assert out.found and out.verdict.passed
         assert out.verdict.to_dict() == verify_certificate(out.certificate).to_dict()
 
@@ -199,13 +220,13 @@ def test_wreath_period_one_degenerate():
     ident = FreeEndo.identity(1)
     cert = search_certificate(ident, Word.parse("a", 1)).certificate
     assert cert.period == 1
-    data = build_wreath(cert)
+    data = build_wreath(*wreath_inputs(cert))
     assert data.period == 1
     assert data.all_relations_hold and data.w_first_coordinate_nontrivial
 
 
 def test_wreath_bs12_row_squares_along_shift(bs12_cert):
-    data = build_wreath(bs12_cert)
+    data = build_wreath(*wreath_inputs(bs12_cert))
     assert data.all_relations_hold
     row = data.rows[0]
     n = data.period
@@ -215,20 +236,77 @@ def test_wreath_bs12_row_squares_along_shift(bs12_cert):
 
 
 def test_wreath_word_image_first_coordinate(swapmix_cert):
-    data = build_wreath(swapmix_cert)
+    phi, w, trace = wreath_inputs(swapmix_cert)
+    data = build_wreath(phi, w, trace)
     assert data.w_first_coordinate_nontrivial
-    field = field_create(swapmix_cert.p, swapmix_cert.s)
-    from quasifix.certify import _materialize
-    base = _materialize(swapmix_cert, field)[0]
-    value = pi_w(Word.parse(swapmix_cert.word, 2), base)
+    value = pi_w(w, trace[0])
     assert not value.is_scalar()
 
 
 def test_quotient_respects_all_defining_relations(swapmix_cert):
     # homomorphism check: t x_j t^-1 -> w_j for every generator, verified
     # coordinatewise in the semidirect product
-    data = build_wreath(swapmix_cert)
+    data = build_wreath(*wreath_inputs(swapmix_cert))
     assert data.relations_hold == (True, True)
+
+
+def test_wreath_arithmetic_matches_matrep_oracle(criterion6_outcomes):
+    # the wreath check multiplies in GL2 wr C_n and compares up to scalars;
+    # its verdicts must equal the coordinatewise relations computed with
+    # matrep alone, on valid certificates (criterion 6, plus images with
+    # inverse letters) and on tampered traces that still pass tuple_in_group
+    inverse_images = [search_certificate(FreeEndo.parse(images, 2), Word.parse(text, 2))
+                      for images, text in [(["aB", "ba"], "a"), (["ab", "bA"], "a")]]
+
+    def swapped(d):
+        d["trace"][1], d["trace"][2] = d["trace"][2], d["trace"][1]
+
+    def rotated(d):
+        d["trace"] = d["trace"][1:] + d["trace"][:1]
+        d["tuple"] = d["trace"][0]
+
+    def scalar_tuple(d):
+        s = d["s"]
+        ident = [[1] + [0] * (s - 1), [0] * s, [0] * s, [1] + [0] * (s - 1)]
+        d["period"] = 1
+        d["tuple"] = [ident] * d["rank"]
+        d["trace"] = [d["tuple"]]
+
+    edits = [lambda d: None, swapped, rotated, scalar_tuple,
+             lambda d: d.__setitem__("images", {1: ["aaa"], 2: ["ab", "bb"]}[d["rank"]]),
+             lambda d: d.__setitem__("p", {3: 5, 5: 7}[d["p"]])]
+    seen = set()
+    for out in criterion6_outcomes + inverse_images:
+        for edit in edits:
+            if edit is swapped and out.certificate.period < 3:
+                continue
+            cert = mutate(out.certificate, edit)
+            if verify_certificate(cert).checks[1].status != "pass":
+                continue
+            phi, w, trace = wreath_inputs(cert)
+            data = build_wreath(phi, w, trace)
+            n = len(trace)
+            expected = tuple(
+                all(proj_normalize(MatTuple([pi_w(image, trace[i])])).tuple[0]
+                    == trace[(i + 1) % n][j] for i in range(n))
+                for j, image in enumerate(phi.images))
+            assert data.relations_hold == expected
+            assert data.w_first_coordinate_nontrivial == (
+                not pi_w(w, trace[0]).is_scalar())
+            seen.update((("relations", data.all_relations_hold),
+                         ("word", data.w_first_coordinate_nontrivial)))
+    assert len(seen) == 4  # both verdicts of both checks occurred
+
+
+def test_verifier_honours_order_cap_above_default():
+    # identity endomorphism, period 1, over F_{1031^2}: p^s = 1062961 > 2^20
+    one, zero, x = [1, 0], [0, 0], [0, 1]
+    cert = certificate_from_dict({
+        "format_version": 1, "rank": 1, "images": ["a"], "word": "a",
+        "p": 1031, "s": 2, "period": 1, "tuple": [[one, x, zero, one]],
+        "trace": [[[one, x, zero, one]]], "metadata": {"seed": 0}})
+    assert verify_certificate(cert, order_cap=2**22).passed
+    assert verify_certificate(cert).failures == ["structure"]
 
 
 # -- verifier and negative paths ----------------------------------------------

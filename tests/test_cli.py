@@ -194,13 +194,24 @@ def test_certify_rejects_deeply_nested_endo(capsys, tmp_path):
     assert code == 2 and "nested too deeply" in err
 
 
-@pytest.mark.parametrize("command,smax", [("quasifixed", "-3"), ("density", "0")])
-def test_smax_below_one_rejected(capsys, command, smax):
-    argv = [command, "--p", "2", "--n", "1", "--map", "x1", "--smax", smax]
-    if command == "density":
-        argv += ["--w", "x1"]
+@pytest.mark.parametrize("argv", [
+    ["quasifixed", "--p", "2", "--n", "1", "--map", "x1", "--smax", "-3"],
+    ["density", "--p", "2", "--n", "1", "--map", "x1", "--smax", "0", "--w", "x1"],
+    ["certify", "--word", "a", "--smax", "0"],
+    ["certify", "--word", "a", "--seeds", "0"],
+    ["certify", "--word", "a", "--budget", "-5"],
+    ["iq", "--p", "2", "--n", "1", "--map", "x1", "--q", "4", "--j", "-2"],
+], ids=["quasifixed--3", "density-0", "certify-smax-0", "certify-seeds-0",
+        "certify-budget--5", "iq-j--2"])
+def test_smax_below_one_rejected(capsys, tmp_path, argv):
+    # a count option below 1 is a usage error, never an empty or "not found" answer
+    if argv[0] == "certify":
+        endo = tmp_path / "endo.json"
+        endo.write_text(json.dumps({"rank": 2, "images": ["ab", "ba"]}))
+        argv = argv + ["--endo", str(endo), "--out", str(tmp_path / "c.json")]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and ">= 1" in err
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_text_format_mirrors_json(capsys):
@@ -221,6 +232,20 @@ def test_cap_env_override(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "quasifixed", "--p", "2", "--n", "1",
                            "--map", "x1^2", "--smax", "1")
     assert code == 2
+
+
+def test_verify_honours_cap_env_above_default(capsys, monkeypatch, tmp_path):
+    # a valid certificate over F_{1031^2} (order above the default cap 2^20):
+    # identity endomorphism of rank 1, w = a, period 1
+    one, zero, x = [1, 0], [0, 0], [0, 1]
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps({
+        "format_version": 1, "rank": 1, "images": ["a"], "word": "a",
+        "p": 1031, "s": 2, "period": 1, "tuple": [[one, x, zero, one]],
+        "trace": [[[one, x, zero, one]]], "metadata": {"seed": 0}}))
+    monkeypatch.setenv("QUASIFIX_CAP", "4194304")
+    code, out, _ = run_cli(capsys, "verify", str(cert_path), "--format", "json")
+    assert code == 0 and json.loads(out)["verdict"]["passed"]
 
 
 def test_output_file_option(capsys, tmp_path):
