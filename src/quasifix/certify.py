@@ -13,7 +13,6 @@ nothing the search produced.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass
 
@@ -202,20 +201,17 @@ def _materialize(cert: Certificate, field: FqField) -> list[MatTuple]:
 # prime selection
 
 def admissible_primes(phi: FreeEndo, w: Word):
-    """Primes keeping the integer matrix of phi^(4k)(w) non-scalar mod p.
+    """Primes p at which the Sanov matrix of phi^(4k)(w) is non-scalar mod p.
 
-    The matrix is non-scalar over the integers, so only finitely many primes
-    are excluded: the divisors of gcd of its off-diagonals and diagonal
-    difference.
+    Sanov's representation is faithful and never hits -Id, so when w survives
+    in the mapping torus the integer matrix is non-scalar and only the finitely
+    many divisors of its gcd(b, c, a - d) are skipped.
     """
-    ok, mat = nonscalar_sanity_check(phi, w, 4 * phi.rank)
-    if not ok:
-        raise CertifyError("integer matrix is scalar; word reduces to the identity "
-                           "or the endomorphism is not injective")
-    g = math.gcd(math.gcd(abs(mat.b), abs(mat.c)), abs(mat.a - mat.d))
+    if w.is_identity():
+        raise CertifyError("the identity word cannot be separated from itself")
     p = 2
     while True:
-        if is_prime(p) and g % p != 0:
+        if is_prime(p) and nonscalar_sanity_check(phi, w, 4 * phi.rank, p)[0]:
             yield p
         p += 1
 
@@ -247,9 +243,14 @@ def search_certificate(phi: FreeEndo, w: Word,
         raise CertifyError("the identity word cannot be separated from itself")
     if w.rank != phi.rank:
         raise CertifyError(f"word rank {w.rank} differs from endomorphism rank {phi.rank}")
-    if not config.allow_noninjective and not endo_is_injective(phi):
-        raise CertifyError("endomorphism is not injective; pass the override "
-                           "to search anyway")
+    if not endo_is_injective(phi):
+        if not config.allow_noninjective:
+            raise CertifyError("endomorphism is not injective; pass the override "
+                               "to search anyway")
+        # phi is injective on phi^k(F_k): the rank of phi^j(F_k) stops falling by
+        # j = k and free groups are Hopfian; so phi^(4k)(w) = 1 iff phi^k(w) = 1
+        if phi.apply_power(w, phi.rank).is_identity():
+            raise CertifyError("phi^k(w) = 1: the word dies in the mapping torus")
     k = phi.rank
     frontier: list[tuple[int, int, int]] = []
     primes = admissible_primes(phi, w)

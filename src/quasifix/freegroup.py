@@ -13,15 +13,13 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
 
-DEFAULT_WORD_BUDGET = 10**6
-
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _INDEXED_RE = re.compile(r"^(?:[xX][0-9]+)+$")
 _INDEXED_TOKEN = re.compile(r"[xX][0-9]+")
 
 
 class WordError(ValueError):
-    """Bad word syntax, rank mismatch, or growth-budget violation."""
+    """Bad word syntax, rank out of range, or rank mismatch."""
 
 
 def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
@@ -40,6 +38,8 @@ class Word:
     __slots__ = ("rank", "letters")
 
     def __init__(self, letters: Iterable[int], rank: int):
+        if rank < 1:
+            raise WordError(f"free-group rank must be >= 1, got {rank}")
         reduced = _reduce(letters)
         for x in reduced:
             if x == 0 or abs(x) > rank:
@@ -60,7 +60,11 @@ class Word:
         letters: list[int] = []
         if _INDEXED_RE.match(text):
             for token in _INDEXED_TOKEN.findall(text):
-                idx = int(token[1:])
+                try:
+                    idx = int(token[1:])
+                except ValueError as exc:  # past the interpreter's integer digit limit
+                    raise WordError(f"generator index of {len(token) - 1} digits "
+                                    "is too long") from exc
                 if not 1 <= idx <= rank:
                     raise WordError(f"generator index {idx} exceeds rank {rank}")
                 letters.append(idx if token[0] == "x" else -idx)
@@ -160,15 +164,13 @@ class FreeEndo:
     def to_dict(self) -> dict:
         return {"rank": self.rank, "images": [w.to_text() for w in self.images]}
 
-    def apply(self, w: Word, budget: int = DEFAULT_WORD_BUDGET) -> Word:
+    def apply(self, w: Word) -> Word:
         if w.rank != self.rank:
             raise WordError("word rank does not match endomorphism rank")
         out: list[int] = []
         for x in w.letters:
             image = self.images[abs(x) - 1].letters
             out.extend(image if x > 0 else tuple(-y for y in reversed(image)))
-            if len(out) > budget:
-                raise WordError(f"image word grew past budget {budget}")
         return Word(out, self.rank)
 
     def compose(self, other: "FreeEndo") -> "FreeEndo":
@@ -185,10 +187,10 @@ class FreeEndo:
             out = self.compose(out)
         return out
 
-    def apply_power(self, w: Word, n: int, budget: int = DEFAULT_WORD_BUDGET) -> Word:
+    def apply_power(self, w: Word, n: int) -> Word:
         """phi^n(w) by repeated application (avoids composing large images)."""
         for _ in range(n):
-            w = self.apply(w, budget)
+            w = self.apply(w)
         return w
 
     def __eq__(self, other: object) -> bool:
@@ -348,14 +350,22 @@ def sanov_embed(w: Word) -> IntMatrix2:
                          IntMatrix2.identity())
 
 
-def nonscalar_sanity_check(phi: FreeEndo, w: Word, n: int,
-                           budget: int = DEFAULT_WORD_BUDGET) -> tuple[bool, IntMatrix2]:
-    """Whether the integer matrix of phi^n(w) is non-scalar, and the matrix.
+def nonscalar_sanity_check(phi: FreeEndo, w: Word, n: int, p: int) -> tuple[bool, IntMatrix2]:
+    """Whether the Sanov matrix of phi^n(w) is non-scalar mod p, and that matrix mod p.
 
-    For injective phi and w != 1 this is always non-scalar because the
-    representation is faithful and never hits -Id; the matrix entries feed
-    prime selection downstream.
+    The generator matrices mod p are substituted into the image words n times,
+    so phi^n(w) is never written out; det = 1 makes the adjugate the inverse.
     """
-    image = phi.apply_power(w, n, budget)
-    mat = sanov_embed(image)
+    def mod(m: IntMatrix2) -> IntMatrix2:
+        return IntMatrix2(m.a % p, m.b % p, m.c % p, m.d % p)
+
+    def evaluate(u: Word, mats: list[IntMatrix2]) -> IntMatrix2:
+        return word_evaluate(u, mats, lambda x, y: mod(x * y),
+                             lambda x: mod(IntMatrix2(x.d, -x.b, -x.c, x.a)),
+                             IntMatrix2.identity())
+
+    mats = [mod(_sanov_generator(i, phi.rank)) for i in range(1, phi.rank + 1)]
+    for _ in range(n):
+        mats = [evaluate(image, mats) for image in phi.images]
+    mat = evaluate(w, mats)
     return (not mat.is_scalar(), mat)

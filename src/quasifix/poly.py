@@ -220,6 +220,13 @@ _VAR_RE = re.compile(r"^x([0-9]+)(?:\^([0-9]+))?$")
 _INT_RE = re.compile(r"^[0-9]+$")
 
 
+def _parse_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:  # past the interpreter's integer digit limit
+        raise PolyParseError(f"number of {len(digits)} digits is too long") from exc
+
+
 def parse_poly(text: str, nvars: int, p: int) -> MPoly:
     """Parse `c*x1^e1*...*xn^en` terms joined by `+`; exact, rejects junk."""
     if not is_prime(p):
@@ -235,15 +242,15 @@ def parse_poly(text: str, nvars: int, p: int) -> MPoly:
         expo = [0] * nvars
         for factor in chunk.split("*"):
             if _INT_RE.match(factor):
-                coeff = (coeff * int(factor)) % p
+                coeff = (coeff * _parse_int(factor)) % p
                 continue
             m = _VAR_RE.match(factor)
             if not m:
                 raise PolyParseError(f"bad factor {factor!r} in {text!r}")
-            idx = int(m.group(1))
+            idx = _parse_int(m.group(1))
             if not 1 <= idx <= nvars:
                 raise PolyParseError(f"variable x{idx} out of range 1..{nvars}")
-            expo[idx - 1] += int(m.group(2)) if m.group(2) else 1
+            expo[idx - 1] += _parse_int(m.group(2)) if m.group(2) else 1
         key = tuple(expo)
         terms[key] = (terms.get(key, 0) + coeff) % p
     return MPoly(nvars, p, terms)

@@ -23,10 +23,9 @@ from quasifix.freegroup import (
     IntMatrix2,
     Word,
     endo_is_injective,
-    nonscalar_sanity_check,
     sanov_embed,
 )
-from quasifix.gf import field_create
+from quasifix.gf import field_create, is_prime
 from quasifix.matrep import (
     MatTuple,
     find_periodic_orbit,
@@ -93,13 +92,18 @@ def test_pick_prime_rejects_identity_word():
 def test_excluded_primes_form_finite_divisor_set():
     phi = SWAPMIX
     w = Word.parse("a", 2)
-    _, mat = nonscalar_sanity_check(phi, w, 8)
+    # integer oracle: phi^8(a) written out and embedded over Z
+    mat = sanov_embed(phi.apply_power(w, 8))
     g = math.gcd(math.gcd(abs(mat.b), abs(mat.c)), abs(mat.a - mat.d))
-    p = next(admissible_primes(phi, w))
+    primes = admissible_primes(phi, w)
+    p = next(primes)
     assert g % p != 0
     for q in (2, 3, 5, 7, 11):
         if q < p:
             assert g % q == 0  # every smaller prime really is excluded
+    # the next primes are those not dividing g, in increasing order
+    expected = [q for q in range(p + 1, 60) if is_prime(q) and g % q != 0][:5]
+    assert [next(primes) for _ in range(5)] == expected
 
 
 # -- search ------------------------------------------------------------------
@@ -154,6 +158,30 @@ def test_search_budget_exhaustion_reports_frontier():
     assert not out.found
     assert out.reason == "budget exhausted"
     assert len(out.frontier) == 2  # two primes, one field degree each
+
+
+@pytest.mark.parametrize("images,word,p", [
+    (["abc", "bca", "cab"], "aB", 11),
+    (["aabb", "ab", "c"], "abc", 3),
+])
+def test_fast_growing_images_get_certificates(images, word, p):
+    # phi^12(w) has over a million letters here; prime selection never builds it
+    phi = FreeEndo.parse(images, 3)
+    assert endo_is_injective(phi)
+    out = search_certificate(phi, Word.parse(word, 3))
+    assert out.found and out.certificate.p == p
+    assert verify_certificate(certificate_from_bytes(out.certificate.to_bytes())).passed
+
+
+@pytest.mark.parametrize("images", [["a", "a"], ["abc", "abc", "abc"]])
+def test_noninjective_override_rejects_word_killed_by_phi(images):
+    # phi(aB) = 1, so aB dies in the mapping torus and no prime can separate it
+    phi = FreeEndo.parse(images, len(images))
+    start = time.perf_counter()
+    with pytest.raises(CertifyError, match="dies in the mapping torus"):
+        search_certificate(phi, Word.parse("aB", phi.rank),
+                           CertifyConfig(allow_noninjective=True))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_noninjective_override_runs():

@@ -201,8 +201,10 @@ def test_certify_rejects_deeply_nested_endo(capsys, tmp_path):
     ["certify", "--word", "a", "--seeds", "0"],
     ["certify", "--word", "a", "--budget", "-5"],
     ["iq", "--p", "2", "--n", "1", "--map", "x1", "--q", "4", "--j", "-2"],
+    ["fold", "--k", "-1", ""],
+    ["fold", "--k", "0", ""],
 ], ids=["quasifixed--3", "density-0", "certify-smax-0", "certify-seeds-0",
-        "certify-budget--5", "iq-j--2"])
+        "certify-budget--5", "iq-j--2", "fold-k--1", "fold-k-0"])
 def test_smax_below_one_rejected(capsys, tmp_path, argv):
     # a count option below 1 is a usage error, never an empty or "not found" answer
     if argv[0] == "certify":

@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quasifix.freegroup import (
     FreeEndo,
@@ -256,15 +259,24 @@ def test_sanov_rank_three_free():
         assert not sanov_embed(Word.parse(text, 3)).is_scalar()
 
 
+PRIMES = (2, 3, 5, 7, 11)
+
+
 def test_nonscalar_sanity_check():
     phi = FreeEndo.parse(["ab", "ba"], 2)
-    ok, mat = nonscalar_sanity_check(phi, Word.parse("a", 2), 8)
+    ok, mat = nonscalar_sanity_check(phi, Word.parse("a", 2), 8, 5)
     assert ok and not mat.is_scalar()
-    ok, mat = nonscalar_sanity_check(phi, Word.identity(2), 8)
+    assert all(0 <= x < 5 for x in (mat.a, mat.b, mat.c, mat.d))
+    ok, mat = nonscalar_sanity_check(phi, Word.identity(2), 8, 5)
+    assert not ok and mat == IntMatrix2.identity()
+    # every Sanov generator is the identity mod 2
+    ok, mat = nonscalar_sanity_check(phi, Word.parse("a", 2), 8, 2)
     assert not ok and mat == IntMatrix2.identity()
 
 
 def test_nonscalar_for_every_injective_endo_and_short_word():
+    # mod p the matrix is scalar exactly at the primes dividing gcd(b, c, a - d)
+    # of the integer matrix, which is non-scalar for injective phi and w != 1
     letters = ["a", "b", "A", "B"]
     words = letters + [x + y for x in letters for y in letters
                        if not Word.parse(x + y, 2).is_identity()]
@@ -272,14 +284,50 @@ def test_nonscalar_for_every_injective_endo_and_short_word():
         phi = FreeEndo.parse(images, 2)
         assert endo_is_injective(phi)
         for text in words:
-            ok, _ = nonscalar_sanity_check(phi, Word.parse(text, 2), 8)
-            assert ok, f"scalar image for {images} at {text}"
+            w = Word.parse(text, 2)
+            whole = sanov_embed(phi.apply_power(w, 8))  # phi^8(w) written out
+            g = math.gcd(whole.b, whole.c, whole.a - whole.d)
+            assert g != 0, f"scalar image for {images} at {text}"
+            for p in PRIMES + (13, 17, 19, 23):
+                ok, _ = nonscalar_sanity_check(phi, w, 8, p)
+                assert ok == (g % p != 0), f"{images} at {text} mod {p}"
 
 
 def test_nonscalar_sanity_check_budget():
+    # phi^40(a) has 2^40 letters; mod p no word is built.
+    # mod 3 both generators are central from n = 3 on, so the value stays scalar
     phi = FreeEndo.parse(["ab", "ba"], 2)
-    with pytest.raises(WordError):
-        nonscalar_sanity_check(phi, Word.parse("a", 2), 40, budget=1000)
+    ok, mat = nonscalar_sanity_check(phi, Word.parse("a", 2), 40, 5)
+    assert ok and not mat.is_scalar()
+    assert nonscalar_sanity_check(phi, Word.parse("a", 2), 3, 3) == (False, IntMatrix2.identity())
+    assert nonscalar_sanity_check(phi, Word.parse("a", 2), 40, 3) == (False, IntMatrix2.identity())
+
+
+ORACLE_ENDOS = [
+    (["aa"], ["a", "A", "aaa"]),
+    (["A"], ["a", "aa"]),
+    (["ab", "ba"], ["a", "aB", "bAb"]),
+    (["aB", "bA"], ["a", "ab"]),
+    (["a", "a"], ["a", "aB"]),                 # not injective
+    (["ab", "bc", "ca"], ["a", "abC"]),
+    (["abc", "bca", "cab"], ["aB", "c"]),
+    (["aC", "b", "Ab"], ["cB"]),
+]
+
+
+@pytest.mark.parametrize("images,words", ORACLE_ENDOS)
+def test_nonscalar_sanity_check_matches_integer_oracle(images, words):
+    # the integer oracle writes phi^n(w) out and embeds it over Z
+    phi = FreeEndo.parse(images, len(images))
+    for text in words:
+        w = Word.parse(text, phi.rank)
+        for n in range(9):
+            whole = sanov_embed(phi.apply_power(w, n))
+            for p in PRIMES:
+                expected = IntMatrix2(whole.a % p, whole.b % p, whole.c % p, whole.d % p)
+                ok, mat = nonscalar_sanity_check(phi, w, n, p)
+                assert mat == expected, f"{images} at {text}, n={n}, p={p}"
+                assert ok == (not expected.is_scalar())
 
 
 def test_endo_file_roundtrip():
@@ -304,3 +352,37 @@ MALFORMED_ENDOS = [
 def test_endo_from_dict_rejects_malformed(data):
     with pytest.raises(WordError):
         FreeEndo.from_dict(data)
+
+
+# -- untrusted text ------------------------------------------------------------
+
+WORD_TEXT = st.text(alphabet="abcxAX019 ") | st.text()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=WORD_TEXT, rank=st.integers(-2, 30))
+@example(text="x" + "1" * 5000, rank=2)
+@example(text="", rank=-1)
+def test_word_parse_returns_word_or_word_error(text, rank):
+    try:
+        w = Word.parse(text, rank)
+    except WordError:
+        return
+    assert w.rank == rank >= 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.fixed_dictionaries({"rank": st.integers(-2, 4) | JSON_VALUES,
+                                   "images": st.lists(WORD_TEXT, max_size=4) | JSON_VALUES})
+       | JSON_VALUES)
+@example(data={"rank": 2, "images": ["x" + "1" * 5000, "a"]})
+def test_endo_from_dict_returns_endo_or_word_error(data):
+    try:
+        phi = FreeEndo.from_dict(data)
+    except WordError:
+        return
+    assert FreeEndo.from_dict(phi.to_dict()) == phi

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quasifix.gf import field_create
 from quasifix.poly import (
@@ -327,6 +329,19 @@ def test_parse_examples():
 def test_parse_rejects_malformed(bad):
     with pytest.raises(PolyParseError):
         parse_poly(bad, 2, 5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=st.text(alphabet="x0129^*+ ") | st.text(), nvars=st.integers(1, 3),
+       p=st.sampled_from([2, 3, 5]))
+@example(text="1" * 5000, nvars=1, p=2)
+@example(text="x1^" + "9" * 5000, nvars=1, p=2)
+def test_parse_returns_poly_or_parse_error(text, nvars, p):
+    try:
+        f = parse_poly(text, nvars, p)
+    except PolyParseError:
+        return
+    assert (f.nvars, f.p) == (nvars, p)
 
 
 def test_polymap_parse_arity():
