@@ -182,19 +182,12 @@ def certificate_from_bytes(raw: bytes) -> Certificate:
 
 
 def _tuple_data(point: ProjPoint) -> TupleData:
-    return tuple(
-        (m.a.coeffs, m.b.coeffs, m.c.coeffs, m.d.coeffs) for m in point.tuple.mats)
+    return tuple(m.rows() for m in point.tuple.mats)
 
 
 def _materialize(cert: Certificate, field: FqField) -> list[MatTuple]:
-    tuples = []
-    for entry in cert.trace:
-        mats = []
-        for mat in entry:
-            entries = [field.element(row) for row in mat]
-            mats.append(Mat2.from_entries(field, entries))
-        tuples.append(MatTuple(tuple(mats)))
-    return tuples
+    return [MatTuple([Mat2.from_rows(field, mat) for mat in entry])
+            for entry in cert.trace]
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +478,7 @@ def verify_certificate(cert: Certificate,
     membership_problems = []
     for i, t in enumerate(tuples):
         for j, m in enumerate(t.mats):
-            if m.det().is_zero():
+            if m.is_singular():
                 membership_problems.append(f"trace[{i}] matrix {j} is singular")
             elif m.normalized() != m:
                 membership_problems.append(f"trace[{i}] matrix {j} is not scalar-canonical")

@@ -71,7 +71,8 @@ class Word:
         else:
             for ch in text:
                 lower = ch.lower()
-                if lower not in _LETTERS:
+                # str.lower maps some non-ASCII letters (KELVIN SIGN) onto ASCII ones
+                if not ch.isascii() or lower not in _LETTERS:
                     raise WordError(f"unknown generator character {ch!r}")
                 idx = _LETTERS.index(lower) + 1
                 if idx > rank:

@@ -12,8 +12,10 @@ An element's index is the base-p value of its coefficients (`from_int`,
 indices for one primitive element, so products, sums and Frobenius powers
 become integer arithmetic on logarithms.  They take three `array`s of q
 ints (12 bytes per element) and O(q*m) integer steps to build, about a
-second for F_{2^20}; a field builds them on first use, and only
-quasi-fixed point enumeration asks for them.
+second for F_{2^20}; a field builds them on first use.  Quasi-fixed point
+enumeration runs on them, and so do the 2x2 matrices of `matrep`, which
+store their entries as logarithms: every certificate search and every
+verification builds the tables of its field.
 """
 
 from __future__ import annotations

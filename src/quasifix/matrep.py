@@ -6,6 +6,14 @@ honest word evaluation, and it is polynomial on the whole matrix space.
 An endomorphism of the free group therefore lifts to a polynomial self-map
 of k-tuples, whose projective dynamics (matrices up to scalars) is what the
 certificate search walks with Brent cycle detection.
+
+A matrix is stored as the four discrete logs of its entries to the primitive
+element g of `FqField.log_tables`, with n = q - 1 standing for 0.  Products
+of entries are sums of logs mod n, sums go through the Zech table, negation
+adds log(-1) (n/2 for odd p, 0 for p = 2) and scaling a matrix subtracts one
+log from its nonzero entries, so the orbit step creates no field element.
+Field elements appear only at the boundaries: `Mat2.from_entries`,
+`Mat2.from_rows`, `Mat2.rows`, the entry properties and `Mat2.det`.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import random
 from dataclasses import dataclass
 
 from .freegroup import FreeEndo, Word, WordError
-from .gf import FqElement, FqField
+from .gf import FieldError, FqElement, FqField
 from .poly import MPoly, PolyMap
 
 
@@ -22,78 +30,145 @@ class SingularMatrixError(ValueError):
     """A projective operation met a non-invertible matrix."""
 
 
+# ---------------------------------------------------------------------------
+# arithmetic on 4-tuples of logs; n = q - 1 is the log of 0
+
+def _dot(a: int, e: int, b: int, g: int, n: int, zech) -> int:
+    """log(x*y + z*u) from the logs a, e, b, g of x, y, z, u."""
+    if a == n or e == n:
+        return n if b == n or g == n else (b + g) % n
+    if b == n or g == n:
+        return (a + e) % n
+    s = a + e
+    z = zech[(b + g - s) % n]
+    return n if z == n else (s + z) % n
+
+
+def _mul(x: tuple, y: tuple, n: int, zech) -> tuple:
+    a, b, c, d = x
+    e, f, g, h = y
+    return (_dot(a, e, b, g, n, zech), _dot(a, f, b, h, n, zech),
+            _dot(c, e, d, g, n, zech), _dot(c, f, d, h, n, zech))
+
+
+def _adj(x: tuple, n: int, neg: int) -> tuple:
+    a, b, c, d = x
+    return (d, b if b == n else (b + neg) % n, c if c == n else (c + neg) % n, a)
+
+
+def _det(x: tuple, n: int, zech, neg: int) -> int:
+    a, b, c, d = x
+    return _dot(a, d, b, c if c == n else (c + neg) % n, n, zech)
+
+
+def _normalized(x: tuple, n: int) -> tuple:
+    """Subtract the log of the first nonzero entry in row-major order."""
+    a, b, c, d = x
+    f = a if a != n else b if b != n else c if c != n else d
+    if f == 0:
+        return x
+    if f == n:
+        raise SingularMatrixError("cannot normalize the zero matrix")
+    return (a if a == n else (a - f) % n, b if b == n else (b - f) % n,
+            c if c == n else (c - f) % n, d if d == n else (d - f) % n)
+
+
+def _tables(field: FqField) -> tuple:
+    """(n, zech, log(-1)) of the field's log tables."""
+    n = field.order - 1
+    return n, field.log_tables()[2], 0 if field.p == 2 else n // 2
+
+
 class Mat2:
-    """2x2 matrix with entries in one finite field; immutable."""
+    """2x2 matrix with entries in one finite field, as logs; immutable."""
 
-    __slots__ = ("field", "a", "b", "c", "d", "_key")
+    __slots__ = ("field", "logs")
 
-    def __init__(self, field: FqField, a: FqElement, b: FqElement,
-                 c: FqElement, d: FqElement):
+    def __init__(self, field: FqField, logs: tuple[int, int, int, int]):
         self.field = field
-        self.a, self.b, self.c, self.d = a, b, c, d
-        self._key = (a.coeffs, b.coeffs, c.coeffs, d.coeffs)
+        self.logs = logs
 
     @classmethod
     def identity(cls, field: FqField) -> "Mat2":
-        one, zero = field.one(), field.zero()
-        return cls(field, one, zero, zero, one)
+        n = field.order - 1
+        return cls(field, (0, n, n, 0))
 
     @classmethod
     def from_entries(cls, field: FqField, entries) -> "Mat2":
-        a, b, c, d = entries
-        for x in (a, b, c, d):
+        entries = tuple(entries)
+        for x in entries:
             if x.field != field:
                 raise SingularMatrixError("entries belong to a different field")
-        return cls(field, a, b, c, d)
+        log = field.log_tables()[1]
+        a, b, c, d = (log[x.to_int()] for x in entries)
+        return cls(field, (a, b, c, d))
+
+    @classmethod
+    def from_rows(cls, field: FqField, rows) -> "Mat2":
+        """Matrix from four coefficient rows in the polynomial basis."""
+        p, m = field.p, field.m
+        rows = tuple(rows)
+        for row in rows:
+            if len(row) != m or not all(0 <= c < p for c in row):
+                raise FieldError(f"entry rows need {m} coefficients in [0, {p})")
+        log = field.log_tables()[1]
+        a, b, c, d = (log[field._index(row)] for row in rows)
+        return cls(field, (a, b, c, d))
+
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The four entries as coefficient rows in the polynomial basis."""
+        exp = self.field.log_tables()[0]
+        return tuple(self.field._coeffs(exp[x]) for x in self.logs)
+
+    def _entry(self, log: int) -> FqElement:
+        return self.field.from_int(self.field.log_tables()[0][log])
+
+    @property
+    def a(self) -> FqElement:
+        return self._entry(self.logs[0])
+
+    @property
+    def b(self) -> FqElement:
+        return self._entry(self.logs[1])
+
+    @property
+    def c(self) -> FqElement:
+        return self._entry(self.logs[2])
+
+    @property
+    def d(self) -> FqElement:
+        return self._entry(self.logs[3])
 
     def __mul__(self, o: "Mat2") -> "Mat2":
-        return Mat2(self.field,
-                    self.a * o.a + self.b * o.c, self.a * o.b + self.b * o.d,
-                    self.c * o.a + self.d * o.c, self.c * o.b + self.d * o.d)
+        n, zech, _ = _tables(self.field)
+        return Mat2(self.field, _mul(self.logs, o.logs, n, zech))
 
     def adj(self) -> "Mat2":
-        return Mat2(self.field, self.d, -self.b, -self.c, self.a)
+        n, _, neg = _tables(self.field)
+        return Mat2(self.field, _adj(self.logs, n, neg))
 
     def det(self) -> FqElement:
-        return self.a * self.d - self.b * self.c
+        return self._entry(_det(self.logs, *_tables(self.field)))
 
-    def inverse(self) -> "Mat2":
-        det = self.det()
-        if det.is_zero():
-            raise SingularMatrixError("matrix is singular")
-        inv = det.inv()
-        adj = self.adj()
-        return Mat2(self.field, adj.a * inv, adj.b * inv, adj.c * inv, adj.d * inv)
-
-    def scale(self, s: FqElement) -> "Mat2":
-        return Mat2(self.field, self.a * s, self.b * s, self.c * s, self.d * s)
+    def is_singular(self) -> bool:
+        n, zech, neg = _tables(self.field)
+        return _det(self.logs, n, zech, neg) == n
 
     def is_scalar(self) -> bool:
-        return self.b.is_zero() and self.c.is_zero() and self.a == self.d
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for x in (self.a, self.b, self.c, self.d))
-
-    def frobenius(self, e: int) -> "Mat2":
-        return Mat2(self.field, self.a.frobenius(e), self.b.frobenius(e),
-                    self.c.frobenius(e), self.d.frobenius(e))
+        a, b, c, d = self.logs
+        n = self.field.order - 1
+        return b == n and c == n and a == d
 
     def normalized(self) -> "Mat2":
         """Scale so the first nonzero entry in row-major order is 1."""
-        for x in (self.a, self.b, self.c, self.d):
-            if not x.is_zero():
-                return self.scale(x.inv())
-        raise SingularMatrixError("cannot normalize the zero matrix")
-
-    def entries(self) -> tuple[FqElement, FqElement, FqElement, FqElement]:
-        return (self.a, self.b, self.c, self.d)
+        return Mat2(self.field, _normalized(self.logs, self.field.order - 1))
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Mat2) and self.field == other.field
-                and self._key == other._key)
+        return (isinstance(other, Mat2) and self.logs == other.logs
+                and self.field == other.field)
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self.logs)
 
     def __repr__(self) -> str:
         return f"Mat2([[{self.a}, {self.b}], [{self.c}, {self.d}]])"
@@ -114,21 +189,18 @@ class MatTuple:
                 raise SingularMatrixError("tuple components over different fields")
         self.field = field
         self.mats = mats
-        self._key = tuple(m._key for m in mats)
+        self._key = tuple(m.logs for m in mats)
 
     @property
     def k(self) -> int:
         return len(self.mats)
 
-    def frobenius(self, e: int) -> "MatTuple":
-        return MatTuple(tuple(m.frobenius(e) for m in self.mats))
-
     def __getitem__(self, i: int) -> Mat2:
         return self.mats[i]
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, MatTuple) and self.field == other.field
-                and self._key == other._key)
+        return (isinstance(other, MatTuple) and self._key == other._key
+                and self.field == other.field)
 
     def __hash__(self) -> int:
         return hash(self._key)
@@ -159,10 +231,12 @@ def pi_w(w: Word, t: MatTuple) -> Mat2:
     """Evaluate w with the adjugate substituted for every inverse letter."""
     if w.rank != t.k:
         raise WordError(f"word rank {w.rank} does not match tuple length {t.k}")
-    acc = Mat2.identity(t.field)
+    n, zech, neg = _tables(t.field)
+    logs = [m.logs for m in t.mats]
+    acc = (0, n, n, 0)
     for x in w.letters:
-        acc = acc * (t.mats[x - 1] if x > 0 else t.mats[-x - 1].adj())
-    return acc
+        acc = _mul(acc, logs[x - 1] if x > 0 else _adj(logs[-x - 1], n, neg), n, zech)
+    return Mat2(t.field, acc)
 
 
 def phi_lift(phi: FreeEndo, t: MatTuple) -> MatTuple:
@@ -208,12 +282,14 @@ def phi_lift_polynomials(phi: FreeEndo, p: int) -> PolyMap:
 
 def proj_normalize(t: MatTuple) -> ProjPoint:
     """Scalar-canonical representative; every component must be invertible."""
+    field = t.field
+    n, zech, neg = _tables(field)
     normalized = []
     for m in t.mats:
-        if m.det().is_zero():
+        if _det(m.logs, n, zech, neg) == n:
             raise SingularMatrixError("tuple has a singular component")
-        normalized.append(m.normalized())
-    return ProjPoint(MatTuple(tuple(normalized)))
+        normalized.append(Mat2(field, _normalized(m.logs, n)))
+    return ProjPoint(MatTuple(normalized))
 
 
 def pgl_dynamics_step(phi: FreeEndo, h: ProjPoint) -> ProjPoint:
@@ -280,10 +356,9 @@ class _BudgetExhausted(Exception):
 
 def random_invertible_mat(field: FqField, rng: random.Random) -> Mat2:
     while True:
-        entries = [field.element([rng.randrange(field.p) for _ in range(field.m)])
-                   for _ in range(4)]
-        m = Mat2.from_entries(field, entries)
-        if not m.det().is_zero():
+        m = Mat2.from_rows(field, [[rng.randrange(field.p) for _ in range(field.m)]
+                                   for _ in range(4)])
+        if not m.is_singular():
             return m
 
 

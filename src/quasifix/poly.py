@@ -216,8 +216,9 @@ class MPoly:
         return "+".join(parts)
 
 
-_VAR_RE = re.compile(r"^x([0-9]+)(?:\^([0-9]+))?$")
-_INT_RE = re.compile(r"^[0-9]+$")
+# matched with fullmatch: "$" would also accept a trailing newline
+_VAR_RE = re.compile(r"x([0-9]+)(?:\^([0-9]+))?")
+_INT_RE = re.compile(r"[0-9]+")
 
 
 def _parse_int(digits: str) -> int:
@@ -241,10 +242,10 @@ def parse_poly(text: str, nvars: int, p: int) -> MPoly:
         coeff = 1
         expo = [0] * nvars
         for factor in chunk.split("*"):
-            if _INT_RE.match(factor):
+            if _INT_RE.fullmatch(factor):
                 coeff = (coeff * _parse_int(factor)) % p
                 continue
-            m = _VAR_RE.match(factor)
+            m = _VAR_RE.fullmatch(factor)
             if not m:
                 raise PolyParseError(f"bad factor {factor!r} in {text!r}")
             idx = _parse_int(m.group(1))

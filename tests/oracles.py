@@ -2,15 +2,17 @@
 
 These deliberately avoid the library's evaluation and enumeration code:
 polynomials are evaluated straight off their term maps by repeated
-multiplication, Frobenius powers by literal p-fold products, and subfield
-membership by its definition.  Only the base field arithmetic (verified
-exhaustively in test_gf) is shared.
+multiplication, Frobenius powers by literal p-fold products, subfield
+membership by its definition, and 2x2 matrices as four field elements
+multiplied out entry by entry (the library stores them as logarithms).
+Only the base field arithmetic (verified exhaustively in test_gf) is shared.
 """
 
 import itertools
 import math
 
 from quasifix.gf import field_create
+from quasifix.matrep import Mat2, MatTuple
 
 
 def naive_eval(f, point):
@@ -67,3 +69,67 @@ def oracle_quasi_fixed(pmap, s_max):
 def witness_key_set(witnesses):
     return {(w.field_degree, w.m, tuple(a.coeffs for a in w.point))
             for w in witnesses}
+
+
+# -- 2x2 matrices as (a, b, c, d) tuples of field elements, row-major ----------
+
+def entries(m):
+    """The entries of a library `Mat2`, as field elements."""
+    return (m.a, m.b, m.c, m.d)
+
+
+def naive_mat_mul(x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def naive_adj(x):
+    a, b, c, d = x
+    return (d, -b, -c, a)
+
+
+def naive_det(x):
+    a, b, c, d = x
+    return a * d - b * c
+
+
+def naive_scale(x, s):
+    return tuple(v * s for v in x)
+
+
+def naive_normalized(x):
+    """x scaled so its first nonzero entry is 1; None for the zero matrix."""
+    first = next((v for v in x if not v.is_zero()), None)
+    return None if first is None else naive_scale(x, first.inv())
+
+
+def naive_is_scalar(x):
+    a, b, c, d = x
+    return b.is_zero() and c.is_zero() and a == d
+
+
+def naive_word_value(w, mats):
+    """w evaluated on entry tuples, the adjugate standing in for each inverse."""
+    one, zero = mats[0][0].field.one(), mats[0][0].field.zero()
+    acc = (one, zero, zero, one)
+    for x in w.letters:
+        acc = naive_mat_mul(acc, mats[x - 1] if x > 0 else naive_adj(mats[-x - 1]))
+    return acc
+
+
+def mat_scale(m, s):
+    return Mat2.from_entries(m.field, naive_scale(entries(m), s))
+
+
+def mat_inverse(m):
+    x = entries(m)
+    return Mat2.from_entries(m.field, naive_scale(naive_adj(x), naive_det(x).inv()))
+
+
+def mat_frobenius(m, e):
+    return Mat2.from_entries(m.field, [naive_frobenius(v, e) for v in entries(m)])
+
+
+def tuple_frobenius(t, e):
+    return MatTuple([mat_frobenius(m, e) for m in t.mats])

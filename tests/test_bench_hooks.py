@@ -7,6 +7,7 @@ here, not only in the benchmark's own (much slower) self-tests.
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,14 +15,15 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
 
-tracer = _load_tracer()
+tracer = _load("tracer")
 TARGETS = sorted({target for _, _, target, _ in tracer.SPANS}
                  | {target for _, target in tracer.COUNTERS})
 
@@ -47,3 +49,12 @@ def test_tracer_target_resolves(target):
 @pytest.mark.parametrize("source,module,name", _quasifix_imports())
 def test_perfbench_import_resolves(source, module, name):
     assert hasattr(importlib.import_module(module), name), f"{source}: {module}.{name}"
+
+
+def test_verify_batch_inputs_unchanged():
+    # the verify workload builds its certificates with matrep (random starts,
+    # orbit steps, word values), so a change in draws or stepping would change
+    # what it measures without failing any output check
+    batch = _load("workloads").make_batch("verify", 1)
+    assert batch.fingerprint() == (
+        "df296bfc98c8de1de1dcb2c8bc4a3b23c37bfac836f44f1e20c9eb7b2e1b96e3")

@@ -4,7 +4,16 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import (
+    naive_det,
+    naive_is_scalar,
+    naive_normalized,
+    naive_word_value,
+    tuple_frobenius,
+)
 from quasifix.certify import (
     Certificate,
     CertificateFormatError,
@@ -27,7 +36,6 @@ from quasifix.freegroup import (
 )
 from quasifix.gf import field_create, is_prime
 from quasifix.matrep import (
-    MatTuple,
     find_periodic_orbit,
     pgl_dynamics_step,
     pi_w,
@@ -281,8 +289,10 @@ def test_quotient_respects_all_defining_relations(swapmix_cert):
 def test_wreath_arithmetic_matches_matrep_oracle(criterion6_outcomes):
     # the wreath check multiplies in GL2 wr C_n and compares up to scalars;
     # its verdicts must equal the coordinatewise relations computed with
-    # matrep alone, on valid certificates (criterion 6, plus images with
-    # inverse letters) and on tampered traces that still pass tuple_in_group
+    # naive field-element products straight from the certificate's rows,
+    # sharing no matrix code with matrep, on valid certificates (criterion 6,
+    # plus images with inverse letters) and on tampered traces that still
+    # pass tuple_in_group
     inverse_images = [search_certificate(FreeEndo.parse(images, 2), Word.parse(text, 2))
                       for images, text in [(["aB", "ba"], "a"), (["ab", "bA"], "a")]]
 
@@ -314,13 +324,16 @@ def test_wreath_arithmetic_matches_matrep_oracle(criterion6_outcomes):
             phi, w, trace = wreath_inputs(cert)
             data = build_wreath(phi, w, trace)
             n = len(trace)
+            field = field_create(cert.p, cert.s)
+            rows = [[tuple(field.element(row) for row in mat) for mat in entry]
+                    for entry in cert.trace]
             expected = tuple(
-                all(proj_normalize(MatTuple([pi_w(image, trace[i])])).tuple[0]
-                    == trace[(i + 1) % n][j] for i in range(n))
+                all(naive_normalized(naive_word_value(image, rows[i])) == rows[(i + 1) % n][j]
+                    for i in range(n))
                 for j, image in enumerate(phi.images))
             assert data.relations_hold == expected
             assert data.w_first_coordinate_nontrivial == (
-                not pi_w(w, trace[0]).is_scalar())
+                not naive_is_scalar(naive_word_value(w, rows[0])))
             seen.update((("relations", data.all_relations_hold),
                          ("word", data.w_first_coordinate_nontrivial)))
     assert len(seen) == 4  # both verdicts of both checks occurred
@@ -480,6 +493,99 @@ def test_verifier_bounds_untrusted_p_and_s(swapmix_cert, field_edit):
     assert elapsed < 1.0, f"rejecting {field_edit} took {elapsed:.2f}s"
 
 
+# -- fuzzing the verifier ------------------------------------------------------
+
+FUZZ_P = [0, 1, 2, 3, 4, 5, 7, 9, 11, 13, 31, 64, 4093, -5]
+
+
+def _fuzz_row(data, p, s):
+    return data.draw(st.lists(st.integers(0, max(p - 1, 0)), min_size=s, max_size=s))
+
+
+def _fuzz_mutate(d, data):
+    """One random edit of a certificate's JSON object."""
+    trace, s = d["trace"], max(d["s"], 1)
+    kind = data.draw(st.sampled_from(["coefficient", "row", "zero_first", "field", "period",
+                                      "images", "word", "order", "length", "head"]))
+    if kind in ("coefficient", "row", "zero_first") and trace and trace[0]:
+        entry = trace[data.draw(st.integers(0, len(trace) - 1))]
+        j = data.draw(st.integers(0, len(entry) - 1))
+        mat = entry[j] = [list(row) if isinstance(row, list) else row for row in entry[j]]
+        if kind == "coefficient":
+            row = mat[data.draw(st.integers(0, 3))]
+            if isinstance(row, list) and row:
+                row[data.draw(st.integers(0, len(row) - 1))] = data.draw(
+                    st.integers(-2, max(d["p"], 0) + 2)
+                    | st.sampled_from([10**40, True, None, "1"]))
+        elif kind == "row":
+            mat[data.draw(st.integers(0, 3))] = data.draw(
+                st.lists(st.integers(-1, 6), max_size=3) | st.sampled_from([[], 0, "x", None]))
+        else:  # a scalar-canonical matrix [[0, 1], [c, d]], invertible when c != 0
+            zero = [0] * s
+            entry[j] = [zero, [1] + zero[1:], _fuzz_row(data, d["p"], s),
+                        _fuzz_row(data, d["p"], s)]
+    elif kind == "field":
+        p = data.draw(st.sampled_from(FUZZ_P))
+        s_max = max((e for e in range(1, 13) if p < 2 or p**e <= 2**12), default=1)
+        d["p"], d["s"] = p, data.draw(st.integers(0, s_max))
+        if data.draw(st.booleans()):  # pad or cut every row to the new degree
+            d["trace"] = [[[(row + [0] * d["s"])[:d["s"]] if isinstance(row, list) else row
+                            for row in mat] for mat in entry] for entry in trace]
+    elif kind == "period":
+        d["period"] = data.draw(st.integers(-1, len(trace) + 2))
+    elif kind == "images":
+        d["images"] = data.draw(st.lists(st.text(alphabet="abcAB", max_size=4),
+                                         min_size=max(d["rank"] - 1, 0), max_size=d["rank"] + 1))
+    elif kind == "word":
+        d["word"] = data.draw(st.text(alphabet="abAB ", max_size=4))
+    elif kind == "order":
+        d["trace"] = data.draw(st.permutations(trace))
+    elif kind == "length" and trace:
+        i = data.draw(st.integers(0, len(trace) - 1))
+        d["trace"] = data.draw(st.sampled_from([trace[:i], trace + [trace[i]],
+                                                trace[:i] + trace[i + 1:]]))
+    if kind != "head":
+        d["tuple"] = d["trace"][0] if d["trace"] else []
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_verifier_fuzzed_certificates_match_naive_oracle(criterion6_outcomes, data):
+    # every mutation of a criterion-6 certificate gives a verdict (or a format
+    # error) within 2 s; when the structure check passes, the group, orbit and
+    # word checks must agree with naive field-element matrix arithmetic
+    out = data.draw(st.sampled_from(criterion6_outcomes))
+    d = json.loads(out.certificate.to_bytes())
+    for _ in range(data.draw(st.integers(1, 3))):
+        _fuzz_mutate(d, data)
+    start = time.perf_counter()
+    try:
+        cert = certificate_from_bytes(json.dumps(d).encode())
+    except CertificateFormatError:
+        return
+    verdict = verify_certificate(cert)
+    assert time.perf_counter() - start < 2.0
+    status = {c.name: c.status for c in verdict.checks}
+    if status["structure"] != "pass":
+        return
+    field = field_create(cert.p, cert.s)
+    rows = [[tuple(field.element(row) for row in mat) for mat in entry] for entry in cert.trace]
+    in_group = all(not naive_det(x).is_zero() and naive_normalized(x) == x
+                   for entry in rows for x in entry)
+    assert (status["tuple_in_group"] == "pass") == in_group
+    if not in_group:
+        return
+    phi, w = FreeEndo.parse(cert.images, cert.rank), Word.parse(cert.word, cert.rank)
+    n = len(rows)
+    steps_close = all(naive_normalized(naive_word_value(image, rows[i])) == rows[(i + 1) % n][j]
+                      for i in range(n) for j, image in enumerate(phi.images))
+    distinct = len({tuple(entry) for entry in rows}) == n
+    word_nonscalar = not naive_is_scalar(naive_word_value(w, rows[0]))
+    assert (status["condition_ii"] == "pass") == (steps_close and distinct)
+    assert (status["condition_iii"] == "pass") == word_nonscalar
+    assert (status["wreath_relations"] == "pass") == (steps_close and word_nonscalar)
+
+
 # -- the Frobenius shortcut behind the search ---------------------------------
 
 def test_projective_quasi_fixed_points_are_periodic():
@@ -493,7 +599,7 @@ def test_projective_quasi_fixed_points_are_periodic():
         h = random_projpoint(field, 1, rng)
         lifted = pgl_dynamics_step(phi, h)
         for m in (1, 2):
-            frobbed = proj_normalize(h.tuple.frobenius(m))
+            frobbed = proj_normalize(tuple_frobenius(h.tuple, m))
             if lifted == frobbed:
                 bound = 2 // math.gcd(m, 2)
                 cur = h

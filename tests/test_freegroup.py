@@ -376,6 +376,17 @@ def test_word_parse_returns_word_or_word_error(text, rank):
 
 
 @settings(max_examples=150, deadline=None)
+@given(text=WORD_TEXT, rank=st.integers(1, 30))
+@example(text="\u212a", rank=11)  # KELVIN SIGN, which str.lower() maps to "k"
+def test_word_parse_accepts_only_ascii_letter_form(text, rank):
+    try:
+        Word.parse(text, rank)
+    except WordError:
+        return
+    assert text.strip().isascii()
+
+
+@settings(max_examples=150, deadline=None)
 @given(data=st.fixed_dictionaries({"rank": st.integers(-2, 4) | JSON_VALUES,
                                    "images": st.lists(WORD_TEXT, max_size=4) | JSON_VALUES})
        | JSON_VALUES)

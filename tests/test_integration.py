@@ -2,6 +2,7 @@
 
 import math
 
+from oracles import mat_frobenius
 from quasifix.dynamics import enumerate_quasi_fixed
 from quasifix.freegroup import FreeEndo
 from quasifix.gf import field_create
@@ -52,4 +53,4 @@ def test_symbolic_witness_identity_matches_matrix_frobenius():
         field = witness.point[0].field
         mat = Mat2.from_entries(field, witness.point)
         lifted = phi_lift(phi, MatTuple((mat,)))
-        assert lifted[0] == mat.frobenius(witness.m)
+        assert lifted[0] == mat_frobenius(mat, witness.m)

@@ -2,6 +2,17 @@ import random
 
 import pytest
 
+from oracles import (
+    entries,
+    mat_inverse,
+    mat_scale,
+    naive_adj,
+    naive_det,
+    naive_is_scalar,
+    naive_mat_mul,
+    naive_normalized,
+    tuple_frobenius,
+)
 from quasifix.freegroup import FreeEndo, Word, word_evaluate
 from quasifix.gf import field_create
 from quasifix.matrep import (
@@ -27,7 +38,7 @@ def rand_mat(field, rng):
 
 def flatten(t):
     """Matrix entries in the coordinate order of phi_lift_polynomials."""
-    return tuple(x for m in t.mats for x in m.entries())
+    return tuple(x for m in t.mats for x in entries(m))
 
 
 def rand_sl2(field, rng):
@@ -43,6 +54,47 @@ def rand_sl2(field, rng):
     return m
 
 
+def oracle_sample(field, rng):
+    """Matrices as entry tuples: zero entries, zero rows, the zero matrix,
+    scalars and singular ones first, then seeded random ones."""
+    zero, one = field.zero(), field.one()
+    x = field.from_int(field.order - 1)
+    fixed = [(zero, zero, zero, zero), (one, zero, zero, one), (x, zero, zero, x),
+             (zero, zero, x, one), (x, one, zero, zero), (zero, x, zero, zero),
+             (zero, zero, zero, x), (x, x, x, x), (zero, one, x, zero)]
+    return fixed + [tuple(field.from_int(rng.randrange(field.order)) for _ in range(4))
+                    for _ in range(9)]
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
+                                 (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
+def test_log_encoding_matches_naive_oracle(p, m):
+    # every field with q <= 32 for p in {2, 3, 5}; p = 2 is where log(-1) = 0
+    field = field_create(p, m)
+    sample = oracle_sample(field, random.Random(f"mat2:{p}:{m}"))
+    mats = [Mat2.from_entries(field, x) for x in sample]
+    for x, mx in zip(sample, mats):
+        assert entries(mx) == x
+        assert mx.rows() == tuple(v.coeffs for v in x)
+        assert Mat2.from_rows(field, mx.rows()) == mx
+        assert entries(mx.adj()) == naive_adj(x)
+        assert mx.det() == naive_det(x)
+        assert mx.is_singular() == naive_det(x).is_zero()
+        assert mx.is_scalar() == naive_is_scalar(x)
+        if naive_normalized(x) is None:
+            with pytest.raises(SingularMatrixError):
+                mx.normalized()
+        else:
+            assert entries(mx.normalized()) == naive_normalized(x)
+        if naive_det(x).is_zero():
+            with pytest.raises(SingularMatrixError):
+                proj_normalize(MatTuple((mx,)))
+        else:
+            assert entries(proj_normalize(MatTuple((mx,))).tuple[0]) == naive_normalized(x)
+        for y, my in zip(sample, mats):
+            assert entries(mx * my) == naive_mat_mul(x, y)
+
+
 def test_adjugate_and_cayley():
     f5 = field_create(5, 1)
     assert Mat2.identity(f5).adj() == Mat2.identity(f5)
@@ -50,7 +102,7 @@ def test_adjugate_and_cayley():
     for _ in range(50):
         m = rand_mat(f5, rng)
         prod = m * m.adj()
-        expected = Mat2.identity(f5).scale(m.det())
+        expected = mat_scale(Mat2.identity(f5), m.det())
         assert prod == expected
 
 
@@ -71,7 +123,7 @@ def test_pi_w_examples():
     assert cancel == Mat2.identity(f5)
     # the formal a*adj(a) value, evaluated without free reduction
     direct = t[0] * t[0].adj()
-    assert direct == Mat2.identity(f5).scale(t[0].det())
+    assert direct == mat_scale(Mat2.identity(f5), t[0].det())
 
 
 def test_pi_w_agrees_with_true_inverses_on_sl2():
@@ -84,7 +136,7 @@ def test_pi_w_agrees_with_true_inverses_on_sl2():
                 w = Word.parse(text, 2)
                 via_adj = pi_w(w, t)
                 via_inv = word_evaluate(w, t.mats, lambda x, y: x * y,
-                                        lambda x: x.inverse(), Mat2.identity(field))
+                                        mat_inverse, Mat2.identity(field))
                 assert via_adj == via_inv
 
 
@@ -146,7 +198,7 @@ def test_frobenius_tuple_prime_field_fixed():
     f5 = field_create(5, 1)
     rng = random.Random(7)
     t = MatTuple((rand_mat(f5, rng), rand_mat(f5, rng)))
-    assert t.frobenius(1) == t
+    assert tuple_frobenius(t, 1) == t
 
 
 def test_frobenius_equivariance():
@@ -157,13 +209,13 @@ def test_frobenius_equivariance():
         for _ in range(30):
             t = MatTuple((rand_mat(field, rng), rand_mat(field, rng)))
             for e in (1, 2):
-                assert phi_lift(phi, t.frobenius(e)) == phi_lift(phi, t).frobenius(e)
+                assert phi_lift(phi, tuple_frobenius(t, e)) == tuple_frobenius(phi_lift(phi, t), e)
 
 
 def test_proj_normalize_examples():
     f5 = field_create(5, 1)
     two = f5.scalar(2)
-    doubled = Mat2.identity(f5).scale(two)
+    doubled = mat_scale(Mat2.identity(f5), two)
     point = proj_normalize(MatTuple((doubled,)))
     assert point.tuple[0] == Mat2.identity(f5)
 
@@ -188,7 +240,7 @@ def test_normalize_commutes_with_dynamics():
     phi = FreeEndo.parse(["ab", "ba"], 2)
     for _ in range(30):
         t = MatTuple((rand_sl2(f7, rng), rand_sl2(f7, rng)))
-        scaled = MatTuple((t[0].scale(f7.scalar(3)), t[1].scale(f7.scalar(2))))
+        scaled = MatTuple((mat_scale(t[0], f7.scalar(3)), mat_scale(t[1], f7.scalar(2))))
         assert proj_normalize(phi_lift(phi, t)) == proj_normalize(phi_lift(phi, scaled))
 
 

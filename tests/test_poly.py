@@ -325,7 +325,8 @@ def test_parse_examples():
     assert parse_poly("7", 1, 5) == MPoly.const(2, 1, 5)
 
 
-@pytest.mark.parametrize("bad", ["", "x0", "x3", "y1", "x1^-1", "x1++x2", "2**x1", "x1 x2", "*x1"])
+@pytest.mark.parametrize("bad", ["", "x0", "x3", "y1", "x1^-1", "x1++x2", "2**x1", "x1 x2", "*x1",
+                                 "x1\n+1", "2\n", "x2^3\n"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(PolyParseError):
         parse_poly(bad, 2, 5)
