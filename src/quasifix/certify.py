@@ -40,6 +40,7 @@ from .matrep import (
 
 FORMAT_VERSION = 1
 MAX_PERIOD = 4096  # longest orbit the search turns into a certificate
+MAX_PRIMES = 6  # admissible primes the search tries before giving up
 
 MatData = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 TupleData = tuple[MatData, ...]
@@ -59,12 +60,11 @@ class CertifyConfig:
     seeds_per_field: int = 64
     orbit_budget: int = DEFAULT_ORBIT_BUDGET
     seed: int = 0
-    max_primes: int = 6
     allow_noninjective: bool = False
     order_cap: int = DEFAULT_ORDER_CAP
 
     def __post_init__(self):
-        for name in ("s_max", "seeds_per_field", "orbit_budget", "max_primes"):
+        for name in ("s_max", "seeds_per_field", "orbit_budget"):
             value = getattr(self, name)
             if value < 1:
                 raise CertifyError(f"{name} must be >= 1, got {value}")
@@ -202,7 +202,8 @@ def admissible_primes(phi: FreeEndo, w: Word):
     """
     if w.is_identity():
         raise CertifyError("the identity word cannot be separated from itself")
-    p = 2
+    # every Sanov generator is the identity mod 2, so p = 2 never qualifies
+    p = 3
     while True:
         if is_prime(p) and nonscalar_sanity_check(phi, w, 4 * phi.rank, p)[0]:
             yield p
@@ -247,7 +248,7 @@ def search_certificate(phi: FreeEndo, w: Word,
     k = phi.rank
     frontier: list[tuple[int, int, int]] = []
     primes = admissible_primes(phi, w)
-    for _ in range(config.max_primes):
+    for _ in range(MAX_PRIMES):
         p = next(primes)
         for s in range(1, config.s_max + 1):
             if p**s > config.order_cap:

@@ -30,11 +30,12 @@ from .dynamics import (
 )
 from .freegroup import FreeEndo, Word, WordError, stallings_fold, subgroup_rank
 from .gf import DEFAULT_ORDER_CAP, FieldError
-from .poly import IqSystem, PolyError, PolyMap, PolyParseError, parse_poly
+from .poly import (IqSystem, PolyError, PolyMap, PolyParseError, TermBudgetExceeded,
+                   parse_poly)
 
 USAGE_ERRORS = (PolyParseError, PolyError, WordError, FieldError,
-                EnumerationCapExceeded, CertifyError, CertificateFormatError,
-                OSError, ValueError)
+                EnumerationCapExceeded, TermBudgetExceeded, CertifyError,
+                CertificateFormatError, OSError, ValueError)
 
 
 def order_cap_from_env() -> int:

@@ -106,8 +106,7 @@ def _frobenius_orbits(p: int, n: int, degree: bytearray) -> tuple[array, bytearr
 
 
 def enumerate_quasi_fixed(pmap: PolyMap, s_max: int,
-                          order_cap: int = DEFAULT_ORDER_CAP,
-                          point_cap: int = DEFAULT_POINT_CAP) -> Iterator[QuasiFixedWitness]:
+                          order_cap: int = DEFAULT_ORDER_CAP) -> Iterator[QuasiFixedWitness]:
     """All quasi-fixed witnesses with field degree <= s_max, each once.
 
     Witnesses stream in ascending (s, m, coordinate) order.  A point is
@@ -122,9 +121,9 @@ def enumerate_quasi_fixed(pmap: PolyMap, s_max: int,
     for s in range(1, s_max + 1):
         if p**s > order_cap:
             raise EnumerationCapExceeded(f"field order {p}^{s} exceeds cap {order_cap}")
-        if p ** (s * nv) > point_cap:
+        if p ** (s * nv) > DEFAULT_POINT_CAP:
             raise EnumerationCapExceeded(
-                f"enumerating {p}^{s * nv} points exceeds cap {point_cap}")
+                f"enumerating {p}^{s * nv} points exceeds cap {DEFAULT_POINT_CAP}")
         field = field_create(p, s, order_cap)
         exp, log, zech = field.log_tables()
         n = field.order - 1
@@ -176,12 +175,10 @@ class ContainmentReport:
         return not self.violations
 
 
-def containment_check(pmap: PolyMap, v: VarietySpec, s_max: int,
-                      order_cap: int = DEFAULT_ORDER_CAP,
-                      point_cap: int = DEFAULT_POINT_CAP) -> ContainmentReport:
+def containment_check(pmap: PolyMap, v: VarietySpec, s_max: int) -> ContainmentReport:
     """Assert every quasi-fixed witness lies on v; violations mean v is wrong."""
     report = ContainmentReport()
-    for witness in enumerate_quasi_fixed(pmap, s_max, order_cap, point_cap):
+    for witness in enumerate_quasi_fixed(pmap, s_max):
         report.checked += 1
         if not v.membership(witness.point):
             report.violations.append(witness)
@@ -190,22 +187,21 @@ def containment_check(pmap: PolyMap, v: VarietySpec, s_max: int,
 
 def find_quasi_fixed_avoiding(pmap: PolyMap, v: VarietySpec, w_spec: MPoly,
                               s_max: int,
-                              order_cap: int = DEFAULT_ORDER_CAP,
-                              point_cap: int = DEFAULT_POINT_CAP) -> QuasiFixedWitness | None:
+                              order_cap: int = DEFAULT_ORDER_CAP) -> QuasiFixedWitness | None:
     """First witness on v where w_spec does not vanish, else None.
 
     Quasi-fixed points are dense in the stable image closure, so a witness
     exists at some field degree; a persistent None at generous budgets
     points at bad inputs rather than at a missing witness.
     """
-    for witness in enumerate_quasi_fixed(pmap, s_max, order_cap, point_cap):
+    for witness in enumerate_quasi_fixed(pmap, s_max, order_cap):
         if v.membership(witness.point) and not w_spec.evaluate(witness.point).is_zero():
             return witness
     return None
 
 
-def image_point_sample(pmap: PolyMap, iterations: int, field: FqField,
-                       point_cap: int = DEFAULT_POINT_CAP) -> frozenset[tuple[FqElement, ...]]:
+def image_point_sample(pmap: PolyMap, iterations: int,
+                       field: FqField) -> frozenset[tuple[FqElement, ...]]:
     """Exact image set of the rational points under the iterated map.
 
     This samples the image chain at the level of rational points; it is a
@@ -215,9 +211,9 @@ def image_point_sample(pmap: PolyMap, iterations: int, field: FqField,
     if field.p != pmap.p:
         raise PolyError("field characteristic does not match the map")
     n = pmap.nvars
-    if field.order**n > point_cap:
+    if field.order**n > DEFAULT_POINT_CAP:
         raise EnumerationCapExceeded(
-            f"enumerating {field.order}^{n} points exceeds cap {point_cap}")
+            f"enumerating {field.order}^{n} points exceeds cap {DEFAULT_POINT_CAP}")
     current: set[tuple[FqElement, ...]] = set(
         itertools.product(list(field), repeat=n))
     for _ in range(iterations):

@@ -7,6 +7,11 @@ coefficient vectors in the polynomial basis 1, t, ..., t^{m-1}, always fully
 reduced.  Everything is exact integer arithmetic; fields and elements are
 immutable and safe to share.
 
+One multiply (`FqField._mul`) and one power (`FqField._pow`) serve
+elements, Rabin's irreducibility test on each candidate modulus and the
+log-table build; one extended Euclid (`_euclid`) serves inversion and
+Rabin's gcd.
+
 An element's index is the base-p value of its coefficients (`from_int`,
 `to_int`).  `FqField.log_tables` gives exp/log/Zech tables over these
 indices for one primitive element, so products, sums and Frobenius powers
@@ -21,6 +26,7 @@ verification builds the tables of its field.
 from __future__ import annotations
 
 from array import array
+from itertools import chain, zip_longest
 from typing import Iterator, Sequence
 
 DEFAULT_ORDER_CAP = 2**20
@@ -31,18 +37,29 @@ class FieldError(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
+    return n >= 2 and _prime_factors(n) == [n]
+
+
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1 in increasing order, by trial division."""
+    out = []
+    for f in chain((2,), range(3, n + 1, 2)):
+        if f * f > n:
+            break
         if n % f == 0:
-            return False
-        f += 2
-    return True
+            out.append(f)
+            while n % f == 0:
+                n //= f
+    return out + [n] if n > 1 else out
+
+
+def _digits(n: int, p: int, m: int) -> tuple[int, ...]:
+    """The m lowest base-p digits of n, least significant first."""
+    out = []
+    for _ in range(m):
+        n, d = divmod(n, p)
+        out.append(d)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +73,6 @@ def _trim(c: list[int]) -> tuple[int, ...]:
 
 
 def _umul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -67,75 +82,54 @@ def _umul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
 
 
 def _usub(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-           for i in range(n)]
-    return _trim(out)
+    return _trim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def _udivmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     r = list(a)
     q = [0] * max(len(a) - len(b) + 1, 0)
     inv_lead = pow(b[-1], p - 2, p)
-    while len(r) >= len(b) and any(r):
-        if r[-1] == 0:
-            r.pop()
-            continue
-        coef = (r[-1] * inv_lead) % p
-        shift = len(r) - len(b)
-        q[shift] = coef
-        for i, bi in enumerate(b):
-            if bi:
-                r[shift + i] = (r[shift + i] - coef * bi) % p
-        r.pop()
-    return _trim(q), _trim(r)
+    for shift in reversed(range(len(q))):
+        q[shift] = coef = r[shift + len(b) - 1] * inv_lead % p
+        if coef:
+            for i, bi in enumerate(b):
+                if bi:
+                    r[shift + i] = (r[shift + i] - coef * bi) % p
+    return _trim(q), _trim(r[:len(b) - 1])
 
 
-def _ugcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        a, b = b, _udivmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = tuple((c * inv) % p for c in a)
-    return a
+def _euclid(a: Sequence[int], b: Sequence[int], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(g, s): g the monic gcd of a and b, and s with s*b = g mod a (a trimmed, nonzero)."""
+    r0, r1 = a, _trim(list(b))
+    s0, s1 = (), (1,)
+    while r1:
+        q, r = _udivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _usub(s0, _umul(q, s1, p), p)
+    inv = pow(r0[-1], p - 2, p)
+    return tuple([c * inv % p for c in r0]), tuple([c * inv % p for c in s0])
 
 
-def _upowmod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> tuple[int, ...]:
-    result: tuple[int, ...] = (1,)
-    b = _udivmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _udivmod(_umul(result, b, p), mod, p)[1]
-        b = _udivmod(_umul(b, b, p), mod, p)[1]
-        e >>= 1
-    return result
-
-
-def _is_irreducible(mod: Sequence[int], p: int) -> bool:
+def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
     """Rabin test: x^(p^m) = x mod f, and x^(p^(m/l)) - x coprime to f."""
     m = len(mod) - 1
-    x = (0, 1)
-    if _upowmod(x, p**m, mod, p) != _udivmod(x, mod, p)[1]:
-        return False
-    for ell in range(2, m + 1):
-        if m % ell == 0 and is_prime(ell):
-            h = _upowmod(x, p ** (m // ell), mod, p)
-            diff = _usub(h, x, p)
-            if len(_ugcd(diff, mod, p)) != 1:
-                return False
-    return True
+    if m == 1:
+        return True
+    ring = FqField(p, m, mod)  # F_p[x]/(f), a field only once the test passes
+    x = (0, 1) + (0,) * (m - 2)
+    maximal_divisors = {m // ell for ell in _prime_factors(m)}
+    h = x
+    for d in range(1, m + 1):
+        h = ring._pow(h, p)  # x^(p^d)
+        if d in maximal_divisors and len(_euclid(mod, _usub(h, x, p), p)[0]) != 1:
+            return False
+    return h == x
 
 
 def _min_irreducible(p: int, m: int) -> tuple[int, ...]:
     """First monic irreducible of degree m, low coefficients counted in base p."""
     for code in range(p**m):
-        coeffs = []
-        c = code
-        for _ in range(m):
-            coeffs.append(c % p)
-            c //= p
-        cand = tuple(coeffs) + (1,)
+        cand = _digits(code, p, m) + (1,)
         if _is_irreducible(cand, p):
             return cand
     raise FieldError(f"no irreducible polynomial of degree {m} over F_{p}")  # unreachable
@@ -146,23 +140,15 @@ def _min_irreducible(p: int, m: int) -> tuple[int, ...]:
 class FqField:
     """Descriptor of F_{p^m} with a fixed monic irreducible modulus."""
 
-    __slots__ = ("p", "m", "modulus", "order", "_red", "_embed_cache", "_log_tables")
+    __slots__ = ("p", "m", "modulus", "order", "_fold", "_embed_cache", "_log_tables")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
         self.m = m
         self.modulus = modulus
         self.order = p**m
-        # x^(m+i) mod modulus for i = 0..m-2, used to fold products back down
-        red = []
-        cur = [(-c) % p for c in modulus[:-1]]
-        for _ in range(max(m - 1, 0)):
-            red.append(tuple(cur))
-            cur = [0] + cur
-            top = cur.pop()
-            if top:
-                cur = [(ci + top * ri) % p for ci, ri in zip(cur, red[0])]
-        self._red = red
+        # x^m = sum of c * x^i over these (i, c), modulo the modulus
+        self._fold = tuple((i, -c % p) for i, c in enumerate(modulus[:-1]) if c)
         self._embed_cache: dict[tuple, tuple["FqField", "FqElement"]] = {}
         self._log_tables: tuple[array, array, array] | None = None
 
@@ -206,11 +192,7 @@ class FqField:
     # -- raw coefficient-vector arithmetic
 
     def _coeffs(self, n: int) -> tuple[int, ...]:
-        coeffs = []
-        for _ in range(self.m):
-            coeffs.append(n % self.p)
-            n //= self.p
-        return tuple(coeffs)
+        return _digits(n, self.p, self.m)
 
     def _index(self, coeffs: Sequence[int]) -> int:
         n = 0
@@ -227,14 +209,24 @@ class FqField:
             if ai:
                 for j, bj in enumerate(b):
                     prod[i + j] += ai * bj
-        out = [c % p for c in prod[:m]]
-        for i in range(m, 2 * m - 1):
-            c = prod[i] % p
+        # top degree first, so each fold lands below the degrees still to fold
+        for k in range(2 * m - 2, m - 1, -1):
+            c = prod[k] % p
             if c:
-                row = self._red[i - m]
-                for j in range(m):
-                    out[j] = (out[j] + c * row[j]) % p
-        return tuple(out)
+                for i, fi in self._fold:
+                    prod[k - m + i] += c * fi
+        return tuple([c % p for c in prod[:m]])
+
+    def _pow(self, a: tuple[int, ...], e: int) -> tuple[int, ...]:
+        """a^e for e >= 0, by left-to-right square-and-multiply."""
+        if not e:
+            return self._coeffs(1)
+        out = a
+        for bit in bin(e)[3:]:
+            out = self._mul(out, out)
+            if bit == "1":
+                out = self._mul(a, out)
+        return out
 
     def _inv(self, a: tuple[int, ...]) -> tuple[int, ...]:
         if not any(a):
@@ -242,16 +234,9 @@ class FqField:
         p = self.p
         if self.m == 1:
             return (pow(a[0], p - 2, p),)
-        # extended Euclid in F_p[x]: s*a = gcd(a, modulus) = const
-        r0, r1 = self.modulus, _trim(list(a))
-        s0, s1 = (), (1,)
-        while r1:
-            q, r = _udivmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _usub(s0, _umul(q, s1, p), p)
-        lead_inv = pow(r0[-1], p - 2, p)
-        inv = [(c * lead_inv) % p for c in s0]
-        return tuple((inv + [0] * self.m)[: self.m])
+        # the modulus is irreducible, so the gcd is 1 and s*a = 1
+        s = _euclid(self.modulus, a, p)[1]
+        return s + (0,) * (self.m - len(s))
 
     # -- logarithm tables
 
@@ -311,23 +296,13 @@ class FqElement:
     def __pow__(self, e: int) -> "FqElement":
         if e < 0:
             return self.inv() ** (-e)
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return FqElement(self.field, self.field._pow(self.coeffs, e))
 
     def frobenius(self, e: int = 1) -> "FqElement":
         """a -> a^(p^e), Frobenius relative to the prime field."""
         if e < 0:
             raise FieldError("Frobenius power must be nonnegative")
-        out = self
-        for _ in range(e):
-            out = out**self.field.p
-        return out
+        return self ** (self.field.p ** e)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -369,17 +344,6 @@ def field_create(p: int, m: int, cap: int = DEFAULT_ORDER_CAP) -> FqField:
     return FqField(p, m, _min_irreducible(p, m))
 
 
-def _prime_factors(n: int) -> list[int]:
-    out, f = [], 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    return out + [n] if n > 1 else out
-
-
 def _build_log_tables(field: FqField) -> tuple[array, array, array]:
     """The tables of `FqField.log_tables`, in O(q*m) integer steps.
 
@@ -396,8 +360,9 @@ def _build_log_tables(field: FqField) -> tuple[array, array, array]:
     """
     p, m, n = field.p, field.m, field.order - 1
     primes = _prime_factors(n)
+    one = field._coeffs(1)
     g_coeffs = next(c for c in map(field._coeffs, range(1, field.order))
-                    if all(_upowmod(c, n // ell, field.modulus, p) != (1,) for ell in primes))
+                    if all(field._pow(c, n // ell) != one for ell in primes))
     if m == 1:
         g = g_coeffs[0]
 
@@ -406,7 +371,7 @@ def _build_log_tables(field: FqField) -> tuple[array, array, array]:
     else:
         h = (m + 1) // 2
         ph1, pm1 = p ** (h - 1), p ** (m - 1)
-        red = field._red[0]
+        red = [-c % p for c in field.modulus[:-1]]  # x^m mod modulus
 
         def digits_of_t_times(top: int, first: int, stop: int) -> list[int]:
             # digits first..stop-1 of t*a for a_(m-1) = top, keyed by a_(first-1)..a_(stop-2)
@@ -430,7 +395,7 @@ def _build_log_tables(field: FqField) -> tuple[array, array, array]:
         a = step(a)
     r = len(coset)
     k = n // r
-    u = coset.index(field._index(_upowmod(g_coeffs, k, field.modulus, p)))
+    u = coset.index(field._index(field._pow(g_coeffs, k)))
     exp = array(code, [0]) * (n + 1)
     rep = field._coeffs(1)
     for a in range(k):

@@ -95,9 +95,6 @@ class MPoly:
                 terms[e] = terms.get(e, 0) + c1 * c2
         return MPoly(self.nvars, self.p, terms)
 
-    def scale(self, c: int) -> "MPoly":
-        return MPoly(self.nvars, self.p, {e: c * v for e, v in self.terms.items()})
-
     def __pow__(self, e: int) -> "MPoly":
         if e < 0:
             raise PolyError("negative polynomial power")
@@ -328,7 +325,7 @@ class IqSystem:
         self.map = pmap
         self.Q = Q
 
-    def normal_form(self, g: MPoly, term_budget: int = DEFAULT_TERM_BUDGET) -> MPoly:
+    def normal_form(self, g: MPoly) -> MPoly:
         """Unique representative of g with every exponent < Q.
 
         Strategy: rewrite the lexicographically greatest reducible monomial,
@@ -338,7 +335,7 @@ class IqSystem:
         """
         if g.nvars != self.map.nvars or g.p != self.map.p:
             raise PolyError("polynomial lives in a different ring than the system")
-        Q = self.Q
+        Q, budget = self.Q, DEFAULT_TERM_BUDGET
         terms = dict(g.terms)
         while True:
             reducible = [e for e in terms if any(ei >= Q for ei in e)]
@@ -355,9 +352,8 @@ class IqSystem:
                     terms[key] = val
                 elif key in terms:
                     del terms[key]
-            if len(terms) > term_budget:
-                raise TermBudgetExceeded(
-                    f"normal form grew past {term_budget} terms")
+            if len(terms) > budget:
+                raise TermBudgetExceeded(f"normal form grew past {budget} terms")
         return MPoly(g.nvars, g.p, terms)
 
     def quotient_dimension(self) -> int:
@@ -375,8 +371,7 @@ class IqSystem:
                 raise PolyError("generator does not reduce to zero; system is inconsistent")
         return self.Q**n
 
-    def iterate_congruence_check(self, j: int,
-                                 term_budget: int = DEFAULT_TERM_BUDGET) -> bool:
+    def iterate_congruence_check(self, j: int) -> bool:
         """True iff each coordinate of the j-th iterate is congruent to x_i^(Q^j).
 
         This must hold for every well-formed system; a False return signals
@@ -388,9 +383,9 @@ class IqSystem:
         iterated = self.map.iterate(j)
         target_expo = self.Q**j
         for i in range(n):
-            lhs = self.normal_form(iterated.coords[i], term_budget)
+            lhs = self.normal_form(iterated.coords[i])
             mono = MPoly.monomial(1, tuple(target_expo if k == i else 0 for k in range(n)), p)
-            rhs = self.normal_form(mono, term_budget)
+            rhs = self.normal_form(mono)
             if lhs != rhs:
                 return False
         return True

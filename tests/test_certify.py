@@ -92,6 +92,19 @@ def test_pick_prime_squaring_map():
     assert next(admissible_primes(BS12, Word.parse("a", 1))) == 3
 
 
+@pytest.mark.parametrize("images,word,expected", [
+    (["aa"], "a", [3, 5, 7, 11, 13, 17]),
+    (["ab", "ba"], "a", [5, 7, 13, 19, 23, 29]),
+    (["ab", "ba"], "aB", [5, 7, 13, 19, 23, 29]),
+    (["abc", "bca", "cab"], "aB", [11, 13, 31, 37, 41, 43]),
+    (["aabb", "ab", "c"], "abc", [3, 5, 7, 11, 13, 17]),
+])
+def test_first_admissible_primes_pinned(images, word, expected):
+    phi = FreeEndo.parse(images, len(images))
+    primes = admissible_primes(phi, Word.parse(word, phi.rank))
+    assert [next(primes) for _ in range(6)] == expected
+
+
 def test_pick_prime_rejects_identity_word():
     with pytest.raises(CertifyError):
         next(admissible_primes(BS12, Word.identity(1)))
@@ -161,11 +174,10 @@ def test_search_alternate_seed_still_verifies():
 
 def test_search_budget_exhaustion_reports_frontier():
     out = search_certificate(SWAPMIX, Word.parse("a", 2),
-                             CertifyConfig(s_max=1, seeds_per_field=1,
-                                           orbit_budget=1, max_primes=2))
+                             CertifyConfig(s_max=1, seeds_per_field=1, orbit_budget=1))
     assert not out.found
     assert out.reason == "budget exhausted"
-    assert len(out.frontier) == 2  # two primes, one field degree each
+    assert out.frontier == tuple((p, 1, 1) for p in (5, 7, 13, 19, 23, 29))  # MAX_PRIMES
 
 
 @pytest.mark.parametrize("images,word,p", [
@@ -200,8 +212,7 @@ def test_noninjective_override_runs():
     assert verify_certificate(out.certificate).passed
 
 
-@pytest.mark.parametrize("field", ["s_max", "seeds_per_field", "orbit_budget",
-                                   "max_primes"])
+@pytest.mark.parametrize("field", ["s_max", "seeds_per_field", "orbit_budget"])
 def test_config_counts_below_one_rejected(field):
     with pytest.raises(CertifyError, match=">= 1"):
         CertifyConfig(**{field: 0})

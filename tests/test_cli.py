@@ -102,6 +102,13 @@ def test_iq_rejects_small_q(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_iq_term_budget_is_a_usage_error(capsys):
+    # the fifth iterate's product overruns DEFAULT_TERM_BUDGET
+    code, out, err = run_cli(capsys, "iq", "--p", "2", "--n", "1",
+                             "--map", "x1^7+x1^3+1", "--q", "8", "--j", "5")
+    assert code == 2 and out == "" and err.startswith("error:") and "over budget" in err
+
+
 def test_fold_command(capsys):
     code, out, _ = run_cli(capsys, "fold", "--k", "2", "ab", "ba",
                            "--format", "json")

@@ -198,15 +198,16 @@ def test_bezout_bound_univariate():
 
 
 def test_enumeration_caps():
-    pmap = PolyMap.parse(["x1^2", "x2"], 2, 5)
-    with pytest.raises(EnumerationCapExceeded):
-        list(enumerate_quasi_fixed(pmap, 3, point_cap=100))
+    # DEFAULT_POINT_CAP = 2^20 points: 5^(3*3) at s = 3, and (2^11)^2
+    pmap = PolyMap.parse(["x1^2", "x2", "x3"], 3, 5)
+    with pytest.raises(EnumerationCapExceeded, match="points"):
+        list(enumerate_quasi_fixed(pmap, 3))
     single = PolyMap.parse(["x1^2"], 1, 5)
     with pytest.raises(EnumerationCapExceeded):
         list(enumerate_quasi_fixed(single, 9, order_cap=5**3))
-    f5 = field_create(5, 2)
-    with pytest.raises(EnumerationCapExceeded):
-        image_point_sample(pmap, 1, f5, point_cap=100)
+    pair = PolyMap.parse(["x1^2", "x2"], 2, 2)
+    with pytest.raises(EnumerationCapExceeded, match="points"):
+        image_point_sample(pair, 1, field_create(2, 11))
 
 
 def test_enumeration_rejects_smax_below_one():

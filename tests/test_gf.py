@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import time
 
@@ -269,3 +270,22 @@ def test_log_tables_build_time_f_2_16():
     start = time.perf_counter()
     field.log_tables()
     assert time.perf_counter() - start < 5.0
+
+
+def test_moduli_and_log_tables_unchanged():
+    # certificate bytes, witness coefficients and pinned outputs depend on the
+    # modulus of each (p, m) and on the primitive element of its tables
+    fields = [(p, m) for p in range(2, 64) if is_prime(p)
+              for m in range(1, 17) if p**m <= 2**16]
+    moduli = [(p, m, field_create(p, m).modulus) for p, m in fields]
+    assert len(moduli) == 75
+    assert hashlib.sha256(repr(moduli).encode()).hexdigest() == (
+        "3e7a0d7a92b8537babb585a57ec666c6461acaec6fb66b7882ac15d6a73e543b")
+    tables = []
+    for p, m in fields:
+        if p**m <= 2**12:
+            exp, _, zech = field_create(p, m).log_tables()
+            tables.append((p, m, list(exp), list(zech)))
+    assert len(tables) == 58
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == (
+        "b9f92d921286f628fb6e8b3551b20aaf924f1f6f207eb75a6fa77ffe1ac63a25")

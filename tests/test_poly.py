@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quasifix import poly
 from quasifix.gf import field_create
 from quasifix.poly import (
     IqSystem,
@@ -282,10 +283,11 @@ def test_iterate_congruence_instance_by_explicit_division():
     assert multivariate_remainder(g, sys).is_zero()
 
 
-def test_term_budget_enforced():
+def test_term_budget_enforced(monkeypatch):
+    monkeypatch.setattr(poly, "DEFAULT_TERM_BUDGET", 2)
     sys = IqSystem(PolyMap.parse(["x1^2+x1+1"], 1, 2), 4)
     with pytest.raises(TermBudgetExceeded):
-        sys.normal_form(parse_poly("x1^4", 1, 2), term_budget=2)
+        sys.normal_form(parse_poly("x1^4", 1, 2))
 
 
 def test_residues_vanish_at_quasi_fixed_points():
