@@ -23,7 +23,6 @@ from .freegroup import (
     WordError,
     endo_is_injective,
     nonscalar_sanity_check,
-    word_evaluate,
 )
 from .gf import DEFAULT_ORDER_CAP, FqField, field_create, is_prime
 from .matrep import (
@@ -31,7 +30,6 @@ from .matrep import (
     Mat2,
     MatTuple,
     ProjPoint,
-    SingularMatrixError,
     find_periodic_orbit,
     pgl_dynamics_step,
     pi_w,
@@ -292,45 +290,14 @@ def search_certificate(phi: FreeEndo, w: Word,
 # wreath-product quotient
 
 @dataclass(frozen=True)
-class _WreathElement:
-    coords: tuple[Mat2, ...]
-    shift: int
-
-
-class WreathOps:
-    """Group operations of GL2(F) wr C_n with the adjugate as the inverse.
-
-    adj(A) is A^-1 up to a scalar, so the results are exact once each
-    coordinate is projected to PGL2(F), which is a homomorphism.
-    """
-
-    def __init__(self, field: FqField, n: int):
-        self.n = n
-        self.identity = _WreathElement((Mat2.identity(field),) * n, 0)
-
-    def _rot(self, coords: tuple[Mat2, ...], a: int) -> tuple[Mat2, ...]:
-        n = self.n
-        return tuple(coords[(i + a) % n] for i in range(n))
-
-    def mul(self, x: _WreathElement, y: _WreathElement) -> _WreathElement:
-        shifted = self._rot(y.coords, x.shift)
-        coords = tuple(xc * yc for xc, yc in zip(x.coords, shifted))
-        return _WreathElement(coords, (x.shift + y.shift) % self.n)
-
-    def inv(self, x: _WreathElement) -> _WreathElement:
-        inverted = tuple(c.adj() for c in x.coords)
-        return _WreathElement(self._rot(inverted, -x.shift % self.n),
-                              (-x.shift) % self.n)
-
-
-@dataclass(frozen=True)
 class WreathData:
     """Generator rows and relation checks of the wreath-product quotient."""
 
     period: int
     rows: tuple[tuple[Mat2, ...], ...]
-    relations_hold: tuple[bool, ...]
+    relations_hold: tuple[bool, ...]  # per generator, over every step
     w_first_coordinate_nontrivial: bool
+    steps_close: tuple[bool, ...]  # per step i: trace[i] steps to trace[i + 1]
 
     @property
     def all_relations_hold(self) -> bool:
@@ -342,24 +309,22 @@ def build_wreath(phi: FreeEndo, w: Word, trace: list[MatTuple]) -> WreathData:
 
     The assignment (stable letter -> shift, generator j -> its orbit row)
     extends to a homomorphism into PGL2(F) wr C_n exactly when conjugating
-    each row by the shift equals the row of its image word, coordinatewise
-    up to scalars.  Every trace matrix must be invertible.
+    each row by the shift equals the row of its image word.  Conjugation by
+    the shift rotates coordinates one place and a shift-0 word is evaluated
+    coordinatewise, so relation j reads trace[i + 1][j] = pi_{phi(x_j)}(trace[i])
+    up to scalars at every i: the orbit step, one generator at a time.  Each
+    image word is evaluated once per trace tuple and the comparisons are
+    returned per generator and per step; w is evaluated at trace[0].  Every
+    trace matrix must be invertible.
     """
     n = len(trace)
-    ops = WreathOps(trace[0].field, n)
+    holds = [[pi_w(image, t).normalized() == trace[(i + 1) % n][j].normalized()
+              for j, image in enumerate(phi.images)]
+             for i, t in enumerate(trace)]
     rows = tuple(tuple(t[j] for t in trace) for j in range(phi.rank))
-    embedded = [_WreathElement(row, 0) for row in rows]
-    c = _WreathElement(ops.identity.coords, 1 % n)
-    relations = []
-    for j in range(phi.rank):
-        conjugated = ops.mul(ops.mul(c, embedded[j]), ops.inv(c))
-        image_row = word_evaluate(phi.images[j], embedded, ops.mul, ops.inv,
-                                  ops.identity)
-        # both sides have shift 0: the rows do, and c and its inverse cancel
-        relations.append(all(x.normalized() == y.normalized()
-                             for x, y in zip(conjugated.coords, image_row.coords)))
-    w_value = word_evaluate(w, embedded, ops.mul, ops.inv, ops.identity)
-    return WreathData(n, rows, tuple(relations), not w_value.coords[0].is_scalar())
+    return WreathData(n, rows, tuple(all(col) for col in zip(*holds)),
+                      not pi_w(w, trace[0]).is_scalar(),
+                      tuple(all(step) for step in holds))
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +353,22 @@ class CertVerdict:
         return {"passed": self.passed,
                 "checks": [{"name": c.name, "status": c.status, "detail": c.detail}
                            for c in self.checks]}
+
+
+CHECK_NAMES = ("structure", "tuple_in_group", "condition_i", "condition_ii",
+               "condition_iii", "wreath_relations")
+
+
+def _record(checks: list[CheckResult], problems: list[str], passed: str) -> None:
+    """Append the next check of CHECK_NAMES: failed with its problems, else passed."""
+    status, detail = ("fail", "; ".join(problems)) if problems else ("pass", passed)
+    checks.append(CheckResult(CHECK_NAMES[len(checks)], status, detail))
+
+
+def _skip_rest(checks: list[CheckResult], reason: str) -> CertVerdict:
+    """The verdict with every check not yet recorded marked skipped."""
+    checks.extend(CheckResult(name, "skipped", reason) for name in CHECK_NAMES[len(checks):])
+    return CertVerdict(tuple(checks))
 
 
 def _order_within_cap(p: int, s: int, cap: int) -> bool:
@@ -457,20 +438,16 @@ def verify_certificate(cert: Certificate,
                        order_cap: int = DEFAULT_ORDER_CAP) -> CertVerdict:
     """Independent re-derivation of every certificate condition.
 
-    Rebuilds the field from (p, s) alone, re-runs the orbit step by step,
-    and reports one named result per condition; nothing produced by the
-    search is trusted.
+    Rebuilds the field from (p, s) alone, re-walks the orbit once through
+    `build_wreath`, and reports one named result per condition; nothing
+    produced by the search is trusted.
     """
     checks: list[CheckResult] = []
 
     problems, parsed = _structure_problems(cert, order_cap)
+    _record(checks, problems, "fields, words and shapes are coherent")
     if problems:
-        checks.append(CheckResult("structure", "fail", "; ".join(problems)))
-        for name in ("tuple_in_group", "condition_i", "condition_ii",
-                     "condition_iii", "wreath_relations"):
-            checks.append(CheckResult(name, "skipped", "structure check failed"))
-        return CertVerdict(tuple(checks))
-    checks.append(CheckResult("structure", "pass", "fields, words and shapes are coherent"))
+        return _skip_rest(checks, "structure check failed")
 
     phi, w = parsed
     field = field_create(cert.p, cert.s, order_cap)
@@ -483,57 +460,27 @@ def verify_certificate(cert: Certificate,
                 membership_problems.append(f"trace[{i}] matrix {j} is singular")
             elif m.normalized() != m:
                 membership_problems.append(f"trace[{i}] matrix {j} is not scalar-canonical")
+    _record(checks, membership_problems, "all matrices invertible and scalar-canonical")
+    _record(checks, [], "free group: no relations, holds vacuously")
     if membership_problems:
-        checks.append(CheckResult("tuple_in_group", "fail", "; ".join(membership_problems)))
-        checks.append(CheckResult("condition_i", "pass",
-                                  "free group: no relations, holds vacuously"))
-        for name in ("condition_ii", "condition_iii", "wreath_relations"):
-            checks.append(CheckResult(name, "skipped", "tuple is not in the group"))
-        return CertVerdict(tuple(checks))
-    checks.append(CheckResult("tuple_in_group", "pass",
-                              "all matrices invertible and scalar-canonical"))
+        return _skip_rest(checks, "tuple is not in the group")
 
-    checks.append(CheckResult("condition_i", "pass",
-                              "free group: no relations, holds vacuously"))
-
-    points = [ProjPoint(t) for t in tuples]
     n = cert.period
-    orbit_problems = []
-    for i in range(n):
-        try:
-            stepped = pgl_dynamics_step(phi, points[i])
-        except SingularMatrixError as exc:
-            orbit_problems.append(f"step from trace[{i}] left the group: {exc}")
-            break
-        if stepped != points[(i + 1) % n]:
-            orbit_problems.append(f"step from trace[{i}] does not give trace[{(i + 1) % n}]")
-    if len(set(points)) != n:
-        orbit_problems.append("period is not minimal: trace entries repeat")
-    if orbit_problems:
-        checks.append(CheckResult("condition_ii", "fail", "; ".join(orbit_problems)))
-    else:
-        checks.append(CheckResult("condition_ii", "pass",
-                                  f"orbit closes with minimal period {n}"))
-
-    value = pi_w(w, tuples[0])
-    if value.is_scalar():
-        checks.append(CheckResult("condition_iii", "fail",
-                                  "word value at the base tuple is scalar"))
-    else:
-        checks.append(CheckResult("condition_iii", "pass",
-                                  "word value at the base tuple is non-scalar"))
-
     wreath = build_wreath(phi, w, tuples)
-    if wreath.all_relations_hold and wreath.w_first_coordinate_nontrivial:
-        checks.append(CheckResult(
-            "wreath_relations", "pass",
-            "shift conjugation matches image rows; word image is nontrivial"))
-    else:
-        bad = [f"generator {j + 1}" for j, ok in enumerate(wreath.relations_hold) if not ok]
-        detail = []
-        if bad:
-            detail.append("relations fail for " + ", ".join(bad))
-        if not wreath.w_first_coordinate_nontrivial:
-            detail.append("word image has trivial first coordinate")
-        checks.append(CheckResult("wreath_relations", "fail", "; ".join(detail)))
+    orbit_problems = [f"step from trace[{i}] does not give trace[{(i + 1) % n}]"
+                      for i, ok in enumerate(wreath.steps_close) if not ok]
+    if len(set(tuples)) != n:
+        orbit_problems.append("period is not minimal: trace entries repeat")
+    _record(checks, orbit_problems, f"orbit closes with minimal period {n}")
+
+    nontrivial = wreath.w_first_coordinate_nontrivial
+    _record(checks, [] if nontrivial else ["word value at the base tuple is scalar"],
+            "word value at the base tuple is non-scalar")
+
+    bad = [f"generator {j + 1}" for j, ok in enumerate(wreath.relations_hold) if not ok]
+    wreath_problems = ["relations fail for " + ", ".join(bad)] if bad else []
+    if not nontrivial:
+        wreath_problems.append("word image has trivial first coordinate")
+    _record(checks, wreath_problems,
+            "shift conjugation matches image rows; word image is nontrivial")
     return CertVerdict(tuple(checks))

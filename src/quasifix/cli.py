@@ -25,6 +25,7 @@ from .certify import (
 from .dynamics import (
     EnumerationCapExceeded,
     VarietySpec,
+    check_degree_caps,
     enumerate_quasi_fixed,
     find_quasi_fixed_avoiding,
 )
@@ -94,6 +95,8 @@ def _split_polys(raw: str) -> list[str]:
 def cmd_quasifixed(args) -> int:
     cap = order_cap_from_env()
     pmap = PolyMap.parse(_split_polys(args.map), args.n, args.p)
+    for s in range(1, args.smax + 1):  # refuse before enumerating anything
+        check_degree_caps(pmap, s, cap)
     witnesses = [w.to_dict() for w in enumerate_quasi_fixed(pmap, args.smax,
                                                             order_cap=cap)]
     emit({"command": "quasifixed", "p": args.p, "nvars": args.n,

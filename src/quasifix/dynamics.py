@@ -105,6 +105,16 @@ def _frobenius_orbits(p: int, n: int, degree: bytearray) -> tuple[array, bytearr
     return orbit, pos
 
 
+def check_degree_caps(pmap: PolyMap, s: int, order_cap: int) -> None:
+    """Refuse field degree s when F_{p^s} or its points of A^n pass a cap."""
+    p, nv = pmap.p, pmap.nvars
+    if p**s > order_cap:
+        raise EnumerationCapExceeded(f"field order {p}^{s} exceeds cap {order_cap}")
+    if p ** (s * nv) > DEFAULT_POINT_CAP:
+        raise EnumerationCapExceeded(
+            f"enumerating {p}^{s * nv} points exceeds cap {DEFAULT_POINT_CAP}")
+
+
 def enumerate_quasi_fixed(pmap: PolyMap, s_max: int,
                           order_cap: int = DEFAULT_ORDER_CAP) -> Iterator[QuasiFixedWitness]:
     """All quasi-fixed witnesses with field degree <= s_max, each once.
@@ -119,11 +129,7 @@ def enumerate_quasi_fixed(pmap: PolyMap, s_max: int,
         raise PolyError(f"largest field degree must be >= 1, got {s_max}")
     nv, p = pmap.nvars, pmap.p
     for s in range(1, s_max + 1):
-        if p**s > order_cap:
-            raise EnumerationCapExceeded(f"field order {p}^{s} exceeds cap {order_cap}")
-        if p ** (s * nv) > DEFAULT_POINT_CAP:
-            raise EnumerationCapExceeded(
-                f"enumerating {p}^{s * nv} points exceeds cap {DEFAULT_POINT_CAP}")
+        check_degree_caps(pmap, s, order_cap)
         field = field_create(p, s, order_cap)
         exp, log, zech = field.log_tables()
         n = field.order - 1

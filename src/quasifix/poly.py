@@ -315,9 +315,10 @@ class IqSystem:
     def __init__(self, pmap: PolyMap, Q: int):
         p = pmap.p
         q = Q
-        while q % p == 0:
+        # Q < 2 first: the division loop never ends at Q = 0
+        while Q >= 2 and q % p == 0:
             q //= p
-        if q != 1 or Q <= 1:
+        if q != 1 or Q < 2:
             raise PolyError(f"Q = {Q} is not a positive power of the characteristic {p}")
         if Q <= pmap.max_degree():
             raise PolyError(

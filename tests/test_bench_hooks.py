@@ -5,12 +5,16 @@ here, not only in the benchmark's own (much slower) self-tests.
 """
 
 import ast
+import hashlib
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
+
+from quasifix.certify import CertificateFormatError, certificate_from_bytes, verify_certificate
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -58,3 +62,22 @@ def test_verify_batch_inputs_unchanged():
     batch = _load("workloads").make_batch("verify", 1)
     assert batch.fingerprint() == (
         "df296bfc98c8de1de1dcb2c8bc4a3b23c37bfac836f44f1e20c9eb7b2e1b96e3")
+
+
+@pytest.mark.parametrize("seed,digest", [
+    (1, "467ed4a3e8a531c6550186f624873f781f6bc7100aec6ef60d9ba732ebe604fd"),
+    (2, "599c399ab9b45a557695ad9f13ad00df10563474643b27d8f15d4ee41d931076"),
+    (3, "3878024186e439feb75da321b5987d12c4d8aa5578c66fd67f55c44922572813"),
+])
+def test_verify_batch_verdicts_unchanged(seed, digest):
+    # the benchmark's own check compares only the names of the failing checks,
+    # so pin every verdict in full: check names, statuses, details and order
+    batch = _load("workloads").make_batch("verify", seed)
+    h = hashlib.sha256()
+    for name in sorted(batch.files):
+        try:
+            out = verify_certificate(certificate_from_bytes(batch.files[name])).to_dict()
+        except CertificateFormatError as exc:
+            out = f"format: {exc}"
+        h.update(name.encode() + b"\0" + json.dumps(out, sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == digest

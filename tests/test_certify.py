@@ -298,12 +298,13 @@ def test_quotient_respects_all_defining_relations(swapmix_cert):
 
 
 def test_wreath_arithmetic_matches_matrep_oracle(criterion6_outcomes):
-    # the wreath check multiplies in GL2 wr C_n and compares up to scalars;
-    # its verdicts must equal the coordinatewise relations computed with
-    # naive field-element products straight from the certificate's rows,
-    # sharing no matrix code with matrep, on valid certificates (criterion 6,
-    # plus images with inverse letters) and on tampered traces that still
-    # pass tuple_in_group
+    # the wreath check evaluates each image word once per trace tuple with
+    # matrep and compares up to scalars; its per-generator and per-step
+    # verdicts must equal the coordinatewise relations computed with naive
+    # field-element products straight from the certificate's rows, sharing
+    # no matrix code with matrep, on valid certificates (criterion 6, plus
+    # images with inverse letters) and on tampered traces that still pass
+    # tuple_in_group
     inverse_images = [search_certificate(FreeEndo.parse(images, 2), Word.parse(text, 2))
                       for images, text in [(["aB", "ba"], "a"), (["ab", "bA"], "a")]]
 
@@ -338,11 +339,12 @@ def test_wreath_arithmetic_matches_matrep_oracle(criterion6_outcomes):
             field = field_create(cert.p, cert.s)
             rows = [[tuple(field.element(row) for row in mat) for mat in entry]
                     for entry in cert.trace]
-            expected = tuple(
-                all(naive_normalized(naive_word_value(image, rows[i])) == rows[(i + 1) % n][j]
-                    for i in range(n))
-                for j, image in enumerate(phi.images))
+            holds = [[naive_normalized(naive_word_value(image, rows[i])) == rows[(i + 1) % n][j]
+                      for j, image in enumerate(phi.images)] for i in range(n)]
+            expected = tuple(all(holds[i][j] for i in range(n))
+                             for j in range(len(phi.images)))
             assert data.relations_hold == expected
+            assert data.steps_close == tuple(all(step) for step in holds)
             assert data.w_first_coordinate_nontrivial == (
                 not naive_is_scalar(naive_word_value(w, rows[0])))
             seen.update((("relations", data.all_relations_hold),

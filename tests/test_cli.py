@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quasifix
 from oracles import oracle_quasi_fixed
+from quasifix import dynamics
 from quasifix.certify import certificate_from_bytes, verify_certificate
 from quasifix.cli import main
 from quasifix.poly import PolyMap
@@ -100,6 +106,17 @@ def test_iq_rejects_small_q(capsys):
     code, _, err = run_cli(capsys, "iq", "--p", "2", "--n", "1",
                            "--map", "x1^2", "--q", "2")
     assert code == 2 and "error:" in err
+
+
+def test_iq_q_zero_is_a_usage_error():
+    # in a child process, so a hang fails after 10 s instead of stalling the suite
+    env = dict(os.environ, PYTHONPATH=str(Path(quasifix.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "quasifix.cli", "iq", "--p", "2", "--n", "1",
+         "--map", "x1", "--q", "0"],
+        capture_output=True, text=True, timeout=10, env=env)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == "error: Q = 0 is not a positive power of the characteristic 2\n"
 
 
 def test_iq_term_budget_is_a_usage_error(capsys):
@@ -264,6 +281,20 @@ def test_output_file_option(capsys, tmp_path):
                            "--out", str(out_file))
     assert code == 0 and out == ""
     assert json.loads(out_file.read_text())["count"] >= 1
+
+
+def test_quasifixed_refuses_past_cap_before_enumerating(capsys, monkeypatch):
+    # every degree up to --smax is checked against the caps before any field
+    # is built, so nothing is enumerated only to be thrown away
+    created = []
+    real = dynamics.field_create
+    monkeypatch.setattr(dynamics, "field_create",
+                        lambda p, s, *rest: created.append((p, s)) or real(p, s, *rest))
+    monkeypatch.setenv("QUASIFIX_CAP", "343")
+    code, out, err = run_cli(capsys, "quasifixed", "--p", "7", "--n", "1",
+                             "--map", "x1", "--smax", "8")
+    assert code == 2 and out == "" and err == "error: field order 7^4 exceeds cap 343\n"
+    assert created == []
 
 
 def test_usage_error_exits_two(capsys):

@@ -224,6 +224,8 @@ def test_iq_system_validation():
         IqSystem(phi, 6)  # not a power of p
     with pytest.raises(PolyError):
         IqSystem(phi, 1)
+    with pytest.raises(PolyError):
+        IqSystem(phi, 0)  # 0 is divisible by p forever
     IqSystem(phi, 4)
 
 
