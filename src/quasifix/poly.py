@@ -315,8 +315,7 @@ class IqSystem:
     def __init__(self, pmap: PolyMap, Q: int):
         p = pmap.p
         q = Q
-        # Q < 2 first: the division loop never ends at Q = 0
-        while Q >= 2 and q % p == 0:
+        while Q >= 2 and q % p == 0:  # unguarded, 0 % p == 0 would loop forever
             q //= p
         if q != 1 or Q < 2:
             raise PolyError(f"Q = {Q} is not a positive power of the characteristic {p}")
