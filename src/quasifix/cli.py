@@ -3,12 +3,14 @@
 Every subcommand prints the same content as JSON or as indented text, takes
 all randomness from an explicit seed, and uses stable exit codes:
 0 success/verified, 1 not-found or failed verification, 2 usage or parse
-errors (including cap breaches).
+errors (including cap breaches, except that `density` reports the degrees it
+scanned below a cap as not found).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -112,14 +114,26 @@ def cmd_density(args) -> int:
     v_texts = _split_polys(args.v) if args.v else []
     v = VarietySpec.parse(v_texts, args.n, args.p)
     w_spec = parse_poly(args.w, args.n, args.p)
-    witness = find_quasi_fixed_avoiding(pmap, v, w_spec, args.smax, order_cap=cap)
+    # the caps grow with the degree, so the scan stops at the first degree past one
+    scanned, stopped_by = args.smax, None
+    for s in range(1, args.smax + 1):
+        try:
+            check_degree_caps(pmap, s, cap)
+        except EnumerationCapExceeded as exc:
+            scanned, stopped_by = s - 1, str(exc)
+            break
+    witness = None
+    if scanned or stopped_by is None:  # --smax below 1 is refused by the search
+        witness = find_quasi_fixed_avoiding(pmap, v, w_spec, scanned, order_cap=cap)
     payload = {"command": "density", "p": args.p, "nvars": args.n,
                "map": [f.to_text() for f in pmap.coords],
                "variety": [f.to_text() for f in v.polys],
                "avoid": w_spec.to_text(), "smax": args.smax,
                "found": witness is not None}
     if witness is None:
-        payload["frontier"] = {"smax_scanned": args.smax, "order_cap": cap}
+        payload["frontier"] = {"smax_scanned": scanned, "order_cap": cap}
+        if stopped_by is not None:
+            payload["frontier"]["stopped_by"] = stopped_by
         emit(payload, args.format, args.out)
         return 1
     payload["witness"] = witness.to_dict()
@@ -194,7 +208,13 @@ def cmd_verify(args) -> int:
     return 0 if verdict.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `quasifix` parser, built on the first call and shared after it.
+
+    Sharing is safe: `parse_args` returns a fresh namespace each time and
+    leaves the parser as it was.
+    """
     parser = argparse.ArgumentParser(
         prog="quasifix",
         description="Quasi-fixed points of polynomial maps over finite fields "

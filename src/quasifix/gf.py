@@ -19,8 +19,9 @@ become integer arithmetic on logarithms.  They take three `array`s of q
 ints (12 bytes per element) and O(q*m) integer steps to build, about a
 second for F_{2^20}; a field builds them on first use.  Quasi-fixed point
 enumeration runs on them, and so do the 2x2 matrices of `matrep`, which
-store their entries as logarithms: every certificate search and every
-verification builds the tables of its field.
+store their entries as logarithms.  `field_create` keeps the fields it
+returns, so one process finds each modulus and builds each field's tables
+once, for every search, verification and enumeration it runs.
 """
 
 from __future__ import annotations
@@ -333,15 +334,37 @@ class FqElement:
         return " + ".join(parts) if parts else "0"
 
 
+# fields handed out by field_create, oldest first; their orders sum to at most
+# DEFAULT_ORDER_CAP, so their log tables take at most 12 bytes * DEFAULT_ORDER_CAP
+_FIELDS: dict[tuple[int, int], FqField] = {}
+
+
 def field_create(p: int, m: int, cap: int = DEFAULT_ORDER_CAP) -> FqField:
-    """F_{p^m} with the first irreducible modulus in deterministic order."""
+    """F_{p^m} with the first irreducible modulus in deterministic order.
+
+    The field is shared: calls with the same (p, m) in one process return
+    the same object, with its modulus, log tables and embeddings built
+    once.  That is safe because everything a field caches is a
+    deterministic function of (p, m).  The checks still run on every call.
+    Kept fields are dropped oldest first once their orders would sum past
+    DEFAULT_ORDER_CAP; a field above it (only allowed by a larger cap) is
+    returned but not kept.
+    """
     if m < 1:
         raise FieldError(f"extension degree must be >= 1, got {m}")
     if not is_prime(p):
         raise FieldError(f"{p} is not prime")
     if p**m > cap:
         raise FieldError(f"field order {p}^{m} exceeds cap {cap}")
-    return FqField(p, m, _min_irreducible(p, m))
+    field = _FIELDS.get((p, m))
+    if field is None:
+        field = FqField(p, m, _min_irreducible(p, m))
+        if field.order <= DEFAULT_ORDER_CAP:
+            kept = sum(f.order for f in _FIELDS.values())
+            while kept + field.order > DEFAULT_ORDER_CAP:
+                kept -= _FIELDS.pop(next(iter(_FIELDS))).order
+            _FIELDS[p, m] = field
+    return field
 
 
 def _build_log_tables(field: FqField) -> tuple[array, array, array]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,9 +9,9 @@ import pytest
 
 import quasifix
 from oracles import oracle_quasi_fixed
-from quasifix import dynamics
+from quasifix import dynamics, gf
 from quasifix.certify import certificate_from_bytes, verify_certificate
-from quasifix.cli import main
+from quasifix.cli import build_parser, main
 from quasifix.poly import PolyMap
 
 
@@ -117,6 +118,18 @@ def test_iq_q_zero_is_a_usage_error():
         capture_output=True, text=True, timeout=10, env=env)
     assert result.returncode == 2 and result.stdout == ""
     assert result.stderr == "error: Q = 0 is not a positive power of the characteristic 2\n"
+
+
+def test_import_builds_no_parser_and_no_field():
+    # the benchmark's setup_s times `import quasifix.cli` in a fresh interpreter:
+    # the parser and the fields are built on first use, never at import
+    env = dict(os.environ, PYTHONPATH=str(Path(quasifix.__file__).resolve().parents[1]))
+    probe = ("import quasifix.cli, quasifix.gf; "
+             "print(quasifix.cli.build_parser.cache_info().currsize, "
+             "len(quasifix.gf._FIELDS))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, timeout=30, env=env)
+    assert (result.returncode, result.stdout) == (0, "0 0\n"), result.stderr
 
 
 def test_iq_term_budget_is_a_usage_error(capsys):
@@ -301,3 +314,112 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["quasifixed", "--p", "2"])  # missing required flags
     assert exc.value.code == 2
+
+
+def test_density_stops_at_first_degree_past_cap(capsys, monkeypatch):
+    # no witness avoids W = {x1 = 0}, and F_{2^7} is past the cap: the scan of
+    # degrees 1..6 is reported as not found instead of thrown away
+    monkeypatch.setenv("QUASIFIX_CAP", "64")
+    code, out, err = run_cli(capsys, "density", "--p", "2", "--n", "1", "--map", "x1",
+                             "--w", "0", "--smax", "8", "--format", "json")
+    assert code == 1 and err == ""
+    data = json.loads(out)
+    assert not data["found"] and data["smax"] == 8
+    assert data["frontier"] == {"smax_scanned": 6, "order_cap": 64,
+                                "stopped_by": "field order 2^7 exceeds cap 64"}
+
+    monkeypatch.setenv("QUASIFIX_CAP", "2")  # F_3 itself is past the cap
+    code, out, _ = run_cli(capsys, "density", "--p", "3", "--n", "1", "--map", "x1",
+                           "--w", "0", "--smax", "2", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["frontier"] == {"smax_scanned": 0, "order_cap": 2,
+                                           "stopped_by": "field order 3^1 exceeds cap 2"}
+
+
+def test_parser_keeps_no_state_between_calls(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("endo.json").write_text(json.dumps({"rank": 2, "images": ["ab", "ba"]}))
+    certify = ["certify", "--endo", "endo.json", "--word", "a"]
+    assert run_cli(capsys, *certify, "--seed", "5", "--out", "a.json")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--seed", "x"])
+    assert exc.value.code == 2
+    assert run_cli(capsys, *certify)[0] == 0
+    assert json.loads(Path("a.json").read_text())["metadata"]["seed"] == 5
+    assert json.loads(Path("certificate.json").read_text())["metadata"]["seed"] == 0
+
+    assert run_cli(capsys, "verify", "a.json", "--out", "f") == (0, "", "")
+    with pytest.raises(SystemExit):
+        main(["verify"])
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "verify", "a.json")
+    assert code == 0 and out == Path("f").read_text()
+
+
+def test_help_text_unchanged(capsys, monkeypatch):
+    # the top-level help and that of every subcommand, as the CLI printed them
+    # when it still built a new parser on every call (Python 3.11)
+    monkeypatch.setenv("COLUMNS", "80")
+    h = hashlib.sha256()
+    for cmd in ([], ["quasifixed"], ["density"], ["iq"], ["fold"], ["certify"], ["verify"]):
+        with pytest.raises(SystemExit) as exc:
+            main(cmd + ["--help"])
+        assert exc.value.code == 0
+        h.update(capsys.readouterr().out.encode() + b"\0")
+    assert h.hexdigest() == (
+        "87db9bb035a17d483091a56b7e41a8df03605bf4b70bed23ccdc9dab1b01541f")
+
+
+# (QUASIFIX_CAP or None, argv) steps; a step's files are read back after its unit
+WARM_UNITS = [
+    [(None, ["quasifixed", "--p", "3", "--n", "2", "--map", "x1*x2+2,x2^2",
+             "--smax", "2", "--format", "json"])],
+    [(None, ["density", "--p", "3", "--n", "1", "--map", "x1^2",
+             "--w", "x1^2+2*x1", "--smax", "4"])],
+    [(None, ["certify", "--endo", "endo.json", "--word", "ab", "--seed", "3",
+             "--out", "cert.json"]),
+     (None, ["verify", "cert.json", "--format", "json"])],
+    [(None, ["iq", "--p", "3", "--n", "2", "--map", "x1*x2,x1+x2", "--q", "3",
+             "--j", "2"])],
+    [(None, ["quasifixed", "--p", "2", "--n", "1", "--map", "x1^3+x1", "--smax", "6"])],
+    # caps are checked on every call, also against fields kept from earlier jobs
+    [(None, ["certify", "--endo", "endo.json", "--word", "a", "--out", "capped.json"]),
+     ("4", ["verify", "capped.json"]),
+     ("4", ["quasifixed", "--p", "2", "--n", "1", "--map", "x1", "--smax", "3"]),
+     ("64", ["density", "--p", "2", "--n", "1", "--map", "x1", "--w", "0",
+             "--smax", "8"])],
+]
+
+
+def _run_unit(capsys, monkeypatch, unit):
+    results = []
+    for cap, argv in unit:
+        if cap is None:
+            monkeypatch.delenv("QUASIFIX_CAP", raising=False)
+        else:
+            monkeypatch.setenv("QUASIFIX_CAP", cap)
+        results.append(run_cli(capsys, *argv))
+    monkeypatch.delenv("QUASIFIX_CAP", raising=False)
+    for name in ("cert.json", "capped.json"):
+        path = Path(name)
+        if path.exists():
+            results.append((name, path.read_bytes()))
+            path.unlink()
+    return results
+
+
+def test_warm_process_matches_fresh_calls(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("endo.json").write_text(json.dumps({"rank": 2, "images": ["ab", "ba"]}))
+    fresh = []
+    for unit in WARM_UNITS:
+        build_parser.cache_clear()
+        gf._FIELDS.clear()
+        fresh.append(_run_unit(capsys, monkeypatch, unit))
+    assert [unit[0][0] for unit in fresh] == [0] * len(WARM_UNITS)
+    capped = fresh[-1]
+    assert [step[0] for step in capped[1:4]] == [1, 2, 1]
+    assert capped[2][2] == "error: field order 2^3 exceeds cap 4\n"
+    for order in (range(len(WARM_UNITS)), reversed(range(len(WARM_UNITS)))):
+        for i in order:
+            assert _run_unit(capsys, monkeypatch, WARM_UNITS[i]) == fresh[i], WARM_UNITS[i]

@@ -4,9 +4,11 @@ import time
 
 import pytest
 
+from quasifix import gf
 from quasifix.gf import (
     DEFAULT_ORDER_CAP,
     FieldError,
+    FqField,
     embed,
     field_create,
     is_prime,
@@ -222,6 +224,26 @@ def test_is_prime_small():
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
 
+def test_field_create_shares_one_field_per_p_m():
+    assert field_create(3, 4) is field_create(3, 4)
+    f1024 = field_create(2, 10)
+    f1024.log_tables()
+    with pytest.raises(FieldError, match="field order 2\\^10 exceeds cap 512"):
+        field_create(2, 10, cap=512)  # a kept field is still checked against the cap
+    assert field_create(2, 10) is f1024
+
+
+def test_kept_fields_bounded_by_default_cap():
+    # their log tables take 12 bytes per element, so this bounds what a process keeps
+    field_create(2, 19)
+    field_create(3, 12)  # 2^19 + 3^12 > 2^20: the older F_{2^19} is dropped
+    assert sum(f.order for f in gf._FIELDS.values()) <= DEFAULT_ORDER_CAP
+    assert (3, 12) in gf._FIELDS and (2, 19) not in gf._FIELDS
+    big = field_create(2, 21, cap=2**22)
+    assert (2, 21) not in gf._FIELDS
+    assert field_create(2, 21, cap=2**22) is not big
+
+
 def test_default_cap_value():
     assert DEFAULT_ORDER_CAP == 2**20
 
@@ -266,7 +288,8 @@ def test_log_space_frobenius_and_subfield_degree(p, m):
 
 
 def test_log_tables_build_time_f_2_16():
-    field = field_create(2, 16)
+    # a new field, since field_create may return a kept one with its tables built
+    field = FqField(2, 16, field_create(2, 16).modulus)
     start = time.perf_counter()
     field.log_tables()
     assert time.perf_counter() - start < 5.0
