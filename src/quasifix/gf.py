@@ -154,6 +154,10 @@ class FqField:
         self._log_tables: tuple[array, array, array] | None = None
 
     def __eq__(self, other: object) -> bool:
+        # field_create hands out one object per (p, m); the full comparison
+        # is for the unshared rings of the irreducibility test
+        if self is other:
+            return True
         return (isinstance(other, FqField) and self.p == other.p
                 and self.m == other.m and self.modulus == other.modulus)
 

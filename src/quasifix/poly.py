@@ -7,11 +7,20 @@ composition of coordinate maps, the characteristic-p power shortcut, and the
 confluent rewriting system x_i^Q -> f_i that computes normal forms modulo
 the ideal generated by f_i - x_i^Q.  The leading monomials x_i^Q are
 pairwise coprime, so when Q exceeds every deg f_i the rewriting terminates
-and the normal form is unique regardless of strategy.
+and the normal form is unique regardless of strategy; `IqSystem` drives it
+from a heap of reducible monomials, greatest total degree first.
+
+`IqSystem` computes in the quotient A = F_p[x]/(x_i^Q - f_i), whose
+elements are the reduced polynomials (every exponent < Q).  Every product
+is reduced as soon as it is formed, and a product of two reduced
+polynomials has at most (2Q - 1)^n terms: the iterate f^(j)_i is reached
+by j compositions in A rather than written out at degree (deg f)^j, and
+x_i^(Q^j) by square-and-multiply.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
 from typing import Sequence
 
@@ -308,9 +317,15 @@ class PolyMap:
 
 
 class IqSystem:
-    """The zero-dimensional system generated by f_i - x_i^Q, Q > deg f_i."""
+    """The zero-dimensional system generated by f_i - x_i^Q, Q > deg f_i.
 
-    __slots__ = ("map", "Q")
+    Its quotient A = F_p[x]/(x_i^Q - f_i) has the reduced monomials (every
+    exponent < Q) as a basis.  The system keeps, per coordinate f_k, the
+    reduced powers NF(f_k^e), and per iterate index j the reduced sides of
+    the congruence f^(j)_i = x_i^(Q^j), so each is computed once.
+    """
+
+    __slots__ = ("map", "Q", "_powers", "_iterates", "_frobenius")
 
     def __init__(self, pmap: PolyMap, Q: int):
         p = pmap.p
@@ -324,37 +339,93 @@ class IqSystem:
                 f"Q = {Q} must exceed every coordinate degree (max {pmap.max_degree()})")
         self.map = pmap
         self.Q = Q
+        one = MPoly.const(1, pmap.nvars, p)
+        self._powers = [[one] for _ in pmap.coords]
+        # index j holds (NF(f^(j)_i))_i and (NF(x_i^(Q^j)))_i; j = 0 is x itself
+        variables = PolyMap.identity(pmap.nvars, p).coords
+        self._iterates = [variables]
+        self._frobenius = [variables]
 
     def normal_form(self, g: MPoly) -> MPoly:
-        """Unique representative of g with every exponent < Q.
+        """Unique representative of g in A, with every exponent < Q.
 
-        Strategy: rewrite the lexicographically greatest reducible monomial,
-        splitting off x_i^Q for the least offending i.  Total degree strictly
-        drops at each rewrite because Q > deg f_i, so this terminates; the
-        coprime leading monomials make the result strategy-independent.
+        Strategy: the reducible monomials wait in a heap, greatest total
+        degree first.  A rewrite x^e -> x^(e - Q e_i) f_i, for the least i
+        with e_i >= Q, touches only the terms of f_i and pushes the new
+        reducible monomials it creates.  These have lower total degree than
+        x^e because Q > deg f_i, so no monomial is rewritten twice and the
+        loop terminates; the coprime leading monomials x_i^Q make the result
+        independent of the order of rewrites.
         """
         if g.nvars != self.map.nvars or g.p != self.map.p:
             raise PolyError("polynomial lives in a different ring than the system")
-        Q, budget = self.Q, DEFAULT_TERM_BUDGET
+        Q, p, budget = self.Q, g.p, DEFAULT_TERM_BUDGET
+        coords = self.map.coords
         terms = dict(g.terms)
-        while True:
-            reducible = [e for e in terms if any(ei >= Q for ei in e)]
-            if not reducible:
-                break
-            e = max(reducible)
+        heap = [(-sum(e), e) for e in terms if max(e) >= Q]
+        heapq.heapify(heap)
+        while heap:
+            e = heapq.heappop(heap)[1]
+            c = terms.pop(e, 0)
+            if not c:  # it cancelled after it was pushed
+                continue
             i = next(idx for idx, ei in enumerate(e) if ei >= Q)
-            c = terms.pop(e)
-            rest = tuple(ei - Q if idx == i else ei for idx, ei in enumerate(e))
-            for fe, fc in self.map.coords[i].terms.items():
+            rest = e[:i] + (e[i] - Q,) + e[i + 1:]
+            for fe, fc in coords[i].terms.items():
                 key = tuple(a + b for a, b in zip(rest, fe))
-                val = (terms.get(key, 0) + c * fc) % g.p
+                old = terms.get(key, 0)
+                val = (old + c * fc) % p
                 if val:
                     terms[key] = val
-                elif key in terms:
+                    if not old and max(key) >= Q:
+                        heapq.heappush(heap, (-sum(key), key))
+                elif old:
                     del terms[key]
             if len(terms) > budget:
                 raise TermBudgetExceeded(f"normal form grew past {budget} terms")
-        return MPoly(g.nvars, g.p, terms)
+        return MPoly(g.nvars, p, terms)
+
+    def product(self, a: MPoly, b: MPoly) -> MPoly:
+        """a * b in A: the normal form of the product of two reduced polynomials."""
+        return self.normal_form(a * b)
+
+    def _power(self, k: int, e: int) -> MPoly:
+        """NF(f_k^e), from the cache; f_k is reduced because Q > deg f_k."""
+        row = self._powers[k]
+        while len(row) <= e:
+            row.append(self.product(row[-1], self.map.coords[k]))
+        return row[e]
+
+    def _compose(self, g: MPoly) -> MPoly:
+        """NF(g(f_1, ..., f_n)) for a reduced g.
+
+        The terms of g are grouped by their exponents of x_2..x_n; within a
+        group the powers of f_1 are only added up, so each group costs n - 1
+        products in A.
+        """
+        n, p = g.nvars, g.p
+        groups: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        for e, c in g.terms.items():
+            _add_scaled(groups.setdefault(e[1:], {}), self._power(0, e[0]), c, p)
+        acc: dict[tuple[int, ...], int] = {}
+        for tail, inner in groups.items():
+            term = MPoly(n, p, inner)
+            for k, ek in enumerate(tail, 1):
+                if ek:
+                    term = self.product(term, self._power(k, ek))
+            _add_scaled(acc, term, 1, p)
+        return MPoly(n, p, acc)
+
+    def _pow(self, g: MPoly, e: int) -> MPoly:
+        """g^e in A for e >= 1, by square-and-multiply."""
+        result = None
+        while True:
+            if e & 1:
+                result = g if result is None else self.product(result, g)
+            e >>= 1
+            if not e:
+                return result
+            g = self.product(g, g)
 
     def quotient_dimension(self) -> int:
         """Vector-space dimension of the quotient by the system's ideal.
@@ -374,19 +445,27 @@ class IqSystem:
     def iterate_congruence_check(self, j: int) -> bool:
         """True iff each coordinate of the j-th iterate is congruent to x_i^(Q^j).
 
+        Both sides are computed in A and kept for later calls.  The left is
+        f^(j)_i by j compositions g <- NF(g o f) from g = x_i; the right is
+        x_i^(Q^j) by raising x_i^(Q^(j-1)) to the power Q.  The two routes
+        share only the normal form and the reduced product.
+
         This must hold for every well-formed system; a False return signals
         an implementation bug rather than a property of the input.
         """
         if j < 1:
             raise PolyError("iterate index must be >= 1")
-        n, p = self.map.nvars, self.map.p
-        iterated = self.map.iterate(j)
-        target_expo = self.Q**j
-        for i in range(n):
-            lhs = self.normal_form(iterated.coords[i])
-            mono = MPoly.monomial(1, tuple(target_expo if k == i else 0 for k in range(n)), p)
-            rhs = self.normal_form(mono)
-            if lhs != rhs:
-                return False
-        return True
+        while len(self._iterates) <= j:
+            self._iterates.append(tuple(self._compose(g) for g in self._iterates[-1]))
+            self._frobenius.append(tuple(self._pow(x, self.Q) for x in self._frobenius[-1]))
+        return self._iterates[j] == self._frobenius[j]
 
+
+def _add_scaled(acc: dict[tuple[int, ...], int], g: MPoly, c: int, p: int) -> None:
+    """acc += c * g, on a term map, dropping the terms that cancel."""
+    for e, gc in g.terms.items():
+        val = (acc.get(e, 0) + c * gc) % p
+        if val:
+            acc[e] = val
+        else:
+            acc.pop(e, None)

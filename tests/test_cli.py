@@ -9,7 +9,7 @@ import pytest
 
 import quasifix
 from oracles import oracle_quasi_fixed
-from quasifix import dynamics, gf
+from quasifix import dynamics, gf, poly
 from quasifix.certify import certificate_from_bytes, verify_certificate
 from quasifix.cli import build_parser, main
 from quasifix.poly import PolyMap
@@ -132,11 +132,20 @@ def test_import_builds_no_parser_and_no_field():
     assert (result.returncode, result.stdout) == (0, "0 0\n"), result.stderr
 
 
-def test_iq_term_budget_is_a_usage_error(capsys):
-    # the fifth iterate's product overruns DEFAULT_TERM_BUDGET
+def test_iq_term_budget_is_a_usage_error(capsys, monkeypatch):
+    # products in the quotient of this system reach 7 x 7 terms, past a budget of 32
+    monkeypatch.setattr(poly, "DEFAULT_TERM_BUDGET", 32)
     code, out, err = run_cli(capsys, "iq", "--p", "2", "--n", "1",
                              "--map", "x1^7+x1^3+1", "--q", "8", "--j", "5")
     assert code == 2 and out == "" and err.startswith("error:") and "over budget" in err
+
+
+def test_iq_fifth_iterate_within_default_budget(capsys):
+    # unreduced, the fifth iterate has degree 7^5 and its product overran the budget
+    code, out, _ = run_cli(capsys, "iq", "--p", "2", "--n", "1", "--map", "x1^7+x1^3+1",
+                           "--q", "8", "--j", "5", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["congruence"] == {str(j): True for j in range(1, 6)}
 
 
 def test_fold_command(capsys):

@@ -233,6 +233,16 @@ def test_field_create_shares_one_field_per_p_m():
     assert field_create(2, 10) is f1024
 
 
+def test_unshared_fields_compare_by_modulus():
+    # the irreducibility test builds rings outside field_create's keeping
+    kept = field_create(2, 3)
+    twin = FqField(2, 3, kept.modulus)
+    assert twin is not kept and twin == kept and kept == twin
+    assert hash(twin) == hash(kept)
+    assert twin.element([1, 1, 0]) == kept.element([1, 1, 0])
+    assert FqField(2, 3, (1, 0, 1, 1)) != kept  # the other irreducible cubic
+
+
 def test_kept_fields_bounded_by_default_cap():
     # their log tables take 12 bytes per element, so this bounds what a process keeps
     field_create(2, 19)

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import naive_eval, naive_frobenius
 from quasifix import poly
 from quasifix.gf import field_create
 from quasifix.poly import (
@@ -68,8 +70,9 @@ def multivariate_remainder(g: MPoly, sys: IqSystem) -> MPoly:
         for i in range(n):
             if lead[i] >= Q:
                 cofactor = tuple(e - Q if j == i else e for j, e in enumerate(lead))
-                gen = pmap.coords[i] - MPoly.monomial(
-                    1, tuple(Q if j == i else 0 for j in range(n)), p)
+                # leading coefficient +1, so the subtraction cancels `lead` in any p
+                gen = MPoly.monomial(
+                    1, tuple(Q if j == i else 0 for j in range(n)), p) - pmap.coords[i]
                 work = work - MPoly.monomial(c, cofactor, p) * gen
                 break
         else:
@@ -290,6 +293,72 @@ def test_term_budget_enforced(monkeypatch):
     sys = IqSystem(PolyMap.parse(["x1^2+x1+1"], 1, 2), 4)
     with pytest.raises(TermBudgetExceeded):
         sys.normal_form(parse_poly("x1^4", 1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.sampled_from([1, 2]), pQ=st.sampled_from([(2, 4), (2, 8), (3, 9)]))
+def test_normal_form_and_product_match_division_oracle(data, n, pQ):
+    p, Q = pQ
+
+    def draw_terms(max_expo, min_expo=0):
+        expo = st.tuples(*[st.integers(min_expo, max_expo)] * n)
+        return data.draw(st.dictionaries(expo, st.integers(1, p - 1), min_size=1, max_size=3))
+
+    pmap = PolyMap([MPoly(n, p, {e: c for e, c in draw_terms(Q - 1).items() if sum(e) < Q})
+                    for _ in range(n)])
+    system = IqSystem(pmap, Q)
+    # exponents of 2Q and above need chains of rewrites, each x_i^Q at a time
+    g = MPoly(n, p, draw_terms(3 * Q, 2 * Q) | draw_terms(3 * Q))
+    assert system.normal_form(g) == multivariate_remainder(g, system)
+    a, b = MPoly(n, p, draw_terms(2 * Q)), MPoly(n, p, draw_terms(2 * Q))
+    product = system.product(system.normal_form(a), system.normal_form(b))
+    assert product == system.normal_form(a * b) == multivariate_remainder(a * b, system)
+
+
+def _rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Rank over F_p by Gauss-Jordan elimination; reduces `rows` in place."""
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        rows[rank] = [v * inv % p for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                c = rows[r][col]
+                rows[r] = [(v - c * w) % p for v, w in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("n,j", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_quotient_by_iterate_counts_quasi_fixed_points(n, j):
+    # A/(f^(j)_i - x_i) contains x_i^(Q^j) - x_i, so it is reduced, and its
+    # dimension Q^n - rank counts the a in F_(Q^j)^n with f(a) = Frob^m(a)
+    p, m = 2, 2
+    Q = p**m
+    rng = random.Random(100 * n + j)
+    basis = list(itertools.product(range(Q), repeat=n))
+    below_q = [e for e in basis if sum(e) < Q]
+    field = field_create(p, m * j)
+    points = list(itertools.product(list(field), repeat=n))
+    for _ in range(6):
+        pmap = PolyMap([MPoly(n, p, dict.fromkeys(rng.sample(below_q, rng.randint(1, 3)), 1))
+                        for _ in range(n)])
+        system = IqSystem(pmap, Q)
+        iterated = pmap.iterate(j)
+        gens = [system.normal_form(iterated.coords[i]) - MPoly.var(i + 1, n, p)
+                for i in range(n)]
+        rows = []
+        for b in basis:
+            for gen in gens:
+                reduced = system.normal_form(MPoly.monomial(1, b, p) * gen)
+                rows.append([reduced.terms.get(e, 0) for e in basis])
+        count = sum(all(naive_eval(f, a) == naive_frobenius(a[i], m)
+                        for i, f in enumerate(pmap.coords)) for a in points)
+        assert Q**n - _rank_mod_p(rows, p) == count, pmap
 
 
 def test_residues_vanish_at_quasi_fixed_points():
