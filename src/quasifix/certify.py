@@ -29,7 +29,6 @@ from .matrep import (
     DEFAULT_ORBIT_BUDGET,
     Mat2,
     MatTuple,
-    ProjPoint,
     find_periodic_orbit,
     pgl_dynamics_step,
     pi_w,
@@ -39,9 +38,11 @@ from .matrep import (
 FORMAT_VERSION = 1
 MAX_PERIOD = 4096  # longest orbit the search turns into a certificate
 MAX_PRIMES = 6  # admissible primes the search tries before giving up
+MAX_VERIFY_WORK = 2**18  # image letters the verifier evaluates: period x sum |phi(x_j)|
 
 MatData = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 TupleData = tuple[MatData, ...]
+_INT_ONLY = frozenset({int})  # type, not isinstance: JSON true and false are bools
 
 
 class CertifyError(ValueError):
@@ -121,14 +122,15 @@ def _as_int(value, what: str) -> int:
 
 
 def _as_mat(value, what: str) -> MatData:
+    """Rows of integer coefficients; their range is checked by `structure`."""
     if not isinstance(value, list) or len(value) != 4:
         raise _shape_error(f"{what} must be a list of 4 entry rows")
-    rows = []
     for row in value:
         if not isinstance(row, list) or not row:
             raise _shape_error(f"{what} entries must be nonempty coefficient lists")
-        rows.append(tuple(_as_int(c, f"{what} coefficient") for c in row))
-    return tuple(rows)  # type: ignore[return-value]
+        if not _INT_ONLY.issuperset(map(type, row)):
+            raise _shape_error(f"{what} coefficient must be an integer")
+    return tuple(map(tuple, value))  # type: ignore[return-value]
 
 
 def certificate_from_dict(data: dict) -> Certificate:
@@ -166,7 +168,7 @@ def certificate_from_dict(data: dict) -> Certificate:
         trace=tuple(trace),
         seed=_as_int(metadata.get("seed", 0), "metadata.seed"),
         format_version=_as_int(data["format_version"], "format_version"),
-        declared_head=head if head != tuple(trace)[0] else None,
+        declared_head=head if head != trace[0] else None,
     )
 
 
@@ -177,10 +179,6 @@ def certificate_from_bytes(raw: bytes) -> Certificate:
     except (ValueError, RecursionError) as exc:
         raise _shape_error(f"not valid JSON: {exc}") from exc
     return certificate_from_dict(data)
-
-
-def _tuple_data(point: ProjPoint) -> TupleData:
-    return tuple(m.rows() for m in point.tuple.mats)
 
 
 def _materialize(cert: Certificate, field: FqField) -> list[MatTuple]:
@@ -244,6 +242,8 @@ def search_certificate(phi: FreeEndo, w: Word,
         if phi.apply_power(w, phi.rank).is_identity():
             raise CertifyError("phi^k(w) = 1: the word dies in the mapping torus")
     k = phi.rank
+    # the longest orbit whose certificate the verifier accepts
+    max_period = min(MAX_PERIOD, MAX_VERIFY_WORK // max(sum(map(len, phi.images)), 1))
     frontier: list[tuple[int, int, int]] = []
     primes = admissible_primes(phi, w)
     for _ in range(MAX_PRIMES):
@@ -257,7 +257,7 @@ def search_certificate(phi: FreeEndo, w: Word,
                 rng = random.Random(f"{config.seed}:{p}:{s}:{seed_index}")
                 start = random_projpoint(field, k, rng)
                 result = find_periodic_orbit(phi, start, config.orbit_budget)
-                if not result.found or result.period > MAX_PERIOD:
+                if not result.found or result.period > max_period:
                     continue
                 trace_points = [result.point]
                 for _ in range(result.period - 1):
@@ -274,7 +274,7 @@ def search_certificate(phi: FreeEndo, w: Word,
                         p=p,
                         s=s,
                         period=result.period,
-                        trace=tuple(_tuple_data(pt) for pt in rotated),
+                        trace=tuple(tuple(m.rows() for m in pt.tuple.mats) for pt in rotated),
                         seed=config.seed,
                     )
                     verdict = verify_certificate(cert, order_cap=config.order_cap)
@@ -409,6 +409,9 @@ def _structure_problems(cert: Certificate, order_cap: int
         phi = FreeEndo.parse(cert.images, cert.rank)
         w = Word.parse(cert.word, cert.rank)
         parsed = (phi, w)
+        work = cert.period * sum(map(len, phi.images))
+        if work > MAX_VERIFY_WORK:
+            problems.append(f"period x image letters = {work} exceeds work cap {MAX_VERIFY_WORK}")
         if w.is_identity():
             problems.append("certified word reduces to the identity")
         for text, image in zip(cert.images, phi.images):
@@ -418,19 +421,15 @@ def _structure_problems(cert: Certificate, order_cap: int
             problems.append(f"word {cert.word!r} is not freely reduced")
     except WordError as exc:
         problems.append(f"word syntax: {exc}")
-    def first_shape_problem() -> str | None:
-        for entry in cert.trace:
-            if len(entry) != cert.rank:
-                return "trace entry arity differs from rank"
-            for mat in entry:
-                for row in mat:
-                    if len(row) != cert.s or any(not 0 <= c < cert.p for c in row):
-                        return "matrix coefficients out of range for the field"
-        return None
-
-    shape_problem = first_shape_problem()
-    if shape_problem:
-        problems.append(shape_problem)
+    s, p = cert.s, cert.p
+    for entry in cert.trace:  # the one range check of rows; s = 0 leaves them empty
+        if len(entry) != cert.rank:
+            problems.append("trace entry arity differs from rank")
+            break
+        if any(len(row) != s or s and (min(row) < 0 or max(row) >= p)
+               for mat in entry for row in mat):
+            problems.append("matrix coefficients out of range for the field")
+            break
     return problems, parsed
 
 

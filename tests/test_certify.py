@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -14,11 +15,14 @@ from oracles import (
     naive_word_value,
     tuple_frobenius,
 )
+from quasifix import certify
 from quasifix.certify import (
     Certificate,
     CertificateFormatError,
     CertifyConfig,
     CertifyError,
+    MAX_VERIFY_WORK,
+    CheckResult,
     _materialize,
     admissible_primes,
     build_wreath,
@@ -224,6 +228,16 @@ def test_search_verdict_matches_independent_verify(criterion6_outcomes):
     for out in criterion6_outcomes:
         assert out.found and out.verdict.passed
         assert out.verdict.to_dict() == verify_certificate(out.certificate).to_dict()
+
+
+def test_criterion6_certificate_bytes_pinned(criterion6_outcomes):
+    # the same seed gives byte-identical certificates across versions, not only
+    # within one process (acceptance criterion 9)
+    h = hashlib.sha256()
+    for out in criterion6_outcomes:
+        h.update(out.certificate.to_bytes())
+    assert h.hexdigest() == (
+        "644fd2b912e1a927bdbe45ae9ea044d3f33e97780ae29ff6c4867cd5ce7e472d")
 
 
 def test_search_rejects_rank_mismatch():
@@ -490,6 +504,102 @@ def test_malformed_json_raises():
         certificate_from_bytes(b"[" * 100000 + b"]" * 100000)
 
 
+def _set_coefficient(value):
+    def edit(mat):
+        mat[1][0] = value
+    return edit
+
+
+def _set_row(row):
+    def edit(mat):
+        mat[1] = row
+    return edit
+
+
+FORMAT_COEFFICIENT = "format: malformed certificate: {} matrix coefficient must be an integer"
+FORMAT_ROW = "format: malformed certificate: {} matrix entries must be nonempty coefficient lists"
+OUT_OF_RANGE = "structure fail: matrix coefficients out of range for the field"
+
+
+@pytest.mark.parametrize("edit,trace_outcome,tuple_outcome", [
+    (lambda mat: None, "structure pass: fields, words and shapes are coherent", None),
+    (_set_coefficient(True), FORMAT_COEFFICIENT.format("trace"),
+     FORMAT_COEFFICIENT.format("tuple")),
+    (_set_coefficient(False), FORMAT_COEFFICIENT.format("trace"),
+     FORMAT_COEFFICIENT.format("tuple")),
+    (_set_coefficient(None), FORMAT_COEFFICIENT.format("trace"),
+     FORMAT_COEFFICIENT.format("tuple")),
+    (_set_coefficient(1.5), FORMAT_COEFFICIENT.format("trace"),
+     FORMAT_COEFFICIENT.format("tuple")),
+    (_set_coefficient(1.0), FORMAT_COEFFICIENT.format("trace"),
+     FORMAT_COEFFICIENT.format("tuple")),
+    (_set_coefficient("1"), FORMAT_COEFFICIENT.format("trace"),
+     FORMAT_COEFFICIENT.format("tuple")),
+    (_set_coefficient([1]), FORMAT_COEFFICIENT.format("trace"),
+     FORMAT_COEFFICIENT.format("tuple")),
+    (_set_coefficient({}), FORMAT_COEFFICIENT.format("trace"),
+     FORMAT_COEFFICIENT.format("tuple")),
+    (_set_coefficient(10**40), OUT_OF_RANGE, None),
+    (_set_coefficient(-1), OUT_OF_RANGE, None),
+    (_set_coefficient(4), "structure pass: fields, words and shapes are coherent", None),
+    (_set_coefficient(5), OUT_OF_RANGE, None),  # p
+    (_set_row([1]), OUT_OF_RANGE, None),  # short row
+    (_set_row([1, 0, 0]), OUT_OF_RANGE, None),  # long row
+    (_set_row([]), FORMAT_ROW.format("trace"), FORMAT_ROW.format("tuple")),
+    (_set_row(3), FORMAT_ROW.format("trace"), FORMAT_ROW.format("tuple")),
+    (_set_row(None), FORMAT_ROW.format("trace"), FORMAT_ROW.format("tuple")),
+    (lambda mat: mat.pop(), "format: malformed certificate: trace matrix must be a list "
+     "of 4 entry rows", "format: malformed certificate: tuple matrix must be a list "
+     "of 4 entry rows"),
+], ids=["valid", "true", "false", "null", "float", "integral_float", "string", "list",
+        "object", "huge", "negative", "p_minus_1", "p", "short_row", "long_row",
+        "empty_row", "int_row", "null_row", "three_rows"])
+def test_coefficient_checks_pinned(swapmix_cert, edit, trace_outcome, tuple_outcome):
+    # each coefficient-level malformation has one outcome: a format error at
+    # parse (types and shapes) or a structure failure (range); the declared
+    # tuple is parsed like the trace and then only compared with trace[0]
+    data = json.loads(swapmix_cert.to_bytes())
+    assert (data["p"], data["s"]) == (5, 1)
+    data["s"] = 2  # pad to F_25, so that a short row is still nonempty
+    for entry in data["trace"]:
+        for mat in entry:
+            for row in mat:
+                row.append(0)
+    data["tuple"] = data["trace"][0]
+
+    def outcome(d):
+        try:
+            cert = certificate_from_bytes(json.dumps(d).encode())
+        except CertificateFormatError as exc:
+            return f"format: {exc}"
+        check = verify_certificate(cert).checks[0]
+        return f"{check.name} {check.status}: {check.detail}"
+
+    in_both = json.loads(json.dumps(data))
+    edit(in_both["trace"][0][0])
+    edit(in_both["tuple"][0])
+    assert outcome(in_both) == trace_outcome
+    in_tuple = json.loads(json.dumps(data))
+    edit(in_tuple["tuple"][0])
+    assert outcome(in_tuple) == (tuple_outcome or (
+        trace_outcome if trace_outcome.startswith("structure pass")
+        else "structure fail: declared tuple differs from the first trace entry"))
+
+
+@pytest.mark.parametrize("s,detail", [
+    (0, "field degree s = 0 must be >= 1"),
+    (1, "matrix coefficients out of range for the field"),
+])
+def test_in_code_certificate_with_empty_rows(s, detail):
+    # a Certificate built in code skips the parser, so its empty rows reach the
+    # structure check, which must name them without raising
+    cert = Certificate(rank=1, images=("a",), word="a", p=5, s=s, period=1,
+                       trace=((((), (), (), ()),),), seed=0)
+    verdict = verify_certificate(cert)
+    assert verdict.checks[0] == CheckResult("structure", "fail", detail)
+    assert [c.status for c in verdict.checks[1:]] == ["skipped"] * 5
+
+
 @pytest.mark.parametrize("field_edit", [
     {"p": 1000000000000000003},        # 19-digit prime
     {"p": 9999999943 * 9999999967},    # 20-digit composite, no factor below 10^9
@@ -504,6 +614,37 @@ def test_verifier_bounds_untrusted_p_and_s(swapmix_cert, field_edit):
     assert verdict.failures == ["structure"]
     assert "exceeds cap" in verdict.checks[0].detail
     assert elapsed < 1.0, f"rejecting {field_edit} took {elapsed:.2f}s"
+
+
+def test_verifier_bounds_image_work():
+    # rank 1 over F_10007 with image a^20000 and a made-up period-50 trace
+    # (21.8 KB): without a cap the verifier evaluates 10^6 image letters
+    field = field_create(10007, 1)
+    rng = random.Random(0)
+    trace = [[[list(row) for row in random_projpoint(field, 1, rng).tuple.mats[0].rows()]]
+             for _ in range(50)]
+    raw = json.dumps({"format_version": 1, "rank": 1, "images": ["a" * 20000], "word": "a",
+                      "p": 10007, "s": 1, "period": 50, "tuple": trace[0], "trace": trace,
+                      "metadata": {"seed": 0}}).encode()
+    assert len(raw) < 22_000
+    start = time.perf_counter()
+    verdict = verify_certificate(certificate_from_bytes(raw))
+    elapsed = time.perf_counter() - start
+    assert verdict.checks[0] == CheckResult(
+        "structure", "fail", f"period x image letters = 1000000 exceeds work cap {MAX_VERIFY_WORK}")
+    assert elapsed < 1.0, f"rejecting took {elapsed:.2f}s"
+
+
+def test_search_skips_orbits_over_the_work_cap(monkeypatch, swapmix_cert):
+    # the period-4 orbit of swapmix_cert costs 4 x 4 image letters; under a cap
+    # of 12 the search must pass over every orbit its verifier would refuse
+    # (it raises on a certificate that fails its own verification)
+    assert (swapmix_cert.p, swapmix_cert.period) == (5, 4)
+    monkeypatch.setattr(certify, "MAX_VERIFY_WORK", 12)
+    out = search_certificate(SWAPMIX, Word.parse("a", 2), CertifyConfig(s_max=1))
+    assert out.found and (out.certificate.p, out.certificate.period) == (7, 3)
+    assert verify_certificate(out.certificate).passed
+    assert "work cap 12" in verify_certificate(swapmix_cert).checks[0].detail
 
 
 # -- fuzzing the verifier ------------------------------------------------------
