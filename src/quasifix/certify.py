@@ -13,6 +13,7 @@ nothing the search produced.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 
@@ -30,14 +31,17 @@ from .matrep import (
     Mat2,
     MatTuple,
     find_periodic_orbit,
-    pgl_dynamics_step,
     pi_w,
+    proj_step,
     random_projpoint,
+    state_rows,
+    word_is_scalar,
 )
 
 FORMAT_VERSION = 1
 MAX_PERIOD = 4096  # longest orbit the search turns into a certificate
 MAX_PRIMES = 6  # admissible primes the search tries before giving up
+PRIME_BATCH = 5  # candidate primes whose product is the modulus of one substitution
 MAX_VERIFY_WORK = 2**18  # image letters the verifier evaluates: period x sum |phi(x_j)|
 
 MatData = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
@@ -194,16 +198,25 @@ def admissible_primes(phi: FreeEndo, w: Word):
 
     Sanov's representation is faithful and never hits -Id, so when w survives
     in the mapping torus the integer matrix is non-scalar and only the finitely
-    many divisors of its gcd(b, c, a - d) are skipped.
+    many divisors of its gcd(b, c, a - d) are skipped.  Reduction mod p commutes
+    with the ring operations, so one substitution modulo the product of the
+    next PRIME_BATCH candidates gives the matrix mod each of them.
     """
     if w.is_identity():
         raise CertifyError("the identity word cannot be separated from itself")
     # every Sanov generator is the identity mod 2, so p = 2 never qualifies
     p = 3
     while True:
-        if is_prime(p) and nonscalar_sanity_check(phi, w, 4 * phi.rank, p)[0]:
-            yield p
-        p += 1
+        batch = []
+        while len(batch) < PRIME_BATCH:
+            if is_prime(p):
+                batch.append(p)
+            p += 1
+        mat = nonscalar_sanity_check(phi, w, 4 * phi.rank, math.prod(batch))[1]
+        for q in batch:
+            a, b, c, d = mat.a % q, mat.b % q, mat.c % q, mat.d % q
+            if b or c or a != d:
+                yield q
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +265,7 @@ def search_certificate(phi: FreeEndo, w: Word,
             if p**s > config.order_cap:
                 break
             field = field_create(p, s, config.order_cap)
+            step = proj_step(phi, field)
             frontier.append((p, s, config.seeds_per_field))
             for seed_index in range(config.seeds_per_field):
                 rng = random.Random(f"{config.seed}:{p}:{s}:{seed_index}")
@@ -259,14 +273,13 @@ def search_certificate(phi: FreeEndo, w: Word,
                 result = find_periodic_orbit(phi, start, config.orbit_budget)
                 if not result.found or result.period > max_period:
                     continue
-                trace_points = [result.point]
+                states = [result.point.tuple._key]
                 for _ in range(result.period - 1):
-                    trace_points.append(pgl_dynamics_step(phi, trace_points[-1]))
+                    states.append(step(states[-1]))
                 for rotation in range(result.period):
-                    candidate = trace_points[rotation]
-                    if pi_w(w, candidate.tuple).is_scalar():
+                    if word_is_scalar(w, field, states[rotation]):
                         continue
-                    rotated = trace_points[rotation:] + trace_points[:rotation]
+                    rotated = states[rotation:] + states[:rotation]
                     cert = Certificate(
                         rank=k,
                         images=tuple(img.to_text() for img in phi.images),
@@ -274,7 +287,7 @@ def search_certificate(phi: FreeEndo, w: Word,
                         p=p,
                         s=s,
                         period=result.period,
-                        trace=tuple(tuple(m.rows() for m in pt.tuple.mats) for pt in rotated),
+                        trace=tuple(state_rows(field, state) for state in rotated),
                         seed=config.seed,
                     )
                     verdict = verify_certificate(cert, order_cap=config.order_cap)
@@ -425,6 +438,9 @@ def _structure_problems(cert: Certificate, order_cap: int
     for entry in cert.trace:  # the one range check of rows; s = 0 leaves them empty
         if len(entry) != cert.rank:
             problems.append("trace entry arity differs from rank")
+            break
+        if any(len(mat) != 4 for mat in entry):  # parsed files have 4; in-code ones may not
+            problems.append("trace matrix does not have 4 entry rows")
             break
         if any(len(row) != s or s and (min(row) < 0 or max(row) >= p)
                for mat in entry for row in mat):

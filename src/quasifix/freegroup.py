@@ -331,22 +331,17 @@ class IntMatrix2:
         return self.b == 0 and self.c == 0 and self.a == self.d
 
 
-_S1 = IntMatrix2(1, 2, 0, 1)
-_S2 = IntMatrix2(1, 0, 2, 1)
-
-
-def _sanov_generator(index: int, rank: int) -> IntMatrix2:
+def _sanov_generator(index: int, rank: int) -> tuple[int, int, int, int]:
+    """Entries of the image of x_index: s1 = [[1, 2], [0, 1]] and s2 = [[1, 0], [2, 1]]."""
     if rank <= 2:
-        return _S1 if index == 1 else _S2
-    # free subgroup of F2: x_i -> s1^i s2 s1^(-i)
-    left = IntMatrix2(1, 2 * index, 0, 1)
-    right = IntMatrix2(1, -2 * index, 0, 1)
-    return left * _S2 * right
+        return (1, 2, 0, 1) if index == 1 else (1, 0, 2, 1)
+    # free subgroup of F2: x_i -> s1^i s2 s1^(-i), multiplied out
+    return (1 + 4 * index, -8 * index * index, 2, 1 - 4 * index)
 
 
 def sanov_embed(w: Word) -> IntMatrix2:
     """Image of w under the faithful representation F_k -> SL2(Z)."""
-    gens = [_sanov_generator(i, w.rank) for i in range(1, w.rank + 1)]
+    gens = [IntMatrix2(*_sanov_generator(i, w.rank)) for i in range(1, w.rank + 1)]
     return word_evaluate(w, gens, lambda x, y: x * y, lambda x: x.inverse(),
                          IntMatrix2.identity())
 
@@ -356,17 +351,24 @@ def nonscalar_sanity_check(phi: FreeEndo, w: Word, n: int, p: int) -> tuple[bool
 
     The generator matrices mod p are substituted into the image words n times,
     so phi^n(w) is never written out; det = 1 makes the adjugate the inverse.
+    The matrices are int 4-tuples.  Any modulus p >= 2 works: the result mod a
+    divisor of p is the matrix mod that divisor.
     """
-    def mod(m: IntMatrix2) -> IntMatrix2:
-        return IntMatrix2(m.a % p, m.b % p, m.c % p, m.d % p)
+    def evaluate(letters: tuple[int, ...], mats: list[tuple]) -> tuple:
+        a, b, c, d = 1, 0, 0, 1
+        for x in letters:
+            if x > 0:
+                e, f, g, h = mats[x - 1]
+            else:
+                h, f, g, e = mats[-x - 1]
+                f, g = -f, -g
+            a, b, c, d = ((a * e + b * g) % p, (a * f + b * h) % p,
+                          (c * e + d * g) % p, (c * f + d * h) % p)
+        return a, b, c, d
 
-    def evaluate(u: Word, mats: list[IntMatrix2]) -> IntMatrix2:
-        return word_evaluate(u, mats, lambda x, y: mod(x * y),
-                             lambda x: mod(IntMatrix2(x.d, -x.b, -x.c, x.a)),
-                             IntMatrix2.identity())
-
-    mats = [mod(_sanov_generator(i, phi.rank)) for i in range(1, phi.rank + 1)]
+    mats = [tuple(x % p for x in _sanov_generator(i, phi.rank))
+            for i in range(1, phi.rank + 1)]
     for _ in range(n):
-        mats = [evaluate(image, mats) for image in phi.images]
-    mat = evaluate(w, mats)
+        mats = [evaluate(image.letters, mats) for image in phi.images]
+    mat = IntMatrix2(*evaluate(w.letters, mats))
     return (not mat.is_scalar(), mat)

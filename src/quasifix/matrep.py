@@ -11,9 +11,16 @@ A matrix is stored as the four discrete logs of its entries to the primitive
 element g of `FqField.log_tables`, with n = q - 1 standing for 0.  Products
 of entries are sums of logs mod n, sums go through the Zech table, negation
 adds log(-1) (n/2 for odd p, 0 for p = 2) and scaling a matrix subtracts one
-log from its nonzero entries, so the orbit step creates no field element.
-Field elements appear only at `Mat2.from_entries`, the entry properties and
-`Mat2.det`; `Mat2.from_rows` trusts its rows (the verifier range-checks them).
+log from its nonzero entries, so no arithmetic creates a field element.
+
+A point of PGL2(F_q)^k is walked as a state: the k normalized log 4-tuples
+that `MatTuple._key` holds.  `proj_step` builds the step of the lifted map
+on states once per (phi, field); `find_periodic_orbit`, `pgl_dynamics_step`
+and `random_projpoint` take and return `ProjPoint`s but build one only at
+their ends, and the certificate search keeps states until it writes rows.
+`Mat2` objects are built by the public `Mat2`/`pi_w`/`phi_lift` API; field
+elements only at `Mat2.from_entries`, the entry properties and `Mat2.det`.
+`Mat2.from_rows` trusts its rows (the verifier range-checks them).
 """
 
 from __future__ import annotations
@@ -61,6 +68,11 @@ def _det(x: tuple, n: int, zech, neg: int) -> int:
     return _dot(a, d, b, c if c == n else (c + neg) % n, n, zech)
 
 
+def _is_scalar(x: tuple, n: int) -> bool:
+    a, b, c, d = x
+    return b == n and c == n and a == d
+
+
 def _normalized(x: tuple, n: int) -> tuple:
     """Subtract the log of the first nonzero entry in row-major order."""
     a, b, c, d = x
@@ -71,6 +83,15 @@ def _normalized(x: tuple, n: int) -> tuple:
         raise SingularMatrixError("cannot normalize the zero matrix")
     return (a if a == n else (a - f) % n, b if b == n else (b - f) % n,
             c if c == n else (c - f) % n, d if d == n else (d - f) % n)
+
+
+def _word(letters, mats, n: int, zech, neg: int) -> tuple:
+    """Logs of the word's value at mats, the adjugate standing for each inverse letter."""
+    acc = None  # the identity, whose product with m is exactly m
+    for x in letters:
+        m = mats[x - 1] if x > 0 else _adj(mats[-x - 1], n, neg)
+        acc = m if acc is None else _mul(acc, m, n, zech)
+    return (0, n, n, 0) if acc is None else acc
 
 
 def _tables(field: FqField) -> tuple:
@@ -112,8 +133,7 @@ class Mat2:
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """The four entries as coefficient rows in the polynomial basis."""
-        exp = self.field.log_tables()[0]
-        return tuple(self.field._coeffs(exp[x]) for x in self.logs)
+        return state_rows(self.field, (self.logs,))[0]
 
     def _entry(self, log: int) -> FqElement:
         return self.field.from_int(self.field.log_tables()[0][log])
@@ -150,9 +170,7 @@ class Mat2:
         return _det(self.logs, n, zech, neg) == n
 
     def is_scalar(self) -> bool:
-        a, b, c, d = self.logs
-        n = self.field.order - 1
-        return b == n and c == n and a == d
+        return _is_scalar(self.logs, self.field.order - 1)
 
     def normalized(self) -> "Mat2":
         """Scale so the first nonzero entry in row-major order is 1."""
@@ -226,12 +244,7 @@ def pi_w(w: Word, t: MatTuple) -> Mat2:
     """Evaluate w with the adjugate substituted for every inverse letter."""
     if w.rank != t.k:
         raise WordError(f"word rank {w.rank} does not match tuple length {t.k}")
-    n, zech, neg = _tables(t.field)
-    logs = [m.logs for m in t.mats]
-    acc = (0, n, n, 0)
-    for x in w.letters:
-        acc = _mul(acc, logs[x - 1] if x > 0 else _adj(logs[-x - 1], n, neg), n, zech)
-    return Mat2(t.field, acc)
+    return Mat2(t.field, _word(w.letters, t._key, *_tables(t.field)))
 
 
 def phi_lift(phi: FreeEndo, t: MatTuple) -> MatTuple:
@@ -287,8 +300,55 @@ def proj_normalize(t: MatTuple) -> ProjPoint:
     return ProjPoint(MatTuple(normalized))
 
 
+# ---------------------------------------------------------------------------
+# states: a PGL2(F)^k point as the k normalized log 4-tuples of MatTuple._key
+
+def proj_step(phi: FreeEndo, field: FqField):
+    """The projective step of phi's lift on states over one field.
+
+    Each image word is evaluated on the state, its value checked for a zero
+    determinant and scaled to scalar-canonical form: `proj_normalize` of
+    `phi_lift` without the objects.  Raises SingularMatrixError when a
+    value is singular.  The caller matches the state's length to phi.rank.
+    """
+    n, zech, neg = _tables(field)
+    images = tuple(w.letters for w in phi.images)
+
+    def step(state: tuple) -> tuple:
+        out = []
+        for letters in images:
+            x = _word(letters, state, n, zech, neg)
+            if _det(x, n, zech, neg) == n:
+                raise SingularMatrixError("tuple has a singular component")
+            out.append(_normalized(x, n))
+        return tuple(out)
+    return step
+
+
+def word_is_scalar(w: Word, field: FqField, state: tuple) -> bool:
+    """Whether pi_w at the state is a scalar matrix."""
+    n, zech, neg = _tables(field)
+    return _is_scalar(_word(w.letters, state, n, zech, neg), n)
+
+
+def state_rows(field: FqField, state: tuple) -> tuple:
+    """The coefficient rows of every entry of every matrix of the state."""
+    exp = field.log_tables()[0]
+    return tuple(tuple(field._coeffs(exp[x]) for x in m) for m in state)
+
+
+def _point(field: FqField, state: tuple) -> ProjPoint:
+    return ProjPoint(MatTuple(Mat2(field, m) for m in state))
+
+
+def _step_for(phi: FreeEndo, h: ProjPoint):
+    if phi.rank != h.tuple.k:
+        raise WordError("endomorphism rank does not match tuple length")
+    return proj_step(phi, h.tuple.field)
+
+
 def pgl_dynamics_step(phi: FreeEndo, h: ProjPoint) -> ProjPoint:
-    return proj_normalize(phi_lift(phi, h.tuple))
+    return _point(h.tuple.field, _step_for(phi, h)(h.tuple._key))
 
 
 @dataclass(frozen=True)
@@ -309,21 +369,23 @@ def find_periodic_orbit(phi: FreeEndo, h0: ProjPoint,
 
     Returns a point lying on the cycle reached from h0 together with the
     exact minimal period.  Not-found happens only when the iteration budget
-    runs out or the orbit leaves the invertible locus.
+    runs out or the orbit leaves the invertible locus.  The walk runs on
+    states; only the returned point is an object.
     """
+    kernel = _step_for(phi, h0)
     steps = 0
 
-    def step(x: ProjPoint) -> ProjPoint:
+    def step(x: tuple) -> tuple:
         nonlocal steps
         steps += 1
         if steps > budget:
             raise _BudgetExhausted
-        return pgl_dynamics_step(phi, x)
+        return kernel(x)
 
     try:
         power = lam = 1
-        tortoise = h0
-        hare = step(h0)
+        h0_state = tortoise = h0.tuple._key
+        hare = step(tortoise)
         while tortoise != hare:
             if power == lam:
                 tortoise = hare
@@ -332,13 +394,13 @@ def find_periodic_orbit(phi: FreeEndo, h0: ProjPoint,
             hare = step(hare)
             lam += 1
         # advance a second pointer lam steps, then walk both to the cycle
-        tortoise = hare = h0
+        tortoise = hare = h0_state
         for _ in range(lam):
             hare = step(hare)
         while tortoise != hare:
             tortoise = step(tortoise)
             hare = step(hare)
-        return OrbitResult(True, tortoise, lam, steps)
+        return OrbitResult(True, _point(h0.tuple.field, tortoise), lam, steps)
     except _BudgetExhausted:
         return OrbitResult(False, None, 0, steps, reason="budget")
     except SingularMatrixError:
@@ -349,14 +411,25 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def random_invertible_mat(field: FqField, rng: random.Random) -> Mat2:
-    while True:
-        m = Mat2.from_rows(field, [[rng.randrange(field.p) for _ in range(field.m)]
-                                   for _ in range(4)])
-        if not m.is_singular():
-            return m
-
-
 def random_projpoint(field: FqField, k: int, rng: random.Random) -> ProjPoint:
-    return proj_normalize(MatTuple(tuple(random_invertible_mat(field, rng)
-                                         for _ in range(k))))
+    """k matrices drawn coefficient by coefficient, each redrawn until invertible."""
+    n, zech, neg = _tables(field)
+    log = field.log_tables()[1]
+    p = field.p
+    powers = [p**i for i in range(field.m)]
+    draw = rng.randrange
+
+    def entry() -> int:  # log of field._index of m drawn coefficients
+        i = 0
+        for e in powers:
+            i += draw(p) * e
+        return log[i]
+
+    state = []
+    for _ in range(k):
+        while True:
+            x = (entry(), entry(), entry(), entry())
+            if _det(x, n, zech, neg) != n:
+                break
+        state.append(_normalized(x, n))
+    return _point(field, tuple(state))

@@ -36,6 +36,7 @@ from quasifix.freegroup import (
     IntMatrix2,
     Word,
     endo_is_injective,
+    nonscalar_sanity_check,
     sanov_embed,
 )
 from quasifix.gf import field_create, is_prime
@@ -107,6 +108,15 @@ def test_first_admissible_primes_pinned(images, word, expected):
     phi = FreeEndo.parse(images, len(images))
     primes = admissible_primes(phi, Word.parse(word, phi.rank))
     assert [next(primes) for _ in range(6)] == expected
+
+
+def test_prime_selection_crosses_a_batch():
+    # the Sanov matrix of phi^4(w) is [[1, 2 * 1001 * 15^4], [0, 1]]: the whole first
+    # batch 3..13 divides it, and the six admissible primes span two more batches
+    phi, w = FreeEndo.parse(["a" * 15], 1), Word.parse("a" * 1001, 1)
+    per_prime = [q for q in range(3, 60) if is_prime(q) and nonscalar_sanity_check(phi, w, 4, q)[0]]
+    primes = admissible_primes(phi, w)
+    assert [next(primes) for _ in range(6)] == per_prime[:6] == [17, 19, 23, 29, 31, 37]
 
 
 def test_pick_prime_rejects_identity_word():
@@ -238,6 +248,22 @@ def test_criterion6_certificate_bytes_pinned(criterion6_outcomes):
         h.update(out.certificate.to_bytes())
     assert h.hexdigest() == (
         "644fd2b912e1a927bdbe45ae9ea044d3f33e97780ae29ff6c4867cd5ce7e472d")
+
+
+@pytest.mark.parametrize("images,word,seed,field,digest", [
+    (["ab", "ba"], "a", 0, (5, 2), "378cdc0fc499c7b3bfd4241a4bf10ada073bfbffd9b74f6d70ee30aa059b21bb"),
+    (["ab", "ba"], "a", 3, (5, 3), "1f44568274db19c7fbe3852b7268a82ee79dd252981f97fceb508e92f8698857"),
+    (["ab", "bA"], "a", 0, (3, 3), "df2380b8f3060a78b2929ed027b48f020f0ad3efb0acc5bf52987c7325bbb370"),
+    (["aB", "ba"], "b", 0, (3, 2), "50999a2ceb9ee26869c1d784b41346122bd3d9976d354e2012ec784f9d8977a4"),
+])
+def test_extension_field_certificate_bytes_pinned(images, word, seed, field, digest):
+    # with one seed per field the search climbs to s >= 2, the only place where
+    # the orbit step runs inside the search on an extension field
+    phi = FreeEndo.parse(images, len(images))
+    out = search_certificate(phi, Word.parse(word, phi.rank),
+                             CertifyConfig(seeds_per_field=1, seed=seed))
+    assert (out.certificate.p, out.certificate.s) == field
+    assert hashlib.sha256(out.certificate.to_bytes()).hexdigest() == digest
 
 
 def test_search_rejects_rank_mismatch():
@@ -597,6 +623,19 @@ def test_in_code_certificate_with_empty_rows(s, detail):
                        trace=((((), (), (), ()),),), seed=0)
     verdict = verify_certificate(cert)
     assert verdict.checks[0] == CheckResult("structure", "fail", detail)
+    assert [c.status for c in verdict.checks[1:]] == ["skipped"] * 5
+
+
+@pytest.mark.parametrize("rows", [3, 5])
+def test_in_code_certificate_with_wrong_row_count(rows):
+    # the parser insists on 4 rows; an in-code matrix with another count must
+    # fail structure, not raise from unpacking in Mat2.from_rows
+    mat = ((1,),) + ((0,),) * (rows - 1)
+    cert = Certificate(rank=1, images=("a",), word="a", p=5, s=1, period=1,
+                       trace=((mat,),), seed=0)
+    verdict = verify_certificate(cert)
+    assert verdict.checks[0] == CheckResult(
+        "structure", "fail", "trace matrix does not have 4 entry rows")
     assert [c.status for c in verdict.checks[1:]] == ["skipped"] * 5
 
 

@@ -210,6 +210,14 @@ def test_sanov_basics():
     assert sanov_embed(Word.parse("aA", 2)) == IntMatrix2.identity()
 
 
+def test_sanov_rank_three_generators_are_conjugates():
+    # x_i -> s1^i s2 s1^(-i), with s1^i = [[1, 2i], [0, 1]], multiplied out over Z
+    s2 = IntMatrix2(1, 0, 2, 1)
+    for i, letter in enumerate("abcd", start=1):
+        conj = IntMatrix2(1, 2 * i, 0, 1) * s2 * IntMatrix2(1, -2 * i, 0, 1)
+        assert sanov_embed(Word.parse(letter, 4)) == conj
+
+
 def test_sanov_determinant_one():
     rng = random.Random(10)
     for _ in range(50):
@@ -301,6 +309,18 @@ def test_nonscalar_sanity_check_budget():
     assert ok and not mat.is_scalar()
     assert nonscalar_sanity_check(phi, Word.parse("a", 2), 3, 3) == (False, IntMatrix2.identity())
     assert nonscalar_sanity_check(phi, Word.parse("a", 2), 40, 3) == (False, IntMatrix2.identity())
+
+
+def test_nonscalar_sanity_check_composite_modulus():
+    # reduction commutes with the ring operations: the matrix mod a product of
+    # primes reduces to the matrix mod each of them
+    phi = FreeEndo.parse(["abA", "bb", "Ca"], 3)
+    w = Word.parse("aBc", 3)
+    m = 3 * 5 * 7 * 11 * 13
+    _, mat = nonscalar_sanity_check(phi, w, 6, m)
+    for q in (3, 5, 7, 11, 13):
+        _, expected = nonscalar_sanity_check(phi, w, 6, q)
+        assert IntMatrix2(mat.a % q, mat.b % q, mat.c % q, mat.d % q) == expected
 
 
 ORACLE_ENDOS = [

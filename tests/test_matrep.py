@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     entries,
@@ -11,6 +13,7 @@ from oracles import (
     naive_is_scalar,
     naive_mat_mul,
     naive_normalized,
+    naive_word_value,
     tuple_frobenius,
 )
 from quasifix.freegroup import FreeEndo, Word, word_evaluate
@@ -26,6 +29,7 @@ from quasifix.matrep import (
     phi_lift_polynomials,
     pi_w,
     proj_normalize,
+    proj_step,
     random_projpoint,
 )
 from quasifix.poly import MPoly, PolyMap
@@ -294,3 +298,89 @@ def test_projpoint_hash_consistency():
     for p in pts:
         assert ProjPoint(p.tuple) == p
         assert hash(ProjPoint(p.tuple)) == hash(p)
+
+
+# -- the orbit-step kernel on states ------------------------------------------
+
+def oracle_step(phi, point):
+    """The lifted step through objects: normalize the lifted tuple."""
+    return proj_normalize(phi_lift(phi, point.tuple))
+
+
+def oracle_projpoint(field, k, rng):
+    """Matrices drawn row by row in coefficient order, redrawn while singular."""
+    mats = []
+    for _ in range(k):
+        while True:
+            x = tuple(field.element([rng.randrange(field.p) for _ in range(field.m)])
+                      for _ in range(4))
+            if not naive_det(x).is_zero():
+                break
+        mats.append(Mat2.from_entries(field, naive_normalized(x)))
+    return ProjPoint(MatTuple(mats))
+
+
+def oracle_orbit(phi, h0, budget):
+    """(found, point, period, steps, reason) from a dict of visited points.
+
+    Brent's hare stops at index 2^j - 1 + period for the least j with
+    2^j - 1 >= tail and 2^j >= period, then both pointers walk period + 2 tail
+    more steps; a singular value at index i costs i + 1 steps.
+    """
+    seen, cur = {}, h0
+    while cur not in seen and len(seen) <= budget:
+        seen[cur] = len(seen)
+        try:
+            cur = oracle_step(phi, cur)
+        except SingularMatrixError:
+            if len(seen) > budget:
+                break
+            return False, None, 0, len(seen), "singular"
+    if cur not in seen:  # no repeat among budget + 1 points: 2 (tail + period) > budget
+        return False, None, 0, budget + 1, "budget"
+    tail = seen[cur]
+    period = len(seen) - tail
+    power = 1
+    while power - 1 < tail or power < period:
+        power *= 2
+    steps = power - 1 + 2 * period + 2 * tail
+    if steps > budget:
+        return False, None, 0, budget + 1, "budget"
+    return True, cur, period, steps, ""
+
+
+KERNEL_FIELDS = [(5, 1), (3, 2), (2, 3), (3, 3)]  # F_8: log(-1) = 0
+
+
+@st.composite
+def endos(draw):
+    rank = draw(st.integers(1, 3))
+    letters = st.sampled_from([x for i in range(1, rank + 1) for x in (i, -i)])
+    return FreeEndo([Word(draw(st.lists(letters, max_size=4)), rank) for _ in range(rank)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(phi=endos(), pm=st.sampled_from(KERNEL_FIELDS), seed=st.integers(0, 2**32),
+       budget=st.sampled_from([5, 60, 600]), singular=st.sampled_from([False] * 3 + [True]))
+def test_kernel_matches_object_oracle(phi, pm, seed, budget, singular):
+    field = field_create(*pm)
+    h0 = random_projpoint(field, phi.rank, random.Random(seed))
+    assert h0 == oracle_projpoint(field, phi.rank, random.Random(seed))
+    if singular:  # invertible tuples stay invertible; a singular start leaves the locus
+        h0 = ProjPoint(MatTuple((Mat2(field, (0, 0, 0, 0)),) + h0.tuple.mats[1:]))
+    # one step on states equals the object path and the entry-by-entry oracle
+    values = [naive_word_value(w, [entries(m) for m in h0.tuple.mats]) for w in phi.images]
+    step = proj_step(phi, field)
+    if any(naive_det(v).is_zero() for v in values):
+        with pytest.raises(SingularMatrixError):
+            step(h0.tuple._key)
+        with pytest.raises(SingularMatrixError):
+            oracle_step(phi, h0)
+    else:
+        stepped = step(h0.tuple._key)
+        assert stepped == oracle_step(phi, h0).tuple._key
+        assert pgl_dynamics_step(phi, h0).tuple._key == stepped
+        assert [entries(Mat2(field, x)) for x in stepped] == [naive_normalized(v) for v in values]
+    res = find_periodic_orbit(phi, h0, budget)
+    assert (res.found, res.point, res.period, res.steps, res.reason) == \
+        oracle_orbit(phi, h0, budget)
