@@ -7,7 +7,9 @@ The data (prime, field degree, orbit, period) is enough to rebuild a
 homomorphism onto a subgroup of the wreath product PGL2(F_{p^s}) wr C_n
 sending the stable letter to the coordinate shift and killing nothing it
 should not: the verifier re-derives every condition from scratch, trusting
-nothing the search produced.
+nothing the search produced.  It bounds its work (`verify_work`, which the
+search obeys too) before it parses a word, reads each trace entry once into
+a state of logs and checks states with the kernels the search walks.
 """
 
 from __future__ import annotations
@@ -28,12 +30,14 @@ from .freegroup import (
 from .gf import DEFAULT_ORDER_CAP, FqField, field_create, is_prime
 from .matrep import (
     DEFAULT_ORBIT_BUDGET,
-    Mat2,
-    MatTuple,
+    _det,
+    _normalized,
+    _tables,
+    _word,
     find_periodic_orbit,
-    pi_w,
     proj_step,
     random_projpoint,
+    state_from_rows,
     state_rows,
     word_is_scalar,
 )
@@ -42,7 +46,7 @@ FORMAT_VERSION = 1
 MAX_PERIOD = 4096  # longest orbit the search turns into a certificate
 MAX_PRIMES = 6  # admissible primes the search tries before giving up
 PRIME_BATCH = 5  # candidate primes whose product is the modulus of one substitution
-MAX_VERIFY_WORK = 2**18  # image letters the verifier evaluates: period x sum |phi(x_j)|
+MAX_VERIFY_WORK = 2**18  # letters the verifier reads: see verify_work
 
 MatData = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 TupleData = tuple[MatData, ...]
@@ -185,9 +189,9 @@ def certificate_from_bytes(raw: bytes) -> Certificate:
     return certificate_from_dict(data)
 
 
-def _materialize(cert: Certificate, field: FqField) -> list[MatTuple]:
-    return [MatTuple([Mat2.from_rows(field, mat) for mat in entry])
-            for entry in cert.trace]
+def verify_work(period: int, images, word: str) -> int:
+    """The letters the verifier parses and evaluates: period x sum |phi(x_j)| + |w|."""
+    return max(period, 1) * sum(map(len, images)) + len(word)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +250,9 @@ def search_certificate(phi: FreeEndo, w: Word,
         raise CertifyError("the identity word cannot be separated from itself")
     if w.rank != phi.rank:
         raise CertifyError(f"word rank {w.rank} differs from endomorphism rank {phi.rank}")
+    images, word = tuple(img.to_text() for img in phi.images), w.to_text()
+    if verify_work(1, images, word) > MAX_VERIFY_WORK:
+        raise CertifyError(f"images and word exceed the verifier's work cap {MAX_VERIFY_WORK}")
     if not endo_is_injective(phi):
         if not config.allow_noninjective:
             raise CertifyError("endomorphism is not injective; pass the override "
@@ -255,8 +262,6 @@ def search_certificate(phi: FreeEndo, w: Word,
         if phi.apply_power(w, phi.rank).is_identity():
             raise CertifyError("phi^k(w) = 1: the word dies in the mapping torus")
     k = phi.rank
-    # the longest orbit whose certificate the verifier accepts
-    max_period = min(MAX_PERIOD, MAX_VERIFY_WORK // max(sum(map(len, phi.images)), 1))
     frontier: list[tuple[int, int, int]] = []
     primes = admissible_primes(phi, w)
     for _ in range(MAX_PRIMES):
@@ -271,7 +276,8 @@ def search_certificate(phi: FreeEndo, w: Word,
                 rng = random.Random(f"{config.seed}:{p}:{s}:{seed_index}")
                 start = random_projpoint(field, k, rng)
                 result = find_periodic_orbit(phi, start, config.orbit_budget)
-                if not result.found or result.period > max_period:
+                if (not result.found or result.period > MAX_PERIOD
+                        or verify_work(result.period, images, word) > MAX_VERIFY_WORK):
                     continue
                 states = [result.point.tuple._key]
                 for _ in range(result.period - 1):
@@ -282,8 +288,8 @@ def search_certificate(phi: FreeEndo, w: Word,
                     rotated = states[rotation:] + states[:rotation]
                     cert = Certificate(
                         rank=k,
-                        images=tuple(img.to_text() for img in phi.images),
-                        word=w.to_text(),
+                        images=images,
+                        word=word,
                         p=p,
                         s=s,
                         period=result.period,
@@ -304,39 +310,36 @@ def search_certificate(phi: FreeEndo, w: Word,
 
 @dataclass(frozen=True)
 class WreathData:
-    """Generator rows and relation checks of the wreath-product quotient."""
+    """Relation checks of the wreath-product quotient."""
 
     period: int
-    rows: tuple[tuple[Mat2, ...], ...]
     relations_hold: tuple[bool, ...]  # per generator, over every step
     w_first_coordinate_nontrivial: bool
     steps_close: tuple[bool, ...]  # per step i: trace[i] steps to trace[i + 1]
 
-    @property
-    def all_relations_hold(self) -> bool:
-        return all(self.relations_hold)
 
-
-def build_wreath(phi: FreeEndo, w: Word, trace: list[MatTuple]) -> WreathData:
-    """Extract the y_j rows from an orbit trace and check the quotient map.
+def build_wreath(phi: FreeEndo, w: Word, field: FqField, states: list[tuple]) -> WreathData:
+    """Check the quotient map given by an orbit trace of states over field.
 
     The assignment (stable letter -> shift, generator j -> its orbit row)
     extends to a homomorphism into PGL2(F) wr C_n exactly when conjugating
     each row by the shift equals the row of its image word.  Conjugation by
     the shift rotates coordinates one place and a shift-0 word is evaluated
-    coordinatewise, so relation j reads trace[i + 1][j] = pi_{phi(x_j)}(trace[i])
+    coordinatewise, so relation j reads states[i + 1][j] = pi_{phi(x_j)}(states[i])
     up to scalars at every i: the orbit step, one generator at a time.  Each
-    image word is evaluated once per trace tuple and the comparisons are
-    returned per generator and per step; w is evaluated at trace[0].  Every
-    trace matrix must be invertible.
+    image word is evaluated once per state, normalized and compared with the
+    next state's matrix, per generator and per step; w is evaluated at
+    states[0].  Every trace matrix must be invertible and scalar-canonical.
     """
-    n = len(trace)
-    holds = [[pi_w(image, t).normalized() == trace[(i + 1) % n][j].normalized()
-              for j, image in enumerate(phi.images)]
-             for i, t in enumerate(trace)]
-    rows = tuple(tuple(t[j] for t in trace) for j in range(phi.rank))
-    return WreathData(n, rows, tuple(all(col) for col in zip(*holds)),
-                      not pi_w(w, trace[0]).is_scalar(),
+    zero, zech, neg = _tables(field)  # zero is the log of 0
+    period = len(states)
+    images = [image.letters for image in phi.images]
+    holds = [[_normalized(_word(letters, state, zero, zech, neg), zero)
+              == states[(i + 1) % period][j]
+              for j, letters in enumerate(images)]
+             for i, state in enumerate(states)]
+    return WreathData(period, tuple(all(col) for col in zip(*holds)),
+                      not word_is_scalar(w, field, states[0]),
                       tuple(all(step) for step in holds))
 
 
@@ -418,22 +421,24 @@ def _structure_problems(cert: Certificate, order_cap: int
         problems.append(f"trace has {len(cert.trace)} entries but period is {cert.period}")
     if cert.declared_head is not None:
         problems.append("declared tuple differs from the first trace entry")
-    try:
-        phi = FreeEndo.parse(cert.images, cert.rank)
-        w = Word.parse(cert.word, cert.rank)
-        parsed = (phi, w)
-        work = cert.period * sum(map(len, phi.images))
-        if work > MAX_VERIFY_WORK:
-            problems.append(f"period x image letters = {work} exceeds work cap {MAX_VERIFY_WORK}")
-        if w.is_identity():
-            problems.append("certified word reduces to the identity")
-        for text, image in zip(cert.images, phi.images):
-            if image.to_text() != text:
-                problems.append(f"image {text!r} is not freely reduced")
-        if w.to_text() != cert.word.strip():
-            problems.append(f"word {cert.word!r} is not freely reduced")
-    except WordError as exc:
-        problems.append(f"word syntax: {exc}")
+    # bounded before the texts are parsed: parsing and evaluation are linear in them
+    work = verify_work(cert.period, cert.images, cert.word)
+    if work > MAX_VERIFY_WORK:
+        problems.append(f"period x |images| + |word| = {work} exceeds work cap {MAX_VERIFY_WORK}")
+    else:
+        try:
+            phi = FreeEndo.parse(cert.images, cert.rank)
+            w = Word.parse(cert.word, cert.rank)
+            parsed = (phi, w)
+            if w.is_identity():
+                problems.append("certified word reduces to the identity")
+            for text, image in zip(cert.images, phi.images):
+                if image.to_text() != text:
+                    problems.append(f"image {text!r} is not freely reduced")
+            if w.to_text() != cert.word.strip():
+                problems.append(f"word {cert.word!r} is not freely reduced")
+        except WordError as exc:
+            problems.append(f"word syntax: {exc}")
     s, p = cert.s, cert.p
     for entry in cert.trace:  # the one range check of rows; s = 0 leaves them empty
         if len(entry) != cert.rank:
@@ -466,14 +471,15 @@ def verify_certificate(cert: Certificate,
 
     phi, w = parsed
     field = field_create(cert.p, cert.s, order_cap)
-    tuples = _materialize(cert, field)
+    states = [state_from_rows(field, entry) for entry in cert.trace]
 
+    zero, zech, neg = _tables(field)  # zero is the log of 0
     membership_problems = []
-    for i, t in enumerate(tuples):
-        for j, m in enumerate(t.mats):
-            if m.is_singular():
+    for i, state in enumerate(states):
+        for j, m in enumerate(state):
+            if _det(m, zero, zech, neg) == zero:
                 membership_problems.append(f"trace[{i}] matrix {j} is singular")
-            elif m.normalized() != m:
+            elif _normalized(m, zero) != m:
                 membership_problems.append(f"trace[{i}] matrix {j} is not scalar-canonical")
     _record(checks, membership_problems, "all matrices invertible and scalar-canonical")
     _record(checks, [], "free group: no relations, holds vacuously")
@@ -481,10 +487,10 @@ def verify_certificate(cert: Certificate,
         return _skip_rest(checks, "tuple is not in the group")
 
     n = cert.period
-    wreath = build_wreath(phi, w, tuples)
+    wreath = build_wreath(phi, w, field, states)
     orbit_problems = [f"step from trace[{i}] does not give trace[{(i + 1) % n}]"
                       for i, ok in enumerate(wreath.steps_close) if not ok]
-    if len(set(tuples)) != n:
+    if len(set(states)) != n:
         orbit_problems.append("period is not minimal: trace entries repeat")
     _record(checks, orbit_problems, f"orbit closes with minimal period {n}")
 

@@ -17,10 +17,11 @@ A point of PGL2(F_q)^k is walked as a state: the k normalized log 4-tuples
 that `MatTuple._key` holds.  `proj_step` builds the step of the lifted map
 on states once per (phi, field); `find_periodic_orbit`, `pgl_dynamics_step`
 and `random_projpoint` take and return `ProjPoint`s but build one only at
-their ends, and the certificate search keeps states until it writes rows.
+their ends.  The certificate search keeps states until it writes rows, and
+the verifier reads rows into states and checks them with the same kernels;
+`state_rows` and `state_from_rows` are the only row <-> log converters.
 `Mat2` objects are built by the public `Mat2`/`pi_w`/`phi_lift` API; field
 elements only at `Mat2.from_entries`, the entry properties and `Mat2.det`.
-`Mat2.from_rows` trusts its rows (the verifier range-checks them).
 """
 
 from __future__ import annotations
@@ -124,17 +125,6 @@ class Mat2:
         a, b, c, d = (log[x.to_int()] for x in entries)
         return cls(field, (a, b, c, d))
 
-    @classmethod
-    def from_rows(cls, field: FqField, rows) -> "Mat2":
-        """Matrix from four rows of m coefficients in [0, p); the rows are not checked."""
-        log = field.log_tables()[1]
-        a, b, c, d = (log[field._index(row)] for row in rows)
-        return cls(field, (a, b, c, d))
-
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The four entries as coefficient rows in the polynomial basis."""
-        return state_rows(self.field, (self.logs,))[0]
-
     def _entry(self, log: int) -> FqElement:
         return self.field.from_int(self.field.log_tables()[0][log])
 
@@ -164,10 +154,6 @@ class Mat2:
 
     def det(self) -> FqElement:
         return self._entry(_det(self.logs, *_tables(self.field)))
-
-    def is_singular(self) -> bool:
-        n, zech, neg = _tables(self.field)
-        return _det(self.logs, n, zech, neg) == n
 
     def is_scalar(self) -> bool:
         return _is_scalar(self.logs, self.field.order - 1)
@@ -335,6 +321,14 @@ def state_rows(field: FqField, state: tuple) -> tuple:
     """The coefficient rows of every entry of every matrix of the state."""
     exp = field.log_tables()[0]
     return tuple(tuple(field._coeffs(exp[x]) for x in m) for m in state)
+
+
+def state_from_rows(field: FqField, rows) -> tuple:
+    """The log 4-tuples of matrices given as coefficient rows: the inverse of
+    `state_rows`.  The rows are not checked (the verifier range-checks them)."""
+    log = field.log_tables()[1]
+    index = field._index
+    return tuple(tuple(log[index(row)] for row in m) for m in rows)
 
 
 def _point(field: FqField, state: tuple) -> ProjPoint:

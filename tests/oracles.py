@@ -11,6 +11,7 @@ Only the base field arithmetic (verified exhaustively in test_gf) is shared.
 import itertools
 import math
 
+from quasifix.freegroup import FreeEndo, Word
 from quasifix.gf import field_create
 from quasifix.matrep import Mat2, MatTuple
 
@@ -116,6 +117,51 @@ def naive_word_value(w, mats):
     for x in w.letters:
         acc = naive_mat_mul(acc, mats[x - 1] if x > 0 else naive_adj(mats[-x - 1]))
     return acc
+
+
+def naive_verdict(cert):
+    """(name, status, detail) of every check `verify_certificate` reports for
+    a certificate that passes `structure`, from entry-by-entry products of
+    the rows read as field elements; no matrix code of the library is used."""
+    field = field_create(cert.p, cert.s)
+    rows = [[tuple(field.element(row) for row in mat) for mat in entry]
+            for entry in cert.trace]
+    phi, w = FreeEndo.parse(cert.images, cert.rank), Word.parse(cert.word, cert.rank)
+    checks = [("structure", "pass", "fields, words and shapes are coherent")]
+
+    def record(name, problems, passed):
+        checks.append((name, "fail", "; ".join(problems)) if problems else (name, "pass", passed))
+
+    member = []
+    for i, entry in enumerate(rows):
+        for j, x in enumerate(entry):
+            if naive_det(x).is_zero():
+                member.append(f"trace[{i}] matrix {j} is singular")
+            elif naive_normalized(x) != x:
+                member.append(f"trace[{i}] matrix {j} is not scalar-canonical")
+    record("tuple_in_group", member, "all matrices invertible and scalar-canonical")
+    record("condition_i", [], "free group: no relations, holds vacuously")
+    if member:
+        return checks + [(name, "skipped", "tuple is not in the group")
+                         for name in ("condition_ii", "condition_iii", "wreath_relations")]
+    n = len(rows)
+    holds = [[naive_normalized(naive_word_value(image, rows[i])) == rows[(i + 1) % n][j]
+              for j, image in enumerate(phi.images)] for i in range(n)]
+    orbit = [f"step from trace[{i}] does not give trace[{(i + 1) % n}]"
+             for i in range(n) if not all(holds[i])]
+    if len({tuple(entry) for entry in rows}) != n:
+        orbit.append("period is not minimal: trace entries repeat")
+    record("condition_ii", orbit, f"orbit closes with minimal period {n}")
+    nontrivial = not naive_is_scalar(naive_word_value(w, rows[0]))
+    record("condition_iii", [] if nontrivial else ["word value at the base tuple is scalar"],
+           "word value at the base tuple is non-scalar")
+    bad = [f"generator {j + 1}" for j in range(cert.rank) if not all(h[j] for h in holds)]
+    wreath = ["relations fail for " + ", ".join(bad)] if bad else []
+    if not nontrivial:
+        wreath.append("word image has trivial first coordinate")
+    record("wreath_relations", wreath,
+           "shift conjugation matches image rows; word image is nontrivial")
+    return checks
 
 
 def mat_scale(m, s):

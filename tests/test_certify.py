@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    naive_det,
     naive_is_scalar,
     naive_normalized,
+    naive_verdict,
     naive_word_value,
     tuple_frobenius,
 )
@@ -23,7 +23,6 @@ from quasifix.certify import (
     CertifyError,
     MAX_VERIFY_WORK,
     CheckResult,
-    _materialize,
     admissible_primes,
     build_wreath,
     certificate_from_bytes,
@@ -41,11 +40,17 @@ from quasifix.freegroup import (
 )
 from quasifix.gf import field_create, is_prime
 from quasifix.matrep import (
+    Mat2,
+    MatTuple,
+    SingularMatrixError,
     find_periodic_orbit,
     pgl_dynamics_step,
     pi_w,
     proj_normalize,
+    proj_step,
     random_projpoint,
+    state_from_rows,
+    state_rows,
 )
 
 
@@ -81,10 +86,10 @@ def criterion6_outcomes():
 
 
 def wreath_inputs(cert: Certificate):
-    """The parsed endomorphism, word and trace that verify_certificate holds."""
+    """The parsed endomorphism, word, field and states that verify_certificate holds."""
     field = field_create(cert.p, cert.s)
     return (FreeEndo.parse(cert.images, cert.rank), Word.parse(cert.word, cert.rank),
-            _materialize(cert, field))
+            field, [state_from_rows(field, entry) for entry in cert.trace])
 
 
 # -- prime selection ---------------------------------------------------------
@@ -309,24 +314,24 @@ def test_wreath_period_one_degenerate():
     assert cert.period == 1
     data = build_wreath(*wreath_inputs(cert))
     assert data.period == 1
-    assert data.all_relations_hold and data.w_first_coordinate_nontrivial
+    assert all(data.relations_hold) and data.w_first_coordinate_nontrivial
 
 
 def test_wreath_bs12_row_squares_along_shift(bs12_cert):
-    data = build_wreath(*wreath_inputs(bs12_cert))
-    assert data.all_relations_hold
-    row = data.rows[0]
+    phi, w, field, states = wreath_inputs(bs12_cert)
+    data = build_wreath(phi, w, field, states)
+    assert all(data.relations_hold)
+    row = [Mat2(field, state[0]) for state in states]
     n = data.period
-    field = field_create(bs12_cert.p, bs12_cert.s)
     for i in range(n):
         assert row[(i + 1) % n] == (row[i] * row[i]).normalized()
 
 
 def test_wreath_word_image_first_coordinate(swapmix_cert):
-    phi, w, trace = wreath_inputs(swapmix_cert)
-    data = build_wreath(phi, w, trace)
+    phi, w, field, states = wreath_inputs(swapmix_cert)
+    data = build_wreath(phi, w, field, states)
     assert data.w_first_coordinate_nontrivial
-    value = pi_w(w, trace[0])
+    value = pi_w(w, MatTuple(Mat2(field, m) for m in states[0]))
     assert not value.is_scalar()
 
 
@@ -373,10 +378,9 @@ def test_wreath_arithmetic_matches_matrep_oracle(criterion6_outcomes):
             cert = mutate(out.certificate, edit)
             if verify_certificate(cert).checks[1].status != "pass":
                 continue
-            phi, w, trace = wreath_inputs(cert)
-            data = build_wreath(phi, w, trace)
-            n = len(trace)
-            field = field_create(cert.p, cert.s)
+            phi, w, field, states = wreath_inputs(cert)
+            data = build_wreath(phi, w, field, states)
+            n = len(states)
             rows = [[tuple(field.element(row) for row in mat) for mat in entry]
                     for entry in cert.trace]
             holds = [[naive_normalized(naive_word_value(image, rows[i])) == rows[(i + 1) % n][j]
@@ -387,7 +391,7 @@ def test_wreath_arithmetic_matches_matrep_oracle(criterion6_outcomes):
             assert data.steps_close == tuple(all(step) for step in holds)
             assert data.w_first_coordinate_nontrivial == (
                 not naive_is_scalar(naive_word_value(w, rows[0])))
-            seen.update((("relations", data.all_relations_hold),
+            seen.update((("relations", all(data.relations_hold)),
                          ("word", data.w_first_coordinate_nontrivial)))
     assert len(seen) == 4  # both verdicts of both checks occurred
 
@@ -629,7 +633,7 @@ def test_in_code_certificate_with_empty_rows(s, detail):
 @pytest.mark.parametrize("rows", [3, 5])
 def test_in_code_certificate_with_wrong_row_count(rows):
     # the parser insists on 4 rows; an in-code matrix with another count must
-    # fail structure, not raise from unpacking in Mat2.from_rows
+    # fail structure, not raise when the rows are read into states
     mat = ((1,),) + ((0,),) * (rows - 1)
     cert = Certificate(rank=1, images=("a",), word="a", p=5, s=1, period=1,
                        trace=((mat,),), seed=0)
@@ -660,7 +664,8 @@ def test_verifier_bounds_image_work():
     # (21.8 KB): without a cap the verifier evaluates 10^6 image letters
     field = field_create(10007, 1)
     rng = random.Random(0)
-    trace = [[[list(row) for row in random_projpoint(field, 1, rng).tuple.mats[0].rows()]]
+    trace = [[[list(row) for row in
+               state_rows(field, random_projpoint(field, 1, rng).tuple._key)[0]]]
              for _ in range(50)]
     raw = json.dumps({"format_version": 1, "rank": 1, "images": ["a" * 20000], "word": "a",
                       "p": 10007, "s": 1, "period": 50, "tuple": trace[0], "trace": trace,
@@ -670,20 +675,53 @@ def test_verifier_bounds_image_work():
     verdict = verify_certificate(certificate_from_bytes(raw))
     elapsed = time.perf_counter() - start
     assert verdict.checks[0] == CheckResult(
-        "structure", "fail", f"period x image letters = 1000000 exceeds work cap {MAX_VERIFY_WORK}")
+        "structure", "fail",
+        f"period x |images| + |word| = 1000001 exceeds work cap {MAX_VERIFY_WORK}")
     assert elapsed < 1.0, f"rejecting took {elapsed:.2f}s"
 
 
+@pytest.mark.parametrize("period", [1, 0, -10**6])
+def test_verifier_bounds_word_work(period):
+    # rank 1 over F_5 with image a and a word of 10^6 letters (1.0 MB): the
+    # word is counted in the cap, before it is parsed or evaluated, and a
+    # period below 1 does not cancel it
+    raw = json.dumps({"format_version": 1, "rank": 1, "images": ["a"], "word": "a" * 10**6,
+                      "p": 5, "s": 1, "period": period, "tuple": [[[1], [0], [0], [1]]],
+                      "trace": [[[[1], [0], [0], [1]]]], "metadata": {"seed": 0}}).encode()
+    assert len(raw) > 10**6
+    start = time.perf_counter()
+    verdict = verify_certificate(certificate_from_bytes(raw))
+    elapsed = time.perf_counter() - start
+    cap = f"period x |images| + |word| = 1000001 exceeds work cap {MAX_VERIFY_WORK}"
+    status, detail = verdict.checks[0].status, verdict.checks[0].detail
+    assert status == "fail" and (detail == cap if period == 1 else detail.endswith("; " + cap))
+    assert [c.status for c in verdict.checks[1:]] == ["skipped"] * 5
+    assert elapsed < 1.0, f"rejecting took {elapsed:.2f}s"
+
+
+def test_search_refuses_a_word_past_the_work_cap(monkeypatch):
+    # the search applies the verifier's bound: a word that fits with one period
+    # of the images is certified, one letter more is refused before any search
+    monkeypatch.setattr(certify, "MAX_VERIFY_WORK", 5)
+    ident = FreeEndo.identity(1)
+    out = search_certificate(ident, Word.parse("aaaa", 1))
+    assert out.found and out.certificate.period == 1
+    assert verify_certificate(out.certificate).passed
+    with pytest.raises(CertifyError, match="work cap 5"):
+        search_certificate(ident, Word.parse("aaaaa", 1))
+
+
 def test_search_skips_orbits_over_the_work_cap(monkeypatch, swapmix_cert):
-    # the period-4 orbit of swapmix_cert costs 4 x 4 image letters; under a cap
-    # of 12 the search must pass over every orbit its verifier would refuse
-    # (it raises on a certificate that fails its own verification)
+    # the period-4 orbit of swapmix_cert costs 4 x 4 image letters plus the
+    # word's 1; under a cap of 13 the search must pass over every orbit its
+    # verifier would refuse (it raises on a certificate that fails its own
+    # verification)
     assert (swapmix_cert.p, swapmix_cert.period) == (5, 4)
-    monkeypatch.setattr(certify, "MAX_VERIFY_WORK", 12)
+    monkeypatch.setattr(certify, "MAX_VERIFY_WORK", 13)
     out = search_certificate(SWAPMIX, Word.parse("a", 2), CertifyConfig(s_max=1))
     assert out.found and (out.certificate.p, out.certificate.period) == (7, 3)
     assert verify_certificate(out.certificate).passed
-    assert "work cap 12" in verify_certificate(swapmix_cert).checks[0].detail
+    assert "work cap 13" in verify_certificate(swapmix_cert).checks[0].detail
 
 
 # -- fuzzing the verifier ------------------------------------------------------
@@ -745,8 +783,8 @@ def _fuzz_mutate(d, data):
 @given(data=st.data())
 def test_verifier_fuzzed_certificates_match_naive_oracle(criterion6_outcomes, data):
     # every mutation of a criterion-6 certificate gives a verdict (or a format
-    # error) within 2 s; when the structure check passes, the group, orbit and
-    # word checks must agree with naive field-element matrix arithmetic
+    # error) within 2 s; when the structure check passes, every check after it
+    # must agree, detail for detail, with naive field-element matrix arithmetic
     out = data.draw(st.sampled_from(criterion6_outcomes))
     d = json.loads(out.certificate.to_bytes())
     for _ in range(data.draw(st.integers(1, 3))):
@@ -758,25 +796,83 @@ def test_verifier_fuzzed_certificates_match_naive_oracle(criterion6_outcomes, da
         return
     verdict = verify_certificate(cert)
     assert time.perf_counter() - start < 2.0
-    status = {c.name: c.status for c in verdict.checks}
-    if status["structure"] != "pass":
-        return
-    field = field_create(cert.p, cert.s)
-    rows = [[tuple(field.element(row) for row in mat) for mat in entry] for entry in cert.trace]
-    in_group = all(not naive_det(x).is_zero() and naive_normalized(x) == x
-                   for entry in rows for x in entry)
-    assert (status["tuple_in_group"] == "pass") == in_group
-    if not in_group:
-        return
-    phi, w = FreeEndo.parse(cert.images, cert.rank), Word.parse(cert.word, cert.rank)
-    n = len(rows)
-    steps_close = all(naive_normalized(naive_word_value(image, rows[i])) == rows[(i + 1) % n][j]
-                      for i in range(n) for j, image in enumerate(phi.images))
-    distinct = len({tuple(entry) for entry in rows}) == n
-    word_nonscalar = not naive_is_scalar(naive_word_value(w, rows[0]))
-    assert (status["condition_ii"] == "pass") == (steps_close and distinct)
-    assert (status["condition_iii"] == "pass") == word_nonscalar
-    assert (status["wreath_relations"] == "pass") == (steps_close and word_nonscalar)
+    if verdict.checks[0].status == "pass":
+        assert [(c.name, c.status, c.detail) for c in verdict.checks] == naive_verdict(cert)
+
+
+SMALL_FIELDS = [(5, 1), (3, 2), (2, 3), (3, 3)]  # F_5, F_9, F_8, F_27
+NEXT_PRIME = {2: 3, 3: 5, 5: 7}  # keeps every coefficient in range
+
+
+def _small_certificate(data) -> Certificate:
+    """A random rank 1-2 certificate over a small field: the orbit of a random
+    start when it closes within 400 steps with period at most 24, else the
+    first one to four states of its walk; rotated, with a random word."""
+    p, s = data.draw(st.sampled_from(SMALL_FIELDS))
+    k = data.draw(st.integers(1, 2))
+    alphabet = "aA" if k == 1 else "abAB"
+    phi = FreeEndo.parse([data.draw(st.text(alphabet=alphabet, min_size=1, max_size=3))
+                          for _ in range(k)], k)
+    w = Word.parse(data.draw(st.text(alphabet=alphabet, min_size=1, max_size=4)), k)
+    if w.is_identity():
+        w = Word.parse("a", k)
+    field = field_create(p, s)
+    start = random_projpoint(field, k, random.Random(data.draw(st.integers(0, 2**32))))
+    result = find_periodic_orbit(phi, start, budget=400)
+    if result.found and result.period <= 24:
+        states, length = [result.point.tuple._key], result.period
+    else:
+        states, length = [start.tuple._key], data.draw(st.integers(1, 4))
+    step = proj_step(phi, field)
+    try:
+        while len(states) < length:
+            states.append(step(states[-1]))
+    except SingularMatrixError:
+        pass
+    r = data.draw(st.integers(0, len(states) - 1))
+    states = states[r:] + states[:r]
+    return Certificate(rank=k, images=tuple(x.to_text() for x in phi.images),
+                       word=w.to_text(), p=p, s=s, period=len(states),
+                       trace=tuple(state_rows(field, x) for x in states), seed=0)
+
+
+def _tamper(d: dict, data) -> None:
+    """One edit that keeps the structure check passing."""
+    trace, s = d["trace"], d["s"]
+    i = data.draw(st.integers(0, len(trace) - 1))
+    j = data.draw(st.integers(0, d["rank"] - 1))
+    one, zero = [1] + [0] * (s - 1), [0] * s
+    kind = data.draw(st.sampled_from(["none", "singular", "noncanonical", "swapped",
+                                      "doubled", "wrong_prime"]))
+    if kind == "singular":  # [[1, c], [0, 0]]: canonical, determinant 0
+        trace[i][j] = [one, data.draw(st.lists(st.integers(0, d["p"] - 1),
+                                               min_size=s, max_size=s)), zero, zero]
+    elif kind == "noncanonical":  # first entry 2 in F_5, the generator x otherwise
+        trace[i][j][0] = [2] if s == 1 else [0, 1] + [0] * (s - 2)
+    elif kind == "swapped" and len(trace) > 1:
+        i2 = (i + 1 + data.draw(st.integers(0, len(trace) - 2))) % len(trace)
+        trace[i], trace[i2] = trace[i2], trace[i]
+    elif kind == "doubled":  # the orbit walked twice: the period is not minimal
+        trace.extend(json.loads(json.dumps(trace)))
+        d["period"] = len(trace)
+    elif kind == "wrong_prime":
+        d["p"] = NEXT_PRIME[d["p"]]
+    d["tuple"] = trace[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_small_certificate_verdicts_match_naive_oracle(data):
+    # random small certificates over F_5, F_9, F_8 and F_27, valid or not, and
+    # tampered copies (a singular or non-canonical matrix, two trace entries
+    # swapped, the trace walked twice, the next prime): the whole verdict,
+    # details included, equals the one built from naive field-element products
+    d = json.loads(_small_certificate(data).to_bytes())
+    _tamper(d, data)
+    cert = certificate_from_bytes(json.dumps(d).encode())
+    verdict = verify_certificate(cert)
+    assert verdict.checks[0].status == "pass"
+    assert [(c.name, c.status, c.detail) for c in verdict.checks] == naive_verdict(cert)
 
 
 # -- the Frobenius shortcut behind the search ---------------------------------

@@ -222,6 +222,16 @@ def test_certify_refuses_noninjective(capsys, tmp_path):
     assert code == 2 and "not injective" in err
 
 
+def test_certify_refuses_a_word_past_the_work_cap(capsys, tmp_path):
+    # no certificate for this word could pass the verifier's work cap
+    endo = tmp_path / "endo.json"
+    endo.write_text(json.dumps({"rank": 1, "images": ["a"]}))
+    code, _, err = run_cli(capsys, "certify", "--endo", str(endo), "--word", "a" * 2**18,
+                           "--out", str(tmp_path / "c.json"))
+    assert code == 2 and "work cap 262144" in err
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_certify_rejects_malformed_endo(capsys, tmp_path):
     # a string of images is refused, not split into one-letter images
     endo = tmp_path / "endo.json"

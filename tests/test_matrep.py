@@ -31,6 +31,8 @@ from quasifix.matrep import (
     proj_normalize,
     proj_step,
     random_projpoint,
+    state_from_rows,
+    state_rows,
 )
 from quasifix.poly import MPoly, PolyMap
 
@@ -79,11 +81,11 @@ def test_log_encoding_matches_naive_oracle(p, m):
     mats = [Mat2.from_entries(field, x) for x in sample]
     for x, mx in zip(sample, mats):
         assert entries(mx) == x
-        assert mx.rows() == tuple(v.coeffs for v in x)
-        assert Mat2.from_rows(field, mx.rows()) == mx
+        assert state_rows(field, (mx.logs,)) == (tuple(v.coeffs for v in x),)
+        assert state_from_rows(field, state_rows(field, (mx.logs,))) == (mx.logs,)
         assert entries(mx.adj()) == naive_adj(x)
         assert mx.det() == naive_det(x)
-        assert mx.is_singular() == naive_det(x).is_zero()
+        assert mx.det().is_zero() == naive_det(x).is_zero()
         assert mx.is_scalar() == naive_is_scalar(x)
         if naive_normalized(x) is None:
             with pytest.raises(SingularMatrixError):
@@ -97,6 +99,25 @@ def test_log_encoding_matches_naive_oracle(p, m):
             assert entries(proj_normalize(MatTuple((mx,))).tuple[0]) == naive_normalized(x)
         for y, my in zip(sample, mats):
             assert entries(mx * my) == naive_mat_mul(x, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_state_rows_round_trip(data):
+    # rows -> logs -> rows and logs -> rows -> logs are identities, and each
+    # row is the coefficient vector of the entry its log stands for
+    p, m = data.draw(st.sampled_from([(2, 1), (5, 1), (3, 2), (2, 3), (3, 3), (7, 2)]))
+    field = field_create(p, m)
+    k = data.draw(st.integers(1, 3))
+    row = st.lists(st.integers(0, p - 1), min_size=m, max_size=m).map(tuple)
+    rows = tuple(tuple(data.draw(row) for _ in range(4)) for _ in range(k))
+    state = state_from_rows(field, rows)
+    assert state_rows(field, state) == rows
+    assert [entries(Mat2(field, logs)) for logs in state] == [
+        tuple(field.element(r) for r in mat) for mat in rows]
+    logs = st.integers(0, field.order - 1)  # order - 1 is the log of 0
+    state = tuple(tuple(data.draw(logs) for _ in range(4)) for _ in range(k))
+    assert state_from_rows(field, state_rows(field, state)) == state
 
 
 def test_adjugate_and_cayley():
