@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import __version__
 from .freegroup import (
@@ -61,8 +61,7 @@ class CertificateFormatError(ValueError):
     """The certificate file is not syntactically well-formed."""
 
 
-@dataclass(frozen=True)
-class CertifyConfig:
+class _CertifyFields(NamedTuple):
     s_max: int = 6
     seeds_per_field: int = 64
     orbit_budget: int = DEFAULT_ORBIT_BUDGET
@@ -70,15 +69,26 @@ class CertifyConfig:
     allow_noninjective: bool = False
     order_cap: int = DEFAULT_ORDER_CAP
 
-    def __post_init__(self):
+
+class CertifyConfig(_CertifyFields):
+    """Search budgets; every way of building one checks the three counts."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("s_max", "seeds_per_field", "orbit_budget"):
             value = getattr(self, name)
             if value < 1:
                 raise CertifyError(f"{name} must be >= 1, got {value}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> CertifyConfig:  # _replace builds through _make
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Serialized finite-quotient witness; plain data, no live field objects."""
 
     rank: int
@@ -226,8 +236,7 @@ def admissible_primes(phi: FreeEndo, w: Word):
 # ---------------------------------------------------------------------------
 # search
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     certificate: Certificate | None
     frontier: tuple[tuple[int, int, int], ...] = ()  # (p, s, seeds tried)
     reason: str = ""
@@ -308,8 +317,7 @@ def search_certificate(phi: FreeEndo, w: Word,
 # ---------------------------------------------------------------------------
 # wreath-product quotient
 
-@dataclass(frozen=True)
-class WreathData:
+class WreathData(NamedTuple):
     """Relation checks of the wreath-product quotient."""
 
     period: int
@@ -346,15 +354,13 @@ def build_wreath(phi: FreeEndo, w: Word, field: FqField, states: list[tuple]) ->
 # ---------------------------------------------------------------------------
 # verification
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str  # "pass" | "fail" | "skipped"
     detail: str
 
 
-@dataclass(frozen=True)
-class CertVerdict:
+class CertVerdict(NamedTuple):
     checks: tuple[CheckResult, ...]
 
     @property

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from dataclasses import dataclass, field as dc_field
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .gf import DEFAULT_ORDER_CAP, FqElement, FqField, field_create
 from .poly import MPoly, PolyError, PolyMap, parse_poly
@@ -26,8 +25,7 @@ class EnumerationCapExceeded(RuntimeError):
     """The requested search would enumerate more points than allowed."""
 
 
-@dataclass(frozen=True)
-class QuasiFixedWitness:
+class QuasiFixedWitness(NamedTuple):
     """A point with f_i(a) = a_i^(p^m), tagged with its field degree."""
 
     point: tuple[FqElement, ...]
@@ -47,8 +45,7 @@ class QuasiFixedWitness:
                 "point": self.coeff_vectors()}
 
 
-@dataclass(frozen=True)
-class VarietySpec:
+class VarietySpec(NamedTuple):
     """Closed subset cut out by explicit polynomials; empty means all of A^n."""
 
     polys: tuple[MPoly, ...] = ()
@@ -169,12 +166,12 @@ def enumerate_quasi_fixed(pmap: PolyMap, s_max: int,
             yield witness
 
 
-@dataclass
 class ContainmentReport:
     """Outcome of checking every witness against a claimed containing variety."""
 
-    checked: int = 0
-    violations: list[QuasiFixedWitness] = dc_field(default_factory=list)
+    def __init__(self) -> None:
+        self.checked = 0
+        self.violations: list[QuasiFixedWitness] = []
 
     @property
     def ok(self) -> bool:

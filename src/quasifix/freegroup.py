@@ -10,8 +10,7 @@ k elements generating a rank-k subgroup of a free group are a free basis.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _INDEXED_RE = re.compile(r"^(?:[xX][0-9]+)+$")
@@ -219,8 +218,7 @@ def word_evaluate(w: Word, elements: Sequence[T], mul: Callable[[T, T], T],
 # ---------------------------------------------------------------------------
 # Stallings folding
 
-@dataclass(frozen=True)
-class StallingsGraph:
+class StallingsGraph(NamedTuple):
     """Folded, core-trimmed subgroup graph; edges are (source, label, target)."""
 
     vertices: frozenset[int]
@@ -302,8 +300,7 @@ def endo_is_injective(phi: FreeEndo) -> bool:
 # ---------------------------------------------------------------------------
 # Sanov embedding into SL2(Z)
 
-@dataclass(frozen=True)
-class IntMatrix2:
+class IntMatrix2(NamedTuple):
     """2x2 integer matrix; arbitrary precision entries."""
 
     a: int

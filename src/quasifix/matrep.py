@@ -27,7 +27,7 @@ elements only at `Mat2.from_entries`, the entry properties and `Mat2.det`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .freegroup import FreeEndo, Word, WordError
 from .gf import FqElement, FqField
@@ -345,8 +345,7 @@ def pgl_dynamics_step(phi: FreeEndo, h: ProjPoint) -> ProjPoint:
     return _point(h.tuple.field, _step_for(phi, h)(h.tuple._key))
 
 
-@dataclass(frozen=True)
-class OrbitResult:
+class OrbitResult(NamedTuple):
     found: bool
     point: ProjPoint | None
     period: int
