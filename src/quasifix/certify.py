@@ -8,8 +8,9 @@ homomorphism onto a subgroup of the wreath product PGL2(F_{p^s}) wr C_n
 sending the stable letter to the coordinate shift and killing nothing it
 should not: the verifier re-derives every condition from scratch, trusting
 nothing the search produced.  It bounds its work (`verify_work`, which the
-search obeys too) before it parses a word, reads each trace entry once into
-a state of logs and checks states with the kernels the search walks.
+search obeys too) before it parses a word, range-checks each trace
+coefficient in the one walk that folds it into an element index, before any
+field is built, and checks the log states with the kernels the search walks.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .matrep import (
     find_periodic_orbit,
     proj_step,
     random_projpoint,
-    state_from_rows,
+    rows_index,
     state_rows,
     word_is_scalar,
 )
@@ -404,8 +405,9 @@ def _order_within_cap(p: int, s: int, cap: int) -> bool:
 
 
 def _structure_problems(cert: Certificate, order_cap: int
-                        ) -> tuple[list[str], tuple[FreeEndo, Word] | None]:
-    """Problems found, and the parsed endomorphism and word when both parse."""
+                        ) -> tuple[list[str], tuple[FreeEndo, Word] | None, list[tuple]]:
+    """Problems found, the parsed endomorphism and word when both parse, and
+    the trace entries as element indices (`rows_index`) as far as they check."""
     problems = []
     parsed = None
     if cert.format_version != FORMAT_VERSION:
@@ -445,19 +447,20 @@ def _structure_problems(cert: Certificate, order_cap: int
                 problems.append(f"word {cert.word!r} is not freely reduced")
         except WordError as exc:
             problems.append(f"word syntax: {exc}")
-    s, p = cert.s, cert.p
-    for entry in cert.trace:  # the one range check of rows; s = 0 leaves them empty
+    indices = []
+    for entry in cert.trace:  # the one walk over the coefficients
         if len(entry) != cert.rank:
             problems.append("trace entry arity differs from rank")
             break
         if any(len(mat) != 4 for mat in entry):  # parsed files have 4; in-code ones may not
             problems.append("trace matrix does not have 4 entry rows")
             break
-        if any(len(row) != s or s and (min(row) < 0 or max(row) >= p)
-               for mat in entry for row in mat):
+        index = rows_index(entry, cert.p, cert.s)
+        if index is None:
             problems.append("matrix coefficients out of range for the field")
             break
-    return problems, parsed
+        indices.append(index)
+    return problems, parsed, indices
 
 
 def verify_certificate(cert: Certificate,
@@ -470,14 +473,15 @@ def verify_certificate(cert: Certificate,
     """
     checks: list[CheckResult] = []
 
-    problems, parsed = _structure_problems(cert, order_cap)
+    problems, parsed, indices = _structure_problems(cert, order_cap)
     _record(checks, problems, "fields, words and shapes are coherent")
     if problems:
         return _skip_rest(checks, "structure check failed")
 
     phi, w = parsed
     field = field_create(cert.p, cert.s, order_cap)
-    states = [state_from_rows(field, entry) for entry in cert.trace]
+    log = field.log_tables()[1]
+    states = [tuple(tuple(map(log.__getitem__, m)) for m in entry) for entry in indices]
 
     zero, zech, neg = _tables(field)  # zero is the log of 0
     membership_problems = []

@@ -16,8 +16,10 @@ An element's index is the base-p value of its coefficients (`from_int`,
 `to_int`).  `FqField.log_tables` gives exp/log/Zech tables over these
 indices for one primitive element, so products, sums and Frobenius powers
 become integer arithmetic on logarithms.  They take three `array`s of q
-ints (12 bytes per element) and O(q*m) integer steps to build, about a
-second for F_{2^20}; a field builds them on first use.  Quasi-fixed point
+ints (12 bytes per element); a field builds them on first use.  The build
+reads exp off one m-sequence that it extends by big-integer operations on
+lane-packed ints, so only the log scatter and the Zech gather take a Python
+step per element: under a second for F_{2^20}.  Quasi-fixed point
 enumeration runs on them, and so do the 2x2 matrices of `matrep`, which
 store their entries as logarithms.  `field_create` keeps the fields it
 returns, so one process finds each modulus and builds each field's tables
@@ -26,8 +28,10 @@ once, for every search, verification and enumeration it runs.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from itertools import chain, zip_longest
+from operator import mul
 from typing import Iterator, Sequence
 
 DEFAULT_ORDER_CAP = 2**20
@@ -109,6 +113,19 @@ def _euclid(a: Sequence[int], b: Sequence[int], p: int) -> tuple[tuple[int, ...]
         s0, s1 = s1, _usub(s0, _umul(q, s1, p), p)
     inv = pow(r0[-1], p - 2, p)
     return tuple([c * inv % p for c in r0]), tuple([c * inv % p for c in s0])
+
+
+def _norm(c: Sequence[int], mod: tuple[int, ...], p: int) -> int:
+    """N(c) = c^((p^m - 1)/(p - 1)) in F_p[x]/(mod): the resultant Res(mod, c) for monic mod."""
+    a, b, out = mod, _trim(list(c)), 1
+    while len(b) > 1:
+        r = _udivmod(a, b, p)[1]
+        if not r:
+            return 0
+        # Res(a, b) = (-1)^(deg a * deg b) * lead(b)^(deg a - deg r) * Res(b, r)
+        out = out * (-1) ** ((len(a) - 1) * (len(b) - 1)) * pow(b[-1], len(a) - len(r), p)
+        a, b = b, r
+    return out * pow(b[0], len(a) - 1, p) % p
 
 
 def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
@@ -371,72 +388,175 @@ def field_create(p: int, m: int, cap: int = DEFAULT_ORDER_CAP) -> FqField:
     return field
 
 
-def _build_log_tables(field: FqField) -> tuple[array, array, array]:
-    """The tables of `FqField.log_tables`, in O(q*m) integer steps.
+def _berlekamp_massey(s: Sequence[int], p: int) -> tuple[int, ...]:
+    """Monic characteristic polynomial of the shortest linear recurrence of s over F_p.
 
-    The build walks indices under multiplication by w, where w = g when
-    m = 1 and w = t (the class of x) otherwise.  Multiplying by t shifts
-    the digits up and adds top * (x^m mod modulus), top being the digit
-    shifted out, so output digit i only depends on input digits i-1 and
-    m-1.  With h = ceil(m/2), t*a is the sum of a lookup keyed by the input
-    digits below h-1 and top (output digits below h) and one keyed by the
-    input digits from h-1 up (the other output digits): tables of at most
-    p*sqrt(q) entries.  t need not be primitive: with r its order and
-    k = n / r, g^k = t^u for some u, and exp[a + k*b] = g^a * t^(u*b) is a
-    walk through the coset g^a <t>.
+    Massey, Shift-register synthesis and BCH decoding, IEEE Trans. IT 15
+    (1969).  Returned constant term first, as a modulus.
+    """
+    c, b = [1], [1]  # connection polynomials: s[k] + c[1] s[k-1] + ... = 0
+    length, shift, last = 0, 1, 1
+    for k, sk in enumerate(s):
+        d = (sk + sum(map(mul, c[1:length + 1], s[k - 1::-1]))) % p
+        if not d:
+            shift += 1
+            continue
+        coef = d * pow(last, p - 2, p) % p
+        prev = c[:]
+        c += [0] * (len(b) + shift - len(c))
+        for i, bi in enumerate(b):
+            c[i + shift] = (c[i + shift] - coef * bi) % p
+        if 2 * length <= k:
+            length, b, last, shift = k + 1 - length, prev, d, 1
+        else:
+            shift += 1
+    return tuple(reversed((c + [0] * length)[:length + 1]))
+
+
+_CHUNK = 1 << 12  # lanes per big-int operation: bounds the working memory of a build
+
+
+def _primitive_element(field: FqField) -> tuple[int, ...]:
+    """Coefficients of the first primitive element of field in index order.
+
+    For a prime ell | p - 1, c^(n/ell) = N(c)^((p-1)/ell) with n = q - 1, and
+    the norm N(c) is one resultant; only the other primes take a power.  No
+    element of F_p is primitive when m > 1, so the search then starts at t.
+    """
+    p, n = field.p, field.order - 1
+    one = field._coeffs(1)
+    small = _prime_factors(p - 1)
+    large = [ell for ell in _prime_factors(n) if (p - 1) % ell]
+    return next(c for c in map(field._coeffs, range(1 if field.m == 1 else p, field.order))
+                if all(pow(_norm(c, field.modulus, p), (p - 1) // ell, p) != 1 for ell in small)
+                and all(field._pow(c, n // ell) != one for ell in large))
+
+
+def _m_sequence(start: list[int], p: int, n: int, w: int) -> bytearray:
+    """n terms of the m-sequence that begins with start (2m terms), in w-byte lanes.
+
+    Berlekamp-Massey gives the minimal polynomial f of the sequence, and
+    x^N = sum a_i x^i mod f gives s(N+k) = sum a_i s(k+i).  Each doubling
+    step takes N = the known length and computes the terms from N up to
+    2N-m, a chunk at a time: the chunk's inputs form one int with a lane per
+    term, it is multiplied by the a_i packed in lanes, and every lane of the
+    product is reduced mod p by one Barrett multiply, shift and mask.  Lanes
+    are widened past w bytes only inside a chunk, when m * (p-1)^2 needs it.
+    """
+    m = len(start) // 2
+    s = bytearray(n * w)
+    s[:2 * m * w] = b"".join(c.to_bytes(w, "little") for c in start)[:n * w]
+    ring = FqField(p, m, _berlekamp_massey(start, p))
+    # the known lengths run 2m, 3m + 1, 5m + 3, ...: known - m + 1 doubles, and
+    # x^known = x^(m-1) * y for y = x^(known - m + 1), squared at each step
+    lead, y = ((_udivmod((0,) * e + (1,), ring.modulus, p)[1] + (0,) * m)[:m]
+               for e in (m - 1, m + 1))
+    top = m * (p - 1) ** 2  # the largest lane of a product
+    shift = (top * p).bit_length()  # Barrett: v * factor >> shift = v // p for v <= top
+    factor = (1 << shift) // p + 1
+    wide = max(w, -(-(top * factor).bit_length() // 8))
+    chunk = min(n, _CHUNK)
+    mask = int.from_bytes(((1 << 8 * wide - shift) - 1).to_bytes(wide, "little")
+                          * (chunk + m), "little")
+    known = 2 * m
+    while known < n:
+        a = ring._mul(lead, y)
+        packed = int.from_bytes(b"".join(c.to_bytes(wide, "big") for c in a), "big")
+        count = min(known - m + 1, n - known)
+        for k0 in range(0, count, chunk):
+            k1 = min(count, k0 + chunk)
+            block = s[k0 * w:(k1 + m - 1) * w]
+            if wide > w:
+                block, narrow = bytearray(len(block) // w * wide), block
+                for b in range(w):
+                    block[b::wide] = narrow[b::w]
+            v = int.from_bytes(block, "little") * packed >> 8 * wide * (m - 1)
+            v -= p * ((v * factor >> shift) & mask)
+            out = v.to_bytes((k1 - k0 + m) * wide, "little")
+            if wide > w:
+                for b in range(w):
+                    s[(known + k0) * w + b:(known + k1) * w:w] = out[b:(k1 - k0) * wide:wide]
+            else:
+                s[(known + k0) * w:(known + k1) * w] = out[:(k1 - k0) * w]
+        known += count
+        y = ring._mul(y, y)
+    return s
+
+
+def _build_log_tables(field: FqField) -> tuple[array, array, array]:
+    """The tables of `FqField.log_tables`, from big-integer operations on lanes.
+
+    Every digit of g^k is an F_p-linear function of g^k, so each is a shift
+    of the one m-sequence s(k) = digit 0 of g^k: digit j is s(k + e_j),
+    where e_j is the place of digit j's first m values in s, since each
+    nonzero m-window occurs once in a period (Golomb, Shift Register
+    Sequences, 1967).  So exp is the sum of p^j times s rotated by e_j,
+    formed in lanes of the tables' item width; the index of 1 + g^k is
+    exp[k] + 1, less p where digit 0 is p - 1.  Beyond the tables, a build
+    holds s and one chunk.
     """
     p, m, n = field.p, field.m, field.order - 1
-    primes = _prime_factors(n)
-    one = field._coeffs(1)
-    g_coeffs = next(c for c in map(field._coeffs, range(1, field.order))
-                    if all(field._pow(c, n // ell) != one for ell in primes))
-    if m == 1:
-        g = g_coeffs[0]
-
-        def step(a: int) -> int:
-            return a * g % p
-    else:
-        h = (m + 1) // 2
-        ph1, pm1 = p ** (h - 1), p ** (m - 1)
-        red = [-c % p for c in field.modulus[:-1]]  # x^m mod modulus
-
-        def digits_of_t_times(top: int, first: int, stop: int) -> list[int]:
-            # digits first..stop-1 of t*a for a_(m-1) = top, keyed by a_(first-1)..a_(stop-2)
-            out = [0]
-            for i in range(first, stop):
-                out = [v + (d + top * red[i]) % p * p**i for d in range(p) for v in out]
-            return out
-
-        lo = array("q", (v + top * red[0] % p for top in range(p)
-                         for v in digits_of_t_times(top, 1, h)))
-        hi = array("q", (v for top in range(p) for v in digits_of_t_times(top, h, m)))
-
-        def step(a: int) -> int:
-            return hi[a // ph1] + lo[a % ph1 + a // pm1 * ph1]
-
+    g = _primitive_element(field)
+    powers = [field._coeffs(1)]
+    for _ in range(2 * m - 1):
+        powers.append(field._mul(powers[-1], g))
     code = "i" if n < 2**31 else "q"
-    coset = array(code, [1])
-    a = step(1)
-    while a != 1:
-        coset.append(a)
-        a = step(a)
-    r = len(coset)
-    k = n // r
-    u = coset.index(field._index(field._pow(g_coeffs, k)))
-    exp = array(code, [0]) * (n + 1)
-    rep = field._coeffs(1)
-    for a in range(k):
-        if a:
-            rep = field._mul(rep, g_coeffs)
-            coset[0] = field._index(rep)
-            for i in range(1, r):
-                coset[i] = step(coset[i - 1])
-        exp[a:n:k] = array(code, (coset[u * b % r] for b in range(r)))
-    log = array(code, [0]) * (n + 1)
+    w = array(code).itemsize
+    s = _m_sequence([c[0] for c in powers], p, n, w)
+
+    shifts = []  # e_1, ..., e_(m-1); digit 0 is s itself
+    if m > 1:  # searched for in a copy of s with one byte string per digit
+        d = -(-(p - 1).bit_length() // 8)
+        digits = bytearray(n * d)
+        for b in range(d):
+            digits[b::d] = s[b::w]
+        digits += digits[:(m - 1) * d]  # windows that wrap past the end of the period
+        for j in range(1, m):
+            window = b"".join(c[j].to_bytes(d, "little") for c in powers[:m])
+            pos = digits.index(window)
+            while pos % d:  # a match across lanes; the lane-aligned one lies further on
+                pos = digits.index(window, pos + 1)
+            shifts.append(pos // d)
+        del digits
+
+    chunk = min(n, _CHUNK)
+    ones = int.from_bytes((1).to_bytes(w, "little") * chunk, "little")
+    bit = p.bit_length()  # digit 0 is p - 1 just when adding 2^bit - p + 1 carries into bit
+    carry = ones * ((1 << bit) - p + 1)
+    exp, plus_one = array(code), array(code)
+    for c0 in range(0, n, chunk):
+        c1 = min(n, c0 + chunk)
+        digit0 = v = int.from_bytes(s[c0 * w:c1 * w], "little")
+        for j, e in enumerate(shifts, 1):
+            lo = (c0 + e) % n
+            hi = lo + c1 - c0
+            v += p**j * int.from_bytes(s[lo * w:hi * w] if hi <= n
+                                       else s[lo * w:] + s[:(hi - n) * w], "little")
+        size = (c1 - c0) * w
+        exp.frombytes(v.to_bytes(size, "little"))
+        unit = ones >> 8 * (chunk * w - size)
+        v += unit - p * ((digit0 + carry >> bit) & unit)
+        plus_one.frombytes(v.to_bytes(size, "little"))
+    del s
+    if sys.byteorder == "big":
+        exp.byteswap()
+        plus_one.byteswap()
+    exp.append(0)  # g^n stands for 0, and 1 + 0 = 1
+    plus_one.append(1)
+    return (exp,) + _log_and_zech(exp, plus_one)
+
+
+def _log_and_zech(exp: array, plus_one: array) -> tuple[array, array]:
+    """log, the inverse of exp, and zech = log of plus_one, which it overwrites.
+
+    The build's only loops with a Python step per element.
+    """
+    log = array(exp.typecode, [0]) * len(exp)
     for i, e in enumerate(exp):
         log[e] = i
-    zech = array(code, (log[e + 1 if e % p != p - 1 else e + 1 - p] for e in exp))
-    return exp, log, zech
+    for c in range(0, len(plus_one), _CHUNK):
+        plus_one[c:c + _CHUNK] = array(exp.typecode, map(log.__getitem__, plus_one[c:c + _CHUNK]))
+    return log, plus_one
 
 
 def embed(a: FqElement, target: FqField) -> FqElement:

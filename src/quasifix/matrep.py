@@ -19,7 +19,9 @@ on states once per (phi, field); `find_periodic_orbit`, `pgl_dynamics_step`
 and `random_projpoint` take and return `ProjPoint`s but build one only at
 their ends.  The certificate search keeps states until it writes rows, and
 the verifier reads rows into states and checks them with the same kernels;
-`state_rows` and `state_from_rows` are the only row <-> log converters.
+`state_rows` and `state_from_rows` are the only row <-> log converters, and
+`rows_index` is the checked row -> index step that the verifier's structure
+check and `state_from_rows` share.
 `Mat2` objects are built by the public `Mat2`/`pi_w`/`phi_lift` API; field
 elements only at `Mat2.from_entries`, the entry properties and `Mat2.det`.
 """
@@ -323,12 +325,34 @@ def state_rows(field: FqField, state: tuple) -> tuple:
     return tuple(tuple(field._coeffs(exp[x]) for x in m) for m in state)
 
 
+def rows_index(rows, p: int, s: int) -> tuple | None:
+    """The element indices of matrices given as coefficient rows, or None when
+    a row is not s coefficients in range(p).
+
+    One walk checks each coefficient as it folds it (Horner in p), so the
+    verifier checks a certificate's rows before it builds any field.
+    """
+    out = []
+    for m in rows:
+        entry = []
+        for row in m:
+            if len(row) != s:
+                return None
+            n = 0
+            for c in reversed(row):
+                if not 0 <= c < p:
+                    return None
+                n = n * p + c
+            entry.append(n)
+        out.append(tuple(entry))
+    return tuple(out)
+
+
 def state_from_rows(field: FqField, rows) -> tuple:
     """The log 4-tuples of matrices given as coefficient rows: the inverse of
-    `state_rows`.  The rows are not checked (the verifier range-checks them)."""
+    `state_rows`.  The rows must be in range (`rows_index` checks them)."""
     log = field.log_tables()[1]
-    index = field._index
-    return tuple(tuple(log[index(row)] for row in m) for m in rows)
+    return tuple(tuple(map(log.__getitem__, m)) for m in rows_index(rows, field.p, field.m))
 
 
 def _point(field: FqField, state: tuple) -> ProjPoint:

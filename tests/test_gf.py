@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import time
+import tracemalloc
 
 import pytest
 
@@ -322,3 +323,59 @@ def test_moduli_and_log_tables_unchanged():
     assert len(tables) == 58
     assert hashlib.sha256(repr(tables).encode()).hexdigest() == (
         "b9f92d921286f628fb6e8b3551b20aaf924f1f6f207eb75a6fa77ffe1ac63a25")
+
+
+# sha256 of repr((exp, zech)) as lists, first 16 hex digits, recorded from the
+# coset-walk build that the lane build replaced: every field the verify and
+# enumerate benchmark batches build, F_{3^12}, F_{2^16} and F_{1021^2}, and the
+# prime fields F_257 and F_65521, whose digits take two bytes.  In F_{2^5},
+# F_{2^9} and F_{2^10} the first values of some digit sit in a window of the
+# m-sequence that wraps past the end of its period.
+TABLE_DIGESTS = {
+    (2, 1): "9a188f7861eef5bc", (2, 2): "fb0d86eada69f0f2",
+    (2, 3): "390bd6fa31d5eb92", (2, 4): "487f09e569587ef6",
+    (2, 5): "4bc4d22ba2e9c2e8", (2, 6): "611af675921296c7",
+    (2, 7): "ab6c669c63e62ab8", (2, 8): "fc0a5be7b4fd8456",
+    (2, 9): "4131b1ee650f2e49", (2, 10): "50768a313bd177bf",
+    (2, 16): "28bf9148f5a79144", (3, 1): "7f975a52c0a0a242",
+    (3, 2): "a2d785c4d98fc0e4", (3, 3): "e6e565a08f8cc13a",
+    (3, 4): "b6862eec425f35a8", (3, 5): "bd7a5f92954aadb3",
+    (3, 6): "a9a17a805803354a", (3, 7): "a0781addd8ed36d9",
+    (3, 8): "558bb644d9280c17", (3, 9): "4e0317cdd4ff5853",
+    (3, 10): "0ac4a7793e293ef8", (3, 12): "d185c0980c4b3b4a",
+    (5, 1): "f2581ac8cb395ee7", (5, 2): "b9f83b62e0e7f795",
+    (5, 3): "3d9d2857642c8c96", (5, 4): "1270cd37a1874a97",
+    (7, 1): "26d4765942ad6afa", (7, 2): "d942b8a92eb3413c",
+    (7, 3): "36d85a34b52c7de7", (11, 2): "233cd1383d20dd33",
+    (13, 2): "b1370439d74e9261", (17, 2): "1583a7c16f07cfcc",
+    (19, 2): "22e10785840a7db7", (257, 1): "fafb8a5bc5556c5f",
+    (1021, 2): "8adb6f6d75814f4e", (65521, 1): "554b8b4de30ad432",
+}
+
+
+@pytest.mark.parametrize("p,m", sorted(TABLE_DIGESTS))
+def test_log_tables_match_pinned_digests(p, m):
+    exp, _, zech = field_create(p, m).log_tables()
+    digest = hashlib.sha256(repr((list(exp), list(zech))).encode()).hexdigest()[:16]
+    assert digest == TABLE_DIGESTS[p, m]
+
+
+@pytest.mark.parametrize("p,m", [(3, 10), (1021, 2)])
+def test_log_table_build_peaks_below_twice_the_tables(p, m):
+    field = FqField(p, m, field_create(p, m).modulus)  # a new field, built under the trace
+    tracemalloc.start()
+    try:
+        tables = field.log_tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * sum(len(t) * t.itemsize for t in tables)
+
+
+@pytest.mark.parametrize("p,m", [(2, 5), (3, 4), (5, 3), (7, 2), (13, 1)])
+def test_norm_is_the_power_to_the_subfield_index(p, m):
+    field = field_create(p, m)
+    e = (field.order - 1) // (p - 1)
+    for n in range(1, field.order):
+        c = field._coeffs(n)
+        assert gf._norm(c, field.modulus, p) == field._pow(c, e)[0]

@@ -31,6 +31,7 @@ from quasifix.matrep import (
     proj_normalize,
     proj_step,
     random_projpoint,
+    rows_index,
     state_from_rows,
     state_rows,
 )
@@ -118,6 +119,25 @@ def test_state_rows_round_trip(data):
     logs = st.integers(0, field.order - 1)  # order - 1 is the log of 0
     state = tuple(tuple(data.draw(logs) for _ in range(4)) for _ in range(k))
     assert state_from_rows(field, state_rows(field, state)) == state
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_rows_index_folds_in_range_rows_and_refuses_the_rest(data):
+    p, s = data.draw(st.sampled_from([(2, 1), (5, 1), (3, 2), (2, 3), (7, 2), (257, 2)]))
+    k = data.draw(st.integers(1, 3))
+    row = st.lists(st.integers(0, p - 1), min_size=s, max_size=s).map(tuple)
+    rows = [[data.draw(row) for _ in range(4)] for _ in range(k)]
+    assert rows_index(rows, p, s) == tuple(
+        tuple(sum(c * p**i for i, c in enumerate(r)) for r in mat) for mat in rows)
+    i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, 3))
+    at = data.draw(st.integers(0, s - 1))
+    bad = list(rows[i][j])
+    bad[at] = data.draw(st.sampled_from([-1, p, p + 1, -p]))
+    rows[i][j] = tuple(bad)
+    assert rows_index(rows, p, s) is None
+    rows[i][j] = tuple(bad[:at]) + tuple(bad[at + 1:])  # one coefficient short
+    assert rows_index(rows, p, s) is None
 
 
 def test_adjugate_and_cayley():
