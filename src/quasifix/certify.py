@@ -9,8 +9,9 @@ sending the stable letter to the coordinate shift and killing nothing it
 should not: the verifier re-derives every condition from scratch, trusting
 nothing the search produced.  It bounds its work (`verify_work`, which the
 search obeys too) before it parses a word, range-checks each trace
-coefficient in the one walk that folds it into an element index, before any
-field is built, and checks the log states with the kernels the search walks.
+coefficient in the one walk that folds it into an element index (only
+range-checks it when p^s is over the cap), before any field is built, and
+checks the log states with the kernels the search walks.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .matrep import (
     proj_step,
     random_projpoint,
     rows_index,
+    state_from_index,
     state_rows,
     word_is_scalar,
 )
@@ -417,7 +419,8 @@ def _structure_problems(cert: Certificate, order_cap: int
     if len(cert.images) != cert.rank:
         problems.append(f"{len(cert.images)} images for rank {cert.rank}")
     # p and s are untrusted: bound them before trial division or p**s runs
-    if cert.p >= 2 and not _order_within_cap(cert.p, max(cert.s, 1), order_cap):
+    bounded = cert.p < 2 or _order_within_cap(cert.p, max(cert.s, 1), order_cap)
+    if not bounded:
         problems.append(f"field order {cert.p}^{cert.s} exceeds cap {order_cap}")
     elif not is_prime(cert.p):
         problems.append(f"p = {cert.p} is not prime")
@@ -447,6 +450,7 @@ def _structure_problems(cert: Certificate, order_cap: int
                 problems.append(f"word {cert.word!r} is not freely reduced")
         except WordError as exc:
             problems.append(f"word syntax: {exc}")
+    s, p = cert.s, cert.p
     indices = []
     for entry in cert.trace:  # the one walk over the coefficients
         if len(entry) != cert.rank:
@@ -455,7 +459,11 @@ def _structure_problems(cert: Certificate, order_cap: int
         if any(len(mat) != 4 for mat in entry):  # parsed files have 4; in-code ones may not
             problems.append("trace matrix does not have 4 entry rows")
             break
-        index = rows_index(entry, cert.p, cert.s)
+        if bounded:  # p**s is within the cap, so the indices stay small
+            index = rows_index(entry, p, s)
+        else:  # folding would build ints of s * log2(p) bits: only range-check
+            index = None if any(len(row) != s or s and (min(row) < 0 or max(row) >= p)
+                                for mat in entry for row in mat) else ()
         if index is None:
             problems.append("matrix coefficients out of range for the field")
             break
@@ -480,8 +488,7 @@ def verify_certificate(cert: Certificate,
 
     phi, w = parsed
     field = field_create(cert.p, cert.s, order_cap)
-    log = field.log_tables()[1]
-    states = [tuple(tuple(map(log.__getitem__, m)) for m in entry) for entry in indices]
+    states = [state_from_index(field, entry) for entry in indices]
 
     zero, zech, neg = _tables(field)  # zero is the log of 0
     membership_problems = []

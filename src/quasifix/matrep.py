@@ -19,9 +19,10 @@ on states once per (phi, field); `find_periodic_orbit`, `pgl_dynamics_step`
 and `random_projpoint` take and return `ProjPoint`s but build one only at
 their ends.  The certificate search keeps states until it writes rows, and
 the verifier reads rows into states and checks them with the same kernels;
-`state_rows` and `state_from_rows` are the only row <-> log converters, and
-`rows_index` is the checked row -> index step that the verifier's structure
-check and `state_from_rows` share.
+`state_rows` and `state_from_rows` are the only row <-> log converters;
+`state_from_rows` is `rows_index`, the checked row -> index step the
+verifier's structure check runs, then `state_from_index`, the one
+index -> log step.
 `Mat2` objects are built by the public `Mat2`/`pi_w`/`phi_lift` API; field
 elements only at `Mat2.from_entries`, the entry properties and `Mat2.det`.
 """
@@ -348,11 +349,20 @@ def rows_index(rows, p: int, s: int) -> tuple | None:
     return tuple(out)
 
 
+def state_from_index(field: FqField, index) -> tuple:
+    """The log 4-tuples of matrices given as element indices (`rows_index`)."""
+    log = field.log_tables()[1]
+    return tuple(tuple(map(log.__getitem__, m)) for m in index)
+
+
 def state_from_rows(field: FqField, rows) -> tuple:
     """The log 4-tuples of matrices given as coefficient rows: the inverse of
-    `state_rows`.  The rows must be in range (`rows_index` checks them)."""
-    log = field.log_tables()[1]
-    return tuple(tuple(map(log.__getitem__, m)) for m in rows_index(rows, field.p, field.m))
+    `state_rows`.  Raises ValueError when a row is not m coefficients in
+    range(p)."""
+    index = rows_index(rows, field.p, field.m)
+    if index is None:
+        raise ValueError(f"a row is not {field.m} coefficients in range({field.p})")
+    return state_from_index(field, index)
 
 
 def _point(field: FqField, state: tuple) -> ProjPoint:

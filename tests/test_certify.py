@@ -643,13 +643,18 @@ def test_in_code_certificate_with_wrong_row_count(rows):
     assert [c.status for c in verdict.checks[1:]] == ["skipped"] * 5
 
 
+_LONG_ROWS = [[[1] * 10**5] * 4] * 2  # one rank-2 entry, 8 rows of 10^5 ones (1.6 MB)
+
+
 @pytest.mark.parametrize("field_edit", [
     {"p": 1000000000000000003},        # 19-digit prime
     {"p": 9999999943 * 9999999967},    # 20-digit composite, no factor below 10^9
     {"s": 10**9},
-], ids=["prime19", "composite20", "s1e9"])
+    {"p": 2, "s": 10**5, "period": 1, "tuple": _LONG_ROWS, "trace": [_LONG_ROWS]},
+], ids=["prime19", "composite20", "s1e9", "s1e5_long_rows"])
 def test_verifier_bounds_untrusted_p_and_s(swapmix_cert, field_edit):
-    # p and s are checked against the cap before primality or p**s runs
+    # p and s are checked against the cap before primality or p**s runs, and
+    # rows of an over-cap field are range-checked, not folded into p**s-sized ints
     cert = mutate(swapmix_cert, lambda d: d.update(field_edit))
     start = time.perf_counter()
     verdict = verify_certificate(cert)

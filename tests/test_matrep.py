@@ -136,8 +136,12 @@ def test_rows_index_folds_in_range_rows_and_refuses_the_rest(data):
     bad[at] = data.draw(st.sampled_from([-1, p, p + 1, -p]))
     rows[i][j] = tuple(bad)
     assert rows_index(rows, p, s) is None
+    with pytest.raises(ValueError, match=rf"not {s} coefficients in range\({p}\)"):
+        state_from_rows(field_create(p, s), rows)
     rows[i][j] = tuple(bad[:at]) + tuple(bad[at + 1:])  # one coefficient short
     assert rows_index(rows, p, s) is None
+    with pytest.raises(ValueError, match="coefficients in range"):
+        state_from_rows(field_create(p, s), rows)
 
 
 def test_adjugate_and_cayley():
