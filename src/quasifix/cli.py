@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .certify import (
@@ -78,9 +79,34 @@ def _render_text(value: Any, indent: int = 0) -> list[str]:
     return [f"{pad}{json.dumps(value)}"]
 
 
+def _render_json(value: Any, pad: str = "") -> str:
+    """`json.dumps(value, sort_keys=True, indent=2)` for payloads with str keys.
+
+    `json.dumps` with an indent runs the pure-Python encoder; this writes the
+    same text, leaves strings to the C encoder that `json.dumps` uses and
+    ints in containers to `repr`.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        return "{\n" + inner + sep.join([
+            encode_basestring_ascii(key) + ": "
+            + (repr(item) if type(item) is int else _render_json(item, inner))
+            for key, item in sorted(value.items())]) + "\n" + pad + "}"
+    return "[\n" + inner + sep.join([
+        repr(item) if type(item) is int else _render_json(item, inner)
+        for item in value]) + "\n" + pad + "]"
+
+
 def emit(data: dict, fmt: str, out_path: str | None) -> None:
     if fmt == "json":
-        text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+        text = _render_json(data) + "\n"
     else:
         text = "\n".join(_render_text(data)) + "\n"
     if out_path:

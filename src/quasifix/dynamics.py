@@ -6,6 +6,13 @@ only m in 1..s matters (Frobenius powers repeat with period s), and a point
 living in a proper subfield is reported at its minimal field degree with
 its minimal valid m, so every witness appears exactly once in a
 deterministic order: ascending (field degree, m, point coordinates).
+
+The search scans the candidate points of each field degree CHUNK at a time
+as columns, one list of discrete logs per coordinate: f_1 is evaluated over
+the whole chunk with one list comprehension per term, the points where it
+fails are dropped from every column, and f_2, ..., f_n run on the rest.  So
+the interpreted work per point is a few comprehension steps, and the scan's
+memory is bounded by the chunk, not by the number of points.
 """
 
 from __future__ import annotations
@@ -13,12 +20,16 @@ from __future__ import annotations
 import itertools
 from array import array
 from math import lcm
+from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .gf import DEFAULT_ORDER_CAP, FqElement, FqField, field_create
 from .poly import MPoly, PolyError, PolyMap, parse_poly
 
 DEFAULT_POINT_CAP = 2**20
+# candidate points scanned at once, one list of logs per coordinate: this bounds
+# the scan's memory however many points a field degree has
+CHUNK = 4096
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -61,38 +72,46 @@ class VarietySpec(NamedTuple):
         return all(f.evaluate(point).is_zero() for f in self.polys)
 
 
-def _log_eval(terms: list[tuple[int, tuple[int, ...]]], point: tuple[int, ...],
-              zech: array, n: int) -> int:
-    """log f(a) from (log c, exponents) terms and the logs of a's coordinates.
+def _log_eval_column(terms: list[tuple[int, tuple[int, ...]]], cols: list,
+                     zech: array, n: int) -> list[int]:
+    """[log f(a) for a in a chunk] from f's (log c, exponents) terms.
 
-    Logs live mod n = q - 1 and n itself stands for 0, as in `log_tables`.
+    cols[j] holds the logs of coordinate j of every point of the chunk; logs
+    live mod n = q - 1 and n itself stands for 0, as in `log_tables`.  Each
+    term takes one comprehension and each further term one Zech sum.
     """
-    acc = n
-    for c, expo in terms:
-        term = c
-        for e, x in zip(expo, point):
-            if e:
-                if x == n:
-                    break
-                term += e * x
+    acc = [n] * len(cols[0])
+    for k, (c, expo) in enumerate(terms):
+        used = [(e, cols[j]) for j, e in enumerate(expo) if e]
+        if not used:
+            term = [c] * len(acc)
+        elif len(used) == 1:
+            (e, xs), = used
+            term = [n if x == n else (c + e * x) % n for x in xs]
+        elif len(used) == 2:
+            (e, xs), (f, ys) = used
+            term = [n if x == n or y == n else (c + e * x + f * y) % n
+                    for x, y in zip(xs, ys)]
         else:
-            term %= n
-            if acc == n:
-                acc = term
-            else:
-                z = zech[(term - acc) % n]
-                acc = n if z == n else (acc + z) % n
+            es = [e for e, _ in used]
+            term = [n if n in t else (c + sum(map(mul, es, t))) % n
+                    for t in zip(*(xs for _, xs in used))]
+        acc = term if not k else [
+            b if a == n else a if b == n
+            else n if (z := zech[(b - a) % n]) == n else (a + z) % n
+            for a, b in zip(acc, term)]
     return acc
 
 
 def _frobenius_orbits(p: int, n: int, degree: bytearray) -> tuple[array, bytearray]:
-    """orbit[x], pos[x] with x = orbit[x] * p^pos[x] mod n for nonzero logs x.
+    """orbit[x], pos[x] with x = orbit[x] * p^pos[x] mod n for logs x <= n.
 
     orbit[x] is the least log in the Frobenius orbit of x, whose size is
     degree[x]; so g^v is a Frobenius power of g^x iff orbit[v] == orbit[x].
+    orbit[n] = -1, so the log n of 0 matches only itself.
     """
-    orbit = array("q", [-1]) * n
-    pos = bytearray(n)
+    orbit = array("q", [-1]) * (n + 1)
+    pos = bytearray(n + 1)
     for x in range(n):
         if orbit[x] < 0:
             y = x
@@ -120,7 +139,11 @@ def enumerate_quasi_fixed(pmap: PolyMap, s_max: int,
     attributed to its minimal field degree and carries its minimal valid m.
     The search runs on logarithms to a primitive element (`log_tables`):
     f(a) is a Zech-logarithm sum, a^(p^m) is log(a) * p^m, and a lies in
-    F_{p^d} iff (q - 1) / (p^d - 1) divides log(a).
+    F_{p^d} iff (q - 1) / (p^d - 1) divides log(a).  The candidates of each
+    degree are taken CHUNK at a time and filtered coordinate by coordinate
+    (see the module docstring), so the memory a scan holds beyond the field's
+    tables and the witnesses of one degree does not grow with the number of
+    candidates.  Each degree is scanned only when the iterator reaches it.
     """
     if s_max < 1:
         raise PolyError(f"largest field degree must be >= 1, got {s_max}")
@@ -139,28 +162,28 @@ def enumerate_quasi_fixed(pmap: PolyMap, s_max: int,
         by_degree = {d: [x for x in range(n + 1) if degree[x] == d] for d in divisors}
         orbit, pos = _frobenius_orbits(p, n, degree)
         found: list[tuple[int, tuple[tuple[int, ...], ...], QuasiFixedWitness]] = []
-        for degs in itertools.product(divisors, repeat=nv):
-            if lcm(*degs) != s:
-                continue
-            for point in itertools.product(*(by_degree[d] for d in degs)):
+        # the points whose least field of definition is F_{p^s}, degree pattern by pattern
+        points = itertools.chain.from_iterable(
+            itertools.product(*(by_degree[d] for d in degs))
+            for degs in itertools.product(divisors, repeat=nv) if lcm(*degs) == s)
+        while chunk := list(itertools.islice(points, CHUNK)):
+            # cols: the logs of each coordinate, then log f_i(a) for each i checked;
+            # f_i(a) = a_i^(p^m) puts f_i(a) in the Frobenius orbit of a_i
+            cols = list(zip(*chunk))
+            for i, terms in enumerate(coords):
+                values = _log_eval_column(terms, cols, zech, n)
+                keep = [orbit[v] == orbit[x] for v, x in zip(values, cols[i])]
+                cols = [list(itertools.compress(col, keep)) for col in (*cols, values)]
+            for row in zip(*cols):
                 # f_i(a) = a_i^(p^m) fixes m modulo the degree of each nonzero a_i
-                residues = []
-                for x, terms in zip(point, coords):
-                    v = _log_eval(terms, point, zech, n)
-                    if x == n or v == n:
-                        if x != v:
-                            break
-                    elif orbit[x] != orbit[v]:
-                        break
-                    else:
-                        residues.append((pos[v] - pos[x], degree[x]))
-                else:
-                    m = next((m for m in range(1, s + 1)
-                              if all((m - r) % d == 0 for r, d in residues)), None)
-                    if m is not None:
-                        witness = QuasiFixedWitness(
-                            tuple(field.from_int(exp[x]) for x in point), m, s)
-                        found.append((m, tuple(a.coeffs for a in witness.point), witness))
+                residues = [(pos[v] - pos[x], degree[x])
+                            for x, v in zip(row, row[nv:]) if x != n]
+                m = next((m for m in range(1, s + 1)
+                          if all((m - r) % d == 0 for r, d in residues)), None)
+                if m is not None:
+                    witness = QuasiFixedWitness(
+                        tuple(field.from_int(exp[x]) for x in row[:nv]), m, s)
+                    found.append((m, tuple(a.coeffs for a in witness.point), witness))
         found.sort(key=lambda item: (item[0], item[1]))
         for _, _, witness in found:
             yield witness

@@ -1,11 +1,14 @@
 """The benchmark under perfbench/ reaches into quasifix by name: its tracer
 wraps the functions listed in SPANS and COUNTERS, and its workload and check
 modules import names lazily.  A rename or deletion in quasifix must fail
-here, not only in the benchmark's own (much slower) self-tests.
+here, not only in the benchmark's own (much slower) self-tests.  So must a
+change of the output bytes that the benchmark pins for its default seed.
 """
 
 import ast
+import contextlib
 import hashlib
+import io
 import importlib
 import importlib.util
 import json
@@ -15,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from quasifix.certify import CertificateFormatError, certificate_from_bytes, verify_certificate
+from quasifix.cli import main as cli_main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -81,3 +85,18 @@ def test_verify_batch_verdicts_unchanged(seed, digest):
             out = f"format: {exc}"
         h.update(name.encode() + b"\0" + json.dumps(out, sort_keys=True).encode() + b"\n")
     assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("workload", ["enumerate", "iq"])
+def test_default_seed_outputs_match_the_pinned_digests(workload):
+    # the benchmark compares these digests only inside its runs; a job that
+    # exits non-zero has no pinned result
+    pins = json.loads((PERFBENCH / "pinned.json").read_text())[workload]
+    digests = []
+    for job in _load("workloads").make_batch(workload, 1).jobs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli_main(job["argv"])
+        digests.append(hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
+                       if code == 0 else None)
+    assert digests == pins

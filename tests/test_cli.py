@@ -6,12 +6,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import quasifix
 from oracles import oracle_quasi_fixed
 from quasifix import dynamics, gf, poly
 from quasifix.certify import certificate_from_bytes, verify_certificate
-from quasifix.cli import build_parser, main
+from quasifix.cli import _render_json, build_parser, main
 from quasifix.poly import PolyMap
 
 
@@ -270,6 +272,27 @@ def test_smax_below_one_rejected(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and ">= 1" in err
     assert not (tmp_path / "c.json").exists()
+
+
+JSON_LEAVES = (st.none() | st.booleans()
+               | st.integers(min_value=-2**80, max_value=2**80)
+               | st.floats() | st.text())
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+@example({})
+@example([])
+@example({"a": [], "b": {}, "c": [[], [{}]]})
+@example([[1, [2, [3]]], [True, False, None, 0.5, -0.0, 10**30]])
+@example({"\u00e9\u2603\U0001f600": "\x00\x1f\x7f\u2028 \"quoted\" \\", "": ""})
+@example([float("nan"), float("inf"), float("-inf"), 1e300, 2**63, -2**64])
+def test_json_writer_matches_json_dumps(value):
+    assert _render_json(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 def test_text_format_mirrors_json(capsys):

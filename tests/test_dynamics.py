@@ -1,6 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import naive_eval, oracle_quasi_fixed, witness_key_set
+from quasifix import dynamics
 from quasifix.dynamics import (
     EnumerationCapExceeded,
     VarietySpec,
@@ -9,8 +15,10 @@ from quasifix.dynamics import (
     find_quasi_fixed_avoiding,
     image_point_sample,
 )
+from quasifix.freegroup import FreeEndo
 from quasifix.gf import field_create
-from quasifix.poly import PolyError, PolyMap, parse_poly
+from quasifix.matrep import phi_lift_polynomials
+from quasifix.poly import MPoly, PolyError, PolyMap, parse_poly
 
 
 def test_identity_map_witnesses_over_f2():
@@ -86,6 +94,67 @@ def test_log_space_edge_cases_match_oracle(texts, p, s_max):
     pmap = PolyMap.parse(texts, len(texts), p)
     lib = witness_key_set(enumerate_quasi_fixed(pmap, s_max))
     assert lib == oracle_quasi_fixed(pmap, s_max)
+
+
+def _ordered_keys(pmap, s_max):
+    return [(w.field_degree, w.m, tuple(a.coeffs for a in w.point))
+            for w in enumerate_quasi_fixed(pmap, s_max)]
+
+
+def _assert_ordered_oracle_and_chunk_free(pmap, s_max):
+    # the stream is the oracle's set in (s, m, coordinates) order, and a chunk
+    # of 7 points, so that candidates straddle chunk seams, changes nothing
+    keys = _ordered_keys(pmap, s_max)
+    assert keys == sorted(oracle_quasi_fixed(pmap, s_max))
+    with mock.patch.object(dynamics, "CHUNK", 7):
+        assert _ordered_keys(pmap, s_max) == keys
+
+
+@st.composite
+def small_maps(draw):
+    """Maps of A^n over F_p, n <= 3, whose terms use 0 to n of the variables."""
+    n = draw(st.integers(1, 3))
+    p = draw(st.sampled_from((2, 3, 5)))
+    exponents = st.tuples(*[st.integers(0, 4)] * n)
+    coords = [MPoly(n, p, draw(st.dictionaries(exponents, st.integers(1, p - 1), max_size=4)))
+              for _ in range(n)]
+    s_max = max(s for s in (1, 2, 3) if s == 1 or p ** (s * n) <= 512)
+    return PolyMap(coords), s_max
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_maps())
+@example((PolyMap.parse(["x1*x2*x3+1", "0", "2"], 3, 3), 2))      # 3-variable term, zero, constant
+@example((PolyMap.parse(["x1^2*x2^3*x3+x1*x3", "x2^3+x1*x2", "x3+1"], 3, 2), 3))
+@example((PolyMap.parse(["x1^4+3*x2", "2*x1*x2^2+4"], 2, 5), 2))
+@example((PolyMap.parse(["0"], 1, 5), 3))
+def test_enumeration_order_matches_oracle_across_chunk_seams(case):
+    _assert_ordered_oracle_and_chunk_free(*case)
+
+
+@pytest.mark.parametrize("image", ["aa", "aaa", "A"])
+def test_lifted_matrix_map_order_matches_oracle_across_chunk_seams(image):
+    pmap = phi_lift_polynomials(FreeEndo.parse([image], 1), 2)
+    assert pmap.nvars == 4
+    _assert_ordered_oracle_and_chunk_free(pmap, 2)
+
+
+def test_scan_memory_does_not_grow_with_the_candidates():
+    # about 2^12 candidate points up to degree 6 and 2^16 up to degree 8; the
+    # scan holds one chunk of them at a time, so its peak barely moves
+    pmap = PolyMap.parse(["x1^3+x2", "x1*x2+1"], 2, 2)
+
+    def peak(s_max):
+        list(enumerate_quasi_fixed(pmap, s_max))  # fields and tables are kept
+        tracemalloc.start()
+        try:
+            for _ in enumerate_quasi_fixed(pmap, s_max):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8) <= 2 * peak(6)
 
 
 def test_variety_membership_examples():
