@@ -3,17 +3,16 @@ finite-quotient certificates for mapping tori of free-group endomorphisms."""
 
 __version__ = "0.1.0"
 
-from .gf import FqElement, FqField, embed, field_create
+from .gf import FqElement, FqField, field_create
 from .poly import IqSystem, MPoly, PolyMap, parse_poly
 from .freegroup import FreeEndo, Word, endo_is_injective, sanov_embed, stallings_fold
-from .matrep import Mat2, MatTuple, ProjPoint, find_periodic_orbit, phi_lift, pi_w
+from .matrep import Mat2, MatTuple, ProjPoint, find_periodic_orbit, pi_w
 from .dynamics import (
     QuasiFixedWitness,
     VarietySpec,
     containment_check,
     enumerate_quasi_fixed,
     find_quasi_fixed_avoiding,
-    image_point_sample,
 )
 from .certify import (
     Certificate,
@@ -24,12 +23,12 @@ from .certify import (
 )
 
 __all__ = [
-    "FqElement", "FqField", "embed", "field_create",
+    "FqElement", "FqField", "field_create",
     "IqSystem", "MPoly", "PolyMap", "parse_poly",
     "FreeEndo", "Word", "endo_is_injective", "sanov_embed", "stallings_fold",
-    "Mat2", "MatTuple", "ProjPoint", "find_periodic_orbit", "phi_lift", "pi_w",
+    "Mat2", "MatTuple", "ProjPoint", "find_periodic_orbit", "pi_w",
     "QuasiFixedWitness", "VarietySpec", "containment_check",
-    "enumerate_quasi_fixed", "find_quasi_fixed_avoiding", "image_point_sample",
+    "enumerate_quasi_fixed", "find_quasi_fixed_avoiding",
     "Certificate", "CertifyConfig", "build_wreath",
     "search_certificate", "verify_certificate",
 ]

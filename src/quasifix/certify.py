@@ -418,7 +418,7 @@ def _structure_problems(cert: Certificate, order_cap: int
         problems.append("rank must be >= 1")
     if len(cert.images) != cert.rank:
         problems.append(f"{len(cert.images)} images for rank {cert.rank}")
-    # p and s are untrusted: bound them before trial division or p**s runs
+    # p and s are untrusted: bound them before the primality test or p**s runs
     bounded = cert.p < 2 or _order_within_cap(cert.p, max(cert.s, 1), order_cap)
     if not bounded:
         problems.append(f"field order {cert.p}^{cert.s} exceeds cap {order_cap}")

@@ -23,7 +23,7 @@ from math import lcm
 from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
-from .gf import DEFAULT_ORDER_CAP, FqElement, FqField, field_create
+from .gf import DEFAULT_ORDER_CAP, FqElement, field_create
 from .poly import MPoly, PolyError, PolyMap, parse_poly
 
 DEFAULT_POINT_CAP = 2**20
@@ -42,11 +42,6 @@ class QuasiFixedWitness(NamedTuple):
     point: tuple[FqElement, ...]
     m: int
     field_degree: int
-
-    def verify(self, pmap: PolyMap) -> bool:
-        """Re-check the defining identity by direct evaluation."""
-        return all(f.evaluate(self.point) == a.frobenius(self.m)
-                   for f, a in zip(pmap.coords, self.point))
 
     def coeff_vectors(self) -> list[list[int]]:
         return [list(a.coeffs) for a in self.point]
@@ -225,23 +220,3 @@ def find_quasi_fixed_avoiding(pmap: PolyMap, v: VarietySpec, w_spec: MPoly,
             return witness
     return None
 
-
-def image_point_sample(pmap: PolyMap, iterations: int,
-                       field: FqField) -> frozenset[tuple[FqElement, ...]]:
-    """Exact image set of the rational points under the iterated map.
-
-    This samples the image chain at the level of rational points; it is a
-    subset of (not a substitute for) the closure, useful for falsifying a
-    wrongly supplied variety.
-    """
-    if field.p != pmap.p:
-        raise PolyError("field characteristic does not match the map")
-    n = pmap.nvars
-    if field.order**n > DEFAULT_POINT_CAP:
-        raise EnumerationCapExceeded(
-            f"enumerating {field.order}^{n} points exceeds cap {DEFAULT_POINT_CAP}")
-    current: set[tuple[FqElement, ...]] = set(
-        itertools.product(list(field), repeat=n))
-    for _ in range(iterations):
-        current = {pmap.apply(pt) for pt in current}
-    return frozenset(current)

@@ -173,20 +173,6 @@ class FreeEndo:
             out.extend(image if x > 0 else tuple(-y for y in reversed(image)))
         return Word(out, self.rank)
 
-    def compose(self, other: "FreeEndo") -> "FreeEndo":
-        """self after other: compose(other).apply(w) = self.apply(other.apply(w))."""
-        if self.rank != other.rank:
-            raise WordError("endomorphism ranks differ")
-        return FreeEndo([self.apply(w) for w in other.images], self.rank)
-
-    def power(self, n: int) -> "FreeEndo":
-        if n < 0:
-            raise WordError("negative endomorphism power")
-        out = FreeEndo.identity(self.rank)
-        for _ in range(n):
-            out = self.compose(out)
-        return out
-
     def apply_power(self, w: Word, n: int) -> Word:
         """phi^n(w) by repeated application (avoids composing large images)."""
         for _ in range(n):

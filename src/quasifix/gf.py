@@ -41,8 +41,29 @@ class FieldError(ValueError):
     """Invalid field construction or mixed-field arithmetic."""
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and _prime_factors(n) == [n]
+    """Whether n < 3.18 * 10^23 is prime (FieldError above): trial division by
+    the primes up to 37, then Miller-Rabin to those bases, which no composite
+    below 318665857834031151167461 passes (Sorenson-Webster, Math. Comp. 2017).
+    """
+    if n >= 318665857834031151167461:
+        raise FieldError(f"primality of {n} is not decided above 3.18 * 10^23")
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    if n < 41 * 41:  # n < 2, or no prime factor up to 37 and so none up to sqrt(n)
+        return n > 1
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^r with d odd
+    d = (n - 1) >> r
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        # a witnesses that n is composite: a^d != 1 and a^(d 2^i) != -1 for i < r
+        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(r)):
+            return False
+    return True
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -158,7 +179,7 @@ def _min_irreducible(p: int, m: int) -> tuple[int, ...]:
 class FqField:
     """Descriptor of F_{p^m} with a fixed monic irreducible modulus."""
 
-    __slots__ = ("p", "m", "modulus", "order", "_fold", "_embed_cache", "_log_tables")
+    __slots__ = ("p", "m", "modulus", "order", "_fold", "_log_tables")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
@@ -167,7 +188,6 @@ class FqField:
         self.order = p**m
         # x^m = sum of c * x^i over these (i, c), modulo the modulus
         self._fold = tuple((i, -c % p) for i, c in enumerate(modulus[:-1]) if c)
-        self._embed_cache: dict[tuple, tuple["FqField", "FqElement"]] = {}
         self._log_tables: tuple[array, array, array] | None = None
 
     def __eq__(self, other: object) -> bool:
@@ -364,19 +384,19 @@ def field_create(p: int, m: int, cap: int = DEFAULT_ORDER_CAP) -> FqField:
     """F_{p^m} with the first irreducible modulus in deterministic order.
 
     The field is shared: calls with the same (p, m) in one process return
-    the same object, with its modulus, log tables and embeddings built
-    once.  That is safe because everything a field caches is a
-    deterministic function of (p, m).  The checks still run on every call.
+    the same object, with its modulus and log tables built once.  That is
+    safe because everything a field caches is a deterministic function of
+    (p, m).  The checks still run on every call, the cap before primality.
     Kept fields are dropped oldest first once their orders would sum past
     DEFAULT_ORDER_CAP; a field above it (only allowed by a larger cap) is
     returned but not kept.
     """
     if m < 1:
         raise FieldError(f"extension degree must be >= 1, got {m}")
-    if not is_prime(p):
-        raise FieldError(f"{p} is not prime")
     if p**m > cap:
         raise FieldError(f"field order {p}^{m} exceeds cap {cap}")
+    if not is_prime(p):
+        raise FieldError(f"{p} is not prime")
     field = _FIELDS.get((p, m))
     if field is None:
         field = FqField(p, m, _min_irreducible(p, m))
@@ -557,45 +577,6 @@ def _log_and_zech(exp: array, plus_one: array) -> tuple[array, array]:
     for c in range(0, len(plus_one), _CHUNK):
         plus_one[c:c + _CHUNK] = array(exp.typecode, map(log.__getitem__, plus_one[c:c + _CHUNK]))
     return log, plus_one
-
-
-def embed(a: FqElement, target: FqField) -> FqElement:
-    """Image of a under the fixed embedding F_{p^d} -> F_{p^m}, d | m.
-
-    The embedding sends the source generator to the first root (in element
-    enumeration order) of the source modulus inside the target field, so it
-    is deterministic, a ring homomorphism, and commutes with Frobenius.
-    """
-    src = a.field
-    if src.p != target.p:
-        raise FieldError("embedding requires equal characteristic")
-    if target.m % src.m != 0:
-        raise FieldError(f"no embedding: degree {src.m} does not divide {target.m}")
-    if src == target:
-        return a
-    key = (src.p, src.m, src.modulus)
-    cached = target._embed_cache.get(key)
-    if cached is None:
-        root = None
-        for cand in target:
-            acc = target.zero()
-            for c in reversed(src.modulus):
-                acc = acc * cand + target.scalar(c)
-            if acc.is_zero():
-                root = cand
-                break
-        if root is None:
-            raise FieldError("source modulus has no root in target field")  # unreachable
-        target._embed_cache[key] = (src, root)
-    else:
-        root = cached[1]
-    out = target.zero()
-    power = target.one()
-    for c in a.coeffs:
-        if c:
-            out = out + target.scalar(c) * power
-        power = power * root
-    return out
 
 
 def min_subfield_degree(a: FqElement) -> int:

@@ -23,8 +23,8 @@ the verifier reads rows into states and checks them with the same kernels;
 `state_from_rows` is `rows_index`, the checked row -> index step the
 verifier's structure check runs, then `state_from_index`, the one
 index -> log step.
-`Mat2` objects are built by the public `Mat2`/`pi_w`/`phi_lift` API; field
-elements only at `Mat2.from_entries`, the entry properties and `Mat2.det`.
+`Mat2` objects are built by the public `Mat2`/`pi_w` API; field elements
+only at `Mat2.from_entries`, the entry properties and `Mat2.det`.
 """
 
 from __future__ import annotations
@@ -114,11 +114,6 @@ class Mat2:
         self.logs = logs
 
     @classmethod
-    def identity(cls, field: FqField) -> "Mat2":
-        n = field.order - 1
-        return cls(field, (0, n, n, 0))
-
-    @classmethod
     def from_entries(cls, field: FqField, entries) -> "Mat2":
         entries = tuple(entries)
         for x in entries:
@@ -146,14 +141,6 @@ class Mat2:
     @property
     def d(self) -> FqElement:
         return self._entry(self.logs[3])
-
-    def __mul__(self, o: "Mat2") -> "Mat2":
-        n, zech, _ = _tables(self.field)
-        return Mat2(self.field, _mul(self.logs, o.logs, n, zech))
-
-    def adj(self) -> "Mat2":
-        n, _, neg = _tables(self.field)
-        return Mat2(self.field, _adj(self.logs, n, neg))
 
     def det(self) -> FqElement:
         return self._entry(_det(self.logs, *_tables(self.field)))
@@ -197,9 +184,6 @@ class MatTuple:
     def k(self) -> int:
         return len(self.mats)
 
-    def __getitem__(self, i: int) -> Mat2:
-        return self.mats[i]
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, MatTuple) and self._key == other._key
                 and self.field == other.field)
@@ -236,18 +220,12 @@ def pi_w(w: Word, t: MatTuple) -> Mat2:
     return Mat2(t.field, _word(w.letters, t._key, *_tables(t.field)))
 
 
-def phi_lift(phi: FreeEndo, t: MatTuple) -> MatTuple:
-    """Point-level action of the lifted endomorphism on matrix tuples."""
-    if phi.rank != t.k:
-        raise WordError("endomorphism rank does not match tuple length")
-    return MatTuple(tuple(pi_w(w, t) for w in phi.images))
-
-
 def phi_lift_polynomials(phi: FreeEndo, p: int) -> PolyMap:
     """Symbolic form of the lifted map in the 4k matrix-entry coordinates.
 
     Variable 4*i + (2r + c) is the (r, c) entry of the i-th matrix; the
-    returned map evaluated at a flattened tuple agrees with phi_lift.
+    returned map evaluated at a flattened tuple agrees with `pi_w` of each
+    image word.
     """
     k = phi.rank
     nvars = 4 * k
@@ -277,18 +255,6 @@ def phi_lift_polynomials(phi: FreeEndo, p: int) -> PolyMap:
     return PolyMap(coords)
 
 
-def proj_normalize(t: MatTuple) -> ProjPoint:
-    """Scalar-canonical representative; every component must be invertible."""
-    field = t.field
-    n, zech, neg = _tables(field)
-    normalized = []
-    for m in t.mats:
-        if _det(m.logs, n, zech, neg) == n:
-            raise SingularMatrixError("tuple has a singular component")
-        normalized.append(Mat2(field, _normalized(m.logs, n)))
-    return ProjPoint(MatTuple(normalized))
-
-
 # ---------------------------------------------------------------------------
 # states: a PGL2(F)^k point as the k normalized log 4-tuples of MatTuple._key
 
@@ -296,9 +262,9 @@ def proj_step(phi: FreeEndo, field: FqField):
     """The projective step of phi's lift on states over one field.
 
     Each image word is evaluated on the state, its value checked for a zero
-    determinant and scaled to scalar-canonical form: `proj_normalize` of
-    `phi_lift` without the objects.  Raises SingularMatrixError when a
-    value is singular.  The caller matches the state's length to phi.rank.
+    determinant and scaled to scalar-canonical form.  Raises
+    SingularMatrixError when a value is singular.  The caller matches the
+    state's length to phi.rank.
     """
     n, zech, neg = _tables(field)
     images = tuple(w.letters for w in phi.images)

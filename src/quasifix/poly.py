@@ -3,12 +3,12 @@
 Polynomials are sparse term maps from exponent vectors to nonzero residues,
 kept canonical so equal polynomials compare equal.  Besides ring arithmetic
 this module provides evaluation at extension-field points, symbolic
-composition of coordinate maps, the characteristic-p power shortcut, and the
-confluent rewriting system x_i^Q -> f_i that computes normal forms modulo
-the ideal generated by f_i - x_i^Q.  The leading monomials x_i^Q are
-pairwise coprime, so when Q exceeds every deg f_i the rewriting terminates
-and the normal form is unique regardless of strategy; `IqSystem` drives it
-from a heap of reducible monomials, greatest total degree first.
+composition of coordinate maps, and the confluent rewriting system
+x_i^Q -> f_i that computes normal forms modulo the ideal generated by
+f_i - x_i^Q.  The leading monomials x_i^Q are pairwise coprime, so when Q
+exceeds every deg f_i the rewriting terminates and the normal form is
+unique regardless of strategy; `IqSystem` drives it from a heap of
+reducible monomials, greatest total degree first.
 
 `IqSystem` computes in the quotient A = F_p[x]/(x_i^Q - f_i), whose
 elements are the reduced polynomials (every exponent < Q).  Every product
@@ -194,15 +194,6 @@ class MPoly:
             acc = acc + term
         return acc
 
-    def frobenius_twist(self, e: int) -> "MPoly":
-        """self^(p^e) via the characteristic-p term-by-term identity."""
-        if e < 0:
-            raise PolyError("Frobenius power must be nonnegative")
-        q = self.p**e
-        # coefficients lie in F_p, so c^(p^e) = c
-        return MPoly(self.nvars, self.p, {tuple(x * q for x in expo): c
-                                          for expo, c in self.terms.items()})
-
     # -- text form
 
     def to_text(self) -> str:
@@ -236,6 +227,8 @@ def _parse_int(digits: str) -> int:
 
 def parse_poly(text: str, nvars: int, p: int) -> MPoly:
     """Parse `c*x1^e1*...*xn^en` terms joined by `+`; exact, rejects junk."""
+    if p >= 2**64:  # keeps the primality test exact and fast
+        raise PolyParseError(f"characteristic {p} is not below the bound 2^64")
     if not is_prime(p):
         raise PolyParseError(f"characteristic {p} is not prime")
     stripped = text.replace(" ", "")

@@ -5,7 +5,10 @@ polynomials are evaluated straight off their term maps by repeated
 multiplication, Frobenius powers by literal p-fold products, subfield
 membership by its definition, and 2x2 matrices as four field elements
 multiplied out entry by entry (the library stores them as logarithms).
-Only the base field arithmetic (verified exhaustively in test_gf) is shared.
+What they share with the library is `field_create` and the `FqElement`
+arithmetic (verified exhaustively in test_gf), `Word` and `FreeEndo` for
+their letters, and `Mat2.from_entries`, the `Mat2` entry properties and
+`MatTuple` as containers that carry entries to and from the code under test.
 """
 
 import itertools
@@ -119,6 +122,11 @@ def naive_word_value(w, mats):
     return acc
 
 
+def naive_lift(phi, mats):
+    """The lifted endomorphism on entry tuples: each image word's value at mats."""
+    return tuple(naive_word_value(w, mats) for w in phi.images)
+
+
 def naive_verdict(cert):
     """(name, status, detail) of every check `verify_certificate` reports for
     a certificate that passes `structure`, from entry-by-entry products of
@@ -162,6 +170,10 @@ def naive_verdict(cert):
     record("wreath_relations", wreath,
            "shift conjugation matches image rows; word image is nontrivial")
     return checks
+
+
+def mat_mul(x, y):
+    return Mat2.from_entries(x.field, naive_mat_mul(entries(x), entries(y)))
 
 
 def mat_scale(m, s):

@@ -87,16 +87,30 @@ def test_verify_batch_verdicts_unchanged(seed, digest):
     assert h.hexdigest() == digest
 
 
-@pytest.mark.parametrize("workload", ["enumerate", "iq"])
-def test_default_seed_outputs_match_the_pinned_digests(workload):
+@pytest.mark.parametrize("workload", ["enumerate", "certify", "iq"])
+def test_default_seed_outputs_match_the_pinned_digests(workload, tmp_path, monkeypatch):
     # the benchmark compares these digests only inside its runs; a job that
-    # exits non-zero has no pinned result
+    # exits non-zero has no pinned result.  Certify jobs read ../in/endo_*.json
+    # and write cert_*.json, so they run in a pass directory beside in/
     pins = json.loads((PERFBENCH / "pinned.json").read_text())[workload]
+    batch = _load("workloads").make_batch(workload, 1)
+    (tmp_path / "in").mkdir()
+    for name, blob in batch.files.items():
+        (tmp_path / "in" / name).write_bytes(blob)
+    (tmp_path / "pass").mkdir()
+    monkeypatch.chdir(tmp_path / "pass")
     digests = []
-    for job in _load("workloads").make_batch(workload, 1).jobs:
+    for job in batch.jobs:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli_main(job["argv"])
-        digests.append(hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
-                       if code == 0 else None)
-    assert digests == pins
+        if code != 0:
+            digests.append(None)
+        elif job["kind"] == "certify":
+            cert = Path(job["expect"]["out"]).read_bytes()
+            digests.append(hashlib.sha256(cert).hexdigest()[:16])
+        else:
+            digests.append(hashlib.sha256(out.getvalue().encode()).hexdigest()[:16])
+    assert len(digests) == len(pins)
+    assert [d for d, pin in zip(digests, pins) if pin is not None] == \
+        [pin for pin in pins if pin is not None]

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,38 @@ def test_iq_q_zero_is_a_usage_error():
         capture_output=True, text=True, timeout=10, env=env)
     assert result.returncode == 2 and result.stdout == ""
     assert result.stderr == "error: Q = 0 is not a positive power of the characteristic 2\n"
+
+
+BIG_PRIME = "1000000000000000003"
+
+
+@pytest.mark.parametrize("argv", [
+    ("quasifixed", "--p", "100000000000000003", "--n", "1", "--map", "x1", "--smax", "1"),
+    ("quasifixed", "--p", BIG_PRIME, "--n", "1", "--map", "x1", "--smax", "1"),
+    ("iq", "--p", BIG_PRIME, "--n", "1", "--map", "x1", "--q", "4"),
+])
+def test_large_characteristic_is_refused_in_bounded_time(capsys, argv):
+    # the primality test of --p used to run trial division to sqrt(p) first
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_iq_answers_for_a_large_characteristic(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "iq", "--p", BIG_PRIME, "--n", "1", "--map", "x1",
+                           "--q", BIG_PRIME, "--j", "2", "--format", "json")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(out)["congruence"] == {"1": True, "2": True}
+
+
+def test_characteristic_past_the_bound_is_refused(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "quasifixed", "--p", str(2**89 - 1), "--n", "1",
+                             "--map", "x1", "--smax", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "2^64" in err
 
 
 def test_import_builds_no_parser_and_no_field():

@@ -93,12 +93,6 @@ def test_endo_apply_substitution_example():
         assert ident.apply(w) == w
 
 
-def test_endo_power_doubling():
-    phi = FreeEndo.parse(["aa"], 1)
-    cube = phi.power(3)
-    assert cube.images[0] == Word.parse("a", 1) ** 8
-
-
 def test_endo_apply_is_homomorphism():
     rng = random.Random(8)
     phi = FreeEndo.parse(["ab", "bA"], 2)
@@ -106,17 +100,6 @@ def test_endo_apply_is_homomorphism():
         u = random_word(rng, 2, rng.randrange(0, 6))
         v = random_word(rng, 2, rng.randrange(0, 6))
         assert phi.apply(u * v) == phi.apply(u) * phi.apply(v)
-
-
-def test_endo_power_additivity():
-    phi = FreeEndo.parse(["ab", "ba"], 2)
-    words = [Word.parse(t, 2) for t in ["a", "b", "aB", "ba"]]
-    for m in range(3):
-        for n in range(3):
-            lhs = phi.power(m + n)
-            rhs = phi.power(m).compose(phi.power(n))
-            for w in words:
-                assert lhs.apply(w) == rhs.apply(w)
 
 
 def test_injectivity_implies_nontrivial_iterates():

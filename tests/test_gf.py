@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import time
 import tracemalloc
 
@@ -10,7 +11,6 @@ from quasifix.gf import (
     DEFAULT_ORDER_CAP,
     FieldError,
     FqField,
-    embed,
     field_create,
     is_prime,
     min_subfield_degree,
@@ -172,45 +172,6 @@ def test_frobenius_m_is_identity(p, m):
         assert a.frobenius(m) == a
 
 
-def test_embed_of_constants():
-    f4 = field_create(2, 2)
-    f16 = field_create(2, 4)
-    assert embed(f4.zero(), f16) == f16.zero()
-    assert embed(f4.one(), f16) == f16.one()
-
-
-@pytest.mark.parametrize("sp,sm,tp,tm", [(2, 2, 2, 4), (3, 2, 3, 4)])
-def test_embed_injective_ring_hom_exhaustive(sp, sm, tp, tm):
-    src = field_create(sp, sm)
-    tgt = field_create(tp, tm)
-    images = {}
-    for a in src:
-        images[a.to_int()] = embed(a, tgt)
-    assert len(set(im.coeffs for im in images.values())) == src.order  # injective
-    for a in src:
-        for b in src:
-            assert embed(a + b, tgt) == embed(a, tgt) + embed(b, tgt)
-            assert embed(a * b, tgt) == embed(a, tgt) * embed(b, tgt)
-
-
-def test_embed_commutes_with_frobenius_f4_to_f16():
-    f4 = field_create(2, 2)
-    f16 = field_create(2, 4)
-    for a in f4:
-        for e in range(1, 5):
-            assert embed(a.frobenius(e), f16) == embed(a, f16).frobenius(e)
-
-
-def test_embed_errors():
-    f4 = field_create(2, 2)
-    f8 = field_create(2, 3)
-    f9 = field_create(3, 2)
-    with pytest.raises(FieldError):
-        embed(f4.one(), f8)  # 2 does not divide 3
-    with pytest.raises(FieldError):
-        embed(f4.one(), f9)  # different characteristic
-
-
 def test_min_subfield_degree():
     f16 = field_create(2, 4)
     assert min_subfield_degree(f16.zero()) == 1
@@ -223,6 +184,24 @@ def test_min_subfield_degree():
 def test_is_prime_small():
     primes = [n for n in range(60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def test_is_prime_agrees_with_trial_division():
+    for n in range(10**5):
+        assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))), n
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the primes up to 23
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2**61 - 1)
+    with pytest.raises(FieldError, match="not decided"):
+        is_prime(2**89 - 1)
+
+
+def test_field_create_checks_the_cap_before_primality():
+    with pytest.raises(FieldError, match="exceeds cap"):
+        field_create(10**18 + 3, 1)
+    with pytest.raises(FieldError, match="exceeds cap"):
+        field_create(2**89 - 1, 1)
 
 
 def test_field_create_shares_one_field_per_p_m():

@@ -9,10 +9,10 @@ from quasifix.gf import field_create
 from quasifix.matrep import (
     Mat2,
     MatTuple,
+    ProjPoint,
     pgl_dynamics_step,
-    phi_lift,
     phi_lift_polynomials,
-    proj_normalize,
+    pi_w,
 )
 
 
@@ -33,12 +33,12 @@ def test_quasi_fixed_matrix_tuples_are_periodic_points():
         l = s // math.gcd(m, s)
         cur = t
         for _ in range(l):
-            cur = phi_lift(phi, cur)
+            cur = MatTuple(pi_w(w, cur) for w in phi.images)
         assert cur == t
         if mat.det().is_zero():
             continue
         found_invertible += 1
-        h = proj_normalize(t)
+        h = ProjPoint(MatTuple((mat.normalized(),)))
         cur_p = h
         for _ in range(l):
             cur_p = pgl_dynamics_step(phi, cur_p)
@@ -52,5 +52,5 @@ def test_symbolic_witness_identity_matches_matrix_frobenius():
     for witness in enumerate_quasi_fixed(pmap, 2):
         field = witness.point[0].field
         mat = Mat2.from_entries(field, witness.point)
-        lifted = phi_lift(phi, MatTuple((mat,)))
-        assert lifted[0] == mat_frobenius(mat, witness.m)
+        lifted = pi_w(phi.images[0], MatTuple((mat,)))
+        assert lifted == mat_frobenius(mat, witness.m)

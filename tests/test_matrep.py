@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from oracles import (
     entries,
     mat_inverse,
+    mat_mul,
     mat_scale,
     naive_adj,
     naive_det,
     naive_is_scalar,
+    naive_lift,
     naive_mat_mul,
     naive_normalized,
-    naive_word_value,
     tuple_frobenius,
 )
 from quasifix.freegroup import FreeEndo, Word, word_evaluate
@@ -25,10 +26,8 @@ from quasifix.matrep import (
     SingularMatrixError,
     find_periodic_orbit,
     pgl_dynamics_step,
-    phi_lift,
     phi_lift_polynomials,
     pi_w,
-    proj_normalize,
     proj_step,
     random_projpoint,
     rows_index,
@@ -43,22 +42,28 @@ def rand_mat(field, rng):
                                      for _ in range(4)])
 
 
-def flatten(t):
-    """Matrix entries in the coordinate order of phi_lift_polynomials."""
-    return tuple(x for m in t.mats for x in entries(m))
+def identity(field):
+    return Mat2.from_entries(field, (field.one(), field.zero(), field.zero(), field.one()))
+
+
+def lift(phi, t):
+    """The lifted endomorphism on a matrix tuple: pi_w of each image word."""
+    return MatTuple(pi_w(w, t) for w in phi.images)
+
+
+def flatten(mats):
+    """Entry tuples in the coordinate order of phi_lift_polynomials."""
+    return tuple(x for m in mats for x in m)
 
 
 def rand_sl2(field, rng):
     """Random determinant-1 matrix as a product of elementary matrices."""
-    m = Mat2.identity(field)
+    one, zero = field.one(), field.zero()
+    m = (one, zero, zero, one)
     for _ in range(4):
         x = field.from_int(rng.randrange(field.order))
-        if rng.random() < 0.5:
-            e = Mat2.from_entries(field, [field.one(), x, field.zero(), field.one()])
-        else:
-            e = Mat2.from_entries(field, [field.one(), field.zero(), x, field.one()])
-        m = m * e
-    return m
+        m = naive_mat_mul(m, (one, x, zero, one) if rng.random() < 0.5 else (one, zero, x, one))
+    return Mat2.from_entries(field, m)
 
 
 def oracle_sample(field, rng):
@@ -80,11 +85,12 @@ def test_log_encoding_matches_naive_oracle(p, m):
     field = field_create(p, m)
     sample = oracle_sample(field, random.Random(f"mat2:{p}:{m}"))
     mats = [Mat2.from_entries(field, x) for x in sample]
+    adj, product = Word.parse("A", 1), Word.parse("ab", 2)
     for x, mx in zip(sample, mats):
         assert entries(mx) == x
         assert state_rows(field, (mx.logs,)) == (tuple(v.coeffs for v in x),)
         assert state_from_rows(field, state_rows(field, (mx.logs,))) == (mx.logs,)
-        assert entries(mx.adj()) == naive_adj(x)
+        assert entries(pi_w(adj, MatTuple((mx,)))) == naive_adj(x)
         assert mx.det() == naive_det(x)
         assert mx.det().is_zero() == naive_det(x).is_zero()
         assert mx.is_scalar() == naive_is_scalar(x)
@@ -93,13 +99,9 @@ def test_log_encoding_matches_naive_oracle(p, m):
                 mx.normalized()
         else:
             assert entries(mx.normalized()) == naive_normalized(x)
-        if naive_det(x).is_zero():
-            with pytest.raises(SingularMatrixError):
-                proj_normalize(MatTuple((mx,)))
-        else:
-            assert entries(proj_normalize(MatTuple((mx,))).tuple[0]) == naive_normalized(x)
+            assert mx.normalized().normalized() == mx.normalized()
         for y, my in zip(sample, mats):
-            assert entries(mx * my) == naive_mat_mul(x, y)
+            assert entries(pi_w(product, MatTuple((mx, my)))) == naive_mat_mul(x, y)
 
 
 @settings(max_examples=100, deadline=None)
@@ -146,12 +148,13 @@ def test_rows_index_folds_in_range_rows_and_refuses_the_rest(data):
 
 def test_adjugate_and_cayley():
     f5 = field_create(5, 1)
-    assert Mat2.identity(f5).adj() == Mat2.identity(f5)
+    one = identity(f5)
+    assert pi_w(Word.parse("A", 1), MatTuple((one,))) == one
     rng = random.Random(1)
     for _ in range(50):
         m = rand_mat(f5, rng)
-        prod = m * m.adj()
-        expected = mat_scale(Mat2.identity(f5), m.det())
+        prod = pi_w(Word.parse("aB", 2), MatTuple((m, m)))  # m * adj(m)
+        expected = mat_scale(one, m.det())
         assert prod == expected
 
 
@@ -160,19 +163,20 @@ def test_det_multiplicative():
     rng = random.Random(2)
     for _ in range(50):
         a, b = rand_mat(f7, rng), rand_mat(f7, rng)
-        assert (a * b).det() == a.det() * b.det()
+        assert pi_w(Word.parse("ab", 2), MatTuple((a, b))).det() == a.det() * b.det()
 
 
 def test_pi_w_examples():
     f5 = field_create(5, 1)
     rng = random.Random(3)
     t = MatTuple((rand_mat(f5, rng), rand_mat(f5, rng)))
-    assert pi_w(Word.parse("a", 2), t) == t[0]
+    a = t.mats[0]
+    assert pi_w(Word.parse("a", 2), t) == a
     cancel = pi_w(Word(list((1,)) + list((-1,)), 2), t)  # unreduced input reduces
-    assert cancel == Mat2.identity(f5)
+    assert cancel == identity(f5)
     # the formal a*adj(a) value, evaluated without free reduction
-    direct = t[0] * t[0].adj()
-    assert direct == mat_scale(Mat2.identity(f5), t[0].det())
+    direct = pi_w(Word.parse("aB", 2), MatTuple((a, a)))
+    assert direct == mat_scale(identity(f5), a.det())
 
 
 def test_pi_w_agrees_with_true_inverses_on_sl2():
@@ -184,8 +188,7 @@ def test_pi_w_agrees_with_true_inverses_on_sl2():
             for text in ("abA", "aBa", "ba", "AbaB"):
                 w = Word.parse(text, 2)
                 via_adj = pi_w(w, t)
-                via_inv = word_evaluate(w, t.mats, lambda x, y: x * y,
-                                        mat_inverse, Mat2.identity(field))
+                via_inv = word_evaluate(w, t.mats, mat_mul, mat_inverse, identity(field))
                 assert via_adj == via_inv
 
 
@@ -194,16 +197,15 @@ def test_phi_lift_examples():
     rng = random.Random(5)
     ident = FreeEndo.identity(2)
     t = MatTuple((rand_mat(f3, rng), rand_mat(f3, rng)))
-    assert phi_lift(ident, t) == t
+    assert lift(ident, t) == t
 
     square = FreeEndo.parse(["aa"], 1)
-    single = MatTuple((rand_mat(f3, rng),))
-    assert phi_lift(square, single)[0] == single[0] * single[0]
+    a = rand_mat(f3, rng)
+    assert lift(square, MatTuple((a,))).mats == (mat_mul(a, a),)
 
     swapmix = FreeEndo.parse(["ab", "ba"], 2)
-    lifted = phi_lift(swapmix, t)
-    assert lifted[0] == t[0] * t[1]
-    assert lifted[1] == t[1] * t[0]
+    a, b = t.mats
+    assert lift(swapmix, t).mats == (mat_mul(a, b), mat_mul(b, a))
 
 
 def test_phi_lift_polynomials_identity():
@@ -227,9 +229,9 @@ def test_phi_lift_polynomials_agree_pointwise_random():
     phi = FreeEndo.parse(["ab", "bA"], 2)
     pmap = phi_lift_polynomials(phi, 5)
     for _ in range(100):
-        t = MatTuple((rand_mat(f5, rng), rand_mat(f5, rng)))
-        symbolic = pmap.apply(flatten(t))
-        direct = flatten(phi_lift(phi, t))
+        mats = [entries(rand_mat(f5, rng)), entries(rand_mat(f5, rng))]
+        symbolic = pmap.apply(flatten(mats))
+        direct = flatten(naive_lift(phi, mats))
         assert symbolic == direct
 
 
@@ -238,9 +240,8 @@ def test_phi_lift_polynomials_agree_exhaustive_f2():
     phi = FreeEndo.parse(["aa"], 1)
     pmap = phi_lift_polynomials(phi, 2)
     for code in range(16):
-        entries = [f2.from_int((code >> i) & 1) for i in range(4)]
-        t = MatTuple((Mat2.from_entries(f2, entries),))
-        assert pmap.apply(flatten(t)) == flatten(phi_lift(phi, t))
+        mats = [tuple(f2.from_int((code >> i) & 1) for i in range(4))]
+        assert pmap.apply(flatten(mats)) == flatten(naive_lift(phi, mats))
 
 
 def test_frobenius_tuple_prime_field_fixed():
@@ -258,39 +259,18 @@ def test_frobenius_equivariance():
         for _ in range(30):
             t = MatTuple((rand_mat(field, rng), rand_mat(field, rng)))
             for e in (1, 2):
-                assert phi_lift(phi, tuple_frobenius(t, e)) == tuple_frobenius(phi_lift(phi, t), e)
-
-
-def test_proj_normalize_examples():
-    f5 = field_create(5, 1)
-    two = f5.scalar(2)
-    doubled = mat_scale(Mat2.identity(f5), two)
-    point = proj_normalize(MatTuple((doubled,)))
-    assert point.tuple[0] == Mat2.identity(f5)
-
-    rng = random.Random(9)
-    for _ in range(30):
-        t = MatTuple((rand_sl2(f5, rng), rand_sl2(f5, rng)))
-        once = proj_normalize(t)
-        again = proj_normalize(once.tuple)
-        assert once == again
-
-
-def test_proj_normalize_rejects_singular():
-    f5 = field_create(5, 1)
-    singular = Mat2.from_entries(f5, [f5.one(), f5.zero(), f5.zero(), f5.zero()])
-    with pytest.raises(SingularMatrixError):
-        proj_normalize(MatTuple((singular,)))
+                assert lift(phi, tuple_frobenius(t, e)) == tuple_frobenius(lift(phi, t), e)
 
 
 def test_normalize_commutes_with_dynamics():
     rng = random.Random(10)
     f7 = field_create(7, 1)
     phi = FreeEndo.parse(["ab", "ba"], 2)
+    step = proj_step(phi, f7)  # takes unnormalized tuples as well
     for _ in range(30):
-        t = MatTuple((rand_sl2(f7, rng), rand_sl2(f7, rng)))
-        scaled = MatTuple((mat_scale(t[0], f7.scalar(3)), mat_scale(t[1], f7.scalar(2))))
-        assert proj_normalize(phi_lift(phi, t)) == proj_normalize(phi_lift(phi, scaled))
+        a, b = rand_sl2(f7, rng), rand_sl2(f7, rng)
+        scaled = MatTuple((mat_scale(a, f7.scalar(3)), mat_scale(b, f7.scalar(2))))
+        assert step(MatTuple((a, b))._key) == step(scaled._key)
 
 
 def test_identity_endo_every_point_period_one():
@@ -306,8 +286,9 @@ def test_identity_endo_every_point_period_one():
 def test_squaring_orbit_over_f7():
     f7 = field_create(7, 1)
     square = FreeEndo.parse(["aa"], 1)
-    start = proj_normalize(MatTuple((Mat2.from_entries(
-        f7, [f7.scalar(3), f7.zero(), f7.zero(), f7.one()]),)))
+    diag = Mat2.from_entries(f7, [f7.scalar(3), f7.zero(), f7.zero(), f7.one()])
+    assert not diag.det().is_zero()
+    start = ProjPoint(MatTuple((diag.normalized(),)))
     res = find_periodic_orbit(square, start, budget=1000)
     assert res.found
     point, n = res.point, res.period
@@ -348,8 +329,12 @@ def test_projpoint_hash_consistency():
 # -- the orbit-step kernel on states ------------------------------------------
 
 def oracle_step(phi, point):
-    """The lifted step through objects: normalize the lifted tuple."""
-    return proj_normalize(phi_lift(phi, point.tuple))
+    """The lifted step entry by entry: each image word's value, normalized."""
+    values = naive_lift(phi, [entries(m) for m in point.tuple.mats])
+    if any(naive_det(v).is_zero() for v in values):
+        raise SingularMatrixError("tuple has a singular component")
+    return ProjPoint(MatTuple(Mat2.from_entries(point.tuple.field, naive_normalized(v))
+                              for v in values))
 
 
 def oracle_projpoint(field, k, rng):
@@ -413,19 +398,17 @@ def test_kernel_matches_object_oracle(phi, pm, seed, budget, singular):
     assert h0 == oracle_projpoint(field, phi.rank, random.Random(seed))
     if singular:  # invertible tuples stay invertible; a singular start leaves the locus
         h0 = ProjPoint(MatTuple((Mat2(field, (0, 0, 0, 0)),) + h0.tuple.mats[1:]))
-    # one step on states equals the object path and the entry-by-entry oracle
-    values = [naive_word_value(w, [entries(m) for m in h0.tuple.mats]) for w in phi.images]
+    # one step on states equals the entry-by-entry oracle and the object path
     step = proj_step(phi, field)
-    if any(naive_det(v).is_zero() for v in values):
+    try:
+        expected = oracle_step(phi, h0)
+    except SingularMatrixError:
         with pytest.raises(SingularMatrixError):
             step(h0.tuple._key)
-        with pytest.raises(SingularMatrixError):
-            oracle_step(phi, h0)
     else:
         stepped = step(h0.tuple._key)
-        assert stepped == oracle_step(phi, h0).tuple._key
+        assert stepped == expected.tuple._key
         assert pgl_dynamics_step(phi, h0).tuple._key == stepped
-        assert [entries(Mat2(field, x)) for x in stepped] == [naive_normalized(v) for v in values]
     res = find_periodic_orbit(phi, h0, budget)
     assert (res.found, res.point, res.period, res.steps, res.reason) == \
         oracle_orbit(phi, h0, budget)

@@ -21,14 +21,6 @@ from quasifix.poly import (
 
 # -- oracles ---------------------------------------------------------------
 
-def naive_pow(f: MPoly, e: int) -> MPoly:
-    """Repeated multiplication, no square-and-multiply."""
-    out = MPoly.const(1, f.nvars, f.p)
-    for _ in range(e):
-        out = out * f
-    return out
-
-
 def univariate_divmod(a: list[int], b: list[int], p: int):
     """Schoolbook division of dense coefficient lists (low degree first)."""
     r = list(a)
@@ -188,33 +180,6 @@ def test_evaluation_commutes_with_composition():
                          for _ in range(3)})
         pt = (rng.choice(elems), rng.choice(elems))
         assert f.substitute(phi.coords).evaluate(pt) == f.evaluate(phi.apply(pt))
-
-
-def test_frobenius_twist_small_cases():
-    assert parse_poly("x1+1", 1, 2).frobenius_twist(1) == parse_poly("x1^2+1", 1, 2)
-    assert parse_poly("x1+x2", 2, 3).frobenius_twist(1) == parse_poly("x1^3+x2^3", 2, 3)
-
-
-def test_frobenius_twist_matches_naive_pow():
-    rng = random.Random(5)
-    for _ in range(30):
-        p = rng.choice([2, 3])
-        nvars = rng.choice([1, 2])
-        f = MPoly(nvars, p, {tuple(rng.randrange(0, 3) for _ in range(nvars)): rng.randrange(p)
-                             for _ in range(2)})
-        assert f.frobenius_twist(1) == naive_pow(f, p)
-
-
-def test_frobenius_twist_evaluation_compatibility():
-    # exhaustive over F4 and F9 for a few tiny polynomials
-    for p, m, texts in [(2, 2, ["x1^2+x1", "x1+1", "x1^3"]),
-                        (3, 2, ["x1^2+2*x1", "2*x1+1", "x1^3+x1"])]:
-        field = field_create(p, m)
-        for text in texts:
-            f = parse_poly(text, 1, p)
-            for a in field:
-                for e in (1, 2):
-                    assert f.frobenius_twist(e).evaluate((a,)) == f.evaluate((a,)).frobenius(e)
 
 
 # -- I_Q rewriting ----------------------------------------------------------
