@@ -7,19 +7,26 @@ living in a proper subfield is reported at its minimal field degree with
 its minimal valid m, so every witness appears exactly once in a
 deterministic order: ascending (field degree, m, point coordinates).
 
-The search scans the candidate points of each field degree CHUNK at a time
-as columns, one list of discrete logs per coordinate: f_1 is evaluated over
-the whole chunk with one list comprehension per term, the points where it
-fails are dropped from every column, and f_2, ..., f_n run on the rest.  So
-the interpreted work per point is a few comprehension steps, and the scan's
-memory is bounded by the chunk, not by the number of points.
+The maps have coefficients in F_p, so f commutes with Frobenius: when
+f(a) = Frob^m(a), every conjugate b = Frob^j(a) has f(b) = Frob^m(b) with
+the same m and the same least field F_{p^s}, and the s conjugates are
+distinct (Frob^j fixes a only when s divides j).  So the search scans one
+point of each Frobenius orbit of the points of exact degree s, a closed
+point of A^n, and reports all s conjugates of each one it finds.
+
+It scans these candidates CHUNK at a time as columns, one list of
+discrete logs per coordinate: f_1 is evaluated over the whole chunk with
+one list comprehension per term, the points where it fails are dropped
+from every column, and f_2, ..., f_n run on the rest.  So the interpreted
+work per point is a few comprehension steps, and the scan's memory is
+bounded by the chunk, not by the number of points.
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
@@ -98,22 +105,22 @@ def _log_eval_column(terms: list[tuple[int, tuple[int, ...]]], cols: list,
     return acc
 
 
-def _frobenius_orbits(p: int, n: int, degree: bytearray) -> tuple[array, bytearray]:
-    """orbit[x], pos[x] with x = orbit[x] * p^pos[x] mod n for logs x <= n.
+def _orbit_representatives(by_degree: dict[int, array],
+                            degs: tuple[int, ...]) -> list[array]:
+    """Per coordinate, the logs it takes in one point of each Frobenius orbit.
 
-    orbit[x] is the least log in the Frobenius orbit of x, whose size is
-    degree[x]; so g^v is a Frobenius power of g^x iff orbit[v] == orbit[x].
-    orbit[n] = -1, so the log n of 0 matches only itself.
+    Coordinate i has degree d_i, and the Frobenius powers fixing the
+    coordinates before it are those of Frob^L, L = lcm(d_1, ..., d_(i-1));
+    Frob^L moves pos by L mod d_i, so pos < gcd(L, d_i) meets each of its
+    orbits once (`FqField.frobenius_tables`).  So the product of these
+    columns holds exactly one conjugate of each point of the pattern.
     """
-    orbit = array("q", [-1]) * (n + 1)
-    pos = bytearray(n + 1)
-    for x in range(n):
-        if orbit[x] < 0:
-            y = x
-            for j in range(degree[x]):
-                orbit[y], pos[y] = x, j
-                y = y * p % n
-    return orbit, pos
+    cols, stab = [], 1
+    for d in degs:
+        xs = by_degree[d]
+        cols.append(xs[:gcd(stab, d) * len(xs) // d])
+        stab = lcm(stab, d)
+    return cols
 
 
 def check_degree_caps(pmap: PolyMap, s: int, order_cap: int) -> None:
@@ -133,12 +140,21 @@ def enumerate_quasi_fixed(pmap: PolyMap, s_max: int,
     Witnesses stream in ascending (s, m, coordinate) order.  A point is
     attributed to its minimal field degree and carries its minimal valid m.
     The search runs on logarithms to a primitive element (`log_tables`):
-    f(a) is a Zech-logarithm sum, a^(p^m) is log(a) * p^m, and a lies in
-    F_{p^d} iff (q - 1) / (p^d - 1) divides log(a).  The candidates of each
-    degree are taken CHUNK at a time and filtered coordinate by coordinate
-    (see the module docstring), so the memory a scan holds beyond the field's
-    tables and the witnesses of one degree does not grow with the number of
-    candidates.  Each degree is scanned only when the iterator reaches it.
+    f(a) is a Zech-logarithm sum, a^(p^m) is log(a) * p^m, and the field's
+    `frobenius_tables` give each log's subfield degree and Frobenius orbit.
+    Of the points of degree s, with coordinate degrees (d_1, ..., d_n), it
+    scans one per Frobenius orbit: coordinate i takes the logs of degree d_i
+    with pos < gcd(L, d_i), L = lcm(d_1, ..., d_(i-1)), which picks one point
+    of each orbit of the stabiliser <Frob^L> of the coordinates before it.
+    That is exact because f has F_p coefficients: the cyclic group of order
+    s acts freely on the points of degree s and f(Frob^j a) = Frob^m(Frob^j a)
+    with the same m, so each witness found is expanded to its s conjugates
+    (log x -> x * p^j mod q - 1, the log of 0 unchanged) before the sort.
+    The candidates are taken CHUNK at a time and filtered coordinate by
+    coordinate (see the module docstring), so the memory a scan holds beyond
+    the field's tables and the witnesses of one degree does not grow with the
+    number of candidates.  Each degree is scanned only when the iterator
+    reaches it.
     """
     if s_max < 1:
         raise PolyError(f"largest field degree must be >= 1, got {s_max}")
@@ -147,20 +163,15 @@ def enumerate_quasi_fixed(pmap: PolyMap, s_max: int,
         check_degree_caps(pmap, s, order_cap)
         field = field_create(p, s, order_cap)
         exp, log, zech = field.log_tables()
+        degree, orbit, pos, by_degree = field.frobenius_tables()
         n = field.order - 1
         coords = [[(log[c], e) for e, c in f.terms.items()] for f in pmap.coords]
-        divisors = [d for d in range(1, s + 1) if s % d == 0]
-        # degree[x]: least d | s with g^x in F_{p^d}; smaller d overwrite larger
-        degree = bytearray([s]) * (n + 1)
-        for d in reversed(divisors[:-1]):
-            degree[::n // (p**d - 1)] = bytes([d]) * p**d
-        by_degree = {d: [x for x in range(n + 1) if degree[x] == d] for d in divisors}
-        orbit, pos = _frobenius_orbits(p, n, degree)
         found: list[tuple[int, tuple[tuple[int, ...], ...], QuasiFixedWitness]] = []
-        # the points whose least field of definition is F_{p^s}, degree pattern by pattern
+        # one point of each Frobenius orbit of the points whose least field of
+        # definition is F_{p^s}, degree pattern by pattern
         points = itertools.chain.from_iterable(
-            itertools.product(*(by_degree[d] for d in degs))
-            for degs in itertools.product(divisors, repeat=nv) if lcm(*degs) == s)
+            itertools.product(*_orbit_representatives(by_degree, degs))
+            for degs in itertools.product(by_degree, repeat=nv) if lcm(*degs) == s)
         while chunk := list(itertools.islice(points, CHUNK)):
             # cols: the logs of each coordinate, then log f_i(a) for each i checked;
             # f_i(a) = a_i^(p^m) puts f_i(a) in the Frobenius orbit of a_i
@@ -175,9 +186,14 @@ def enumerate_quasi_fixed(pmap: PolyMap, s_max: int,
                             for x, v in zip(row, row[nv:]) if x != n]
                 m = next((m for m in range(1, s + 1)
                           if all((m - r) % d == 0 for r, d in residues)), None)
-                if m is not None:
+                if m is None:
+                    continue
+                # f commutes with Frobenius, so the s conjugates Frob^j(a) are
+                # the witnesses of a's orbit, all with the same m
+                for j in range(s):
                     witness = QuasiFixedWitness(
-                        tuple(field.from_int(exp[x]) for x in row[:nv]), m, s)
+                        tuple(field.from_int(exp[x if x == n else x * p**j % n])
+                              for x in row[:nv]), m, s)
                     found.append((m, tuple(a.coeffs for a in witness.point), witness))
         found.sort(key=lambda item: (item[0], item[1]))
         for _, _, witness in found:

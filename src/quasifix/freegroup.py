@@ -142,10 +142,6 @@ class FreeEndo:
         self.images = images
 
     @classmethod
-    def identity(cls, rank: int) -> "FreeEndo":
-        return cls([Word((i,), rank) for i in range(1, rank + 1)])
-
-    @classmethod
     def parse(cls, image_texts: Sequence[str], rank: int) -> "FreeEndo":
         return cls([Word.parse(t, rank) for t in image_texts], rank)
 

@@ -21,9 +21,11 @@ reads exp off one m-sequence that it extends by big-integer operations on
 lane-packed ints, so only the log scatter and the Zech gather take a Python
 step per element: under a second for F_{2^20}.  Quasi-fixed point
 enumeration runs on them, and so do the 2x2 matrices of `matrep`, which
-store their entries as logarithms.  `field_create` keeps the fields it
-returns, so one process finds each modulus and builds each field's tables
-once, for every search, verification and enumeration it runs.
+store their entries as logarithms.  `FqField.frobenius_tables` sorts those
+logs into Frobenius orbits (about 10 bytes per element) for enumeration.
+`field_create` keeps the fields it returns, so one process finds each
+modulus and builds each field's tables once, for every search,
+verification and enumeration it runs.
 """
 
 from __future__ import annotations
@@ -179,7 +181,7 @@ def _min_irreducible(p: int, m: int) -> tuple[int, ...]:
 class FqField:
     """Descriptor of F_{p^m} with a fixed monic irreducible modulus."""
 
-    __slots__ = ("p", "m", "modulus", "order", "_fold", "_log_tables")
+    __slots__ = ("p", "m", "modulus", "order", "_fold", "_log_tables", "_frobenius_tables")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
@@ -189,6 +191,7 @@ class FqField:
         # x^m = sum of c * x^i over these (i, c), modulo the modulus
         self._fold = tuple((i, -c % p) for i, c in enumerate(modulus[:-1]) if c)
         self._log_tables: tuple[array, array, array] | None = None
+        self._frobenius_tables: tuple[bytearray, array, bytearray, dict[int, array]] | None = None
 
     def __eq__(self, other: object) -> bool:
         # field_create hands out one object per (p, m); the full comparison
@@ -296,6 +299,23 @@ class FqField:
             self._log_tables = _build_log_tables(self)
         return self._log_tables
 
+    def frobenius_tables(self) -> tuple[bytearray, array, bytearray, dict[int, array]]:
+        """(degree, orbit, pos, by_degree): the Frobenius orbits on the logs of `log_tables`.
+
+        For a log x <= n = q - 1: degree[x] is the least d | m with g^x in
+        F_{p^d}, orbit[x] the least log in the Frobenius orbit of x, and
+        pos[x] the j < degree[x] with x = orbit[x] * p^j mod n.  So g^v is a
+        Frobenius power of g^x iff orbit[v] == orbit[x], and the Frobenius
+        x -> x * p mod n adds 1 to pos modulo degree[x].  The log n of 0 has
+        degree 1, pos 0 and orbit -1, so it matches only itself.
+        by_degree[d] holds the logs of degree d ordered by (pos, orbit), so
+        its first k * len(by_degree[d]) // d entries are those with pos < k.
+        About 10 bytes per element; built on first call.
+        """
+        if self._frobenius_tables is None:
+            self._frobenius_tables = _build_frobenius_tables(self)
+        return self._frobenius_tables
+
 
 class FqElement:
     """Element of F_{p^m}, stored as reduced polynomial-basis coordinates."""
@@ -376,7 +396,8 @@ class FqElement:
 
 
 # fields handed out by field_create, oldest first; their orders sum to at most
-# DEFAULT_ORDER_CAP, so their log tables take at most 12 bytes * DEFAULT_ORDER_CAP
+# DEFAULT_ORDER_CAP, so their log and Frobenius tables take at most
+# 22 bytes * DEFAULT_ORDER_CAP
 _FIELDS: dict[tuple[int, int], FqField] = {}
 
 
@@ -577,6 +598,39 @@ def _log_and_zech(exp: array, plus_one: array) -> tuple[array, array]:
     for c in range(0, len(plus_one), _CHUNK):
         plus_one[c:c + _CHUNK] = array(exp.typecode, map(log.__getitem__, plus_one[c:c + _CHUNK]))
     return log, plus_one
+
+
+def _build_frobenius_tables(field: FqField) -> tuple[bytearray, array, bytearray, dict[int, array]]:
+    """The tables of `FqField.frobenius_tables`, with one Python step per element.
+
+    g^x lies in F_{p^d} iff (p^d - 1) x = 0 mod n, so the logs of F_{p^d}
+    are the multiples of n / (p^d - 1), and n itself; each orbit is walked
+    once from its least log.
+    """
+    p, m, n = field.p, field.m, field.order - 1
+    code = "i" if n < 2**31 else "q"
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    # smaller subfields overwrite the larger ones they lie in
+    degree = bytearray([m]) * (n + 1)
+    for d in reversed(divisors[:-1]):
+        degree[::n // (p**d - 1)] = bytes([d]) * p**d
+    orbit = array(code, [-1]) * (n + 1)
+    pos = bytearray(n + 1)
+    least: dict[int, list[int]] = {d: [] for d in divisors}
+    for x in range(n):
+        if orbit[x] < 0:
+            least[degree[x]].append(x)
+            y = x
+            for j in range(degree[x]):
+                orbit[y], pos[y] = x, j
+                y = y * p % n
+    least[1].append(n)
+    by_degree = {}
+    for d, xs in least.items():
+        by_degree[d] = col = array(code, xs)
+        for _ in range(1, d):  # the logs with pos j + 1 are p times those with pos j
+            col.extend([x * p % n for x in col[-len(xs):]])
+    return degree, orbit, pos, by_degree
 
 
 def min_subfield_degree(a: FqElement) -> int:

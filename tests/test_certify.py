@@ -310,7 +310,7 @@ def test_roundtrip_images_with_inverse_letters():
 # -- wreath construction -------------------------------------------------------
 
 def test_wreath_period_one_degenerate():
-    ident = FreeEndo.identity(1)
+    ident = FreeEndo.parse(["a"], 1)
     cert = search_certificate(ident, Word.parse("a", 1)).certificate
     assert cert.period == 1
     data = build_wreath(*wreath_inputs(cert))
@@ -709,7 +709,7 @@ def test_search_refuses_a_word_past_the_work_cap(monkeypatch):
     # the search applies the verifier's bound: a word that fits with one period
     # of the images is certified, one letter more is refused before any search
     monkeypatch.setattr(certify, "MAX_VERIFY_WORK", 5)
-    ident = FreeEndo.identity(1)
+    ident = FreeEndo.parse(["a"], 1)
     out = search_certificate(ident, Word.parse("aaaa", 1))
     assert out.found and out.certificate.period == 1
     assert verify_certificate(out.certificate).passed

@@ -1,3 +1,5 @@
+import itertools
+import math
 import tracemalloc
 from unittest import mock
 
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import naive_eval, naive_frobenius, oracle_quasi_fixed, witness_key_set
 from quasifix import dynamics
 from quasifix.dynamics import (
+    DEFAULT_POINT_CAP,
     EnumerationCapExceeded,
     VarietySpec,
     containment_check,
@@ -128,8 +131,38 @@ def small_maps(draw):
 @example((PolyMap.parse(["x1^2*x2^3*x3+x1*x3", "x2^3+x1*x2", "x3+1"], 3, 2), 3))
 @example((PolyMap.parse(["x1^4+3*x2", "2*x1*x2^2+4"], 2, 5), 2))
 @example((PolyMap.parse(["0"], 1, 5), 3))
+# witnesses of mixed degree patterns, (2, 3) and (3, 6) at s = 6 and (2, 4, 4) at
+# s = 4, where one orbit point per closed point depends on the coordinates before
+@example((PolyMap.parse(["x1^2", "x2+x1^3*x2^4+x1^3*x2"], 2, 2), 6))
+@example((PolyMap.parse(["x1^2+x2^3*x3", "x2", "x3^4*x1+x3^2"], 3, 2), 4))
 def test_enumeration_order_matches_oracle_across_chunk_seams(case):
     _assert_ordered_oracle_and_chunk_free(*case)
+
+
+@pytest.mark.parametrize("p,s,nv", [(p, s, nv) for p in (2, 3) for s in (4, 6) for nv in (1, 2, 3)
+                                    if p ** (s * nv) <= DEFAULT_POINT_CAP])
+def test_orbit_representatives_meet_each_closed_point_once(p, s, nv):
+    field = field_create(p, s)
+    n = field.order - 1
+    by_degree = field.frobenius_tables()[3]
+    # g^x lies in F_{p^d} iff (p^d - 1) x = 0 mod n; the log n of 0 lies in F_p
+    degree = [1 if x == n else min(d for d in range(1, s + 1)
+                                   if s % d == 0 and x * (p**d - 1) % n == 0)
+              for x in range(n + 1)]
+    exact = bytes(math.lcm(*(degree[x] for x in point)) == s
+                  for point in itertools.product(range(n + 1), repeat=nv))
+    hits, reps = bytearray(len(exact)), 0
+    for degs in itertools.product(by_degree, repeat=nv):
+        if math.lcm(*degs) == s:
+            for point in itertools.product(*dynamics._orbit_representatives(by_degree, degs)):
+                reps += 1
+                for j in range(s):
+                    index = 0
+                    for x in point:  # the Frobenius conjugate Frob^j of the point
+                        index = index * (n + 1) + (x if x == n else x * p**j % n)
+                    hits[index] += 1
+    assert reps * s == sum(exact)
+    assert hits == exact
 
 
 @pytest.mark.parametrize("image", ["aa", "aaa", "A"])
@@ -140,8 +173,9 @@ def test_lifted_matrix_map_order_matches_oracle_across_chunk_seams(image):
 
 
 def test_scan_memory_does_not_grow_with_the_candidates():
-    # about 2^12 candidate points up to degree 6 and 2^16 up to degree 8; the
-    # scan holds one chunk of them at a time, so its peak barely moves
+    # one point per Frobenius orbit: 672 candidates at degree 6 and 8,160 at
+    # degree 8; the scan holds one chunk of them at a time, so with chunks of
+    # 256, which both degrees fill, its peak barely moves
     pmap = PolyMap.parse(["x1^3+x2", "x1*x2+1"], 2, 2)
 
     def peak(s_max):
@@ -154,7 +188,8 @@ def test_scan_memory_does_not_grow_with_the_candidates():
         finally:
             tracemalloc.stop()
 
-    assert peak(8) <= 2 * peak(6)
+    with mock.patch.object(dynamics, "CHUNK", 256):
+        assert peak(8) <= 2 * peak(6)
 
 
 def test_variety_membership_examples():

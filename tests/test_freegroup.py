@@ -87,7 +87,7 @@ def test_reduction_confluence_under_insertion():
 def test_endo_apply_substitution_example():
     phi = FreeEndo.parse(["ab", "ba"], 2)
     assert phi.apply(Word.parse("ab", 2)) == Word.parse("abba", 2)
-    ident = FreeEndo.identity(2)
+    ident = FreeEndo.parse(["a", "b"], 2)
     for text in ["a", "ab", "aBa"]:
         w = Word.parse(text, 2)
         assert ident.apply(w) == w

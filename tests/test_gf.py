@@ -3,9 +3,11 @@ import itertools
 import math
 import time
 import tracemalloc
+import weakref
 
 import pytest
 
+from oracles import naive_frobenius
 from quasifix import gf
 from quasifix.gf import (
     DEFAULT_ORDER_CAP,
@@ -232,6 +234,39 @@ def test_kept_fields_bounded_by_default_cap():
     big = field_create(2, 21, cap=2**22)
     assert (2, 21) not in gf._FIELDS
     assert field_create(2, 21, cap=2**22) is not big
+
+
+def test_frobenius_tables_kept_with_the_field_and_dropped_with_it(monkeypatch):
+    monkeypatch.setattr(gf, "_FIELDS", {})  # evict only the fields made here
+    field = field_create(7, 2)
+    tables = field.frobenius_tables()
+    assert field.frobenius_tables() is tables and field_create(7, 2).frobenius_tables() is tables
+    orbit = weakref.ref(tables[1])
+    del field, tables
+    field_create(2, 20)  # 49 + 2^20 > DEFAULT_ORDER_CAP: F_49 is dropped
+    assert orbit() is None
+    assert (7, 2) not in gf._FIELDS
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (2, 6), (3, 4), (5, 2), (7, 1)])
+def test_frobenius_tables_match_the_naive_frobenius(p, m):
+    field = field_create(p, m)
+    exp, log, _ = field.log_tables()
+    degree, orbit, pos, by_degree = field.frobenius_tables()
+    n = field.order - 1
+    assert (degree[n], orbit[n], pos[n]) == (1, -1, 0)  # the log of 0
+    for x in range(n):
+        a = field.from_int(exp[x])
+        conj = [log[naive_frobenius(a, j).to_int()] for j in range(m)]
+        d = min(d for d in range(1, m + 1) if m % d == 0 and conj[d % m] == x)
+        assert degree[x] == d == min_subfield_degree(a)
+        assert orbit[x] == min(conj) and pos[x] < d
+        assert log[naive_frobenius(field.from_int(exp[orbit[x]]), pos[x]).to_int()] == x
+    assert list(by_degree) == [d for d in range(1, m + 1) if m % d == 0]
+    assert sorted(itertools.chain(*by_degree.values())) == list(range(n + 1))
+    for d, xs in by_degree.items():
+        assert all(degree[x] == d for x in xs)
+        assert [pos[x] for x in xs] == sorted(pos[x] for x in xs)
 
 
 def test_default_cap_value():

@@ -195,7 +195,7 @@ def test_pi_w_agrees_with_true_inverses_on_sl2():
 def test_phi_lift_examples():
     f3 = field_create(3, 1)
     rng = random.Random(5)
-    ident = FreeEndo.identity(2)
+    ident = FreeEndo.parse(["a", "b"], 2)
     t = MatTuple((rand_mat(f3, rng), rand_mat(f3, rng)))
     assert lift(ident, t) == t
 
@@ -209,7 +209,7 @@ def test_phi_lift_examples():
 
 
 def test_phi_lift_polynomials_identity():
-    ident = FreeEndo.identity(1)
+    ident = FreeEndo.parse(["a"], 1)
     pmap = phi_lift_polynomials(ident, 3)
     assert pmap == PolyMap.identity(4, 3)
 
@@ -276,7 +276,7 @@ def test_normalize_commutes_with_dynamics():
 def test_identity_endo_every_point_period_one():
     f5 = field_create(5, 1)
     rng = random.Random(11)
-    ident = FreeEndo.identity(2)
+    ident = FreeEndo.parse(["a", "b"], 2)
     for _ in range(10):
         h = random_projpoint(f5, 2, rng)
         res = find_periodic_orbit(ident, h, budget=100)
