@@ -33,7 +33,7 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import chain, zip_longest
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
 DEFAULT_ORDER_CAP = 2**20
@@ -455,6 +455,7 @@ def _berlekamp_massey(s: Sequence[int], p: int) -> tuple[int, ...]:
 
 
 _CHUNK = 1 << 12  # lanes per big-int operation: bounds the working memory of a build
+_GATHER = 1 << 9  # indices per itemgetter call: its argument and result tuples are of ints
 
 
 def _primitive_element(field: FqField) -> tuple[int, ...]:
@@ -595,8 +596,9 @@ def _log_and_zech(exp: array, plus_one: array) -> tuple[array, array]:
     log = array(exp.typecode, [0]) * len(exp)
     for i, e in enumerate(exp):
         log[e] = i
-    for c in range(0, len(plus_one), _CHUNK):
-        plus_one[c:c + _CHUNK] = array(exp.typecode, map(log.__getitem__, plus_one[c:c + _CHUNK]))
+    for c in range(0, len(plus_one), _GATHER):
+        got = itemgetter(*plus_one[c:c + _GATHER])(log)  # a bare int for a chunk of one
+        plus_one[c:c + _GATHER] = array(exp.typecode, got if type(got) is tuple else (got,))
     return log, plus_one
 
 

@@ -15,13 +15,18 @@ elements are the reduced polynomials (every exponent < Q).  Every product
 is reduced as soon as it is formed, and a product of two reduced
 polynomials has at most (2Q - 1)^n terms: the iterate f^(j)_i is reached
 by j compositions in A rather than written out at degree (deg f)^j, and
-x_i^(Q^j) by square-and-multiply.
+x_i^(Q^j) by square-and-multiply.  Inside, each exponent vector is packed
+into one int, a field per variable as wide as the largest total degree
+reached plus a guard bit; rewrites only lower the total degree, so no
+exponent outgrows its field and a monomial product is one add (Monagan and
+Pearce, CASC 2007).
 """
 
 from __future__ import annotations
 
-import heapq
 import re
+from heapq import heapify, heappop, heappush
+from operator import lshift
 from typing import Sequence
 
 from .gf import FqElement, is_prime
@@ -313,12 +318,14 @@ class IqSystem:
     """The zero-dimensional system generated by f_i - x_i^Q, Q > deg f_i.
 
     Its quotient A = F_p[x]/(x_i^Q - f_i) has the reduced monomials (every
-    exponent < Q) as a basis.  The system keeps, per coordinate f_k, the
-    reduced powers NF(f_k^e), and per iterate index j the reduced sides of
-    the congruence f^(j)_i = x_i^(Q^j), so each is computed once.
+    exponent < Q) as a basis.  An element of A is a term map {packed exponent:
+    coefficient}, x_(i+1)'s exponent in bits [w i, w i + w), w = b + 1 for b
+    the bit length of the largest total degree reached, n(2Q - 2) or a larger
+    public input's: rewrites only lower it, so bit b of each field is a guard.
+    It keeps the reduced powers NF(f_k^e) and both sides of f^(j)_i = x_i^(Q^j).
     """
 
-    __slots__ = ("map", "Q", "_powers", "_iterates", "_frobenius")
+    __slots__ = ("map", "Q", "_layout", "_powers", "_iterates", "_frobenius")
 
     def __init__(self, pmap: PolyMap, Q: int):
         p = pmap.p
@@ -332,93 +339,132 @@ class IqSystem:
                 f"Q = {Q} must exceed every coordinate degree (max {pmap.max_degree()})")
         self.map = pmap
         self.Q = Q
-        one = MPoly.const(1, pmap.nvars, p)
-        self._powers = [[one] for _ in pmap.coords]
+        self._layout = self._layout_for(0)
+        w = self._layout[0]
+        self._powers = [[{0: 1}, self._pack(f, w)] for f in pmap.coords]
         # index j holds (NF(f^(j)_i))_i and (NF(x_i^(Q^j)))_i; j = 0 is x itself
-        variables = PolyMap.identity(pmap.nvars, p).coords
+        variables = tuple({1 << w * i: 1} for i in range(pmap.nvars))
         self._iterates = [variables]
         self._frobenius = [variables]
 
-    def normal_form(self, g: MPoly) -> MPoly:
-        """Unique representative of g in A, with every exponent < Q.
+    def _layout_for(self, degree: int) -> tuple[int, int, int, dict[int, list[tuple[int, int]]]]:
+        """(w, ADD, HIGH, rules) for total degrees up to max(degree, n(2Q - 2)).
 
-        Strategy: the reducible monomials wait in a heap, greatest total
-        degree first.  A rewrite x^e -> x^(e - Q e_i) f_i, for the least i
-        with e_i >= Q, touches only the terms of f_i and pushes the new
-        reducible monomials it creates.  These have lower total degree than
-        x^e because Q > deg f_i, so no monomial is rewritten twice and the
-        loop terminates; the coprime leading monomials x_i^Q make the result
-        independent of the order of rewrites.
-        """
+        ADD and HIGH hold 2^b - Q and 2^b in every field, so some e_i >= Q iff
+        (key + ADD) & HIGH; rules maps bit b of field i to the terms of f_i
+        less Q in field i, which x^e -> x^(e - Q e_i) f_i adds to e."""
+        Q, n = self.Q, self.map.nvars
+        b = max(degree, n * (2 * Q - 2)).bit_length()
+        if b + 1 == getattr(self, "_layout", (0,))[0]:  # unset while __init__ builds it
+            return self._layout
+        w = b + 1
+        ones = ((1 << w * n) - 1) // ((1 << w) - 1)  # 1 in every field
+        rules = {1 << s + b: [(e - (Q << s), c) for e, c in self._pack(f, w).items()]
+                 for s, f in zip(range(0, w * n, w), self.map.coords)}
+        return w, (2**b - Q) * ones, ones << b, rules
+
+    def _pack(self, g: MPoly, w: int) -> dict[int, int]:
         if g.nvars != self.map.nvars or g.p != self.map.p:
             raise PolyError("polynomial lives in a different ring than the system")
-        Q, p, budget = self.Q, g.p, DEFAULT_TERM_BUDGET
-        coords = self.map.coords
-        terms = dict(g.terms)
-        heap = [(-sum(e), e) for e in terms if max(e) >= Q]
-        heapq.heapify(heap)
+        return {sum(map(lshift, e, range(0, w * g.nvars, w))): c for e, c in g.terms.items()}
+
+    def _unpack(self, terms: dict[int, int], w: int) -> MPoly:
+        n, mask = self.map.nvars, (1 << w) - 1
+        return MPoly(n, self.map.p, {tuple(e >> s & mask for s in range(0, w * n, w)): c
+                                     for e, c in terms.items()})
+
+    def normal_form(self, g: MPoly) -> MPoly:
+        """Unique representative of g in A, with every exponent < Q."""
+        layout = self._layout_for(g.total_degree())
+        return self._unpack(self._reduce(self._pack(g, layout[0]), layout), layout[0])
+
+    def product(self, a: MPoly, b: MPoly) -> MPoly:
+        """a * b in A: the normal form of the product of two reduced polynomials."""
+        layout = self._layout_for(a.total_degree() + b.total_degree())
+        w = layout[0]
+        return self._unpack(self._product(self._pack(a, w), self._pack(b, w), layout), w)
+
+    def _reduce(self, terms: dict[int, int], layout: tuple) -> dict[int, int]:
+        """Rewrite a packed term map in place to its normal form, and return it.
+
+        Reducible monomials wait in a heap, greatest total degree (key mod
+        2^w - 1) first.  A rewrite x^e -> x^(e - Q e_i) f_i, for the least i
+        with e_i >= Q (the lowest guard bit of key + ADD), creates monomials of
+        lower total degree as Q > deg f_i, so none is rewritten twice; the
+        coprime x_i^Q make the result independent of the order of rewrites.
+        """
+        w, add, high, rules = layout
+        p, budget, mod = self.map.p, DEFAULT_TERM_BUDGET, (1 << w) - 1
+        heap = [(-(e % mod), e) for e in terms if (e + add) & high]
+        heapify(heap)
         while heap:
-            e = heapq.heappop(heap)[1]
+            e = heappop(heap)[1]
             c = terms.pop(e, 0)
             if not c:  # it cancelled after it was pushed
                 continue
-            i = next(idx for idx, ei in enumerate(e) if ei >= Q)
-            rest = e[:i] + (e[i] - Q,) + e[i + 1:]
-            for fe, fc in coords[i].terms.items():
-                key = tuple(a + b for a, b in zip(rest, fe))
+            guards = (e + add) & high
+            for fe, fc in rules[guards & -guards]:
+                key = e + fe
                 old = terms.get(key, 0)
                 val = (old + c * fc) % p
                 if val:
                     terms[key] = val
-                    if not old and max(key) >= Q:
-                        heapq.heappush(heap, (-sum(key), key))
+                    if not old and (key + add) & high:
+                        heappush(heap, (-(key % mod), key))
                 elif old:
                     del terms[key]
             if len(terms) > budget:
                 raise TermBudgetExceeded(f"normal form grew past {budget} terms")
-        return MPoly(g.nvars, p, terms)
+        return terms
 
-    def product(self, a: MPoly, b: MPoly) -> MPoly:
-        """a * b in A: the normal form of the product of two reduced polynomials."""
-        return self.normal_form(a * b)
+    def _product(self, a: dict[int, int], b: dict[int, int], layout: tuple = ()) -> dict[int, int]:
+        """a * b in A for packed reduced a and b; a monomial product is one add."""
+        if len(a) * len(b) > DEFAULT_TERM_BUDGET:
+            raise TermBudgetExceeded(f"product of {len(a)} x {len(b)} terms over budget")
+        p, terms = self.map.p, {}
+        get = terms.get
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = e1 + e2
+                terms[e] = get(e, 0) + c1 * c2
+        return self._reduce({e: c % p for e, c in terms.items() if c % p}, layout or self._layout)
 
-    def _power(self, k: int, e: int) -> MPoly:
+    def _power(self, k: int, e: int) -> dict[int, int]:
         """NF(f_k^e), from the cache; f_k is reduced because Q > deg f_k."""
         row = self._powers[k]
         while len(row) <= e:
-            row.append(self.product(row[-1], self.map.coords[k]))
+            row.append(self._product(row[-1], row[1]))
         return row[e]
 
-    def _compose(self, g: MPoly) -> MPoly:
+    def _compose(self, g: dict[int, int]) -> dict[int, int]:
         """NF(g(f_1, ..., f_n)) for a reduced g.
 
-        The terms of g are grouped by their exponents of x_2..x_n; within a
-        group the powers of f_1 are only added up, so each group costs n - 1
-        products in A.
-        """
-        n, p = g.nvars, g.p
-        groups: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-        for e, c in g.terms.items():
-            _add_scaled(groups.setdefault(e[1:], {}), self._power(0, e[0]), c, p)
-        acc: dict[tuple[int, ...], int] = {}
-        for tail, inner in groups.items():
-            term = MPoly(n, p, inner)
-            for k, ek in enumerate(tail, 1):
-                if ek:
-                    term = self.product(term, self._power(k, ek))
+        The terms of g are grouped by their exponents of x_2..x_n (key >> w);
+        within a group the powers f_1^(key & 2^w - 1) are only added up, so
+        each group costs n - 1 products in A."""
+        w, p = self._layout[0], self.map.p
+        mask = (1 << w) - 1
+        groups: dict[int, dict[int, int]] = {}
+        for e, c in g.items():
+            _add_scaled(groups.setdefault(e >> w, {}), self._power(0, e & mask), c, p)
+        acc: dict[int, int] = {}
+        for tail, term in groups.items():
+            for k in range(1, self.map.nvars):
+                if ek := tail >> w * (k - 1) & mask:
+                    term = self._product(term, self._power(k, ek))
             _add_scaled(acc, term, 1, p)
-        return MPoly(n, p, acc)
+        return acc
 
-    def _pow(self, g: MPoly, e: int) -> MPoly:
+    def _pow(self, g: dict[int, int], e: int) -> dict[int, int]:
         """g^e in A for e >= 1, by square-and-multiply."""
         result = None
         while True:
             if e & 1:
-                result = g if result is None else self.product(result, g)
+                result = g if result is None else self._product(result, g)
             e >>= 1
             if not e:
                 return result
-            g = self.product(g, g)
+            g = self._product(g, g)
 
     def quotient_dimension(self) -> int:
         """Vector-space dimension of the quotient by the system's ideal.
@@ -454,9 +500,9 @@ class IqSystem:
         return self._iterates[j] == self._frobenius[j]
 
 
-def _add_scaled(acc: dict[tuple[int, ...], int], g: MPoly, c: int, p: int) -> None:
+def _add_scaled(acc: dict[int, int], g: dict[int, int], c: int, p: int) -> None:
     """acc += c * g, on a term map, dropping the terms that cancel."""
-    for e, gc in g.terms.items():
+    for e, gc in g.items():
         val = (acc.get(e, 0) + c * gc) % p
         if val:
             acc[e] = val

@@ -299,6 +299,15 @@ def test_log_tables_exhaustive(p, m):
         assert exp[zech[k]] == (field.from_int(exp[k]) + one).to_int()
 
 
+def test_log_tables_with_a_last_gather_chunk_of_one():
+    # 12289 = 24 * 512 + 1 is prime: the Zech gather ends on a chunk of one index
+    p = 12289
+    exp, log, zech = field_create(p, 1).log_tables()
+    assert len(zech) % gf._GATHER == 1
+    assert all(log[exp[k]] == k for k in range(p - 1))
+    assert all(zech[k] == log[(exp[k] + 1) % p] for k in range(p))  # exp[p - 1] = 0 stands for 0
+
+
 @pytest.mark.parametrize("p,m", SMALL_FIELDS)
 def test_log_space_frobenius_and_subfield_degree(p, m):
     field = field_create(p, m)

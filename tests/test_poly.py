@@ -260,24 +260,67 @@ def test_term_budget_enforced(monkeypatch):
         sys.normal_form(parse_poly("x1^4", 1, 2))
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), n=st.sampled_from([1, 2]), pQ=st.sampled_from([(2, 4), (2, 8), (3, 9)]))
-def test_normal_form_and_product_match_division_oracle(data, n, pQ):
-    p, Q = pQ
+def _draw_terms(draw, n, p, max_expo, min_expo=0):
+    expo = st.tuples(*[st.integers(min_expo, max_expo)] * n)
+    return draw(st.dictionaries(expo, st.integers(1, p - 1), min_size=1, max_size=3))
 
-    def draw_terms(max_expo, min_expo=0):
-        expo = st.tuples(*[st.integers(min_expo, max_expo)] * n)
-        return data.draw(st.dictionaries(expo, st.integers(1, p - 1), min_size=1, max_size=3))
 
-    pmap = PolyMap([MPoly(n, p, {e: c for e, c in draw_terms(Q - 1).items() if sum(e) < Q})
-                    for _ in range(n)])
-    system = IqSystem(pmap, Q)
+@st.composite
+def _iq_cases(draw):
+    """(n, p, Q, the map's term maps, then the term maps of g, a and b)."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    # Q = p gives the narrowest packed fields
+    p, Q = draw(st.sampled_from([(2, 2), (3, 3), (5, 5), (2, 4), (2, 8), (3, 9)]))
+    coords = [{e: c for e, c in _draw_terms(draw, n, p, Q - 1).items() if sum(e) < Q}
+              for _ in range(n)]
     # exponents of 2Q and above need chains of rewrites, each x_i^Q at a time
-    g = MPoly(n, p, draw_terms(3 * Q, 2 * Q) | draw_terms(3 * Q))
+    g = _draw_terms(draw, n, p, 3 * Q, 2 * Q) | _draw_terms(draw, n, p, 3 * Q)
+    return n, p, Q, coords, g, _draw_terms(draw, n, p, 2 * Q), _draw_terms(draw, n, p, 2 * Q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_iq_cases())
+# total degree 37 > n(2Q - 2) = 8: the public path packs g into wider fields
+@example(case=(2, 3, 3, [{(1, 1): 1, (0, 0): 2}, {(2, 0): 1, (0, 1): 1}],
+               {(20, 17): 1, (9, 0): 2}, {(4, 1): 1}, {(2, 5): 2, (3, 3): 1}))
+# Q = 2, n = 3: three fields of w = 4 bits
+@example(case=(3, 2, 2,
+               [{(0, 1, 0): 1}, {(1, 0, 0): 1, (0, 0, 1): 1}, {(0, 0, 0): 1, (1, 0, 0): 1}],
+               {(6, 5, 4): 1, (4, 4, 6): 1, (1, 0, 0): 1}, {(3, 1, 2): 1},
+               {(2, 2, 0): 1, (0, 0, 4): 1}))
+def test_normal_form_and_product_match_division_oracle(case):
+    n, p, Q, coords, g, a, b = case
+    system = IqSystem(PolyMap([MPoly(n, p, f) for f in coords]), Q)
+    g = MPoly(n, p, g)
     assert system.normal_form(g) == multivariate_remainder(g, system)
-    a, b = MPoly(n, p, draw_terms(2 * Q)), MPoly(n, p, draw_terms(2 * Q))
+    a, b = MPoly(n, p, a), MPoly(n, p, b)
     product = system.product(system.normal_form(a), system.normal_form(b))
     assert product == system.normal_form(a * b) == multivariate_remainder(a * b, system)
+
+
+@pytest.mark.parametrize("n,p,Q,j", [
+    (n, p, Q, j) for n in (1, 2, 3) for p in (2, 3, 5) for Q in (p, p * p) for j in (1, 2)
+    if n == 1 or n * Q**j <= 100])  # the oracle's cost grows with Q^j in n > 1 variables
+def test_congruence_sides_match_division_oracle(n, p, Q, j):
+    # every valid system passes the congruence check, so its True alone
+    # cannot catch wrong arithmetic: each side it keeps is checked instead
+    rng = random.Random(f"{n} {p} {Q} {j}")
+    below_q = [e for e in itertools.product(range(Q), repeat=n) if sum(e) < Q]
+    for _ in range(3):
+        pmap = PolyMap([MPoly(n, p, {e: rng.randrange(1, p) for e in
+                                     rng.sample(below_q, rng.randint(1, min(3, len(below_q))))})
+                        for _ in range(n)])
+        system = IqSystem(pmap, Q)
+        assert system.iterate_congruence_check(j)
+        w = system._layout[0]
+        for k in range(1, j + 1):
+            iterated = pmap.iterate(k)
+            for i in range(n):
+                power = MPoly.monomial(1, tuple(Q**k if m == i else 0 for m in range(n)), p)
+                assert system._unpack(system._iterates[k][i], w) == multivariate_remainder(
+                    iterated.coords[i], system)
+                assert system._unpack(system._frobenius[k][i], w) == multivariate_remainder(
+                    power, system)
 
 
 def _rank_mod_p(rows: list[list[int]], p: int) -> int:
