@@ -4,7 +4,9 @@ Every subcommand prints the same content as JSON or as indented text, takes
 all randomness from an explicit seed, and uses stable exit codes:
 0 success/verified, 1 not-found or failed verification, 2 usage or parse
 errors (including cap breaches, except that `density` reports the degrees it
-scanned below a cap as not found).
+scanned below a cap as not found). An argv that starts with a subcommand goes
+straight to that subcommand's parser, built on its first use; the top-level
+parser is built only for help and errors.
 """
 
 from __future__ import annotations
@@ -42,13 +44,24 @@ USAGE_ERRORS = (PolyParseError, PolyError, WordError, FieldError,
                 CertificateFormatError, OSError, ValueError)
 
 
+def _int(text: str) -> int:
+    """An integer option: ASCII digits after an optional minus sign (`int` takes `1_009`, `٣`)."""
+    digits = text.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # past Python's digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def order_cap_from_env() -> int:
     raw = os.environ.get("QUASIFIX_CAP")
     if raw is None:
         return DEFAULT_ORDER_CAP
     try:
-        cap = int(raw)
-    except ValueError as exc:
+        cap = _int(raw)
+    except argparse.ArgumentTypeError as exc:
         raise FieldError(f"QUASIFIX_CAP must be an integer, got {raw!r}") from exc
     if cap < 2:
         raise FieldError(f"QUASIFIX_CAP must be >= 2, got {cap}")
@@ -234,81 +247,81 @@ def cmd_verify(args) -> int:
     return 0 if verdict.passed else 1
 
 
+_FORMAT = ("--format", dict(choices=("json", "text"), default="text"))
+_OUT = ("--out", dict(default=None, help="write output to a file"))
+
+# name -> (help, handler, arguments): the one definition of each subcommand
+SUBCOMMANDS = {
+    "quasifixed": ("enumerate quasi-fixed witnesses", cmd_quasifixed, (
+        ("--p", dict(type=_int, required=True, help="characteristic")),
+        ("--n", dict(type=_int, required=True, help="number of variables")),
+        ("--map", dict(required=True,
+                       help="comma-separated coordinate polynomials, e.g. 'x1^2,x1*x2'")),
+        ("--smax", dict(type=_int, default=3, help="largest field degree")), _FORMAT, _OUT)),
+    "density": ("find a quasi-fixed witness avoiding W", cmd_density, (
+        ("--p", dict(type=_int, required=True)), ("--n", dict(type=_int, required=True)),
+        ("--map", dict(required=True)),
+        ("--v", dict(default="", help="variety polynomials (empty = all of A^n)")),
+        ("--w", dict(required=True, help="polynomial cutting out the set to avoid")),
+        ("--smax", dict(type=_int, default=4)), _FORMAT, _OUT)),
+    "iq": ("quotient dimension and iterate congruences", cmd_iq, (
+        ("--p", dict(type=_int, required=True)), ("--n", dict(type=_int, required=True)),
+        ("--map", dict(required=True)),
+        ("--q", dict(type=_int, required=True, help="the power Q of p")),
+        ("--j", dict(type=_int, default=2, help="check iterates 1..j")), _FORMAT, _OUT)),
+    "fold": ("fold words and report the subgroup rank", cmd_fold, (
+        ("--k", dict(type=_int, required=True, help="ambient free-group rank")),
+        ("words", dict(nargs="+", help="words generating the subgroup")), _FORMAT, _OUT)),
+    "certify": ("search a finite-quotient certificate", cmd_certify, (
+        ("--endo", dict(required=True, help="JSON file {\"rank\": k, \"images\": [...]}")),
+        ("--word", dict(required=True, help="word to separate from 1")),
+        ("--seed", dict(type=_int, default=0)), ("--smax", dict(type=_int, default=6)),
+        ("--seeds", dict(type=_int, default=64, help="seeds per field degree")),
+        ("--budget", dict(type=_int, default=10**7, help="orbit step budget")),
+        ("--allow-noninjective", dict(action="store_true")), _FORMAT,
+        ("--out", dict(default="certificate.json", help="certificate file path")))),
+    "verify": ("independently verify a certificate file", cmd_verify, (
+        ("certificate", dict(help="certificate JSON file")), _FORMAT, _OUT)),
+}
+
+
+@functools.cache
+def _subparser(name: str) -> argparse.ArgumentParser:
+    """The parser of subcommand `name`, built on its first use and shared after it
+    (each parse fills a fresh namespace and leaves the parser as it was)."""
+    _, handler, arguments = SUBCOMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"quasifix {name}")
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+    parser.set_defaults(func=handler)
+    return parser
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The `quasifix` parser, built on the first call and shared after it.
-
-    Sharing is safe: `parse_args` returns a fresh namespace each time and
-    leaves the parser as it was.
-    """
+    """The top-level `quasifix` parser, for help and errors; its subcommands are
+    the `_subparser` parsers, which an argv can reach after a leading option."""
     parser = argparse.ArgumentParser(
         prog="quasifix",
         description="Quasi-fixed points of polynomial maps over finite fields "
                     "and finite-quotient certificates for free-group mapping tori.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p):
-        p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--out", default=None, help="write output to a file")
-
-    qf = sub.add_parser("quasifixed", help="enumerate quasi-fixed witnesses")
-    qf.add_argument("--p", type=int, required=True, help="characteristic")
-    qf.add_argument("--n", type=int, required=True, help="number of variables")
-    qf.add_argument("--map", required=True,
-                    help="comma-separated coordinate polynomials, e.g. 'x1^2,x1*x2'")
-    qf.add_argument("--smax", type=int, default=3, help="largest field degree")
-    add_common(qf)
-    qf.set_defaults(func=cmd_quasifixed)
-
-    de = sub.add_parser("density", help="find a quasi-fixed witness avoiding W")
-    de.add_argument("--p", type=int, required=True)
-    de.add_argument("--n", type=int, required=True)
-    de.add_argument("--map", required=True)
-    de.add_argument("--v", default="", help="variety polynomials (empty = all of A^n)")
-    de.add_argument("--w", required=True, help="polynomial cutting out the set to avoid")
-    de.add_argument("--smax", type=int, default=4)
-    add_common(de)
-    de.set_defaults(func=cmd_density)
-
-    iq = sub.add_parser("iq", help="quotient dimension and iterate congruences")
-    iq.add_argument("--p", type=int, required=True)
-    iq.add_argument("--n", type=int, required=True)
-    iq.add_argument("--map", required=True)
-    iq.add_argument("--q", type=int, required=True, help="the power Q of p")
-    iq.add_argument("--j", type=int, default=2, help="check iterates 1..j")
-    add_common(iq)
-    iq.set_defaults(func=cmd_iq)
-
-    fo = sub.add_parser("fold", help="fold words and report the subgroup rank")
-    fo.add_argument("--k", type=int, required=True, help="ambient free-group rank")
-    fo.add_argument("words", nargs="+", help="words generating the subgroup")
-    add_common(fo)
-    fo.set_defaults(func=cmd_fold)
-
-    ce = sub.add_parser("certify", help="search a finite-quotient certificate")
-    ce.add_argument("--endo", required=True,
-                    help="JSON file {\"rank\": k, \"images\": [...]}")
-    ce.add_argument("--word", required=True, help="word to separate from 1")
-    ce.add_argument("--seed", type=int, default=0)
-    ce.add_argument("--smax", type=int, default=6)
-    ce.add_argument("--seeds", type=int, default=64, help="seeds per field degree")
-    ce.add_argument("--budget", type=int, default=10**7, help="orbit step budget")
-    ce.add_argument("--allow-noninjective", action="store_true")
-    ce.add_argument("--format", choices=("json", "text"), default="text")
-    ce.add_argument("--out", default="certificate.json",
-                    help="certificate file path")
-    ce.set_defaults(func=cmd_certify)
-
-    ve = sub.add_parser("verify", help="independently verify a certificate file")
-    ve.add_argument("certificate", help="certificate JSON file")
-    add_common(ve)
-    ve.set_defaults(func=cmd_verify)
+    sub = parser.add_subparsers(dest="subcommand", required=True,
+                                parser_class=lambda prog: _subparser(prog.split()[-1]))
+    for name, (help_text, _, _) in SUBCOMMANDS.items():
+        sub.add_parser(name, help=help_text)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in SUBCOMMANDS:
+        # the top-level parser would hand all of argv[1:] to this parser
+        args, extras = _subparser(argv[0]).parse_known_args(
+            argv[1:], argparse.Namespace(subcommand=argv[0]))
+        if extras:
+            build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    else:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except USAGE_ERRORS as exc:

@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -12,9 +15,9 @@ from hypothesis import strategies as st
 
 import quasifix
 from oracles import oracle_quasi_fixed
-from quasifix import dynamics, gf, poly
+from quasifix import cli, dynamics, gf, poly
 from quasifix.certify import certificate_from_bytes, verify_certificate
-from quasifix.cli import _render_json, build_parser, main
+from quasifix.cli import SUBCOMMANDS, _render_json, _subparser, build_parser, main
 from quasifix.poly import PolyMap
 
 
@@ -157,14 +160,19 @@ def test_characteristic_past_the_bound_is_refused(capsys):
 
 def test_import_builds_no_parser_and_no_field():
     # the benchmark's setup_s times `import quasifix.cli` in a fresh interpreter:
-    # the parser and the fields are built on first use, never at import
+    # the parsers and the fields are built on first use, never at import, and a
+    # call builds the parser of its own subcommand alone
     env = dict(os.environ, PYTHONPATH=str(Path(quasifix.__file__).resolve().parents[1]))
-    probe = ("import quasifix.cli, quasifix.gf; "
-             "print(quasifix.cli.build_parser.cache_info().currsize, "
-             "len(quasifix.gf._FIELDS))")
+    probe = ("import contextlib, io, quasifix.cli as cli, quasifix.gf as gf\n"
+             "def built(): return (cli.build_parser.cache_info().currsize,\n"
+             "                     cli._subparser.cache_info().currsize)\n"
+             "print(*built(), len(gf._FIELDS))\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = cli.main(['iq', '--p', '2', '--n', '1', '--map', 'x1', '--q', '4'])\n"
+             "print(code, *built())")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                             text=True, timeout=30, env=env)
-    assert (result.returncode, result.stdout) == (0, "0 0\n"), result.stderr
+    assert (result.returncode, result.stdout) == (0, "0 0 0\n0 0 1\n"), result.stderr
 
 
 def test_iq_term_budget_is_a_usage_error(capsys, monkeypatch):
@@ -348,6 +356,29 @@ def test_cap_env_override(capsys, monkeypatch):
     assert code == 2
 
 
+# forms Python's int() reads as a number but the CLI refuses rather than reinterprets:
+# digit separators, non-ASCII digits, a sign or padding, and past the 4300-digit limit
+NOT_ASCII_INTS = ["1_009", "\u0663", "-\u0663", "\uff13", "+3", " 3", "3 ", "3\n", "",
+                  "1" * 4301]
+
+
+@pytest.mark.parametrize("text", NOT_ASCII_INTS)
+def test_int_options_accept_ascii_digits_only(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["quasifixed", "--p", text, "--n", "1", "--map", "x1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"quasifix quasifixed: error: argument --p: invalid int value: {text!r}\n")
+
+
+@pytest.mark.parametrize("text", NOT_ASCII_INTS)
+def test_cap_env_accepts_ascii_digits_only(capsys, monkeypatch, text):
+    monkeypatch.setenv("QUASIFIX_CAP", text)
+    code, out, err = run_cli(capsys, "quasifixed", "--p", "2", "--n", "1", "--map", "x1")
+    assert (code, out) == (2, "")
+    assert err == f"error: QUASIFIX_CAP must be an integer, got {text!r}\n"
+
+
 def test_verify_honours_cap_env_above_default(capsys, monkeypatch, tmp_path):
     # a valid certificate over F_{1031^2} (order above the default cap 2^20):
     # identity endomorphism of rank 1, w = a, period 1
@@ -445,6 +476,86 @@ def test_help_text_unchanged(capsys, monkeypatch):
         "87db9bb035a17d483091a56b7e41a8df03605bf4b70bed23ccdc9dab1b01541f")
 
 
+def _nested_parser() -> argparse.ArgumentParser:
+    # the parser tree `main` ran on before it dispatched on the first token:
+    # one subparser per entry of SUBCOMMANDS under the top-level parser
+    parser = argparse.ArgumentParser(prog="quasifix", description=build_parser().description)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_text, handler, arguments) in cli.SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            subparser.add_argument(flag, **options)
+        subparser.set_defaults(func=handler)
+    return parser
+
+
+def _parse_outcome(parse, argv):
+    """The namespace `parse` gives for argv, or its (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parse(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+FLAGS = sorted({flag for _, _, arguments in SUBCOMMANDS.values()
+                for flag, _ in arguments if flag.startswith("-")})
+VALUES = st.sampled_from(["3", "0", "-2", "x", "x1", "1_009", "\u0663", "json", "text", ""])
+FLAG_PREFIXES = st.sampled_from(FLAGS).flatmap(
+    lambda flag: st.integers(2, len(flag)).map(lambda k: flag[:k]))
+TOKENS = st.one_of(
+    st.sampled_from(FLAGS), FLAG_PREFIXES, VALUES,
+    st.tuples(FLAG_PREFIXES, VALUES).map("=".join),
+    st.sampled_from(["--", "-h", "--help", "--he", "-x", "extra", *SUBCOMMANDS]))
+NOT_SUBCOMMANDS = st.sampled_from(["-h", "--help", "--he", "-x", "--x=1", "--", "", "iqq",
+                                   "IQ", "--format"])
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand with its required arguments, some of them dropped, then noise;
+    or noise with a first token that is not a subcommand."""
+    if draw(st.integers(0, 4)) == 0:
+        return [draw(NOT_SUBCOMMANDS), *draw(st.lists(TOKENS, max_size=10))]
+    name = draw(st.sampled_from(list(SUBCOMMANDS)))
+    required = [[flag, "3" if options.get("type") else "x1"] if flag.startswith("-")
+                else ["a"] for flag, options in SUBCOMMANDS[name][2]
+                if options.get("required") or not flag.startswith("-")]
+    kept = draw(st.permutations(required))
+    if draw(st.booleans()):
+        kept = kept[:draw(st.integers(0, len(kept)))]
+    return [name, *(token for pair in kept for token in pair),
+            *draw(st.lists(TOKENS, max_size=6))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(cli_argvs())
+@example([])
+@example(["-x", "iq", "--p", "3", "--n", "1", "--map", "x1", "--q", "9"])
+@example(["iq", "--p", "3", "--n", "1", "--map", "x1", "--q", "9", "extra", "--", "-h"])
+@example(["certify", "--s", "1", "--endo", "e", "--word", "a"])
+@example(["fold", "--k=2", "--", "-a", "b"])
+def test_dispatch_matches_the_nested_parser(argv):
+    # `main` parses a leading subcommand with that subcommand's parser alone; it must
+    # give the namespace, exit code and output of the nested tree in every case
+    parsed = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COLUMNS", "80")
+        mp.setattr(cli, "SUBCOMMANDS", {
+            name: (help_text, lambda args: parsed.append(args) or 0, arguments)
+            for name, (help_text, _, arguments) in SUBCOMMANDS.items()})
+        build_parser.cache_clear()
+        _subparser.cache_clear()
+        try:
+            got = _parse_outcome(lambda argv: main(argv) or parsed.pop(), argv)
+            expected = _parse_outcome(_nested_parser().parse_args, argv)
+        finally:
+            build_parser.cache_clear()
+            _subparser.cache_clear()
+    assert got == expected
+
+
 # (QUASIFIX_CAP or None, argv) steps; a step's files are read back after its unit
 WARM_UNITS = [
     [(None, ["quasifixed", "--p", "3", "--n", "2", "--map", "x1*x2+2,x2^2",
@@ -489,6 +600,7 @@ def test_warm_process_matches_fresh_calls(capsys, tmp_path, monkeypatch):
     fresh = []
     for unit in WARM_UNITS:
         build_parser.cache_clear()
+        _subparser.cache_clear()
         gf._FIELDS.clear()
         fresh.append(_run_unit(capsys, monkeypatch, unit))
     assert [unit[0][0] for unit in fresh] == [0] * len(WARM_UNITS)
