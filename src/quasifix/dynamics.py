@@ -110,10 +110,11 @@ def _orbit_representatives(by_degree: dict[int, array],
     """Per coordinate, the logs it takes in one point of each Frobenius orbit.
 
     Coordinate i has degree d_i, and the Frobenius powers fixing the
-    coordinates before it are those of Frob^L, L = lcm(d_1, ..., d_(i-1));
-    Frob^L moves pos by L mod d_i, so pos < gcd(L, d_i) meets each of its
-    orbits once (`FqField.frobenius_tables`).  So the product of these
-    columns holds exactly one conjugate of each point of the pattern.
+    coordinates before it are those of Frob^L, L = lcm(d_1, ..., d_(i-1)).
+    Frob^L moves block j of by_degree[d_i] (`FqField.frobenius_tables`) to
+    block j + L mod d_i, so its first gcd(L, d_i) blocks meet each orbit
+    once.  So the product of these columns holds exactly one conjugate of
+    each point of the pattern.
     """
     cols, stab = [], 1
     for d in degs:
@@ -141,11 +142,12 @@ def enumerate_quasi_fixed(pmap: PolyMap, s_max: int,
     attributed to its minimal field degree and carries its minimal valid m.
     The search runs on logarithms to a primitive element (`log_tables`):
     f(a) is a Zech-logarithm sum, a^(p^m) is log(a) * p^m, and the field's
-    `frobenius_tables` give each log's subfield degree and Frobenius orbit.
-    Of the points of degree s, with coordinate degrees (d_1, ..., d_n), it
-    scans one per Frobenius orbit: coordinate i takes the logs of degree d_i
-    with pos < gcd(L, d_i), L = lcm(d_1, ..., d_(i-1)), which picks one point
-    of each orbit of the stabiliser <Frob^L> of the coordinates before it.
+    `frobenius_tables` give each log's Frobenius orbit and the logs of each
+    subfield degree.  Of the points of degree s, with coordinate degrees
+    (d_1, ..., d_n), it scans one per Frobenius orbit: coordinate i takes the
+    first gcd(L, d_i) blocks of by_degree[d_i], L = lcm(d_1, ..., d_(i-1)),
+    which picks one point of each orbit of the stabiliser <Frob^L> of the
+    coordinates before it.
     That is exact because f has F_p coefficients: the cyclic group of order
     s acts freely on the points of degree s and f(Frob^j a) = Frob^m(Frob^j a)
     with the same m, so each witness found is expanded to its s conjugates
@@ -163,7 +165,7 @@ def enumerate_quasi_fixed(pmap: PolyMap, s_max: int,
         check_degree_caps(pmap, s, order_cap)
         field = field_create(p, s, order_cap)
         exp, log, zech = field.log_tables()
-        degree, orbit, pos, by_degree = field.frobenius_tables()
+        orbit, by_degree = field.frobenius_tables()
         n = field.order - 1
         coords = [[(log[c], e) for e, c in f.terms.items()] for f in pmap.coords]
         found: list[tuple[int, tuple[tuple[int, ...], ...], QuasiFixedWitness]] = []
@@ -181,11 +183,11 @@ def enumerate_quasi_fixed(pmap: PolyMap, s_max: int,
                 keep = [orbit[v] == orbit[x] for v, x in zip(values, cols[i])]
                 cols = [list(itertools.compress(col, keep)) for col in (*cols, values)]
             for row in zip(*cols):
-                # f_i(a) = a_i^(p^m) fixes m modulo the degree of each nonzero a_i
-                residues = [(pos[v] - pos[x], degree[x])
-                            for x, v in zip(row, row[nv:]) if x != n]
+                # the least m with f_i(a) = a_i^(p^m) for every i; the log n of 0
+                # is fixed by every Frobenius power
                 m = next((m for m in range(1, s + 1)
-                          if all((m - r) % d == 0 for r, d in residues)), None)
+                          if all(v == (x if x == n else x * p**m % n)
+                                 for x, v in zip(row, row[nv:]))), None)
                 if m is None:
                     continue
                 # f commutes with Frobenius, so the s conjugates Frob^j(a) are

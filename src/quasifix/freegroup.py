@@ -88,30 +88,8 @@ class Word:
             return "".join(out)
         return "".join((f"x{x}" if x > 0 else f"X{-x}") for x in self.letters)
 
-    def _check(self, other: "Word") -> None:
-        if self.rank != other.rank:
-            raise WordError("words have different ranks")
-
-    def __mul__(self, other: "Word") -> "Word":
-        self._check(other)
-        return Word(self.letters + other.letters, self.rank)
-
-    def inverse(self) -> "Word":
-        return Word(tuple(-x for x in reversed(self.letters)), self.rank)
-
-    def __pow__(self, n: int) -> "Word":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Word.identity(self.rank)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def is_identity(self) -> bool:
         return not self.letters
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Word) and self.rank == other.rank and self.letters == other.letters
@@ -156,9 +134,6 @@ class FreeEndo:
         if not isinstance(images, list) or not all(isinstance(t, str) for t in images):
             raise WordError("endomorphism images must be a list of strings")
         return cls.parse(images, rank)
-
-    def to_dict(self) -> dict:
-        return {"rank": self.rank, "images": [w.to_text() for w in self.images]}
 
     def apply(self, w: Word) -> Word:
         if w.rank != self.rank:

@@ -22,7 +22,7 @@ lane-packed ints, so only the log scatter and the Zech gather take a Python
 step per element: under a second for F_{2^20}.  Quasi-fixed point
 enumeration runs on them, and so do the 2x2 matrices of `matrep`, which
 store their entries as logarithms.  `FqField.frobenius_tables` sorts those
-logs into Frobenius orbits (about 10 bytes per element) for enumeration.
+logs into Frobenius orbits (about 8 bytes per element) for enumeration.
 `field_create` keeps the fields it returns, so one process finds each
 modulus and builds each field's tables once, for every search,
 verification and enumeration it runs.
@@ -191,7 +191,7 @@ class FqField:
         # x^m = sum of c * x^i over these (i, c), modulo the modulus
         self._fold = tuple((i, -c % p) for i, c in enumerate(modulus[:-1]) if c)
         self._log_tables: tuple[array, array, array] | None = None
-        self._frobenius_tables: tuple[bytearray, array, bytearray, dict[int, array]] | None = None
+        self._frobenius_tables: tuple[array, dict[int, array]] | None = None
 
     def __eq__(self, other: object) -> bool:
         # field_create hands out one object per (p, m); the full comparison
@@ -299,18 +299,17 @@ class FqField:
             self._log_tables = _build_log_tables(self)
         return self._log_tables
 
-    def frobenius_tables(self) -> tuple[bytearray, array, bytearray, dict[int, array]]:
-        """(degree, orbit, pos, by_degree): the Frobenius orbits on the logs of `log_tables`.
+    def frobenius_tables(self) -> tuple[array, dict[int, array]]:
+        """(orbit, by_degree): the Frobenius orbits on the logs of `log_tables`.
 
-        For a log x <= n = q - 1: degree[x] is the least d | m with g^x in
-        F_{p^d}, orbit[x] the least log in the Frobenius orbit of x, and
-        pos[x] the j < degree[x] with x = orbit[x] * p^j mod n.  So g^v is a
-        Frobenius power of g^x iff orbit[v] == orbit[x], and the Frobenius
-        x -> x * p mod n adds 1 to pos modulo degree[x].  The log n of 0 has
-        degree 1, pos 0 and orbit -1, so it matches only itself.
-        by_degree[d] holds the logs of degree d ordered by (pos, orbit), so
-        its first k * len(by_degree[d]) // d entries are those with pos < k.
-        About 10 bytes per element; built on first call.
+        For a log x < n = q - 1, orbit[x] is the least log in the Frobenius
+        orbit {x * p^j mod n} of x, so g^v is a Frobenius power of g^x iff
+        orbit[v] == orbit[x].  The log n of 0 has orbit -1, so it matches
+        only itself.  by_degree[d] holds the logs whose least field is
+        F_{p^d}, d | m (n in by_degree[1]): first the least log of each
+        orbit, then p times those, and so on, so its first
+        k * len(by_degree[d]) // d entries are the x * p^j with j < k of the
+        orbits' least logs x.  About 8 bytes per element; built on first call.
         """
         if self._frobenius_tables is None:
             self._frobenius_tables = _build_frobenius_tables(self)
@@ -340,10 +339,6 @@ class FqElement:
         p = self.field.p
         return FqElement(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self) -> "FqElement":
-        p = self.field.p
-        return FqElement(self.field, tuple((-a) % p for a in self.coeffs))
-
     def __mul__(self, other: "FqElement") -> "FqElement":
         self._check(other)
         return FqElement(self.field, self.field._mul(self.coeffs, other.coeffs))
@@ -351,13 +346,11 @@ class FqElement:
     def inv(self) -> "FqElement":
         return FqElement(self.field, self.field._inv(self.coeffs))
 
-    def __truediv__(self, other: "FqElement") -> "FqElement":
-        self._check(other)
-        return self * other.inv()
-
     def __pow__(self, e: int) -> "FqElement":
         if e < 0:
             return self.inv() ** (-e)
+        if any(self.coeffs):  # a^(q-1) = 1; 0^e keeps e, so 0^0 = 1
+            e %= self.field.order - 1
         return FqElement(self.field, self.field._pow(self.coeffs, e))
 
     def frobenius(self, e: int = 1) -> "FqElement":
@@ -397,7 +390,7 @@ class FqElement:
 
 # fields handed out by field_create, oldest first; their orders sum to at most
 # DEFAULT_ORDER_CAP, so their log and Frobenius tables take at most
-# 22 bytes * DEFAULT_ORDER_CAP
+# 20 bytes * DEFAULT_ORDER_CAP
 _FIELDS: dict[tuple[int, int], FqField] = {}
 
 
@@ -602,7 +595,7 @@ def _log_and_zech(exp: array, plus_one: array) -> tuple[array, array]:
     return log, plus_one
 
 
-def _build_frobenius_tables(field: FqField) -> tuple[bytearray, array, bytearray, dict[int, array]]:
+def _build_frobenius_tables(field: FqField) -> tuple[array, dict[int, array]]:
     """The tables of `FqField.frobenius_tables`, with one Python step per element.
 
     g^x lies in F_{p^d} iff (p^d - 1) x = 0 mod n, so the logs of F_{p^d}
@@ -617,22 +610,21 @@ def _build_frobenius_tables(field: FqField) -> tuple[bytearray, array, bytearray
     for d in reversed(divisors[:-1]):
         degree[::n // (p**d - 1)] = bytes([d]) * p**d
     orbit = array(code, [-1]) * (n + 1)
-    pos = bytearray(n + 1)
     least: dict[int, list[int]] = {d: [] for d in divisors}
     for x in range(n):
         if orbit[x] < 0:
             least[degree[x]].append(x)
             y = x
-            for j in range(degree[x]):
-                orbit[y], pos[y] = x, j
+            for _ in range(degree[x]):
+                orbit[y] = x
                 y = y * p % n
     least[1].append(n)
     by_degree = {}
     for d, xs in least.items():
         by_degree[d] = col = array(code, xs)
-        for _ in range(1, d):  # the logs with pos j + 1 are p times those with pos j
+        for _ in range(1, d):  # the next block is p times the one before it
             col.extend([x * p % n for x in col[-len(xs):]])
-    return degree, orbit, pos, by_degree
+    return orbit, by_degree
 
 
 def min_subfield_degree(a: FqElement) -> int:

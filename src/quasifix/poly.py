@@ -152,24 +152,12 @@ class MPoly:
         for a in point:
             if a.field != field:
                 raise PolyError("point coordinates belong to different fields")
-        # cache coordinate powers up to the largest exponent that occurs
-        powers: list[list[FqElement]] = []
-        max_expo = [0] * self.nvars
-        for e in self.terms:
-            for i, ei in enumerate(e):
-                if ei > max_expo[i]:
-                    max_expo[i] = ei
-        for i, a in enumerate(point):
-            row = [field.one()]
-            for _ in range(max_expo[i]):
-                row.append(row[-1] * a)
-            powers.append(row)
         acc = field.zero()
         for e, c in self.terms.items():
             term = field.scalar(c)
-            for i, ei in enumerate(e):
+            for a, ei in zip(point, e):
                 if ei:
-                    term = term * powers[i][ei]
+                    term = term * a ** ei
             acc = acc + term
         return acc
 

@@ -90,7 +90,8 @@ def naive_mat_mul(x, y):
 
 def naive_adj(x):
     a, b, c, d = x
-    return (d, -b, -c, a)
+    zero = a.field.zero()
+    return (d, zero - b, zero - c, a)
 
 
 def naive_det(x):

@@ -228,7 +228,7 @@ def test_criterion_6_certificates_end_to_end():
     swapmix = FreeEndo.parse(["ab", "ba"], 2)
     letters = ["a", "b", "A", "B"]
     length_two = [x + y for x in letters for y in letters
-                  if not Word.parse(x + y, 2).is_identity() and len(Word.parse(x + y, 2)) == 2]
+                  if len(Word.parse(x + y, 2).letters) == 2]
     jobs.extend((swapmix, text) for text in letters + length_two)
     produced = 0
     for phi, text in jobs:

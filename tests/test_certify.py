@@ -50,7 +50,8 @@ from quasifix.matrep import (
     pi_w,
     proj_step,
     random_projpoint,
-    state_from_rows,
+    rows_index,
+    state_from_index,
     state_rows,
 )
 
@@ -81,7 +82,7 @@ def criterion6_outcomes():
     # the certificate jobs of acceptance criterion 6
     letters = ["a", "b", "A", "B"]
     length_two = [x + y for x in letters for y in letters
-                  if len(Word.parse(x + y, 2)) == 2]
+                  if len(Word.parse(x + y, 2).letters) == 2]
     jobs = [(BS12, "a"), (BS12, "aa")] + [(SWAPMIX, t) for t in letters + length_two]
     return [search_certificate(phi, Word.parse(text, phi.rank)) for phi, text in jobs]
 
@@ -90,7 +91,8 @@ def wreath_inputs(cert: Certificate):
     """The parsed endomorphism, word, field and states that verify_certificate holds."""
     field = field_create(cert.p, cert.s)
     return (FreeEndo.parse(cert.images, cert.rank), Word.parse(cert.word, cert.rank),
-            field, [state_from_rows(field, entry) for entry in cert.trace])
+            field, [state_from_index(field, rows_index(entry, cert.p, cert.s))
+                    for entry in cert.trace])
 
 
 # -- prime selection ---------------------------------------------------------
@@ -98,7 +100,7 @@ def wreath_inputs(cert: Certificate):
 def test_pick_prime_squaring_map():
     # integer oracle: the 4th iterate of a under a -> a^2 is a^16, whose
     # Sanov matrix is [[1, 32], [0, 1]]; only divisors of 32 are excluded
-    mat = sanov_embed(Word.parse("a", 1) ** 16)
+    mat = sanov_embed(Word.parse("a" * 16, 1))
     assert mat == IntMatrix2(1, 32, 0, 1)
     assert next(admissible_primes(BS12, Word.parse("a", 1))) == 3
 

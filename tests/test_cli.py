@@ -90,6 +90,16 @@ def test_density_squaring_found_at_degree_four(capsys):
     assert data["witness"]["s"] == 4 and data["witness"]["m"] == 3
 
 
+def test_density_answers_for_a_huge_exponent_in_w_and_v(capsys):
+    # evaluating x1^e at a point used to build every power up to e first
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "density", "--p", "2", "--n", "1", "--map", "x1",
+                           "--w", "x1^99999999999+1", "--v", "x1^99999999999+x1",
+                           "--smax", "2", "--format", "json")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(out)["witness"]["point"] == [[0]]
+
+
 def test_iq_command(capsys):
     code, out, _ = run_cli(capsys, "iq", "--p", "2", "--n", "1",
                            "--map", "x1^2", "--q", "4", "--j", "2",

@@ -144,7 +144,7 @@ def test_enumeration_order_matches_oracle_across_chunk_seams(case):
 def test_orbit_representatives_meet_each_closed_point_once(p, s, nv):
     field = field_create(p, s)
     n = field.order - 1
-    by_degree = field.frobenius_tables()[3]
+    by_degree = field.frobenius_tables()[1]
     # g^x lies in F_{p^d} iff (p^d - 1) x = 0 mod n; the log n of 0 lies in F_p
     degree = [1 if x == n else min(d for d in range(1, s + 1)
                                    if s % d == 0 and x * (p**d - 1) % n == 0)

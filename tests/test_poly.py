@@ -154,6 +154,20 @@ def test_evaluate_is_ring_homomorphism():
         assert (f * g + f).evaluate(pt) == f.evaluate(pt) * g.evaluate(pt) + f.evaluate(pt)
 
 
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
+def test_evaluate_matches_naive_at_exponents_that_wrap_mod_q_minus_1(p, m):
+    # a^(q-1) = 1 for a != 0 but 0^(q-1) = 0, and x^0 = 1 even at x = 0
+    field = field_create(p, m)
+    q = field.order
+    exponents = (0, q - 1, q, 2 * (q - 1))
+    polys = [MPoly(2, p, {(e1, e2): 1}) for e1 in exponents for e2 in exponents]
+    polys.append(MPoly(2, p, {(e1, e2): e1 + e2 + 1 for e1 in exponents for e2 in exponents}))
+    values = [field.zero(), field.one(), field.from_int(q - 1)]
+    for pt in itertools.product(values, repeat=2):
+        for f in polys:
+            assert f.evaluate(pt) == naive_eval(f, pt)
+
+
 def test_compose_projection_and_identity():
     phi = PolyMap.parse(["x1^2+x2", "x1*x2"], 2, 3)
     x1 = MPoly.var(1, 2, 3)
