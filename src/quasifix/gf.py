@@ -599,31 +599,28 @@ def _build_frobenius_tables(field: FqField) -> tuple[array, dict[int, array]]:
     """The tables of `FqField.frobenius_tables`, with one Python step per element.
 
     g^x lies in F_{p^d} iff (p^d - 1) x = 0 mod n, so the logs of F_{p^d}
-    are the multiples of n / (p^d - 1), and n itself; each orbit is walked
-    once from its least log.
+    are the multiples of n / (p^d - 1), and n itself.  The subfields are
+    walked smallest first, each in increasing order of log, so a log that
+    no walked orbit has reached is the least log of an orbit of degree d,
+    which is walked from it at once.
     """
     p, m, n = field.p, field.m, field.order - 1
     code = "i" if n < 2**31 else "q"
-    divisors = [d for d in range(1, m + 1) if m % d == 0]
-    # smaller subfields overwrite the larger ones they lie in
-    degree = bytearray([m]) * (n + 1)
-    for d in reversed(divisors[:-1]):
-        degree[::n // (p**d - 1)] = bytes([d]) * p**d
     orbit = array(code, [-1]) * (n + 1)
-    least: dict[int, list[int]] = {d: [] for d in divisors}
-    for x in range(n):
-        if orbit[x] < 0:
-            least[degree[x]].append(x)
-            y = x
-            for _ in range(degree[x]):
-                orbit[y] = x
-                y = y * p % n
-    least[1].append(n)
     by_degree = {}
-    for d, xs in least.items():
-        by_degree[d] = col = array(code, xs)
+    for d in (d for d in range(1, m + 1) if m % d == 0):
+        by_degree[d] = col = array(code)
+        for x in range(0, n, n // (p**d - 1)):
+            if orbit[x] < 0:
+                col.append(x)
+                y = x
+                for _ in range(d):
+                    orbit[y] = x
+                    y = y * p % n
+        size = len(col)
         for _ in range(1, d):  # the next block is p times the one before it
-            col.extend([x * p % n for x in col[-len(xs):]])
+            col.extend(x * p % n for x in col[-size:])
+    by_degree[1].append(n)
     return orbit, by_degree
 
 

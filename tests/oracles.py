@@ -4,7 +4,8 @@ These deliberately avoid the library's evaluation and enumeration code:
 polynomials are evaluated straight off their term maps by repeated
 multiplication, Frobenius powers by literal p-fold products, subfield
 membership by its definition, and 2x2 matrices as four field elements
-multiplied out entry by entry (the library stores them as logarithms).
+multiplied out entry by entry (the library stores them as logarithms),
+and Stallings folding by re-sorting the whole edge set after each merge.
 What they share with the library is `field_create` and the `FqElement`
 arithmetic (verified exhaustively in test_gf), `Word` and `FreeEndo` for
 their letters, and `Mat2.from_entries`, the `Mat2` entry properties and
@@ -14,7 +15,7 @@ their letters, and `Mat2.from_entries`, the `Mat2` entry properties and
 import itertools
 import math
 
-from quasifix.freegroup import FreeEndo, Word
+from quasifix.freegroup import FreeEndo, StallingsGraph, Word, WordError
 from quasifix.gf import field_create
 from quasifix.matrep import Mat2, MatTuple
 
@@ -192,3 +193,65 @@ def mat_frobenius(m, e):
 
 def tuple_frobenius(t, e):
     return MatTuple([mat_frobenius(m, e) for m in t.mats])
+
+
+def _naive_fold_edges(edges):
+    """Merge vertices until no label repeats among out-edges or in-edges."""
+    edges = set(edges)
+    while True:
+        merge = None
+        out_seen = {}
+        in_seen = {}
+        for (u, lab, v) in sorted(edges):
+            w = out_seen.get((u, lab))
+            if w is not None and w != v:
+                merge = (min(v, w), max(v, w))
+                break
+            out_seen[(u, lab)] = v
+            w = in_seen.get((v, lab))
+            if w is not None and w != u:
+                merge = (min(u, w), max(u, w))
+                break
+            in_seen[(v, lab)] = u
+        if merge is None:
+            return edges
+        keep, drop = merge
+        edges = {(keep if a == drop else a, lab, keep if b == drop else b)
+                 for (a, lab, b) in edges}
+
+
+def naive_fold(words, rank=None):
+    """Folded core graph by one merge per sweep of the sorted edges, then leaf trimming."""
+    words = list(words)
+    if not words:
+        raise WordError("folding needs at least one word")
+    rank = words[0].rank if rank is None else rank
+    for w in words:
+        if w.rank != rank:
+            raise WordError("words have different ranks")
+    edges = set()
+    fresh = 1
+    for w in words:
+        prev = 0
+        for pos, x in enumerate(w.letters):
+            nxt = 0 if pos == len(w.letters) - 1 else fresh
+            if nxt:
+                fresh += 1
+            if x > 0:
+                edges.add((prev, x, nxt))
+            else:
+                edges.add((nxt, -x, prev))
+            prev = nxt
+    edges = _naive_fold_edges(edges)
+    # trim hanging trees: the core keeps the basepoint even if isolated
+    while True:
+        degree = {}
+        for (u, _, v) in edges:
+            degree[u] = degree.get(u, 0) + 1
+            degree[v] = degree.get(v, 0) + 1
+        leaf = next((v for v, d in sorted(degree.items()) if d == 1 and v != 0), None)
+        if leaf is None:
+            break
+        edges = {e for e in edges if leaf not in (e[0], e[2])}
+    vertices = {0} | {u for (u, _, v) in edges} | {v for (u, _, v) in edges}
+    return StallingsGraph(frozenset(vertices), frozenset(edges), 0)

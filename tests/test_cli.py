@@ -215,6 +215,15 @@ def test_fold_noninjective_example(capsys):
     assert json.loads(out)["rank"] == 1
 
 
+def test_fold_of_long_powers_in_bounded_time(capsys):
+    # the fold used to re-sort every edge after each merge: 3,000 merges here
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "fold", "--k", "2", "a" * 3000, "a" * 3001,
+                           "--format", "json")
+    assert time.perf_counter() - start < 2
+    assert code == 0 and json.loads(out)["rank"] == 1
+
+
 def test_certify_and_verify_roundtrip(capsys, tmp_path):
     endo = tmp_path / "bs12.json"
     endo.write_text(json.dumps({"rank": 1, "images": ["aa"]}))
@@ -273,6 +282,18 @@ def test_certify_refuses_noninjective(capsys, tmp_path):
     code, _, err = run_cli(capsys, "certify", "--endo", str(endo), "--word", "a",
                            "--out", str(tmp_path / "c.json"))
     assert code == 2 and "not injective" in err
+
+
+def test_certify_refuses_long_noninjective_images_in_bounded_time(capsys, tmp_path):
+    # 8,001 letters, well under the work cap, all folded into one loop
+    endo = tmp_path / "endo.json"
+    endo.write_text(json.dumps({"rank": 2, "images": ["a" * 4000, "a" * 4001]}))
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "certify", "--endo", str(endo), "--word", "a",
+                           "--out", str(tmp_path / "c.json"))
+    assert time.perf_counter() - start < 2
+    assert code == 2 and "endomorphism is not injective" in err
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_certify_refuses_a_word_past_the_work_cap(capsys, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import naive_fold
 from quasifix.freegroup import (
     FreeEndo,
     IntMatrix2,
@@ -151,6 +152,32 @@ def test_fold_idempotent():
         in_keys = [(v, lab) for (_, lab, v) in graph.edges]
         assert len(set(out_keys)) == len(out_keys)
         assert len(set(in_keys)) == len(in_keys)
+
+
+@st.composite
+def word_lists(draw):
+    rank = draw(st.integers(1, 5))
+    letter = st.integers(-rank, rank).filter(bool)
+    return rank, draw(st.lists(st.lists(letter, max_size=25), min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=word_lists())
+@example(case=(1, [[1] * 5, [1] * 6]))              # a^5, a^6 fold to one loop
+@example(case=(2, [[1, 2], [1, 1, 2]]))             # ab, aab
+@example(case=(2, [[1] * 7 + [2], [1] * 4 + [2] + [-1] * 3, [2, 2]]))
+@example(case=(3, [[1, 2, 3] * 4, [1, 2, 3] * 3, [-3, -2, -1] * 5]))
+@example(case=(2, [[], [2, 1, -2]]))                # an identity word, and a conjugate
+def test_fold_matches_the_naive_fold(case):
+    rank, letter_lists = case
+    words = [Word(letters, rank) for letters in letter_lists]
+    graph = stallings_fold(words, rank)
+    assert graph == naive_fold(words, rank)
+    degree = {}
+    for (u, _, v) in graph.edges:
+        degree[u] = degree.get(u, 0) + 1
+        degree[v] = degree.get(v, 0) + 1
+    assert all(d != 1 for v, d in degree.items() if v != 0)  # no leaf left to trim
 
 
 INJECTIVITY_SUITE = [

@@ -271,6 +271,35 @@ def test_frobenius_tables_match_the_naive_frobenius(p, m):
             assert all(min_subfield_degree(field.from_int(exp[x])) == d for x in block)
 
 
+# sha256 of repr((orbit, by_degree)) as lists, first 16 hex digits, recorded
+# from the build that marked each log's least subfield degree in a bytearray
+# and walked all logs in one loop: fields too large for the naive Frobenius
+FROBENIUS_DIGESTS = {
+    (2, 12): "6af8a17fec9e4dec", (3, 7): "93683ed41a75785c",
+    (13, 4): "60e1d81590e20ba9", (31, 3): "5efd61d468c619ce",
+    (251, 2): "6afcf5710dc8247e", (2, 16): "31c8aac4f738ad4c",
+}
+
+
+@pytest.mark.parametrize("p,m", sorted(FROBENIUS_DIGESTS))
+def test_frobenius_tables_match_pinned_digests(p, m):
+    orbit, by_degree = field_create(p, m).frobenius_tables()
+    tables = (list(orbit), {d: list(xs) for d, xs in by_degree.items()})
+    assert hashlib.sha256(repr(tables).encode()).hexdigest()[:16] == FROBENIUS_DIGESTS[p, m]
+
+
+def test_frobenius_table_build_peaks_below_four_times_the_tables():
+    field = FqField(251, 2, field_create(251, 2).modulus)  # a new field, built under the trace
+    tracemalloc.start()
+    try:
+        orbit, by_degree = field.frobenius_tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(len(t) * t.itemsize for t in (orbit, *by_degree.values()))
+    assert peak <= 4 * kept
+
+
 def test_default_cap_value():
     assert DEFAULT_ORDER_CAP == 2**20
 
