@@ -111,19 +111,18 @@ class Certificate(NamedTuple):
         return self.trace[0]
 
     def to_dict(self) -> dict:
-        def mat_lists(t: TupleData) -> list:
-            return [[list(row) for row in m] for m in t]
-
+        """The certificate's JSON object; the nested tuples stay as they are,
+        since `json.dumps` writes a tuple as an array."""
         return {
             "format_version": self.format_version,
             "rank": self.rank,
-            "images": list(self.images),
+            "images": self.images,
             "word": self.word,
             "p": self.p,
             "s": self.s,
             "period": self.period,
-            "tuple": mat_lists(self.h),
-            "trace": [mat_lists(t) for t in self.trace],
+            "tuple": self.h,
+            "trace": self.trace,
             "metadata": {"seed": self.seed, "generator": f"quasifix {__version__}"},
         }
 

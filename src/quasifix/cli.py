@@ -4,9 +4,12 @@ Every subcommand prints the same content as JSON or as indented text, takes
 all randomness from an explicit seed, and uses stable exit codes:
 0 success/verified, 1 not-found or failed verification, 2 usage or parse
 errors (including cap breaches, except that `density` reports the degrees it
-scanned below a cap as not found). An argv that starts with a subcommand goes
-straight to that subcommand's parser, built on its first use; the top-level
-parser is built only for help and errors.
+scanned below a cap as not found). A canonical argv (a subcommand, then each
+option spelled out in full with its value; see `_reader`) is read straight
+from the subcommand's `SUBCOMMANDS` entry without a parser. Argparse parsers
+are built, on first use, only for help, errors, abbreviations and `=` forms:
+any other argv that starts with a subcommand goes to that subcommand's parser
+alone, and the top-level parser is built only for help and errors.
 """
 
 from __future__ import annotations
@@ -92,29 +95,36 @@ def _render_text(value: Any, indent: int = 0) -> list[str]:
     return [f"{pad}{json.dumps(value)}"]
 
 
+# type -> the writer of a JSON leaf of that type, as `json.dumps` writes it
+_leaf_writer = {int: repr, str: encode_basestring_ascii,
+                bool: {False: "false", True: "true"}.__getitem__,
+                type(None): lambda _: "null", float: json.dumps}.get
+
+
 def _render_json(value: Any, pad: str = "") -> str:
     """`json.dumps(value, sort_keys=True, indent=2)` for payloads with str keys.
 
     `json.dumps` with an indent runs the pure-Python encoder; this writes the
-    same text, leaves strings to the C encoder that `json.dumps` uses and
-    ints in containers to `repr`.
+    same text with a call per container, each writing the leaves of the
+    `_leaf_writer` types in place (strings by the C encoder that `json.dumps`
+    uses).
     """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if not isinstance(value, (dict, list, tuple)):
-        return json.dumps(value)
-    if not value:
-        return "{}" if isinstance(value, dict) else "[]"
-    inner = pad + "  "
-    sep = ",\n" + inner
     if isinstance(value, dict):
-        return "{\n" + inner + sep.join([
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        return "{\n" + inner + (",\n" + inner).join([
             encode_basestring_ascii(key) + ": "
-            + (repr(item) if type(item) is int else _render_json(item, inner))
+            + (put(item) if (put := _leaf_writer(type(item))) else _render_json(item, inner))
             for key, item in sorted(value.items())]) + "\n" + pad + "}"
-    return "[\n" + inner + sep.join([
-        repr(item) if type(item) is int else _render_json(item, inner)
-        for item in value]) + "\n" + pad + "]"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        return "[\n" + inner + (",\n" + inner).join([
+            put(item) if (put := _leaf_writer(type(item))) else _render_json(item, inner)
+            for item in value]) + "\n" + pad + "]"
+    return json.dumps(value)
 
 
 def emit(data: dict, fmt: str, out_path: str | None) -> None:
@@ -297,6 +307,77 @@ def _subparser(name: str) -> argparse.ArgumentParser:
     return parser
 
 
+# the option keys `_reader` reads; an argument with any other key (`nargs`, say)
+# leaves its subcommand to argparse alone
+_READABLE = {"type", "required", "default", "choices", "help", "action"}
+
+
+@functools.cache
+def _reader(name: str):
+    """The reader of canonical argv for subcommand `name`, derived from its
+    `SUBCOMMANDS` entry; it reads no argv at all when an argument of the
+    subcommand has a key outside `_READABLE` or an action but `store_true`.
+
+    Canonical argv spells every option out in full; a `store_true` option
+    stands alone, any other takes the next token as its value, which does not
+    start with `-`, converts with the option's type and lies in its choices;
+    a token that does not start with `-` fills the next positional; and every
+    required argument is there. For such argv the reader returns the namespace
+    that the subcommand's parser gives; for any other it returns None, so that
+    argparse writes every help text and error and reads abbreviations and
+    `=` forms.
+    """
+    _, handler, arguments = SUBCOMMANDS[name]
+    flags, positionals, required = {}, [], set()
+    defaults = {"subcommand": name, "func": handler}
+    for flag, options in arguments:
+        alone = options.get("action") == "store_true"
+        default = options.get("default", False if alone else None)
+        if not options.keys() <= _READABLE or "action" in options and not alone:
+            return lambda tokens: None
+        if flag.startswith("-"):
+            dest = flag.lstrip("-").replace("-", "_")
+            flags[flag] = (dest, alone, options.get("type"), options.get("choices"))
+            if options.get("required"):
+                required.add(dest)
+        else:
+            dest = flag
+            positionals.append(dest)
+            required.add(dest)
+        defaults[dest] = default
+
+    def read(tokens: list[str]) -> argparse.Namespace | None:
+        values, seen, slots = dict(defaults), set(), iter(positionals)
+        tokens = iter(tokens)
+        for token in tokens:
+            if not token.startswith("-"):
+                dest = next(slots, None)
+                if dest is None:
+                    return None
+            elif token in flags:
+                dest, alone, convert, choices = flags[token]
+                if alone:
+                    token = True
+                else:
+                    token = next(tokens, "-")
+                    if token.startswith("-"):
+                        return None
+                    if convert is not None:
+                        try:
+                            token = convert(token)
+                        except (argparse.ArgumentTypeError, TypeError, ValueError):
+                            return None
+                    if choices is not None and token not in choices:
+                        return None
+            else:
+                return None
+            values[dest] = token
+            seen.add(dest)
+        return argparse.Namespace(**values) if required <= seen else None
+
+    return read
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The top-level `quasifix` parser, for help and errors; its subcommands are
@@ -314,14 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in SUBCOMMANDS:
+    if not (argv and argv[0] in SUBCOMMANDS):
+        args = build_parser().parse_args(argv)
+    elif (args := _reader(argv[0])(argv[1:])) is None:
         # the top-level parser would hand all of argv[1:] to this parser
         args, extras = _subparser(argv[0]).parse_known_args(
             argv[1:], argparse.Namespace(subcommand=argv[0]))
         if extras:
             build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
-    else:
-        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except USAGE_ERRORS as exc:

@@ -271,6 +271,8 @@ class PolyMap:
 
     @classmethod
     def parse(cls, texts: Sequence[str], nvars: int, p: int) -> "PolyMap":
+        if nvars < 1:
+            raise PolyParseError(f"number of variables must be >= 1, got {nvars}")
         if len(texts) != nvars:
             raise PolyParseError(f"map needs {nvars} coordinate polynomials, got {len(texts)}")
         return cls([parse_poly(t, nvars, p) for t in texts])

@@ -17,7 +17,7 @@ import quasifix
 from oracles import oracle_quasi_fixed
 from quasifix import cli, dynamics, gf, poly
 from quasifix.certify import certificate_from_bytes, verify_certificate
-from quasifix.cli import SUBCOMMANDS, _render_json, _subparser, build_parser, main
+from quasifix.cli import SUBCOMMANDS, _reader, _render_json, _subparser, build_parser, main
 from quasifix.poly import PolyMap
 
 
@@ -125,6 +125,14 @@ def test_iq_rejects_small_q(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("extra", [["quasifixed"], ["density", "--w", "0"], ["iq", "--q", "4"]],
+                         ids=["quasifixed", "density", "iq"])
+def test_variable_count_below_one_is_named(capsys, extra, n):
+    code, out, err = run_cli(capsys, extra[0], "--p", "2", "--n", n, "--map", "x1", *extra[1:])
+    assert (code, out, err) == (2, "", f"error: number of variables must be >= 1, got {n}\n")
+
+
 def test_iq_q_zero_is_a_usage_error():
     # in a child process, so a hang fails after 10 s instead of stalling the suite
     env = dict(os.environ, PYTHONPATH=str(Path(quasifix.__file__).resolve().parents[1]))
@@ -170,19 +178,24 @@ def test_characteristic_past_the_bound_is_refused(capsys):
 
 def test_import_builds_no_parser_and_no_field():
     # the benchmark's setup_s times `import quasifix.cli` in a fresh interpreter:
-    # the parsers and the fields are built on first use, never at import, and a
-    # call builds the parser of its own subcommand alone
+    # the parsers and the fields are built on first use, never at import; a
+    # canonical argv builds no parser, and any other builds the parser of its
+    # own subcommand alone
     env = dict(os.environ, PYTHONPATH=str(Path(quasifix.__file__).resolve().parents[1]))
     probe = ("import contextlib, io, quasifix.cli as cli, quasifix.gf as gf\n"
              "def built(): return (cli.build_parser.cache_info().currsize,\n"
              "                     cli._subparser.cache_info().currsize)\n"
              "print(*built(), len(gf._FIELDS))\n"
+             "iq = ['iq', '--p', '2', '--n', '1', '--map', 'x1', '--q', '4']\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
-             "    code = cli.main(['iq', '--p', '2', '--n', '1', '--map', 'x1', '--q', '4'])\n"
+             "    code = cli.main(iq)\n"
+             "print(code, *built())\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = cli.main(iq + ['--format=json'])\n"
              "print(code, *built())")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                             text=True, timeout=30, env=env)
-    assert (result.returncode, result.stdout) == (0, "0 0 0\n0 0 1\n"), result.stderr
+    assert (result.returncode, result.stdout) == (0, "0 0 0\n0 0 0\n0 0 1\n"), result.stderr
 
 
 def test_iq_term_budget_is_a_usage_error(capsys, monkeypatch):
@@ -567,9 +580,19 @@ def cli_argvs(draw):
 @example(["iq", "--p", "3", "--n", "1", "--map", "x1", "--q", "9", "extra", "--", "-h"])
 @example(["certify", "--s", "1", "--endo", "e", "--word", "a"])
 @example(["fold", "--k=2", "--", "-a", "b"])
+@example(["certify", "--endo", "e", "--word", "a", "--seed", "-2"])
+@example(["certify", "--endo", "e", "--word", "a", "--allow-noninjective", "yes"])
+@example(["certify", "--endo", "e", "--word", "a", "--allow-noninjective"])
+@example(["verify", "a", "b"])
+@example(["verify", "--format", "json", "a"])
+@example(["iq", "--p", "3", "--p", "2", "--n", "1", "--map", "x1", "--q", "4"])
+@example(["iq", "--p", "3", "--n", "1", "--map", "", "--q", "9"])
+@example(["iq", "--p", "3", "--n", "1", "--map", "x1", "--q", "9", "--format", "jso"])
+@example(["iq", "--p", "3", "--n", "1", "--map", "x1", "--q", "9", "--j"])
 def test_dispatch_matches_the_nested_parser(argv):
-    # `main` parses a leading subcommand with that subcommand's parser alone; it must
-    # give the namespace, exit code and output of the nested tree in every case
+    # `main` reads a canonical argv itself and parses any other leading subcommand with
+    # that subcommand's parser alone; it must give the namespace, exit code and output
+    # of the nested tree in every case
     parsed = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("COLUMNS", "80")
@@ -578,13 +601,41 @@ def test_dispatch_matches_the_nested_parser(argv):
             for name, (help_text, _, arguments) in SUBCOMMANDS.items()})
         build_parser.cache_clear()
         _subparser.cache_clear()
+        _reader.cache_clear()
         try:
             got = _parse_outcome(lambda argv: main(argv) or parsed.pop(), argv)
             expected = _parse_outcome(_nested_parser().parse_args, argv)
         finally:
             build_parser.cache_clear()
             _subparser.cache_clear()
+            _reader.cache_clear()
     assert got == expected
+
+
+def test_benchmark_shaped_argv_never_reaches_argparse(tmp_path, monkeypatch):
+    # argv as the benchmark writes it: every option spelled out and followed by its value
+    monkeypatch.chdir(tmp_path)
+    Path("endo.json").write_text(json.dumps({"rank": 2, "images": ["ab", "ba"]}))
+    jobs = [
+        ["quasifixed", "--p", "3", "--n", "1", "--map", "x1^2", "--smax", "2",
+         "--format", "json"],
+        ["density", "--p", "3", "--n", "1", "--map", "x1^2", "--smax", "2",
+         "--w", "x1", "--format", "json"],
+        ["iq", "--p", "2", "--n", "1", "--map", "x1^3+1", "--q", "4", "--j", "2",
+         "--format", "json"],
+        ["certify", "--endo", "endo.json", "--word", "ab", "--out", "cert_000.json",
+         "--format", "json"],
+        ["verify", "cert_000.json", "--format", "json"],
+    ]
+
+    def refuse(*args):
+        raise AssertionError("canonical argv reached argparse")
+
+    monkeypatch.setattr(cli, "_subparser", refuse)
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [main(argv) for argv in jobs]
+    assert codes == [0] * len(jobs)
 
 
 # (QUASIFIX_CAP or None, argv) steps; a step's files are read back after its unit
@@ -632,6 +683,7 @@ def test_warm_process_matches_fresh_calls(capsys, tmp_path, monkeypatch):
     for unit in WARM_UNITS:
         build_parser.cache_clear()
         _subparser.cache_clear()
+        _reader.cache_clear()
         gf._FIELDS.clear()
         fresh.append(_run_unit(capsys, monkeypatch, unit))
     assert [unit[0][0] for unit in fresh] == [0] * len(WARM_UNITS)
