@@ -6,10 +6,9 @@ all randomness from an explicit seed, and uses stable exit codes:
 errors (including cap breaches, except that `density` reports the degrees it
 scanned below a cap as not found). A canonical argv (a subcommand, then each
 option spelled out in full with its value; see `_reader`) is read straight
-from the subcommand's `SUBCOMMANDS` entry without a parser. Argparse parsers
-are built, on first use, only for help, errors, abbreviations and `=` forms:
-any other argv that starts with a subcommand goes to that subcommand's parser
-alone, and the top-level parser is built only for help and errors.
+from the subcommand's `SUBCOMMANDS` entry without a parser. Every other argv
+(help, errors, abbreviations, `=` forms, values starting with `-`, and all of
+`fold`) goes to the one argparse tree, `build_parser`, built on first use.
 """
 
 from __future__ import annotations
@@ -195,6 +194,14 @@ def cmd_iq(args) -> int:
         raise PolyError(f"--j must be >= 1, got {args.j}")
     pmap = PolyMap.parse(_split_polys(args.map), args.n, args.p)
     system = IqSystem(pmap, args.q)
+    # the payload prints the dimension Q^n, in [2^(n(b - 1)), 2^(nb)) for b the bit length
+    # of Q: refuse one past the interpreter's digit limit (0, or absent before Python 3.10.7,
+    # for none) now, forming powers only between 2^(3 limit) < 10^limit < 2^(4 limit)
+    if limit := getattr(sys, "get_int_max_str_digits", int)():
+        b, n = args.q.bit_length(), args.n
+        if n * b > 3 * limit and (n * (b - 1) >= 4 * limit or args.q**n >= 10**limit):
+            raise PolyError(f"the dimension Q^n has more than {limit} digits, the interpreter's "
+                            "limit for printing an integer (sys.get_int_max_str_digits())")
     congruence = {str(j): system.iterate_congruence_check(j)
                   for j in range(1, args.j + 1)}
     emit({"command": "iq", "p": args.p, "nvars": args.n,
@@ -259,6 +266,7 @@ def cmd_verify(args) -> int:
 
 _FORMAT = ("--format", dict(choices=("json", "text"), default="text"))
 _OUT = ("--out", dict(default=None, help="write output to a file"))
+_CERTIFY = CertifyConfig._field_defaults
 
 # name -> (help, handler, arguments): the one definition of each subcommand
 SUBCOMMANDS = {
@@ -285,26 +293,17 @@ SUBCOMMANDS = {
     "certify": ("search a finite-quotient certificate", cmd_certify, (
         ("--endo", dict(required=True, help="JSON file {\"rank\": k, \"images\": [...]}")),
         ("--word", dict(required=True, help="word to separate from 1")),
-        ("--seed", dict(type=_int, default=0)), ("--smax", dict(type=_int, default=6)),
-        ("--seeds", dict(type=_int, default=64, help="seeds per field degree")),
-        ("--budget", dict(type=_int, default=10**7, help="orbit step budget")),
+        ("--seed", dict(type=_int, default=_CERTIFY["seed"])),
+        ("--smax", dict(type=_int, default=_CERTIFY["s_max"])),
+        ("--seeds", dict(type=_int, default=_CERTIFY["seeds_per_field"],
+                         help="seeds per field degree")),
+        ("--budget", dict(type=_int, default=_CERTIFY["orbit_budget"],
+                          help="orbit step budget")),
         ("--allow-noninjective", dict(action="store_true")), _FORMAT,
         ("--out", dict(default="certificate.json", help="certificate file path")))),
     "verify": ("independently verify a certificate file", cmd_verify, (
         ("certificate", dict(help="certificate JSON file")), _FORMAT, _OUT)),
 }
-
-
-@functools.cache
-def _subparser(name: str) -> argparse.ArgumentParser:
-    """The parser of subcommand `name`, built on its first use and shared after it
-    (each parse fills a fresh namespace and leaves the parser as it was)."""
-    _, handler, arguments = SUBCOMMANDS[name]
-    parser = argparse.ArgumentParser(prog=f"quasifix {name}")
-    for flag, options in arguments:
-        parser.add_argument(flag, **options)
-    parser.set_defaults(func=handler)
-    return parser
 
 
 # the option keys `_reader` reads; an argument with any other key (`nargs`, say)
@@ -323,7 +322,7 @@ def _reader(name: str):
     start with `-`, converts with the option's type and lies in its choices;
     a token that does not start with `-` fills the next positional; and every
     required argument is there. For such argv the reader returns the namespace
-    that the subcommand's parser gives; for any other it returns None, so that
+    that `build_parser` gives; for any other it returns None, so that
     argparse writes every help text and error and reads abbreviations and
     `=` forms.
     """
@@ -380,29 +379,26 @@ def _reader(name: str):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The top-level `quasifix` parser, for help and errors; its subcommands are
-    the `_subparser` parsers, which an argv can reach after a leading option."""
+    """The `quasifix` parser tree, one subparser per `SUBCOMMANDS` entry; it reads
+    every argv that `_reader` declines."""
     parser = argparse.ArgumentParser(
         prog="quasifix",
         description="Quasi-fixed points of polynomial maps over finite fields "
                     "and finite-quotient certificates for free-group mapping tori.")
-    sub = parser.add_subparsers(dest="subcommand", required=True,
-                                parser_class=lambda prog: _subparser(prog.split()[-1]))
-    for name, (help_text, _, _) in SUBCOMMANDS.items():
-        sub.add_parser(name, help=help_text)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_text, handler, arguments) in SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            subparser.add_argument(flag, **options)
+        subparser.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if not (argv and argv[0] in SUBCOMMANDS):
+    args = _reader(argv[0])(argv[1:]) if argv and argv[0] in SUBCOMMANDS else None
+    if args is None:
         args = build_parser().parse_args(argv)
-    elif (args := _reader(argv[0])(argv[1:])) is None:
-        # the top-level parser would hand all of argv[1:] to this parser
-        args, extras = _subparser(argv[0]).parse_known_args(
-            argv[1:], argparse.Namespace(subcommand=argv[0]))
-        if extras:
-            build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except USAGE_ERRORS as exc:

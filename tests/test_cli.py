@@ -17,7 +17,7 @@ import quasifix
 from oracles import oracle_quasi_fixed
 from quasifix import cli, dynamics, gf, poly
 from quasifix.certify import certificate_from_bytes, verify_certificate
-from quasifix.cli import SUBCOMMANDS, _reader, _render_json, _subparser, build_parser, main
+from quasifix.cli import SUBCOMMANDS, _reader, _render_json, build_parser, main
 from quasifix.poly import PolyMap
 
 
@@ -133,6 +133,25 @@ def test_variable_count_below_one_is_named(capsys, extra, n):
     assert (code, out, err) == (2, "", f"error: number of variables must be >= 1, got {n}\n")
 
 
+@pytest.mark.parametrize("bits", [7000, 7200])
+def test_iq_dimension_past_the_digit_limit_is_refused_first(capsys, monkeypatch, bits):
+    # Q^2 = 2^14000 has 4215 digits and is printed; 2^14400 has 4335, past Python's
+    # 4300-digit limit, and is refused before any congruence is checked
+    checked = []
+    check = poly.IqSystem.iterate_congruence_check
+    monkeypatch.setattr(poly.IqSystem, "iterate_congruence_check",
+                        lambda system, j: checked.append(j) or check(system, j))
+    code, out, err = run_cli(capsys, "iq", "--p", "2", "--n", "2", "--map", "x1,x2",
+                             "--q", str(2**bits), "--j", "2", "--format", "json")
+    if bits == 7000:
+        assert (code, err, checked) == (0, "", [1, 2])
+        assert json.loads(out)["dimension"] == 2**14000
+    else:
+        assert (code, out, checked) == (2, "", [])
+        assert err == ("error: the dimension Q^n has more than 4300 digits, the interpreter's "
+                       "limit for printing an integer (sys.get_int_max_str_digits())\n")
+
+
 def test_iq_q_zero_is_a_usage_error():
     # in a child process, so a hang fails after 10 s instead of stalling the suite
     env = dict(os.environ, PYTHONPATH=str(Path(quasifix.__file__).resolve().parents[1]))
@@ -178,24 +197,22 @@ def test_characteristic_past_the_bound_is_refused(capsys):
 
 def test_import_builds_no_parser_and_no_field():
     # the benchmark's setup_s times `import quasifix.cli` in a fresh interpreter:
-    # the parsers and the fields are built on first use, never at import; a
-    # canonical argv builds no parser, and any other builds the parser of its
-    # own subcommand alone
+    # the parser tree and the fields are built on first use, never at import; a
+    # canonical argv builds no parser, and any other builds the one tree
     env = dict(os.environ, PYTHONPATH=str(Path(quasifix.__file__).resolve().parents[1]))
     probe = ("import contextlib, io, quasifix.cli as cli, quasifix.gf as gf\n"
-             "def built(): return (cli.build_parser.cache_info().currsize,\n"
-             "                     cli._subparser.cache_info().currsize)\n"
-             "print(*built(), len(gf._FIELDS))\n"
+             "def built(): return cli.build_parser.cache_info().currsize\n"
+             "print(built(), len(gf._FIELDS))\n"
              "iq = ['iq', '--p', '2', '--n', '1', '--map', 'x1', '--q', '4']\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    code = cli.main(iq)\n"
-             "print(code, *built())\n"
+             "print(code, built())\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    code = cli.main(iq + ['--format=json'])\n"
-             "print(code, *built())")
+             "print(code, built())")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                             text=True, timeout=30, env=env)
-    assert (result.returncode, result.stdout) == (0, "0 0 0\n0 0 0\n0 0 1\n"), result.stderr
+    assert (result.returncode, result.stdout) == (0, "0 0\n0 0\n0 1\n"), result.stderr
 
 
 def test_iq_term_budget_is_a_usage_error(capsys, monkeypatch):
@@ -589,10 +606,11 @@ def cli_argvs(draw):
 @example(["iq", "--p", "3", "--n", "1", "--map", "", "--q", "9"])
 @example(["iq", "--p", "3", "--n", "1", "--map", "x1", "--q", "9", "--format", "jso"])
 @example(["iq", "--p", "3", "--n", "1", "--map", "x1", "--q", "9", "--j"])
+@example(["iq", "--p", "3", "--n", "1", "--map", "x1", "--q", "9", "--format", "text"])
+@example(["fold", "--k", "2", "ab", "ba"])
 def test_dispatch_matches_the_nested_parser(argv):
-    # `main` reads a canonical argv itself and parses any other leading subcommand with
-    # that subcommand's parser alone; it must give the namespace, exit code and output
-    # of the nested tree in every case
+    # `main` reads a canonical argv itself and hands any other to `build_parser`; it must
+    # give the namespace, exit code and output of the nested tree in every case
     parsed = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("COLUMNS", "80")
@@ -600,14 +618,12 @@ def test_dispatch_matches_the_nested_parser(argv):
             name: (help_text, lambda args: parsed.append(args) or 0, arguments)
             for name, (help_text, _, arguments) in SUBCOMMANDS.items()})
         build_parser.cache_clear()
-        _subparser.cache_clear()
         _reader.cache_clear()
         try:
             got = _parse_outcome(lambda argv: main(argv) or parsed.pop(), argv)
             expected = _parse_outcome(_nested_parser().parse_args, argv)
         finally:
             build_parser.cache_clear()
-            _subparser.cache_clear()
             _reader.cache_clear()
     assert got == expected
 
@@ -631,7 +647,6 @@ def test_benchmark_shaped_argv_never_reaches_argparse(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("canonical argv reached argparse")
 
-    monkeypatch.setattr(cli, "_subparser", refuse)
     monkeypatch.setattr(cli, "build_parser", refuse)
     with contextlib.redirect_stdout(io.StringIO()):
         codes = [main(argv) for argv in jobs]
@@ -682,7 +697,6 @@ def test_warm_process_matches_fresh_calls(capsys, tmp_path, monkeypatch):
     fresh = []
     for unit in WARM_UNITS:
         build_parser.cache_clear()
-        _subparser.cache_clear()
         _reader.cache_clear()
         gf._FIELDS.clear()
         fresh.append(_run_unit(capsys, monkeypatch, unit))
