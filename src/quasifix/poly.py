@@ -15,11 +15,12 @@ elements are the reduced polynomials (every exponent < Q).  Every product
 is reduced as soon as it is formed, and a product of two reduced
 polynomials has at most (2Q - 1)^n terms: the iterate f^(j)_i is reached
 by j compositions in A rather than written out at degree (deg f)^j, and
-x_i^(Q^j) by square-and-multiply.  Inside, each exponent vector is packed
-into one int, a field per variable as wide as the largest total degree
-reached plus a guard bit; rewrites only lower the total degree, so no
-exponent outgrows its field and a monomial product is one add (Monagan and
-Pearce, CASC 2007).
+x_i^(Q^j) by k rounds of p-th powers for Q = p^k, which multiply nothing
+over F_p: (sum c x^e)^p = sum c x^(p e).  Inside, each exponent vector is
+packed into one int, a field per variable as wide as the largest total
+degree reached plus a guard bit; rewrites only lower the total degree, so
+no exponent outgrows its field and a monomial product is one add (Monagan
+and Pearce, CASC 2007).
 """
 
 from __future__ import annotations
@@ -310,9 +311,10 @@ class IqSystem:
     Its quotient A = F_p[x]/(x_i^Q - f_i) has the reduced monomials (every
     exponent < Q) as a basis.  An element of A is a term map {packed exponent:
     coefficient}, x_(i+1)'s exponent in bits [w i, w i + w), w = b + 1 for b
-    the bit length of the largest total degree reached, n(2Q - 2) or a larger
-    public input's: rewrites only lower it, so bit b of each field is a guard.
-    It keeps the reduced powers NF(f_k^e) and both sides of f^(j)_i = x_i^(Q^j).
+    the bit length of the largest total degree reached: n(2Q - 2) for a
+    product, n p (Q - 1) for a p-th power, or a larger public input's.
+    Rewrites only lower it, so bit b of each field is a guard.  It keeps the
+    reduced powers NF(f_k^e) and both sides of f^(j)_i = x_i^(Q^j).
     """
 
     __slots__ = ("map", "Q", "_layout", "_powers", "_iterates", "_frobenius")
@@ -331,27 +333,29 @@ class IqSystem:
         self.Q = Q
         self._layout = self._layout_for(0)
         w = self._layout[0]
-        self._powers = [[{0: 1}, self._pack(f, w)] for f in pmap.coords]
+        self._powers = [[{0: 1}, f] for f in self._layout[4]]
         # index j holds (NF(f^(j)_i))_i and (NF(x_i^(Q^j)))_i; j = 0 is x itself
         variables = tuple({1 << w * i: 1} for i in range(pmap.nvars))
         self._iterates = [variables]
         self._frobenius = [variables]
 
-    def _layout_for(self, degree: int) -> tuple[int, int, int, dict[int, list[tuple[int, int]]]]:
-        """(w, ADD, HIGH, rules) for total degrees up to max(degree, n(2Q - 2)).
+    def _layout_for(self, degree: int) -> tuple:
+        """(w, ADD, HIGH, rules, coords) for total degrees to max(degree, n(2Q - 2), np(Q - 1)).
 
         ADD and HIGH hold 2^b - Q and 2^b in every field, so some e_i >= Q iff
         (key + ADD) & HIGH; rules maps bit b of field i to the terms of f_i
-        less Q in field i, which x^e -> x^(e - Q e_i) f_i adds to e."""
+        less Q in field i, which x^e -> x^(e - Q e_i) f_i adds to e; coords
+        holds the packed f_i."""
         Q, n = self.Q, self.map.nvars
-        b = max(degree, n * (2 * Q - 2)).bit_length()
+        b = max(degree, n * (2 * Q - 2), n * self.map.p * (Q - 1)).bit_length()
         if b + 1 == getattr(self, "_layout", (0,))[0]:  # unset while __init__ builds it
             return self._layout
         w = b + 1
         ones = ((1 << w * n) - 1) // ((1 << w) - 1)  # 1 in every field
-        rules = {1 << s + b: [(e - (Q << s), c) for e, c in self._pack(f, w).items()]
-                 for s, f in zip(range(0, w * n, w), self.map.coords)}
-        return w, (2**b - Q) * ones, ones << b, rules
+        coords = [self._pack(f, w) for f in self.map.coords]
+        rules = {1 << s + b: [(e - (Q << s), c) for e, c in f.items()]
+                 for s, f in zip(range(0, w * n, w), coords)}
+        return w, (2**b - Q) * ones, ones << b, rules, coords
 
     def _pack(self, g: MPoly, w: int) -> dict[int, int]:
         if g.nvars != self.map.nvars or g.p != self.map.p:
@@ -383,7 +387,7 @@ class IqSystem:
         lower total degree as Q > deg f_i, so none is rewritten twice; the
         coprime x_i^Q make the result independent of the order of rewrites.
         """
-        w, add, high, rules = layout
+        w, add, high, rules, _ = layout
         p, budget, mod = self.map.p, DEFAULT_TERM_BUDGET, (1 << w) - 1
         heap = [(-(e % mod), e) for e in terms if (e + add) & high]
         heapify(heap)
@@ -445,16 +449,14 @@ class IqSystem:
             _add_scaled(acc, term, 1, p)
         return acc
 
-    def _pow(self, g: dict[int, int], e: int) -> dict[int, int]:
-        """g^e in A for e >= 1, by square-and-multiply."""
-        result = None
-        while True:
-            if e & 1:
-                result = g if result is None else self._product(result, g)
-            e >>= 1
-            if not e:
-                return result
-            g = self._product(g, g)
+    def _frob(self, g: dict[int, int]) -> dict[int, int]:
+        """g^Q in A for a reduced g: k rounds of g <- NF(g^p) for Q = p^k, where g^p
+        scales every key by p, each field by p as none overflows, and multiplies nothing."""
+        p, q = self.map.p, self.Q
+        while q > 1:
+            g = self._reduce({e * p: c for e, c in g.items()}, self._layout)
+            q //= p
+        return g
 
     def quotient_dimension(self) -> int:
         """Vector-space dimension of the quotient by the system's ideal.
@@ -463,21 +465,19 @@ class IqSystem:
         dimension is Q^n; before returning, check the generators are
         consistent with the rewriting (each f_i - x_i^Q reduces to zero).
         """
-        n = self.map.nvars
-        for i, f in enumerate(self.map.coords):
-            gen = f - MPoly.monomial(
-                1, tuple(self.Q if j == i else 0 for j in range(n)), self.map.p)
-            if not self.normal_form(gen).is_zero():
+        w, p = self._layout[0], self.map.p
+        for i, f in enumerate(self._layout[4]):  # the packed f_i, less x_i^Q
+            if self._reduce({**f, self.Q << w * i: p - 1}, self._layout):
                 raise PolyError("generator does not reduce to zero; system is inconsistent")
-        return self.Q**n
+        return self.Q**self.map.nvars
 
     def iterate_congruence_check(self, j: int) -> bool:
         """True iff each coordinate of the j-th iterate is congruent to x_i^(Q^j).
 
         Both sides are computed in A and kept for later calls.  The left is
         f^(j)_i by j compositions g <- NF(g o f) from g = x_i; the right is
-        x_i^(Q^j) by raising x_i^(Q^(j-1)) to the power Q.  The two routes
-        share only the normal form and the reduced product.
+        x_i^(Q^j) by raising x_i^(Q^(j-1)) to the power Q with p-th powers,
+        which multiply nothing.  The two routes share only the normal form.
 
         This must hold for every well-formed system; a False return signals
         an implementation bug rather than a property of the input.
@@ -486,7 +486,7 @@ class IqSystem:
             raise PolyError("iterate index must be >= 1")
         while len(self._iterates) <= j:
             self._iterates.append(tuple(self._compose(g) for g in self._iterates[-1]))
-            self._frobenius.append(tuple(self._pow(x, self.Q) for x in self._frobenius[-1]))
+            self._frobenius.append(tuple(self._frob(x) for x in self._frobenius[-1]))
         return self._iterates[j] == self._frobenius[j]
 
 

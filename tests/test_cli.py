@@ -216,8 +216,8 @@ def test_import_builds_no_parser_and_no_field():
 
 
 def test_iq_term_budget_is_a_usage_error(capsys, monkeypatch):
-    # products in the quotient of this system reach 7 x 7 terms, past a budget of 32
-    monkeypatch.setattr(poly, "DEFAULT_TERM_BUDGET", 32)
+    # the composition multiplies powers of f of up to 7 terms by f's 3, past a budget of 16
+    monkeypatch.setattr(poly, "DEFAULT_TERM_BUDGET", 16)
     code, out, err = run_cli(capsys, "iq", "--p", "2", "--n", "1",
                              "--map", "x1^7+x1^3+1", "--q", "8", "--j", "5")
     assert code == 2 and out == "" and err.startswith("error:") and "over budget" in err
@@ -228,6 +228,16 @@ def test_iq_fifth_iterate_within_default_budget(capsys):
     code, out, _ = run_cli(capsys, "iq", "--p", "2", "--n", "1", "--map", "x1^7+x1^3+1",
                            "--q", "8", "--j", "5", "--format", "json")
     assert code == 0
+    assert json.loads(out)["congruence"] == {str(j): True for j in range(1, 6)}
+
+
+def test_iq_large_q_within_default_budget(capsys):
+    # squaring x_i^(Q^(j-1)) to the power 64 multiplied 1095 x 1095 terms, past the budget;
+    # the p-th powers of the Frobenius route multiply nothing
+    code, out, err = run_cli(capsys, "iq", "--p", "2", "--n", "2",
+                             "--map", "x1^3+x2+x1*x2,x1*x2^2+x1+1", "--q", "64", "--j", "5",
+                             "--format", "json")
+    assert (code, err) == (0, "")
     assert json.loads(out)["congruence"] == {str(j): True for j in range(1, 6)}
 
 

@@ -337,6 +337,33 @@ def test_congruence_sides_match_division_oracle(n, p, Q, j):
                     power, system)
 
 
+@pytest.mark.parametrize("n,p,Q,j", [
+    (1, 2, 8, 3), (1, 3, 9, 2), (1, 5, 25, 2), (2, 2, 4, 3), (2, 3, 9, 1), (2, 5, 5, 2),
+    (2, 7, 7, 2), (3, 3, 3, 2)])  # np(Q - 1) needs more bits than n(2Q - 2) at p, Q = 5, 7
+def test_frobenius_side_multiplies_nothing(monkeypatch, n, p, Q, j):
+    def refuse(*args):
+        raise AssertionError("the Frobenius side formed a product")
+
+    rng = random.Random(f"frob {n} {p} {Q} {j}")
+    below_q = [e for e in itertools.product(range(Q), repeat=n) if sum(e) < Q]
+    # f_1 carries x_n^(Q - 1): each rewrite of x_1^Q then grows x_n's exponent the most
+    maps = [[{(0,) * (n - 1) + (Q - 1,): 1}] + [{} for _ in range(n - 1)]]
+    maps += [[{e: rng.randrange(1, p) for e in rng.sample(below_q, min(3, len(below_q)))}
+              for _ in range(n)] for _ in range(2)]
+    for coords in maps:
+        system = IqSystem(PolyMap([MPoly(n, p, f) for f in coords]), Q)
+        monkeypatch.setattr(IqSystem, "_product", refuse)
+        for _ in range(j):
+            system._frobenius.append(tuple(system._frob(x) for x in system._frobenius[-1]))
+        monkeypatch.undo()
+        w = system._layout[0]
+        for k in range(1, j + 1):
+            for i in range(n):
+                power = MPoly.monomial(1, tuple(Q**k if m == i else 0 for m in range(n)), p)
+                assert system._unpack(system._frobenius[k][i], w) == multivariate_remainder(
+                    power, system)
+
+
 def _rank_mod_p(rows: list[list[int]], p: int) -> int:
     """Rank over F_p by Gauss-Jordan elimination; reduces `rows` in place."""
     rank = 0
