@@ -8,21 +8,24 @@ reduced.  Everything is exact integer arithmetic; fields and elements are
 immutable and safe to share.
 
 One multiply (`FqField._mul`) and one power (`FqField._pow`) serve
-elements, Rabin's irreducibility test on each candidate modulus and the
-log-table build; one extended Euclid (`_euclid`) serves inversion and
-Rabin's gcd.
+elements, Ben-Or's irreducibility test on each candidate modulus and the
+log-table build.  The test refuses a candidate f at its first d <= m/2 with
+x^(p^d) - x and f not coprime, read off one resultant (`_norm`), which also
+gives the norm that the search for a primitive element uses.  The extended
+Euclid (`_euclid`) serves inversion only.
 
 An element's index is the base-p value of its coefficients (`from_int`,
 `to_int`).  `FqField.log_tables` gives exp/log/Zech tables over these
 indices for one primitive element, so products, sums and Frobenius powers
 become integer arithmetic on logarithms.  They take three `array`s of q
-ints (12 bytes per element); a field builds them on first use.  The build
-reads exp off one m-sequence that it extends by big-integer operations on
-lane-packed ints, so only the log scatter and the Zech gather take a Python
-step per element: under a second for F_{2^20}.  Quasi-fixed point
-enumeration runs on them, and so do the 2x2 matrices of `matrep`, which
-store their entries as logarithms.  `FqField.frobenius_tables` sorts those
-logs into Frobenius orbits (about 8 bytes per element) for enumeration.
+ints, 6 bytes per element when q <= 2^16 (and p < 2^15) and 12 above; a
+field builds them on first use.  The build reads exp off one m-sequence
+that it extends by big-integer operations on lane-packed ints, so only the
+log scatter and the Zech gather take a Python step per element: under a
+second for F_{2^20}.  Quasi-fixed point enumeration runs on them, and so
+do the 2x2 matrices of `matrep`, which store their entries as logarithms.
+`FqField.frobenius_tables` sorts those logs into Frobenius orbits (about 8
+bytes per element) for enumeration.
 `field_create` keeps the fields it returns, so one process finds each
 modulus and builds each field's tables once, for every search,
 verification and enumeration it runs.
@@ -126,21 +129,26 @@ def _udivmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[tuple[int, ...
     return _trim(q), _trim(r[:len(b) - 1])
 
 
-def _euclid(a: Sequence[int], b: Sequence[int], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(g, s): g the monic gcd of a and b, and s with s*b = g mod a (a trimmed, nonzero)."""
+def _euclid(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
+    """s with s*b = 1 mod a, for a trimmed and b coprime to it: the inverse of b."""
     r0, r1 = a, _trim(list(b))
     s0, s1 = (), (1,)
     while r1:
         q, r = _udivmod(r0, r1, p)
         r0, r1 = r1, r
         s0, s1 = s1, _usub(s0, _umul(q, s1, p), p)
-    inv = pow(r0[-1], p - 2, p)
-    return tuple([c * inv % p for c in r0]), tuple([c * inv % p for c in s0])
+    inv = pow(r0[-1], p - 2, p)  # r0 is the gcd, a nonzero constant
+    return tuple([c * inv % p for c in s0])
 
 
 def _norm(c: Sequence[int], mod: tuple[int, ...], p: int) -> int:
-    """N(c) = c^((p^m - 1)/(p - 1)) in F_p[x]/(mod): the resultant Res(mod, c) for monic mod."""
+    """N(c) = c^((p^m - 1)/(p - 1)) in F_p[x]/(mod): the resultant Res(mod, c) for monic mod.
+
+    It is 0 just when c and mod have a common factor, c = 0 included.
+    """
     a, b, out = mod, _trim(list(c)), 1
+    if not b:
+        return 0
     while len(b) > 1:
         r = _udivmod(a, b, p)[1]
         if not r:
@@ -152,26 +160,29 @@ def _norm(c: Sequence[int], mod: tuple[int, ...], p: int) -> int:
 
 
 def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
-    """Rabin test: x^(p^m) = x mod f, and x^(p^(m/l)) - x coprime to f."""
+    """Ben-Or's test: f of degree m is irreducible iff x^(p^d) - x is coprime
+    to f for every d <= m/2, since a reducible f has an irreducible factor of
+    some degree d <= m/2, and that factor divides x^(p^d) - x.  It stops at
+    the first such d, which on most reducible f is small (Gao and Panario,
+    Tests and constructions of irreducible polynomials over finite fields,
+    FoCM 1997)."""
     m = len(mod) - 1
-    if m == 1:
-        return True
     ring = FqField(p, m, mod)  # F_p[x]/(f), a field only once the test passes
-    x = (0, 1) + (0,) * (m - 2)
-    maximal_divisors = {m // ell for ell in _prime_factors(m)}
+    x = (0, 1)
     h = x
-    for d in range(1, m + 1):
+    for _ in range(m // 2):
         h = ring._pow(h, p)  # x^(p^d)
-        if d in maximal_divisors and len(_euclid(mod, _usub(h, x, p), p)[0]) != 1:
+        if not _norm(_usub(h, x, p), mod, p):
             return False
-    return h == x
+    return True
 
 
 def _min_irreducible(p: int, m: int) -> tuple[int, ...]:
     """First monic irreducible of degree m, low coefficients counted in base p."""
     for code in range(p**m):
         cand = _digits(code, p, m) + (1,)
-        if _is_irreducible(cand, p):
+        # x divides a candidate without a constant term, the modulus x of F_p aside
+        if (cand[0] or m == 1) and _is_irreducible(cand, p):
             return cand
     raise FieldError(f"no irreducible polynomial of degree {m} over F_{p}")  # unreachable
 
@@ -280,7 +291,7 @@ class FqField:
         if self.m == 1:
             return (pow(a[0], p - 2, p),)
         # the modulus is irreducible, so the gcd is 1 and s*a = 1
-        s = _euclid(self.modulus, a, p)[1]
+        s = _euclid(self.modulus, a, p)
         return s + (0,) * (self.m - len(s))
 
     # -- logarithm tables
@@ -390,7 +401,7 @@ class FqElement:
 
 # fields handed out by field_create, oldest first; their orders sum to at most
 # DEFAULT_ORDER_CAP, so their log and Frobenius tables take at most
-# 20 bytes * DEFAULT_ORDER_CAP
+# 20 bytes * DEFAULT_ORDER_CAP (14 per element when q <= 2^16 and p < 2^15)
 _FIELDS: dict[tuple[int, int], FqField] = {}
 
 
@@ -535,7 +546,9 @@ def _build_log_tables(field: FqField) -> tuple[array, array, array]:
     powers = [field._coeffs(1)]
     for _ in range(2 * m - 1):
         powers.append(field._mul(powers[-1], g))
-    code = "i" if n < 2**31 else "q"
+    bit = p.bit_length()  # digit 0 is p - 1 just when adding 2^bit - p + 1 carries into bit
+    # the narrowest lanes that hold n and keep that carry inside the lane
+    code = "H" if n < 2**16 and bit < 16 else "i" if n < 2**31 else "q"
     w = array(code).itemsize
     s = _m_sequence([c[0] for c in powers], p, n, w)
 
@@ -556,7 +569,6 @@ def _build_log_tables(field: FqField) -> tuple[array, array, array]:
 
     chunk = min(n, _CHUNK)
     ones = int.from_bytes((1).to_bytes(w, "little") * chunk, "little")
-    bit = p.bit_length()  # digit 0 is p - 1 just when adding 2^bit - p + 1 carries into bit
     carry = ones * ((1 << bit) - p + 1)
     exp, plus_one = array(code), array(code)
     for c0 in range(0, n, chunk):
@@ -596,19 +608,23 @@ def _log_and_zech(exp: array, plus_one: array) -> tuple[array, array]:
 
 
 def _build_frobenius_tables(field: FqField) -> tuple[array, dict[int, array]]:
-    """The tables of `FqField.frobenius_tables`, with one Python step per element.
+    """The tables of `FqField.frobenius_tables`, with one Python step per
+    element outside F_p.
 
     g^x lies in F_{p^d} iff (p^d - 1) x = 0 mod n, so the logs of F_{p^d}
-    are the multiples of n / (p^d - 1), and n itself.  The subfields are
+    are the multiples of n / (p^d - 1), and n itself.  Those of F_p are
+    fixed by Frobenius and filled by slices.  The larger subfields are
     walked smallest first, each in increasing order of log, so a log that
     no walked orbit has reached is the least log of an orbit of degree d,
     which is walked from it at once.
     """
     p, m, n = field.p, field.m, field.order - 1
-    code = "i" if n < 2**31 else "q"
+    code = "i" if n < 2**31 else "q"  # signed: orbit holds -1
     orbit = array(code, [-1]) * (n + 1)
-    by_degree = {}
-    for d in (d for d in range(1, m + 1) if m % d == 0):
+    step = n // (p - 1)  # each log of F_p is an orbit of its own
+    by_degree = {1: array(code, range(0, n, step))}
+    orbit[0:n:step] = by_degree[1]
+    for d in (d for d in range(2, m + 1) if m % d == 0):
         by_degree[d] = col = array(code)
         for x in range(0, n, n // (p**d - 1)):
             if orbit[x] < 0:

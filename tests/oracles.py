@@ -5,7 +5,8 @@ polynomials are evaluated straight off their term maps by repeated
 multiplication, Frobenius powers by literal p-fold products, subfield
 membership by its definition, and 2x2 matrices as four field elements
 multiplied out entry by entry (the library stores them as logarithms),
-and Stallings folding by re-sorting the whole edge set after each merge.
+Stallings folding by re-sorting the whole edge set after each merge, and
+irreducibility over F_p by trial division with a remainder of their own.
 What they share with the library is `field_create` and the `FqElement`
 arithmetic (verified exhaustively in test_gf), `Word` and `FreeEndo` for
 their letters, and `Mat2.from_entries`, the `Mat2` entry properties and
@@ -43,6 +44,31 @@ def naive_frobenius(a, m):
     for _ in range(m):
         a = naive_pth_power(a)
     return a
+
+
+def naive_remainder(a, b, p):
+    """a mod b over F_p for monic b; coefficient tuples, constant term first."""
+    r, k = list(a), len(b) - 1
+    for top in reversed(range(k, len(r))):
+        c = r[top]
+        for i, bi in enumerate(b):
+            r[top - k + i] = (r[top - k + i] - c * bi) % p
+    return r[:k]
+
+
+def naive_is_irreducible(f, p):
+    """Whether monic f over F_p has no monic factor of degree 1 to deg(f)/2,
+    by trial division by every such polynomial."""
+    return all(any(naive_remainder(f, low + (1,), p))
+               for d in range(1, (len(f) - 1) // 2 + 1)
+               for low in itertools.product(range(p), repeat=d))
+
+
+def naive_min_irreducible(p, m):
+    """The first monic irreducible of degree m, low coefficients counted in base p."""
+    return next(f for f in (tuple(reversed(high)) + (1,)
+                            for high in itertools.product(range(p), repeat=m))
+                if naive_is_irreducible(f, p))
 
 
 def oracle_quasi_fixed(pmap, s_max):

@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from oracles import naive_frobenius
+from oracles import naive_frobenius, naive_is_irreducible, naive_min_irreducible
 from quasifix import gf
 from quasifix.gf import (
     DEFAULT_ORDER_CAP,
@@ -226,7 +226,8 @@ def test_unshared_fields_compare_by_modulus():
 
 
 def test_kept_fields_bounded_by_default_cap():
-    # their log tables take 12 bytes per element, so this bounds what a process keeps
+    # their log tables take at most 12 bytes per element (6 when q <= 2^16 and
+    # p < 2^15), so this bounds what a process keeps
     field_create(2, 19)
     field_create(3, 12)  # 2^19 + 3^12 > 2^20: the older F_{2^19} is dropped
     assert sum(f.order for f in gf._FIELDS.values()) <= DEFAULT_ORDER_CAP
@@ -430,6 +431,43 @@ def test_log_table_build_peaks_below_twice_the_tables(p, m):
 def test_norm_is_the_power_to_the_subfield_index(p, m):
     field = field_create(p, m)
     e = (field.order - 1) // (p - 1)
-    for n in range(1, field.order):
+    for n in range(field.order):  # n = 0: the resultant with the zero polynomial is 0
         c = field._coeffs(n)
         assert gf._norm(c, field.modulus, p) == field._pow(c, e)[0]
+
+
+# every monic polynomial of degree <= 8 over F_2, <= 6 over F_3, <= 4 over F_5
+# and <= 3 over F_7: among them the divisors of x^(p^d) - x and the polynomials
+# with a repeated factor
+SMALL_POLYNOMIALS = [(p, low + (1,)) for p, top in ((2, 8), (3, 6), (5, 4), (7, 3))
+                     for m in range(1, top + 1)
+                     for low in itertools.product(range(p), repeat=m)]
+
+
+def test_irreducibility_matches_trial_division():
+    assert len(SMALL_POLYNOMIALS) == 2781
+    for p, f in SMALL_POLYNOMIALS:
+        assert gf._is_irreducible(f, p) == naive_is_irreducible(f, p), (p, f)
+
+
+def test_moduli_are_the_first_irreducibles_by_trial_division(monkeypatch):
+    monkeypatch.setattr(gf, "_FIELDS", {})  # keep the tables other tests built
+    fields = [(p, m) for p in range(2, 2**12 + 1) if is_prime(p)
+              for m in range(1, 13) if p**m <= 2**12]
+    for p, m in fields:
+        assert field_create(p, m).modulus == naive_min_irreducible(p, m), (p, m)
+
+
+@pytest.mark.parametrize("p,m,itemsize", [
+    (32749, 1, 2),  # the largest prime below 2^15: digit 0 carries into bit 15
+    (32771, 1, 4),  # the smallest prime above 2^15: the carry bit 16 needs a wider lane
+    (2, 16, 2),  # n = 2^16 - 1, the largest n of two-byte lanes
+    (3, 10, 2),
+])
+def test_log_table_lane_width_boundaries(p, m, itemsize):
+    exp, log, zech = field_create(p, m).log_tables()
+    n = p**m - 1
+    assert [t.itemsize for t in (exp, log, zech)] == [itemsize] * 3
+    assert all(log[exp[k]] == k for k in range(n))
+    # 1 + g^k adds 1 to digit 0 alone, which wraps from p - 1 to 0
+    assert all(zech[k] == log[e - e % p + (e + 1) % p] for k, e in enumerate(exp))
