@@ -8,17 +8,22 @@ homomorphism onto a subgroup of the wreath product PGL2(F_{p^s}) wr C_n
 sending the stable letter to the coordinate shift and killing nothing it
 should not: the verifier re-derives every condition from scratch, trusting
 nothing the search produced.  It bounds its work (`verify_work`, which the
-search obeys too) before it parses a word, range-checks each trace
-coefficient in the one walk that folds it into an element index (only
-range-checks it when p^s is over the cap), before any field is built, and
-checks the log states with the kernels the search walks.
+search obeys too) before it parses a word.  It reads the trace in
+whole-trace passes, with no Python step per entry or coefficient: the
+parser checks one level of the nesting per pass, and the structure check
+range-checks every coefficient and folds the rows into element indices on
+big-integer lanes (it only range-checks them when p^s is over the cap),
+before any field is built.  It checks the log states with the kernels the
+search walks.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import random
+from itertools import chain, compress, count, islice, repeat
 from typing import NamedTuple
 
 from . import __version__
@@ -39,9 +44,9 @@ from .matrep import (
     find_periodic_orbit,
     proj_step,
     random_projpoint,
-    rows_index,
-    state_from_index,
     state_rows,
+    trace_indices,
+    trace_states,
     word_is_scalar,
 )
 
@@ -141,16 +146,43 @@ def _as_int(value, what: str) -> int:
     return value
 
 
-def _as_mat(value, what: str) -> MatData:
-    """Rows of integer coefficients; their range is checked by `structure`."""
-    if not isinstance(value, list) or len(value) != 4:
-        raise _shape_error(f"{what} must be a list of 4 entry rows")
-    for row in value:
-        if not isinstance(row, list) or not row:
-            raise _shape_error(f"{what} entries must be nonempty coefficient lists")
-        if not _INT_ONLY.issuperset(map(type, row)):
-            raise _shape_error(f"{what} coefficient must be an integer")
-    return tuple(map(tuple, value))  # type: ignore[return-value]
+def _first(flags) -> int | None:
+    """The index of the first true flag, or None."""
+    return next(compress(count(), flags), None)
+
+
+def _first_bad(items: list, size_ok=None) -> int:
+    """The index of the first item that is not a list or whose length size_ok
+    refuses, else len(items); each index is sought only once all() fails."""
+    end = len(items)
+    if not all(map(isinstance, items, repeat(list))):
+        end = _first(map(operator.not_, map(isinstance, items, repeat(list))))
+    if size_ok is not None and not all(map(size_ok, map(len, islice(items, end)))):
+        end = _first(map(operator.not_, map(size_ok, map(len, items))))
+    return end
+
+
+def _matrix_rows(mats: list, what: str, problem: str | None = None) -> list:
+    """The rows of a list of matrices, each 4 rows of integer coefficients;
+    their range is checked by `structure`.
+
+    One pass per level of the nesting.  A pass that finds a bad item cuts its
+    list there and the passes below read what is left, so the problem found
+    deepest is the first in file order, as an item is checked before its
+    parts.  `problem` is one found above the matrices.
+    """
+    end = _first_bad(mats, (4).__eq__)
+    if end < len(mats):
+        problem, mats = f"{what} must be a list of 4 entry rows", mats[:end]
+    rows = list(chain.from_iterable(mats))
+    end = _first_bad(rows, bool)
+    if end < len(rows):
+        problem, rows = f"{what} entries must be nonempty coefficient lists", rows[:end]
+    if not _INT_ONLY.issuperset(map(type, chain.from_iterable(rows))):
+        problem = f"{what} coefficient must be an integer"
+    if problem:
+        raise _shape_error(problem)
+    return rows
 
 
 def certificate_from_dict(data: dict) -> Certificate:
@@ -165,16 +197,18 @@ def certificate_from_dict(data: dict) -> Certificate:
         raise _shape_error("images must be a list of strings")
     if not isinstance(data["word"], str):
         raise _shape_error("word must be a string")
-    if not isinstance(data["trace"], list) or not data["trace"]:
+    entries = data["trace"]
+    if not isinstance(entries, list) or not entries:
         raise _shape_error("trace must be a nonempty list")
-    trace = []
-    for entry in data["trace"]:
-        if not isinstance(entry, list):
-            raise _shape_error("trace entries must be lists of matrices")
-        trace.append(tuple(_as_mat(m, "trace matrix") for m in entry))
+    end = _first_bad(entries)
+    rows = _matrix_rows(list(chain.from_iterable(entries[:end])), "trace matrix",
+                        "trace entries must be lists of matrices" if end < len(entries) else None)
+    mats = zip(*[map(tuple, rows)] * 4)
+    # each entry takes its own number of matrices off the one iterator
+    trace = tuple(map(tuple, map(islice, repeat(mats), map(len, entries))))
     if not isinstance(data["tuple"], list):
         raise _shape_error("tuple must be a list")
-    head = tuple(_as_mat(m, "tuple matrix") for m in data["tuple"])
+    head = tuple(zip(*[map(tuple, _matrix_rows(data["tuple"], "tuple matrix"))] * 4))
     metadata = data["metadata"]
     if not isinstance(metadata, dict):
         raise _shape_error("metadata must be an object")
@@ -185,7 +219,7 @@ def certificate_from_dict(data: dict) -> Certificate:
         p=_as_int(data["p"], "p"),
         s=_as_int(data["s"], "s"),
         period=_as_int(data["period"], "period"),
-        trace=tuple(trace),
+        trace=trace,
         seed=_as_int(metadata.get("seed", 0), "metadata.seed"),
         format_version=_as_int(data["format_version"], "format_version"),
         declared_head=head if head != trace[0] else None,
@@ -408,7 +442,7 @@ def _order_within_cap(p: int, s: int, cap: int) -> bool:
 def _structure_problems(cert: Certificate, order_cap: int
                         ) -> tuple[list[str], tuple[FreeEndo, Word] | None, list[tuple]]:
     """Problems found, the parsed endomorphism and word when both parse, and
-    the trace entries as element indices (`rows_index`) as far as they check."""
+    the element indices of the trace (`trace_indices`) when it checks."""
     problems = []
     parsed = None
     if cert.format_version != FORMAT_VERSION:
@@ -445,28 +479,35 @@ def _structure_problems(cert: Certificate, order_cap: int
             for text, image in zip(cert.images, phi.images):
                 if image.to_text() != text:
                     problems.append(f"image {text!r} is not freely reduced")
-            if w.to_text() != cert.word.strip():
+            if w.to_text() != cert.word:
                 problems.append(f"word {cert.word!r} is not freely reduced")
         except WordError as exc:
             problems.append(f"word syntax: {exc}")
-    s, p = cert.s, cert.p
-    indices = []
-    for entry in cert.trace:  # the one walk over the coefficients
-        if len(entry) != cert.rank:
-            problems.append("trace entry arity differs from rank")
-            break
-        if any(len(mat) != 4 for mat in entry):  # parsed files have 4; in-code ones may not
-            problems.append("trace matrix does not have 4 entry rows")
-            break
-        if bounded:  # p**s is within the cap, so the indices stay small
-            index = rows_index(entry, p, s)
-        else:  # folding would build ints of s * log2(p) bits: only range-check
-            index = None if any(len(row) != s or s and (min(row) < 0 or max(row) >= p)
-                                for mat in entry for row in mat) else ()
-        if index is None:
-            problems.append("matrix coefficients out of range for the field")
-            break
-        indices.append(index)
+    # whole-trace passes: as in the parser, each cuts the trace at its first
+    # bad entry, so the last problem found is the first entry's, taken in the
+    # order arity, row count, range
+    s, p, rank = cert.s, cert.p, cert.rank
+    trace, problem, indices = cert.trace, None, None
+    end = _first(map(rank.__ne__, map(len, trace)))
+    if end is not None:
+        problem, trace = "trace entry arity differs from rank", trace[:end]
+    mats = list(chain.from_iterable(trace))
+    end = _first(map((4).__ne__, map(len, mats)))  # parsed files have 4; in-code ones may not
+    if end is not None:  # the entries before its own hold rank >= 1 matrices each
+        problem, mats = "trace matrix does not have 4 entry rows", mats[:end - end % rank]
+    rows = list(chain.from_iterable(mats))
+    coeffs = list(chain.from_iterable(rows))
+    if not set(map(len, rows)) <= {s}:
+        bad = True
+    elif bounded and p >= 2 and s >= 1:  # p**s is within the cap, so the indices stay small
+        indices = trace_indices(coeffs, p, s)
+        bad = indices is None
+    else:  # folding would build ints of s * log2(p) bits: only range-check
+        bad = bool(coeffs) and (min(coeffs) < 0 or max(coeffs) >= p)
+    if bad:
+        problem = "matrix coefficients out of range for the field"
+    if problem:
+        problems.append(problem)
     return problems, parsed, indices
 
 
@@ -487,7 +528,7 @@ def verify_certificate(cert: Certificate,
 
     phi, w = parsed
     field = field_create(cert.p, cert.s, order_cap)
-    states = [state_from_index(field, entry) for entry in indices]
+    states = trace_states(field, indices, cert.rank)
 
     zero, zech, neg = _tables(field)  # zero is the log of 0
     membership_problems = []

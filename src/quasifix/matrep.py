@@ -19,9 +19,10 @@ on states once per (phi, field); `find_periodic_orbit`, `pgl_dynamics_step`
 and `random_projpoint` take and return `ProjPoint`s but build one only at
 their ends.  The certificate search keeps states until it writes rows, and
 the verifier reads rows into states and checks them with the same kernels.
-`state_rows` is the one log -> row converter; back, `rows_index` is the
-checked row -> index step of the verifier's structure check and
-`state_from_index` the one index -> log step.
+`state_rows` is the one log -> row converter.  Back, the verifier's
+structure check reads a whole trace at once: `trace_indices` range-checks
+its coefficients and folds them into element indices on big-integer lanes,
+and `trace_states` looks up their logs.
 `Mat2` objects are built by the public `Mat2`/`pi_w` API; field elements
 only at `Mat2.from_entries`, the entry properties and `Mat2.det`.
 """
@@ -29,6 +30,8 @@ only at `Mat2.from_entries`, the entry properties and `Mat2.det`.
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from typing import NamedTuple
 
 from .freegroup import FreeEndo, Word, WordError
@@ -291,33 +294,50 @@ def state_rows(field: FqField, state: tuple) -> tuple:
     return tuple(tuple(field._coeffs(exp[x]) for x in m) for m in state)
 
 
-def rows_index(rows, p: int, s: int) -> tuple | None:
-    """The element indices of matrices given as coefficient rows, or None when
-    a row is not s coefficients in range(p).
+def trace_indices(coeffs: list, p: int, s: int) -> array | None:
+    """The element index of each row of s coefficients laid end to end in
+    coeffs, or None when a coefficient is not in range(p); p >= 2, s >= 1.
 
-    One walk checks each coefficient as it folds it (Horner in p), so the
-    verifier checks a certificate's rows before it builds any field.
+    Big-integer operations on lanes wide enough for p**s (Lamport, CACM 18,
+    1975), so no coefficient takes a Python step: `bytes` reads them one to a
+    byte when p <= 256, `array` otherwise, and either refuses one outside its
+    lane.  Adding 2^(8w) - p to every lane carries out of the first lane that
+    holds p or more, and out of none when no lane does; the sum of p^j times
+    the lanes shifted j places down leaves each row's index in its first lane.
     """
-    out = []
-    for m in rows:
-        entry = []
-        for row in m:
-            if len(row) != s:
-                return None
-            n = 0
-            for c in reversed(row):
-                if not 0 <= c < p:
-                    return None
-                n = n * p + c
-            entry.append(n)
-        out.append(tuple(entry))
-    return tuple(out)
+    q = p**s
+    code = "B" if q <= 1 << 8 else "H" if q <= 1 << 16 else "I" if q <= 1 << 32 else "Q"
+    w = array(code).itemsize
+    size = len(coeffs) * w
+    try:
+        if p <= 256:
+            lanes = bytearray(size)
+            lanes[::w] = bytes(coeffs)  # little-endian lanes
+        else:
+            lanes = array(code, coeffs)
+            if sys.byteorder == "big":
+                lanes.byteswap()
+    except (ValueError, OverflowError):  # below 0 or too wide for the lane
+        return None
+    v = int.from_bytes(lanes, "little")
+    ones = int.from_bytes((1).to_bytes(w, "little") * len(coeffs), "little")
+    add = ones * ((1 << 8 * w) - p)
+    if ((v + add) ^ v ^ add) & ones << 8 * w:  # the carries into each next lane
+        return None
+    index = v
+    for j in range(1, s):
+        index += p**j * (v >> 8 * w * j)
+    out = array(code, index.to_bytes(size, "little"))
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out[::s]
 
 
-def state_from_index(field: FqField, index) -> tuple:
-    """The log 4-tuples of matrices given as element indices (`rows_index`)."""
-    log = field.log_tables()[1]
-    return tuple(tuple(map(log.__getitem__, m)) for m in index)
+def trace_states(field: FqField, indices, k: int) -> list[tuple]:
+    """The states of a trace given as element indices (`trace_indices`): the
+    logs four to a matrix and k matrices to a state."""
+    mats = zip(*[map(field.log_tables()[1].__getitem__, indices)] * 4)
+    return list(zip(*[mats] * k))
 
 
 def _point(field: FqField, state: tuple) -> ProjPoint:

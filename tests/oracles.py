@@ -5,8 +5,10 @@ polynomials are evaluated straight off their term maps by repeated
 multiplication, Frobenius powers by literal p-fold products, subfield
 membership by its definition, and 2x2 matrices as four field elements
 multiplied out entry by entry (the library stores them as logarithms),
-Stallings folding by re-sorting the whole edge set after each merge, and
-irreducibility over F_p by trial division with a remainder of their own.
+Stallings folding by re-sorting the whole edge set after each merge,
+irreducibility over F_p by trial division with a remainder of their own,
+and a certificate's trace by one walk per entry, matrix, row and
+coefficient (the library reads it in whole-trace passes).
 What they share with the library is `field_create` and the `FqElement`
 arithmetic (verified exhaustively in test_gf), `Word` and `FreeEndo` for
 their letters, and `Mat2.from_entries`, the `Mat2` entry properties and
@@ -198,6 +200,57 @@ def naive_verdict(cert):
     record("wreath_relations", wreath,
            "shift conjugation matches image rows; word image is nontrivial")
     return checks
+
+
+def naive_trace_and_head(data):
+    """The trace and declared tuple of a certificate object as nested tuples,
+    or ValueError with the message of the first malformation in file order:
+    each entry, matrix, row and coefficient checked in turn."""
+    def as_mat(value, what):
+        if not isinstance(value, list) or len(value) != 4:
+            raise ValueError(f"{what} must be a list of 4 entry rows")
+        for row in value:
+            if not isinstance(row, list) or not row:
+                raise ValueError(f"{what} entries must be nonempty coefficient lists")
+            for c in row:
+                if type(c) is not int:  # JSON true and false are bools
+                    raise ValueError(f"{what} coefficient must be an integer")
+        return tuple(tuple(row) for row in value)
+
+    if not isinstance(data["trace"], list) or not data["trace"]:
+        raise ValueError("trace must be a nonempty list")
+    trace = []
+    for entry in data["trace"]:
+        if not isinstance(entry, list):
+            raise ValueError("trace entries must be lists of matrices")
+        trace.append(tuple(as_mat(m, "trace matrix") for m in entry))
+    if not isinstance(data["tuple"], list):
+        raise ValueError("tuple must be a list")
+    return tuple(trace), tuple(as_mat(m, "tuple matrix") for m in data["tuple"])
+
+
+def naive_trace_problem(trace, rank, p, s):
+    """The structure check's problem with a trace, None when it has none, and
+    the element index of every row read before it: the entries in order, each
+    checked for its arity, then its row counts, then each row's length and
+    each coefficient's range as Horner's rule in p folds it."""
+    indices = []
+    for entry in trace:
+        if len(entry) != rank:
+            return "trace entry arity differs from rank", indices
+        if any(len(mat) != 4 for mat in entry):
+            return "trace matrix does not have 4 entry rows", indices
+        for mat in entry:
+            for row in mat:
+                if len(row) != s:
+                    return "matrix coefficients out of range for the field", indices
+                n = 0
+                for c in reversed(row):
+                    if not 0 <= c < p:
+                        return "matrix coefficients out of range for the field", indices
+                    n = n * p + c
+                indices.append(n)
+    return None, indices
 
 
 def mat_mul(x, y):

@@ -3,15 +3,18 @@ import json
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     mat_mul,
     naive_is_scalar,
     naive_normalized,
+    naive_trace_and_head,
+    naive_trace_problem,
     naive_verdict,
     naive_word_value,
     tuple_frobenius,
@@ -24,6 +27,7 @@ from quasifix.certify import (
     CertifyError,
     MAX_VERIFY_WORK,
     CheckResult,
+    _structure_problems,
     admissible_primes,
     build_wreath,
     certificate_from_bytes,
@@ -39,7 +43,7 @@ from quasifix.freegroup import (
     nonscalar_sanity_check,
     sanov_embed,
 )
-from quasifix.gf import field_create, is_prime
+from quasifix.gf import DEFAULT_ORDER_CAP, field_create, is_prime
 from quasifix.matrep import (
     Mat2,
     MatTuple,
@@ -50,9 +54,9 @@ from quasifix.matrep import (
     pi_w,
     proj_step,
     random_projpoint,
-    rows_index,
-    state_from_index,
     state_rows,
+    trace_indices,
+    trace_states,
 )
 
 
@@ -90,9 +94,9 @@ def criterion6_outcomes():
 def wreath_inputs(cert: Certificate):
     """The parsed endomorphism, word, field and states that verify_certificate holds."""
     field = field_create(cert.p, cert.s)
+    flat = [c for entry in cert.trace for mat in entry for row in mat for c in row]
     return (FreeEndo.parse(cert.images, cert.rank), Word.parse(cert.word, cert.rank),
-            field, [state_from_index(field, rows_index(entry, cert.p, cert.s))
-                    for entry in cert.trace])
+            field, trace_states(field, trace_indices(flat, cert.p, cert.s), cert.rank))
 
 
 # -- prime selection ---------------------------------------------------------
@@ -644,6 +648,194 @@ def test_in_code_certificate_with_wrong_row_count(rows):
     assert verdict.checks[0] == CheckResult(
         "structure", "fail", "trace matrix does not have 4 entry rows")
     assert [c.status for c in verdict.checks[1:]] == ["skipped"] * 5
+
+
+@pytest.mark.parametrize("edit,detail", [
+    ({"word": " a "}, "word ' a ' is not freely reduced"),
+    ({"images": [" aaa"]}, "image ' aaa' is not freely reduced"),
+], ids=["word", "image"])
+def test_whitespace_in_a_text_fails_structure(bs12_cert, edit, detail):
+    # the word is compared with its reduced text as it stands, as the images are
+    verdict = verify_certificate(mutate(bs12_cert, lambda d: d.update(edit)))
+    assert verdict.checks[0] == CheckResult("structure", "fail", detail)
+
+
+# -- whole-trace ingest against the walk oracle --------------------------------
+
+# prime fields on both sides of each lane width of `trace_indices`; 1031^2 is over the cap
+INGEST_FIELDS = [(2, 1), (5, 1), (3, 2), (2, 3), (2, 7), (13, 2), (3, 5), (2, 9), (251, 2),
+                 (257, 2), (65521, 1), (2, 20), (1021, 2), (1048573, 1), (1031, 2)]
+NOT_LISTS = [None, 3, "x", {}]
+BAD_COEFFICIENTS = [-1, True, False, 2**64, 1.5, None, "1"]
+
+
+def _ingest_object(p, s, rank, trace):
+    """A certificate object whose fields other than the trace and tuple are valid."""
+    return {"format_version": 1, "rank": rank, "images": list("abc"[:rank]), "word": "a",
+            "p": p, "s": s, "period": len(trace), "tuple": json.loads(json.dumps(trace[0])),
+            "trace": trace, "metadata": {"seed": 0}}
+
+
+def _lane_case(p, s, bad=None):
+    """Two rank-1 entries holding 0, 1 and p - 1 in every place; bad replaces
+    the last coefficient."""
+    top, one = [p - 1] * s, [1] + [0] * (s - 1)
+    trace = [[[top, [0] * s, one, top]], [[one, top, top, [0] * s]]]
+    data = _ingest_object(p, s, 1, trace)
+    if bad is not None:
+        trace[-1][-1][-1][-1] = bad
+    return data
+
+
+def _mutate_ingest(draw, data, p):
+    """One malformation of the trace, or of the tuple one time in four, at a
+    drawn level of the nesting."""
+    holder, key = ((data, "tuple") if draw(st.integers(0, 3)) == 0
+                   else (data["trace"], draw(st.integers(0, len(data["trace"]) - 1))))
+    kind = draw(st.sampled_from(["entry", "arity", "mat", "rows", "row", "row_length",
+                                 "coefficient"]))
+    if kind == "entry":
+        holder[key] = draw(st.sampled_from(NOT_LISTS))
+        return
+    entry = holder[key]
+    if not isinstance(entry, list) or not entry:
+        return
+    if kind == "arity":
+        if draw(st.booleans()):
+            entry.pop()
+        else:
+            entry.append(json.loads(json.dumps(entry[0])))
+        return
+    j = draw(st.integers(0, len(entry) - 1))
+    if kind == "mat":
+        entry[j] = draw(st.sampled_from(NOT_LISTS))
+        return
+    mat = entry[j]
+    if not isinstance(mat, list) or not mat:
+        return
+    if kind == "rows":  # 3 or 5 rows
+        if draw(st.booleans()):
+            mat.pop()
+        else:
+            mat.append(json.loads(json.dumps(mat[0])))
+        return
+    r = draw(st.integers(0, len(mat) - 1))
+    if kind == "row":
+        mat[r] = draw(st.sampled_from(NOT_LISTS + [[]]))
+        return
+    row = mat[r]
+    if not isinstance(row, list):
+        return
+    if kind == "row_length":  # s - 1 or s + 1 coefficients
+        if row and draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(draw(st.integers(0, p - 1)))
+    elif row:
+        row[draw(st.integers(0, len(row) - 1))] = draw(
+            st.sampled_from(BAD_COEFFICIENTS + [p, p + 1]) | st.integers(0, p - 1))
+
+
+@st.composite
+def ingest_cases(draw):
+    p, s = draw(st.sampled_from(INGEST_FIELDS))
+    rank = draw(st.integers(1, 3))
+    row = st.lists(st.integers(0, p - 1) | st.just(p - 1), min_size=s, max_size=s)
+    mat = st.lists(row, min_size=4, max_size=4)
+    trace = draw(st.lists(st.lists(mat, min_size=rank, max_size=rank), min_size=1, max_size=3))
+    data = _ingest_object(p, s, rank, trace)
+    for _ in range(draw(st.integers(0, 3))):
+        _mutate_ingest(draw, data, p)
+    return data
+
+
+def _in_code_trace(entries):
+    """The trace as the nested tuples a certificate built in code holds, when
+    every level is a list and every coefficient an int or a bool; else None."""
+    if not all(isinstance(e, list) and all(
+            isinstance(m, list) and all(
+                isinstance(r, list) and all(isinstance(c, int) for c in r) for r in m)
+            for m in e) for e in entries):
+        return None
+    return tuple(tuple(tuple(map(tuple, m)) for m in e) for e in entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=ingest_cases())
+@example(data=_lane_case(2, 20))  # 2^20, the default cap: four-byte lanes
+@example(data=_lane_case(2, 20, bad=2))
+@example(data=_lane_case(251, 2))  # 251^2 < 2^16: two-byte lanes
+@example(data=_lane_case(251, 2, bad=251))
+@example(data=_lane_case(257, 2))  # 257^2 > 2^16, and 257 is past one byte
+@example(data=_lane_case(257, 2, bad=257))
+@example(data=_lane_case(1021, 2))
+@example(data=_lane_case(65521, 1))  # coefficients past one byte in two-byte lanes
+@example(data=_lane_case(65521, 1, bad=65521))
+@example(data=_lane_case(1048573, 1))
+@example(data=_lane_case(1048573, 1, bad=2**64))
+@example(data=_lane_case(1031, 2, bad=1031))  # over the cap: range-checked only
+@example(data=_lane_case(2, 7, bad=True))  # JSON true: refused, though bytes() reads it
+# an entry's row counts are checked before the range of any of its coefficients
+@example(data=_ingest_object(5, 1, 2, [[[[1], [0], [0], [5]], [[1], [0], [0]]]]))
+def test_whole_trace_ingest_matches_the_walk_oracle(data):
+    # the parser gives the walk's certificate or its first message, and the
+    # structure check its problem list and element indices, on the parsed
+    # certificate and on the same trace built in code (3 or 5 rows, empty rows
+    # and bools reach the structure check only that way)
+    p, s, rank = data["p"], data["s"], data["rank"]
+    cap = ([f"field order {p}^{s} exceeds cap {DEFAULT_ORDER_CAP}"]
+           if p**s > DEFAULT_ORDER_CAP else [])
+
+    def check_structure(cert, head_problems):
+        problems, _, indices = _structure_problems(cert, DEFAULT_ORDER_CAP)
+        problem, naive_indices = naive_trace_problem(cert.trace, rank, p, s)
+        assert problems == cap + head_problems + ([problem] if problem else [])
+        if not problems:
+            assert list(indices) == naive_indices
+
+    try:
+        trace, head = naive_trace_and_head(data)
+    except ValueError as exc:
+        with pytest.raises(CertificateFormatError) as caught:
+            certificate_from_dict(data)
+        assert str(caught.value) == f"malformed certificate: {exc}"
+    else:
+        cert = certificate_from_dict(data)
+        assert cert == Certificate(rank=rank, images=tuple(data["images"]), word="a", p=p, s=s,
+                                   period=len(trace), trace=trace, seed=0,
+                                   declared_head=head if head != trace[0] else None)
+        check_structure(cert, [] if cert.declared_head is None
+                        else ["declared tuple differs from the first trace entry"])
+    nested = _in_code_trace(data["trace"])
+    if nested is not None:
+        check_structure(Certificate(rank=rank, images=tuple(data["images"]), word="a", p=p,
+                                    s=s, period=len(nested), trace=nested, seed=0), [])
+
+
+def test_trace_buffers_at_the_work_cap_stay_small():
+    # rank 1 over F_{2^7} with image a^63 and a period-4161 trace of random
+    # states: 4161 x 63 + 1 = 2^18 letters, the verifier's work cap, in 116,508
+    # coefficients (400 KB).  Parsing and verifying it peaked at 4.70 MiB of
+    # tracemalloc (CPython 3.11) when the trace was read one coefficient at a
+    # time; the whole-trace buffers may add at most a quarter to that
+    p, s, period, image = 2, 7, 4161, "a" * 63
+    assert period * len(image) + 1 == MAX_VERIFY_WORK
+    field = field_create(p, s)
+    field.log_tables()  # built before tracing, as a warm process holds them
+    rng = random.Random(0)
+    trace = [state_rows(field, random_projpoint(field, 1, rng).tuple._key)
+             for _ in range(period)]
+    raw = json.dumps({"format_version": 1, "rank": 1, "images": [image], "word": "a",
+                      "p": p, "s": s, "period": period, "tuple": trace[0], "trace": trace,
+                      "metadata": {"seed": 0}}).encode()
+    tracemalloc.start()
+    try:
+        verdict = verify_certificate(certificate_from_bytes(raw))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c.status for c in verdict.checks[:3]] == ["pass"] * 3
+    assert peak <= 1.25 * 4.70 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 _LONG_ROWS = [[[1] * 10**5] * 4] * 2  # one rank-2 entry, 8 rows of 10^5 ones (1.6 MB)

@@ -30,11 +30,17 @@ from quasifix.matrep import (
     pi_w,
     proj_step,
     random_projpoint,
-    rows_index,
-    state_from_index,
     state_rows,
+    trace_indices,
+    trace_states,
 )
 from quasifix.poly import MPoly, PolyMap
+
+
+def read_rows(field, rows):
+    """The state of matrices given as coefficient rows, as the verifier reads it."""
+    flat = [c for mat in rows for row in mat for c in row]
+    return tuple(trace_states(field, trace_indices(flat, field.p, field.m), len(rows))[0])
 
 
 def rand_mat(field, rng):
@@ -90,7 +96,7 @@ def test_log_encoding_matches_naive_oracle(p, m):
         assert entries(mx) == x
         rows = state_rows(field, (mx.logs,))
         assert rows == (tuple(v.coeffs for v in x),)
-        assert state_from_index(field, rows_index(rows, p, m)) == (mx.logs,)
+        assert read_rows(field, rows) == (mx.logs,)
         assert entries(pi_w(adj, MatTuple((mx,)))) == naive_adj(x)
         assert mx.det() == naive_det(x)
         assert mx.det().is_zero() == naive_det(x).is_zero()
@@ -115,32 +121,36 @@ def test_state_rows_round_trip(data):
     k = data.draw(st.integers(1, 3))
     row = st.lists(st.integers(0, p - 1), min_size=m, max_size=m).map(tuple)
     rows = tuple(tuple(data.draw(row) for _ in range(4)) for _ in range(k))
-    state = state_from_index(field, rows_index(rows, p, m))
+    state = read_rows(field, rows)
     assert state_rows(field, state) == rows
     assert [entries(Mat2(field, logs)) for logs in state] == [
         tuple(field.element(r) for r in mat) for mat in rows]
     logs = st.integers(0, field.order - 1)  # order - 1 is the log of 0
     state = tuple(tuple(data.draw(logs) for _ in range(4)) for _ in range(k))
-    assert state_from_index(field, rows_index(state_rows(field, state), p, m)) == state
+    assert read_rows(field, state_rows(field, state)) == state
 
 
-@settings(max_examples=100, deadline=None)
+# lane widths: one byte (256), two (2^8 + 1 .. 2^16: 251^2, 2^16), four (257^2,
+# 2^20, 1021^2), with coefficients read by bytes() up to p = 256 and by array past it
+LANE_FIELDS = [(2, 1), (5, 1), (3, 2), (2, 3), (7, 2), (2, 8), (3, 5), (2, 9), (251, 2),
+               (256, 2), (2, 16), (65521, 1), (257, 2), (2, 20), (1021, 2), (1048573, 1)]
+
+
+@settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_rows_index_folds_in_range_rows_and_refuses_the_rest(data):
-    p, s = data.draw(st.sampled_from([(2, 1), (5, 1), (3, 2), (2, 3), (7, 2), (257, 2)]))
-    k = data.draw(st.integers(1, 3))
-    row = st.lists(st.integers(0, p - 1), min_size=s, max_size=s).map(tuple)
-    rows = [[data.draw(row) for _ in range(4)] for _ in range(k)]
-    assert rows_index(rows, p, s) == tuple(
-        tuple(sum(c * p**i for i, c in enumerate(r)) for r in mat) for mat in rows)
-    i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, 3))
-    at = data.draw(st.integers(0, s - 1))
-    bad = list(rows[i][j])
-    bad[at] = data.draw(st.sampled_from([-1, p, p + 1, -p]))
-    rows[i][j] = tuple(bad)
-    assert rows_index(rows, p, s) is None
-    rows[i][j] = tuple(bad[:at]) + tuple(bad[at + 1:])  # one coefficient short
-    assert rows_index(rows, p, s) is None
+def test_trace_indices_fold_in_range_rows_and_refuse_the_rest(data):
+    # p need not be prime here: the fold is base-p digits, the range 0 <= c < p
+    p, s = data.draw(st.sampled_from(LANE_FIELDS))
+    n = data.draw(st.integers(0, 12))
+    row = st.lists(st.integers(0, p - 1) | st.sampled_from([0, p - 1]), min_size=s, max_size=s)
+    rows = [data.draw(row) for _ in range(n)]
+    flat = [c for r in rows for c in r]
+    assert list(trace_indices(flat, p, s)) == [sum(c * p**i for i, c in enumerate(r))
+                                               for r in rows]
+    if flat:
+        flat[data.draw(st.integers(0, len(flat) - 1))] = data.draw(st.sampled_from(
+            [-1, -p, p, p + 1] + [c for c in (255, 256, 2**16, 2**32, 2**64, 10**40) if c >= p]))
+        assert trace_indices(flat, p, s) is None
 
 
 def test_adjugate_and_cayley():
