@@ -22,9 +22,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .certify import (
-    CertificateFormatError,
     CertifyConfig,
-    CertifyError,
     certificate_from_bytes,
     search_certificate,
     verify_certificate,
@@ -38,12 +36,10 @@ from .dynamics import (
 )
 from .freegroup import FreeEndo, Word, WordError, stallings_fold, subgroup_rank
 from .gf import DEFAULT_ORDER_CAP, FieldError
-from .poly import (IqSystem, PolyError, PolyMap, PolyParseError, TermBudgetExceeded,
-                   parse_poly)
+from .poly import IqSystem, PolyError, PolyMap, TermBudgetExceeded, parse_poly
 
-USAGE_ERRORS = (PolyParseError, PolyError, WordError, FieldError,
-                EnumerationCapExceeded, TermBudgetExceeded, CertifyError,
-                CertificateFormatError, OSError, ValueError)
+# ValueError covers the parse, word, field and certificate errors
+USAGE_ERRORS = (ValueError, OSError, EnumerationCapExceeded, TermBudgetExceeded)
 
 
 def _int(text: str) -> int:

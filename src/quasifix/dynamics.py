@@ -19,7 +19,9 @@ discrete logs per coordinate: f_1 is evaluated over the whole chunk with
 one list comprehension per term, the points where it fails are dropped
 from every column, and f_2, ..., f_n run on the rest.  So the interpreted
 work per point is a few comprehension steps, and the scan's memory is
-bounded by the chunk, not by the number of points.
+bounded by the chunk, not by the number of points.  The kernel,
+`poly._log_eval_column`, also tests witnesses against a variety, through
+`MPoly.evaluate`.
 """
 
 from __future__ import annotations
@@ -27,11 +29,10 @@ from __future__ import annotations
 import itertools
 from array import array
 from math import gcd, lcm
-from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .gf import DEFAULT_ORDER_CAP, FqElement, field_create
-from .poly import MPoly, PolyError, PolyMap, parse_poly
+from .poly import MPoly, PolyError, PolyMap, _log_eval_column, parse_poly
 
 DEFAULT_POINT_CAP = 2**20
 # candidate points scanned at once, one list of logs per coordinate: this bounds
@@ -72,37 +73,6 @@ class VarietySpec(NamedTuple):
             raise PolyError(f"point has {len(point)} coordinates, variety expects "
                             f"{self.polys[0].nvars}")
         return all(f.evaluate(point).is_zero() for f in self.polys)
-
-
-def _log_eval_column(terms: list[tuple[int, tuple[int, ...]]], cols: list,
-                     zech: array, n: int) -> list[int]:
-    """[log f(a) for a in a chunk] from f's (log c, exponents) terms.
-
-    cols[j] holds the logs of coordinate j of every point of the chunk; logs
-    live mod n = q - 1 and n itself stands for 0, as in `log_tables`.  Each
-    term takes one comprehension and each further term one Zech sum.
-    """
-    acc = [n] * len(cols[0])
-    for k, (c, expo) in enumerate(terms):
-        used = [(e, cols[j]) for j, e in enumerate(expo) if e]
-        if not used:
-            term = [c] * len(acc)
-        elif len(used) == 1:
-            (e, xs), = used
-            term = [n if x == n else (c + e * x) % n for x in xs]
-        elif len(used) == 2:
-            (e, xs), (f, ys) = used
-            term = [n if x == n or y == n else (c + e * x + f * y) % n
-                    for x, y in zip(xs, ys)]
-        else:
-            es = [e for e, _ in used]
-            term = [n if n in t else (c + sum(map(mul, es, t))) % n
-                    for t in zip(*(xs for _, xs in used))]
-        acc = term if not k else [
-            b if a == n else a if b == n
-            else n if (z := zech[(b - a) % n]) == n else (a + z) % n
-            for a, b in zip(acc, term)]
-    return acc
 
 
 def _orbit_representatives(by_degree: dict[int, array],

@@ -8,11 +8,15 @@ reduced.  Everything is exact integer arithmetic; fields and elements are
 immutable and safe to share.
 
 One multiply (`FqField._mul`) and one power (`FqField._pow`) serve
-elements, Ben-Or's irreducibility test on each candidate modulus and the
-log-table build.  The test refuses a candidate f at its first d <= m/2 with
-x^(p^d) - x and f not coprime, read off one resultant (`_norm`), which also
-gives the norm that the search for a primitive element uses.  The extended
-Euclid (`_euclid`) serves inversion only.
+Ben-Or's irreducibility test on each candidate modulus, the log-table build
+and the `FqElement` operators.  The test refuses a candidate f at its first
+d <= m/2 with x^(p^d) - x and f not coprime, read off one resultant
+(`_norm`), which also gives the norm that the search for a primitive
+element uses.  The extended Euclid (`_euclid`) serves inversion only, in
+F_p too, whose modulus is x.  No command-line path runs the element
+operators: polynomial evaluation, enumeration and the matrices of `matrep`
+compute on the log tables, and an element there is only a witness value
+(coefficients, index, equality).
 
 An element's index is the base-p value of its coefficients (`from_int`,
 `to_int`).  `FqField.log_tables` gives exp/log/Zech tables over these
@@ -287,11 +291,8 @@ class FqField:
     def _inv(self, a: tuple[int, ...]) -> tuple[int, ...]:
         if not any(a):
             raise ZeroDivisionError("inversion of zero field element")
-        p = self.p
-        if self.m == 1:
-            return (pow(a[0], p - 2, p),)
         # the modulus is irreducible, so the gcd is 1 and s*a = 1
-        s = _euclid(self.modulus, a, p)
+        s = _euclid(self.modulus, a, self.p)
         return s + (0,) * (self.m - len(s))
 
     # -- logarithm tables

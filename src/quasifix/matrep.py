@@ -5,7 +5,9 @@ adjugate for each inverse letter; on determinant-1 tuples this agrees with
 honest word evaluation, and it is polynomial on the whole matrix space.
 An endomorphism of the free group therefore lifts to a polynomial self-map
 of k-tuples, whose projective dynamics (matrices up to scalars) is what the
-certificate search walks with Brent cycle detection.
+certificate search walks with Brent cycle detection.  Its symbolic form
+(`phi_lift_polynomials`) evaluates each image word with
+`freegroup.word_evaluate` on matrices of variables.
 
 A matrix is stored as the four discrete logs of its entries to the primitive
 element g of `FqField.log_tables`, with n = q - 1 standing for 0.  Products
@@ -17,8 +19,10 @@ A point of PGL2(F_q)^k is walked as a state: the k normalized log 4-tuples
 that `MatTuple._key` holds.  `proj_step` builds the step of the lifted map
 on states once per (phi, field); `find_periodic_orbit`, `pgl_dynamics_step`
 and `random_projpoint` take and return `ProjPoint`s but build one only at
-their ends.  The certificate search keeps states until it writes rows, and
-the verifier reads rows into states and checks them with the same kernels.
+their ends; `random_projpoint` folds each entry's drawn coefficients with
+`FqField._index`.  The certificate search keeps states until it writes
+rows, and the verifier reads rows into states and checks them with the
+same kernels.
 `state_rows` is the one log -> row converter.  Back, the verifier's
 structure check reads a whole trace at once: `trace_indices` range-checks
 its coefficients and folds them into element indices on big-integer lanes,
@@ -34,7 +38,7 @@ import sys
 from array import array
 from typing import NamedTuple
 
-from .freegroup import FreeEndo, Word, WordError
+from .freegroup import FreeEndo, Word, WordError, word_evaluate
 from .gf import FqElement, FqField
 from .poly import MPoly, PolyMap
 
@@ -227,13 +231,12 @@ def phi_lift_polynomials(phi: FreeEndo, p: int) -> PolyMap:
 
     Variable 4*i + (2r + c) is the (r, c) entry of the i-th matrix; the
     returned map evaluated at a flattened tuple agrees with `pi_w` of each
-    image word.
+    image word.  Each image is `freegroup.word_evaluate` on the symbolic
+    matrices, with the adjugate as the inverse.
     """
-    k = phi.rank
-    nvars = 4 * k
-
-    def sym_matrix(i: int):
-        return tuple(MPoly.var(4 * i + j + 1, nvars, p) for j in range(4))
+    nvars = 4 * phi.rank
+    mats = [tuple(MPoly.var(4 * i + j + 1, nvars, p) for j in range(4))
+            for i in range(phi.rank)]
 
     def sym_adj(m):
         a, b, c, d = m
@@ -245,16 +248,9 @@ def phi_lift_polynomials(phi: FreeEndo, p: int) -> PolyMap:
         return (xa * ya + xb * yc, xa * yb + xb * yd,
                 xc * ya + xd * yc, xc * yb + xd * yd)
 
-    one = MPoly.const(1, nvars, p)
-    zero = MPoly.zero(nvars, p)
-    coords: list[MPoly] = []
-    for w in phi.images:
-        acc = (one, zero, zero, one)
-        for x in w.letters:
-            mat = sym_matrix(x - 1) if x > 0 else sym_adj(sym_matrix(-x - 1))
-            acc = sym_mul(acc, mat)
-        coords.extend(acc)
-    return PolyMap(coords)
+    one, zero = MPoly.const(1, nvars, p), MPoly.zero(nvars, p)
+    return PolyMap([c for w in phi.images
+                    for c in word_evaluate(w, mats, sym_mul, sym_adj, (one, zero, zero, one))])
 
 
 # ---------------------------------------------------------------------------
@@ -417,15 +413,10 @@ def random_projpoint(field: FqField, k: int, rng: random.Random) -> ProjPoint:
     """k matrices drawn coefficient by coefficient, each redrawn until invertible."""
     n, zech, neg = _tables(field)
     log = field.log_tables()[1]
-    p = field.p
-    powers = [p**i for i in range(field.m)]
-    draw = rng.randrange
+    p, m, draw = field.p, field.m, rng.randrange
 
-    def entry() -> int:  # log of field._index of m drawn coefficients
-        i = 0
-        for e in powers:
-            i += draw(p) * e
-        return log[i]
+    def entry() -> int:
+        return log[field._index([draw(p) for _ in range(m)])]
 
     state = []
     for _ in range(k):

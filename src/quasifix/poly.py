@@ -10,6 +10,11 @@ exceeds every deg f_i the rewriting terminates and the normal form is
 unique regardless of strategy; `IqSystem` drives it from a heap of
 reducible monomials, greatest total degree first.
 
+Evaluation runs on the point field's log tables: `_log_eval_column` gives
+log f(a) for a column of points, products as sums of logs and sums through
+the Zech table (Huber, IEEE Trans. IT 36, 1990), over chunks of candidates
+in enumeration and over one point in `MPoly.evaluate`.
+
 `IqSystem` computes in the quotient A = F_p[x]/(x_i^Q - f_i), whose
 elements are the reduced polynomials (every exponent < Q).  Every product
 is reduced as soon as it is formed, and a product of two reduced
@@ -26,8 +31,9 @@ and Pearce, CASC 2007).
 from __future__ import annotations
 
 import re
+from array import array
 from heapq import heapify, heappop, heappush
-from operator import lshift
+from operator import lshift, mul
 from typing import Sequence
 
 from .gf import FqElement, is_prime
@@ -144,7 +150,9 @@ class MPoly:
     # -- evaluation and substitution
 
     def evaluate(self, point: Sequence[FqElement]) -> FqElement:
-        """Exact value at a point over any extension of F_p."""
+        """Exact value at a point over any extension of F_p, computed on the
+        point field's log tables (`_log_eval_column`), which the field builds
+        on first use."""
         if len(point) != self.nvars:
             raise PolyError(f"point has {len(point)} coordinates, expected {self.nvars}")
         field = point[0].field
@@ -153,14 +161,11 @@ class MPoly:
         for a in point:
             if a.field != field:
                 raise PolyError("point coordinates belong to different fields")
-        acc = field.zero()
-        for e, c in self.terms.items():
-            term = field.scalar(c)
-            for a, ei in zip(point, e):
-                if ei:
-                    term = term * a ** ei
-            acc = acc + term
-        return acc
+        exp, log, zech = field.log_tables()
+        terms = [(log[c], e) for e, c in self.terms.items()]
+        value, = _log_eval_column(terms, [[log[a.to_int()]] for a in point], zech,
+                                  field.order - 1)
+        return field.from_int(exp[value])
 
     def substitute(self, polys: Sequence["MPoly"]) -> "MPoly":
         """self(g_1, ..., g_n) as a polynomial in the g's variables."""
@@ -205,6 +210,37 @@ class MPoly:
             else:
                 parts.append(f"{c}*" + "*".join(factors))
         return "+".join(parts)
+
+
+def _log_eval_column(terms: list[tuple[int, tuple[int, ...]]], cols: list,
+                     zech: array, n: int) -> list[int]:
+    """[log f(a) for a in a chunk] from f's (log c, exponents) terms.
+
+    cols[j] holds the logs of coordinate j of every point of the chunk; logs
+    live mod n = q - 1 and n itself stands for 0, as in `log_tables`.  Each
+    term takes one comprehension and each further term one Zech sum.
+    """
+    acc = [n] * len(cols[0])
+    for k, (c, expo) in enumerate(terms):
+        used = [(e, cols[j]) for j, e in enumerate(expo) if e]
+        if not used:
+            term = [c] * len(acc)
+        elif len(used) == 1:
+            (e, xs), = used
+            term = [n if x == n else (c + e * x) % n for x in xs]
+        elif len(used) == 2:
+            (e, xs), (f, ys) = used
+            term = [n if x == n or y == n else (c + e * x + f * y) % n
+                    for x, y in zip(xs, ys)]
+        else:
+            es = [e for e, _ in used]
+            term = [n if n in t else (c + sum(map(mul, es, t))) % n
+                    for t in zip(*(xs for _, xs in used))]
+        acc = term if not k else [
+            b if a == n else a if b == n
+            else n if (z := zech[(b - a) % n]) == n else (a + z) % n
+            for a, b in zip(acc, term)]
+    return acc
 
 
 # matched with fullmatch: "$" would also accept a trailing newline

@@ -19,6 +19,8 @@ import pytest
 
 from quasifix.certify import CertificateFormatError, certificate_from_bytes, verify_certificate
 from quasifix.cli import main as cli_main
+from quasifix.gf import FqElement
+from quasifix.poly import MPoly
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -34,6 +36,18 @@ def _load(name):
 tracer = _load("tracer")
 TARGETS = sorted({target for _, _, target, _ in tracer.SPANS}
                  | {target for _, target in tracer.COUNTERS})
+
+
+def _forbid_object_arithmetic(monkeypatch):
+    """Make field-element and polynomial arithmetic raise: every benchmark job
+    computes on logs, states and packed term maps instead."""
+    for cls, names in ((FqElement, ("__add__", "__sub__", "__mul__", "__pow__", "inv",
+                                    "frobenius")),
+                       (MPoly, ("__add__", "__sub__", "__mul__", "__pow__", "substitute"))):
+        for name in names:
+            def refuse(*args, _name=f"{cls.__name__}.{name}", **kwargs):
+                raise AssertionError(f"a benchmark job called {_name}")
+            monkeypatch.setattr(cls, name, refuse)
 
 
 def _quasifix_imports():
@@ -73,10 +87,11 @@ def test_verify_batch_inputs_unchanged():
     (2, "599c399ab9b45a557695ad9f13ad00df10563474643b27d8f15d4ee41d931076"),
     (3, "3878024186e439feb75da321b5987d12c4d8aa5578c66fd67f55c44922572813"),
 ])
-def test_verify_batch_verdicts_unchanged(seed, digest):
+def test_verify_batch_verdicts_unchanged(seed, digest, monkeypatch):
     # the benchmark's own check compares only the names of the failing checks,
     # so pin every verdict in full: check names, statuses, details and order
     batch = _load("workloads").make_batch("verify", seed)
+    _forbid_object_arithmetic(monkeypatch)
     h = hashlib.sha256()
     for name in sorted(batch.files):
         try:
@@ -94,6 +109,7 @@ def test_default_seed_outputs_match_the_pinned_digests(workload, tmp_path, monke
     # and write cert_*.json, so they run in a pass directory beside in/
     pins = json.loads((PERFBENCH / "pinned.json").read_text())[workload]
     batch = _load("workloads").make_batch(workload, 1)
+    _forbid_object_arithmetic(monkeypatch)
     (tmp_path / "in").mkdir()
     for name, blob in batch.files.items():
         (tmp_path / "in" / name).write_bytes(blob)

@@ -166,6 +166,19 @@ def test_evaluate_matches_naive_at_exponents_that_wrap_mod_q_minus_1(p, m):
     for pt in itertools.product(values, repeat=2):
         for f in polys:
             assert f.evaluate(pt) == naive_eval(f, pt)
+    # three variables: terms in all three take the kernel's general branch,
+    # and a^e = a^(1 + (e - 1) % (q - 1)) for every a once e >= 1
+    big = 10**20
+    wrapped = 1 + (big - 1) % (q - 1)
+    cubes = [(MPoly(3, p, {(e1, e2, e3): 1, (e3, e1, 1): 1, (1, 0, e2): 1}),) * 2
+             for e1, e2, e3 in itertools.product(exponents, repeat=3)]
+    cubes.append((MPoly.zero(3, p),) * 2)
+    cubes.append((MPoly(3, p, {(big, big, big): 1, (big, 1, 0): 1, (0, 0, big): 1}),
+                  MPoly(3, p, {(wrapped, wrapped, wrapped): 1, (wrapped, 1, 0): 1,
+                               (0, 0, wrapped): 1})))
+    for pt in itertools.product(values, repeat=3):
+        for f, oracle_f in cubes:
+            assert f.evaluate(pt) == naive_eval(oracle_f, pt)
 
 
 def test_compose_projection_and_identity():
