@@ -18,8 +18,9 @@ import functools
 import json
 import os
 import sys
+from contextlib import nullcontext
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from .certify import (
     CertifyConfig,
@@ -31,11 +32,11 @@ from .dynamics import (
     EnumerationCapExceeded,
     VarietySpec,
     check_degree_caps,
-    enumerate_quasi_fixed,
-    find_quasi_fixed_avoiding,
+    scan_quasi_fixed,
+    witness_coeffs,
 )
 from .freegroup import FreeEndo, Word, WordError, stallings_fold, subgroup_rank
-from .gf import DEFAULT_ORDER_CAP, FieldError
+from .gf import DEFAULT_ORDER_CAP, FieldError, _digits
 from .poly import IqSystem, PolyError, PolyMap, TermBudgetExceeded, parse_poly
 
 # ValueError covers the parse, word, field and certificate errors
@@ -122,16 +123,99 @@ def _render_json(value: Any, pad: str = "") -> str:
     return json.dumps(value)
 
 
-def emit(data: dict, fmt: str, out_path: str | None) -> None:
+# the payload value that `emit` replaces by the pieces it is given; both
+# writers render it after its key as `: "\u0000"`
+_PIECES = "\0"
+
+
+def emit(data: dict, fmt: str, out_path: str | None, pieces: Iterable[str] | None = None) -> None:
+    """Write data as JSON or text; with pieces, its one `_PIECES` value is
+    written as those, from its key's colon on."""
     if fmt == "json":
         text = _render_json(data) + "\n"
     else:
         text = "\n".join(_render_text(data)) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
+    with open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout) as handle:
+        if pieces is None:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+        else:
+            head, tail = text.split(': "\\u0000"')
+            handle.write(head)
+            handle.writelines(pieces)
+            handle.write(tail)
+
+
+class _Texts(dict):
+    """A dict that makes a missing key's value with `make`, and keeps the
+    first 1,024 values it makes."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self.make(key)
+        if len(self) < 1024:
+            self[key] = value
+        return value
+
+
+# per format, how `_render_json` (at the payload's top level) and `_render_text`
+# lay out a witness list: (its head, between witnesses, its tail, the empty list,
+# between a witness's coordinates) ...
+_LIST_LAYOUT = {"json": (": [\n    ", ",\n    ", "\n  ]", ": []", ",\n        "),
+                "text": (":\n", "\n", "", ":", "\n")}
+# ... and a witness: (its head with m and p, its tail with s, a coordinate's
+# head, between its coefficients, its tail)
+_WITNESS_LAYOUT = {
+    "json": ('{\n      "m": %d,\n      "p": %d,\n      "point": [\n        ',
+             '\n      ],\n      "s": %d\n    }', "[\n          ", ",\n          ", "\n        ]"),
+    "text": ("  -\n    m: %d\n    p: %d\n    point:\n", "\n    s: %d",
+             "      -\n        - ", "\n        - ", ""),
+}
+# witnesses written per piece
+_PIECE = 1024
+
+
+@functools.lru_cache(maxsize=32)
+def _witness_texts(fmt: str, p: int, s: int) -> tuple[_Texts, _Texts, _Texts, str]:
+    """(first, last, heads, tail): the texts of `_witness_pieces` for witnesses
+    over F_{p^s}, made as they occur and kept for the next call.
+
+    A coordinate of digit-reversed index r is first[r // p^(s - s // 2)]
+    + last[r % p^(s - s // 2)]: the text of its coefficients c_0 ... c_(s//2 - 1)
+    and that of the rest, so each table has at most p^(s - s // 2) keys (1,024
+    for p = 2 within the order cap).  A witness with least m starts with
+    heads[m] and ends with tail.
+    """
+    head, tail, coord_head, sep, coord_tail = _WITNESS_LAYOUT[fmt]
+    return (_Texts(lambda a: coord_head + "".join(
+                f"{c}{sep}" for c in reversed(_digits(a, p, s // 2)))),
+            _Texts(lambda b: sep.join(map(str, reversed(_digits(b, p, s - s // 2))))
+                   + coord_tail),
+            _Texts(lambda m: head % (m, p)), tail % s)
+
+
+def _witness_pieces(degrees: list, nvars: int, fmt: str) -> Iterator[str]:
+    """The witness list of `scan_quasi_fixed`'s (field, keys) degrees as
+    `emit` writes a `_PIECES` value, _PIECE witnesses a piece."""
+    lead, between, close, empty, inner = _LIST_LAYOUT[fmt]
+    if not any(keys for _, keys in degrees):
+        yield empty
+        return
+    for field, keys in degrees:
+        p, s = field.p, field.m
+        q, split = p**s, p**(s - s // 2)
+        first, last, heads, end = _witness_texts(fmt, p, s)
+        for start in range(0, len(keys), _PIECE):
+            rest, cols = keys[start:start + _PIECE], []
+            for _ in range(nvars):
+                cols.append([first[r // split] + last[r % split] for r in [k % q for k in rest]])
+                rest = [k // q for k in rest]
+            points = cols[0] if nvars == 1 else map(inner.join, zip(*reversed(cols)))
+            yield lead + between.join([heads[m] + point + end for m, point in zip(rest, points)])
+            lead = between
+    yield close
 
 
 def _split_polys(raw: str) -> list[str]:
@@ -143,12 +227,11 @@ def cmd_quasifixed(args) -> int:
     pmap = PolyMap.parse(_split_polys(args.map), args.n, args.p)
     for s in range(1, args.smax + 1):  # refuse before enumerating anything
         check_degree_caps(pmap, s, cap)
-    witnesses = [w.to_dict() for w in enumerate_quasi_fixed(pmap, args.smax,
-                                                            order_cap=cap)]
+    degrees = list(scan_quasi_fixed(pmap, args.smax, order_cap=cap))
     emit({"command": "quasifixed", "p": args.p, "nvars": args.n,
           "map": [f.to_text() for f in pmap.coords], "smax": args.smax,
-          "count": len(witnesses), "witnesses": witnesses},
-         args.format, args.out)
+          "count": sum(len(keys) for _, keys in degrees), "witnesses": _PIECES},
+         args.format, args.out, _witness_pieces(degrees, args.n, args.format))
     return 0
 
 
@@ -168,7 +251,11 @@ def cmd_density(args) -> int:
             break
     witness = None
     if scanned or stopped_by is None:  # --smax below 1 is refused by the search
-        witness = find_quasi_fixed_avoiding(pmap, v, w_spec, scanned, order_cap=cap)
+        for field, keys in scan_quasi_fixed(pmap, scanned, cap, v, w_spec):
+            if keys:
+                m, coeffs = witness_coeffs(keys[0], args.p, field.m, args.n)
+                witness = {"p": args.p, "s": field.m, "m": m, "point": list(map(list, coeffs))}
+                break
     payload = {"command": "density", "p": args.p, "nvars": args.n,
                "map": [f.to_text() for f in pmap.coords],
                "variety": [f.to_text() for f in v.polys],
@@ -180,7 +267,7 @@ def cmd_density(args) -> int:
             payload["frontier"]["stopped_by"] = stopped_by
         emit(payload, args.format, args.out)
         return 1
-    payload["witness"] = witness.to_dict()
+    payload["witness"] = witness
     emit(payload, args.format, args.out)
     return 0
 

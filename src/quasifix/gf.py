@@ -15,8 +15,9 @@ d <= m/2 with x^(p^d) - x and f not coprime, read off one resultant
 element uses.  The extended Euclid (`_euclid`) serves inversion only, in
 F_p too, whose modulus is x.  No command-line path runs the element
 operators: polynomial evaluation, enumeration and the matrices of `matrep`
-compute on the log tables, and an element there is only a witness value
-(coefficients, index, equality).
+compute on the log tables, and an element there is only the library's
+witness value (coefficients, index, equality); the command line writes
+witnesses from element indices.
 
 An element's index is the base-p value of its coefficients (`from_int`,
 `to_int`).  `FqField.log_tables` gives exp/log/Zech tables over these

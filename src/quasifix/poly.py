@@ -33,10 +33,10 @@ from __future__ import annotations
 import re
 from array import array
 from heapq import heapify, heappop, heappush
-from operator import lshift, mul
+from operator import lshift
 from typing import Sequence
 
-from .gf import FqElement, is_prime
+from .gf import DEFAULT_ORDER_CAP, FieldError, FqElement, is_prime
 
 DEFAULT_TERM_BUDGET = 10**6
 
@@ -150,9 +150,9 @@ class MPoly:
     # -- evaluation and substitution
 
     def evaluate(self, point: Sequence[FqElement]) -> FqElement:
-        """Exact value at a point over any extension of F_p, computed on the
-        point field's log tables (`_log_eval_column`), which the field builds
-        on first use."""
+        """Exact value at a point over an extension of F_p of order at most
+        `gf.DEFAULT_ORDER_CAP`, computed on the point field's log tables
+        (`_log_eval_column`), which the field builds on first use."""
         if len(point) != self.nvars:
             raise PolyError(f"point has {len(point)} coordinates, expected {self.nvars}")
         field = point[0].field
@@ -161,6 +161,9 @@ class MPoly:
         for a in point:
             if a.field != field:
                 raise PolyError("point coordinates belong to different fields")
+        if field.order > DEFAULT_ORDER_CAP:  # its tables would take 12 bytes per element
+            raise FieldError(f"point field order {field.p}^{field.m} exceeds cap "
+                             f"{DEFAULT_ORDER_CAP} for evaluation")
         exp, log, zech = field.log_tables()
         terms = [(log[c], e) for e, c in self.terms.items()]
         value, = _log_eval_column(terms, [[log[a.to_int()]] for a in point], zech,
@@ -218,7 +221,8 @@ def _log_eval_column(terms: list[tuple[int, tuple[int, ...]]], cols: list,
 
     cols[j] holds the logs of coordinate j of every point of the chunk; logs
     live mod n = q - 1 and n itself stands for 0, as in `log_tables`.  Each
-    term takes one comprehension and each further term one Zech sum.
+    term takes one comprehension per two variables it uses, and each further
+    term one Zech sum.
     """
     acc = [n] * len(cols[0])
     for k, (c, expo) in enumerate(terms):
@@ -228,14 +232,13 @@ def _log_eval_column(terms: list[tuple[int, tuple[int, ...]]], cols: list,
         elif len(used) == 1:
             (e, xs), = used
             term = [n if x == n else (c + e * x) % n for x in xs]
-        elif len(used) == 2:
-            (e, xs), (f, ys) = used
+        else:
+            (e, xs), (f, ys), *rest = used
             term = [n if x == n or y == n else (c + e * x + f * y) % n
                     for x, y in zip(xs, ys)]
-        else:
-            es = [e for e, _ in used]
-            term = [n if n in t else (c + sum(map(mul, es, t))) % n
-                    for t in zip(*(xs for _, xs in used))]
+            for e, xs in rest:  # a value below n, or n for 0
+                term = [n if t == n or x == n else (t + e * x) % n
+                        for t, x in zip(term, xs)]
         acc = term if not k else [
             b if a == n else a if b == n
             else n if (z := zech[(b - a) % n]) == n else (a + z) % n

@@ -6,19 +6,21 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import quasifix
-from oracles import oracle_quasi_fixed
+from oracles import naive_eval, naive_frobenius, oracle_quasi_fixed
 from quasifix import cli, dynamics, gf, poly
 from quasifix.certify import certificate_from_bytes, verify_certificate
 from quasifix.cli import SUBCOMMANDS, _reader, _render_json, build_parser, main
-from quasifix.poly import PolyMap
+from quasifix.poly import MPoly, PolyMap
 
 
 def run_cli(capsys, *argv):
@@ -471,6 +473,121 @@ def test_output_file_option(capsys, tmp_path):
                            "--out", str(out_file))
     assert code == 0 and out == ""
     assert json.loads(out_file.read_text())["count"] >= 1
+
+
+def _cli_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@st.composite
+def writer_maps(draw, points=4096):
+    """Maps of A^n over F_p, n <= 4, and an s_max with p^(s_max n) <= points (or 1)."""
+    n = draw(st.integers(1, 4))
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    exponents = st.tuples(*[st.integers(0, 3)] * n)
+    coords = [MPoly(n, p, draw(st.dictionaries(exponents, st.integers(1, p - 1), max_size=3)))
+              for _ in range(n)]
+    s_max = max(s for s in range(1, 13) if s == 1 or p ** (s * n) <= points)
+    return PolyMap(coords), draw(st.integers(1, s_max))
+
+
+@settings(max_examples=60, deadline=None)
+@given(writer_maps())
+@example((PolyMap.parse(["x1+1"], 1, 2), 1))                      # no witness
+@example((PolyMap.parse(["x1+1", "x2"], 2, 3), 2))                  # no witness, two degrees
+@example((PolyMap.parse(["x1"], 1, 2), 12))                         # 4,094 witnesses, pieces
+@example((PolyMap.parse(["x1^2", "x2", "x1*x2*x3", "x4+1"], 4, 2), 3))
+@example((PolyMap.parse(["2*x1^3+x1"], 1, 7), 4))
+def test_witness_writer_matches_the_library_payload(case):
+    # the witness list is written from the scan's keys in pieces; it must be
+    # the payload of the library's witnesses as both writers lay it out
+    pmap, s_max = case
+    witnesses = [w.to_dict() for w in quasifix.enumerate_quasi_fixed(pmap, s_max)]
+    payload = {"command": "quasifixed", "p": pmap.p, "nvars": pmap.nvars,
+               "map": [f.to_text() for f in pmap.coords], "smax": s_max,
+               "count": len(witnesses), "witnesses": witnesses}
+    argv = ["quasifixed", "--p", str(pmap.p), "--n", str(pmap.nvars),
+            "--map", ",".join(payload["map"]), "--smax", str(s_max)]
+    assert _cli_stdout(argv + ["--format", "json"]) == (
+        0, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    assert _cli_stdout(argv + ["--format", "text"]) == (
+        0, "\n".join(cli._render_text(payload)) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt in ("json", "text"):
+            path = os.path.join(tmp, f"out.{fmt}")
+            assert _cli_stdout(argv + ["--format", fmt, "--out", path]) == (0, "")
+            with open(path, encoding="utf-8", newline="") as handle:
+                assert handle.read() == _cli_stdout(argv + ["--format", fmt])[1]
+
+
+def test_large_witness_list_is_written_in_pieces(tmp_path):
+    # 8,032 witnesses of the identity map of A^1 over F_{2^t}, t <= 12: 1.96 MB
+    # of JSON.  Writing it from the scan's keys in pieces peaked at 0.87 MiB of
+    # tracemalloc (CPython 3.11), a quarter more is allowed; holding the list
+    # as dicts and the text whole, as before, peaked at 7.7-8.3 MiB
+    out = tmp_path / "witnesses.json"
+    argv = ["quasifixed", "--p", "2", "--n", "1", "--map", "x1", "--smax", "12",
+            "--format", "json", "--out", str(out)]
+    assert main(argv) == 0  # builds and keeps the fields, as a warm process holds them
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(out.read_text())["count"] == 8032
+    assert peak <= 1.25 * 0.87 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+@settings(max_examples=60, deadline=None)
+@given(writer_maps(512), st.data())
+@example((PolyMap.parse(["x1"], 1, 2), 4), None)
+def test_density_finds_the_first_oracle_witness_off_w(case, data):
+    # W, the minimal polynomial over F_p of the first witness's first coordinate,
+    # vanishes on the first witnesses in order, so the search passes over them;
+    # V is nonempty text, the whole space ("0") or not.  The witness found is
+    # the first of the oracle's, in (s, m, coordinates) order, on V and off W;
+    # none found leaves the frontier at --smax.
+    pmap, s_max = case
+    n, p = pmap.nvars, pmap.p
+    keys = sorted(oracle_quasi_fixed(pmap, s_max))
+    fields = {s: gf.field_create(p, s) for s in range(1, s_max + 1)}
+    w_terms = {(1,) + (0,) * (n - 1): 1}
+    if keys:
+        a = fields[keys[0][0]].element(keys[0][2][0])
+        zero, conjugates = a.field.zero(), [a]
+        while (b := naive_frobenius(conjugates[-1], 1)) != a:
+            conjugates.append(b)
+        coeffs = [a.field.one()]
+        for b in conjugates:  # times (x - b), constant term first
+            coeffs = [x - b * y for x, y in zip([zero] + coeffs, coeffs + [zero])]
+        w_terms = {(k,) + (0,) * (n - 1): c.coeffs[0] for k, c in enumerate(coeffs)}
+    w_spec = MPoly(n, p, w_terms)
+    v_choices = (["0"], [f"x{n}^{p}+{p - 1}*x{n}"],
+                 [f"x1^{p * p}+{p - 1}*x1", f"x{n}^{p}+{p - 1}*x{n}"])
+    v_texts = v_choices[1] if data is None else data.draw(st.sampled_from(v_choices))
+    v = dynamics.VarietySpec.parse(v_texts, n, p)
+
+    def on_v_off_w(point):
+        return (all(naive_eval(f, point).is_zero() for f in v.polys)
+                and not naive_eval(w_spec, point).is_zero())
+
+    expected = next((key for key in keys
+                     if on_v_off_w([fields[key[0]].element(c) for c in key[2]])), None)
+    code, out = _cli_stdout(["density", "--p", str(p), "--n", str(n), "--map",
+                             ",".join(f.to_text() for f in pmap.coords), "--v", ",".join(v_texts),
+                             "--w", w_spec.to_text(), "--smax", str(s_max), "--format", "json"])
+    result = json.loads(out)
+    event("found" if expected else "not found")
+    if expected is None:
+        assert code == 1 and result["frontier"] == {"smax_scanned": s_max,
+                                                     "order_cap": gf.DEFAULT_ORDER_CAP}
+    else:
+        w = result["witness"]
+        assert code == 0 and (w["s"], w["m"], tuple(map(tuple, w["point"]))) == expected
 
 
 def test_quasifixed_refuses_past_cap_before_enumerating(capsys, monkeypatch):

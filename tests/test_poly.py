@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import naive_eval, naive_frobenius
 from quasifix import poly
-from quasifix.gf import field_create
+from quasifix.gf import DEFAULT_ORDER_CAP, FieldError, field_create
 from quasifix.poly import (
     IqSystem,
     MPoly,
@@ -139,6 +140,18 @@ def test_evaluate_errors():
         f.evaluate((f4.one(),))
     with pytest.raises(PolyError):
         f.evaluate((f9.one(), f9.one()))
+
+
+def test_evaluate_refuses_a_field_past_the_order_cap_before_its_tables():
+    # F_{2^21} is past gf.DEFAULT_ORDER_CAP = 2^20: its log tables would take
+    # seconds and tens of MiB, so the first evaluation is refused without them
+    field = field_create(2, 21, 2**21)
+    point = (field.from_int(3), field.from_int(5))
+    start = time.perf_counter()
+    with pytest.raises(FieldError, match=f"exceeds cap {DEFAULT_ORDER_CAP}"):
+        parse_poly("x1^3*x2+x2^2+1", 2, 2).evaluate(point)
+    assert time.perf_counter() - start < 0.05
+    assert field._log_tables is None
 
 
 def test_evaluate_is_ring_homomorphism():
