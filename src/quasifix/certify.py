@@ -41,9 +41,9 @@ from .matrep import (
     _normalized,
     _tables,
     _word,
-    find_periodic_orbit,
     proj_step,
-    random_projpoint,
+    random_state,
+    state_orbit,
     state_rows,
     trace_indices,
     trace_states,
@@ -319,12 +319,11 @@ def search_certificate(phi: FreeEndo, w: Word,
             frontier.append((p, s, config.seeds_per_field))
             for seed_index in range(config.seeds_per_field):
                 rng = random.Random(f"{config.seed}:{p}:{s}:{seed_index}")
-                start = random_projpoint(field, k, rng)
-                result = find_periodic_orbit(phi, start, config.orbit_budget)
+                result = state_orbit(step, random_state(field, k, rng), config.orbit_budget)
                 if (not result.found or result.period > MAX_PERIOD
                         or verify_work(result.period, images, word) > MAX_VERIFY_WORK):
                     continue
-                states = [result.point.tuple._key]
+                states = [result.point]
                 for _ in range(result.period - 1):
                     states.append(step(states[-1]))
                 for rotation in range(result.period):

@@ -23,6 +23,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Iterator
 
 from .certify import (
+    MAX_VERIFY_WORK,
     CertifyConfig,
     certificate_from_bytes,
     search_certificate,
@@ -295,6 +296,10 @@ def cmd_iq(args) -> int:
 
 
 def cmd_fold(args) -> int:
+    size = sum(map(len, args.words))
+    if size > MAX_VERIFY_WORK:  # the cap certify's injectivity fold runs under
+        raise WordError(f"words total {size} characters, past the work cap "
+                        f"MAX_VERIFY_WORK = {MAX_VERIFY_WORK}")
     words = [Word.parse(text, args.k) for text in args.words]
     graph = stallings_fold(words, args.k)
     emit({"command": "fold", "k": args.k,

@@ -58,12 +58,9 @@ class QuasiFixedWitness(NamedTuple):
     m: int
     field_degree: int
 
-    def coeff_vectors(self) -> list[list[int]]:
-        return [list(a.coeffs) for a in self.point]
-
     def to_dict(self) -> dict:
         return {"p": self.point[0].field.p, "s": self.field_degree, "m": self.m,
-                "point": self.coeff_vectors()}
+                "point": [list(a.coeffs) for a in self.point]}
 
 
 class VarietySpec(NamedTuple):

@@ -42,7 +42,7 @@ import sys
 from array import array
 from itertools import chain, zip_longest
 from operator import itemgetter, mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 DEFAULT_ORDER_CAP = 2**20
 
@@ -245,10 +245,6 @@ class FqField:
 
     def one(self) -> "FqElement":
         return self.scalar(1)
-
-    def __iter__(self) -> Iterator["FqElement"]:
-        for n in range(self.order):
-            yield self.from_int(n)
 
     # -- raw coefficient-vector arithmetic
 

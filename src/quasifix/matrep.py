@@ -16,13 +16,12 @@ adds log(-1) (n/2 for odd p, 0 for p = 2) and scaling a matrix subtracts one
 log from its nonzero entries, so no arithmetic creates a field element.
 
 A point of PGL2(F_q)^k is walked as a state: the k normalized log 4-tuples
-that `MatTuple._key` holds.  `proj_step` builds the step of the lifted map
-on states once per (phi, field); `find_periodic_orbit`, `pgl_dynamics_step`
-and `random_projpoint` take and return `ProjPoint`s but build one only at
-their ends; `random_projpoint` folds each entry's drawn coefficients with
-`FqField._index`.  The certificate search keeps states until it writes
-rows, and the verifier reads rows into states and checks them with the
-same kernels.
+that `MatTuple._key` holds.  The certificate search draws one with
+`random_state` (each entry's coefficients folded by `FqField._index`),
+walks it with `state_orbit` under `proj_step` (built once per phi and
+field) and keeps states until it writes rows; the verifier reads rows into
+states and checks them with the same kernels.  `find_periodic_orbit`,
+`pgl_dynamics_step` and `random_projpoint` are their `ProjPoint` forms.
 `state_rows` is the one log -> row converter.  Back, the verifier's
 structure check reads a whole trace at once: `trace_indices` range-checks
 its coefficients and folds them into element indices on big-integer lanes,
@@ -352,7 +351,7 @@ def pgl_dynamics_step(phi: FreeEndo, h: ProjPoint) -> ProjPoint:
 
 class OrbitResult(NamedTuple):
     found: bool
-    point: ProjPoint | None
+    point: ProjPoint | tuple | None  # a state from state_orbit
     period: int
     steps: int
     reason: str = ""
@@ -361,16 +360,13 @@ class OrbitResult(NamedTuple):
 DEFAULT_ORBIT_BUDGET = 10**7
 
 
-def find_periodic_orbit(phi: FreeEndo, h0: ProjPoint,
-                        budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitResult:
-    """Brent cycle detection on the projective step map.
+def state_orbit(kernel, h0: tuple, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitResult:
+    """Brent cycle detection on states under kernel, a `proj_step`.
 
-    Returns a point lying on the cycle reached from h0 together with the
+    Returns a state lying on the cycle reached from h0 together with the
     exact minimal period.  Not-found happens only when the iteration budget
-    runs out or the orbit leaves the invertible locus.  The walk runs on
-    states; only the returned point is an object.
+    runs out or the orbit leaves the invertible locus.
     """
-    kernel = _step_for(phi, h0)
     steps = 0
 
     def step(x: tuple) -> tuple:
@@ -382,7 +378,7 @@ def find_periodic_orbit(phi: FreeEndo, h0: ProjPoint,
 
     try:
         power = lam = 1
-        h0_state = tortoise = h0.tuple._key
+        tortoise = h0
         hare = step(tortoise)
         while tortoise != hare:
             if power == lam:
@@ -392,13 +388,13 @@ def find_periodic_orbit(phi: FreeEndo, h0: ProjPoint,
             hare = step(hare)
             lam += 1
         # advance a second pointer lam steps, then walk both to the cycle
-        tortoise = hare = h0_state
+        tortoise = hare = h0
         for _ in range(lam):
             hare = step(hare)
         while tortoise != hare:
             tortoise = step(tortoise)
             hare = step(hare)
-        return OrbitResult(True, _point(h0.tuple.field, tortoise), lam, steps)
+        return OrbitResult(True, tortoise, lam, steps)
     except _BudgetExhausted:
         return OrbitResult(False, None, 0, steps, reason="budget")
     except SingularMatrixError:
@@ -409,7 +405,14 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def random_projpoint(field: FqField, k: int, rng: random.Random) -> ProjPoint:
+def find_periodic_orbit(phi: FreeEndo, h0: ProjPoint,
+                        budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitResult:
+    """`state_orbit` from h0, with the point on the cycle as a ProjPoint."""
+    result = state_orbit(_step_for(phi, h0), h0.tuple._key, budget)
+    return result._replace(point=_point(h0.tuple.field, result.point)) if result.found else result
+
+
+def random_state(field: FqField, k: int, rng: random.Random) -> tuple:
     """k matrices drawn coefficient by coefficient, each redrawn until invertible."""
     n, zech, neg = _tables(field)
     log = field.log_tables()[1]
@@ -425,4 +428,8 @@ def random_projpoint(field: FqField, k: int, rng: random.Random) -> ProjPoint:
             if _det(x, n, zech, neg) != n:
                 break
         state.append(_normalized(x, n))
-    return _point(field, tuple(state))
+    return tuple(state)
+
+
+def random_projpoint(field: FqField, k: int, rng: random.Random) -> ProjPoint:
+    return _point(field, random_state(field, k, rng))

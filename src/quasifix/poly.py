@@ -81,10 +81,6 @@ class MPoly:
         expo = tuple(1 if i == index - 1 else 0 for i in range(nvars))
         return cls(nvars, p, {expo: 1})
 
-    @classmethod
-    def monomial(cls, c: int, exponents: Sequence[int], p: int) -> "MPoly":
-        return cls(len(exponents), p, {tuple(exponents): c})
-
     # -- ring structure
 
     def _check(self, other: "MPoly") -> None:
@@ -100,9 +96,6 @@ class MPoly:
 
     def __neg__(self) -> "MPoly":
         return MPoly(self.nvars, self.p, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "MPoly") -> "MPoly":
-        return self + (-other)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._check(other)
@@ -316,9 +309,6 @@ class PolyMap:
         if len(texts) != nvars:
             raise PolyParseError(f"map needs {nvars} coordinate polynomials, got {len(texts)}")
         return cls([parse_poly(t, nvars, p) for t in texts])
-
-    def apply(self, point: Sequence[FqElement]) -> tuple[FqElement, ...]:
-        return tuple(f.evaluate(point) for f in self.coords)
 
     def compose(self, other: "PolyMap") -> "PolyMap":
         """self after other: (self.compose(other))(x) = self(other(x))."""

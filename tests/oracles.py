@@ -9,10 +9,11 @@ Stallings folding by re-sorting the whole edge set after each merge,
 irreducibility over F_p by trial division with a remainder of their own,
 and a certificate's trace by one walk per entry, matrix, row and
 coefficient (the library reads it in whole-trace passes).
-What they share with the library is `field_create` and the `FqElement`
-arithmetic (verified exhaustively in test_gf), `Word` and `FreeEndo` for
-their letters, and `Mat2.from_entries`, the `Mat2` entry properties and
-`MatTuple` as containers that carry entries to and from the code under test.
+What they share with the library is `field_create`, `FqField.from_int`
+(`elements` lists a field with it) and the `FqElement` arithmetic (verified
+exhaustively in test_gf), `Word` and `FreeEndo` for their letters, and
+`Mat2.from_entries`, the `Mat2` entry properties and `MatTuple` as
+containers that carry entries to and from the code under test.
 """
 
 import itertools
@@ -21,6 +22,11 @@ import math
 from quasifix.freegroup import FreeEndo, StallingsGraph, Word, WordError
 from quasifix.gf import field_create
 from quasifix.matrep import Mat2, MatTuple
+
+
+def elements(field):
+    """Every element of the field, in index order."""
+    return [field.from_int(n) for n in range(field.order)]
 
 
 def naive_eval(f, point):
@@ -79,7 +85,7 @@ def oracle_quasi_fixed(pmap, s_max):
     n, p = pmap.nvars, pmap.p
     for s in range(1, s_max + 1):
         field = field_create(p, s)
-        elems = list(field)
+        elems = elements(field)
         frob_rows = {a.coeffs: [naive_frobenius(a, m) for m in range(1, s + 1)]
                      for a in elems}
         for point in itertools.product(elems, repeat=n):

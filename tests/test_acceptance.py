@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from oracles import naive_eval, oracle_quasi_fixed, tuple_frobenius, witness_key_set
+from oracles import elements, naive_eval, oracle_quasi_fixed, tuple_frobenius, witness_key_set
 from quasifix.certify import (
     certificate_from_bytes,
     search_certificate,
@@ -186,8 +186,8 @@ def test_criterion_5_frobenius_equivariance():
     checked = 0
     for p, m in ((2, 2), (3, 2)):
         field = field_create(p, m)
-        points1 = [(a,) for a in field]
-        points2 = list(itertools.product(list(field), repeat=2))
+        points1 = [(a,) for a in elements(field)]
+        points2 = list(itertools.product(elements(field), repeat=2))
         for _ in range(10):
             nvars = rng.choice([1, 2])
             pmap = random_map(rng, nvars, p)

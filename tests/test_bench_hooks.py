@@ -21,6 +21,7 @@ from quasifix.certify import CertificateFormatError, certificate_from_bytes, ver
 from quasifix.cli import main as cli_main
 from quasifix.dynamics import QuasiFixedWitness
 from quasifix.gf import FqElement, FqField
+from quasifix.matrep import Mat2, MatTuple, ProjPoint
 from quasifix.poly import MPoly
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -44,11 +45,20 @@ def _forbid_object_arithmetic(monkeypatch):
     computes on logs, states and packed term maps instead."""
     for cls, names in ((FqElement, ("__add__", "__sub__", "__mul__", "__pow__", "inv",
                                     "frobenius")),
-                       (MPoly, ("__add__", "__sub__", "__mul__", "__pow__", "substitute"))):
+                       (MPoly, ("__add__", "__mul__", "__pow__", "substitute"))):
         for name in names:
             def refuse(*args, _name=f"{cls.__name__}.{name}", **kwargs):
                 raise AssertionError(f"a benchmark job called {_name}")
             monkeypatch.setattr(cls, name, refuse)
+
+
+def _forbid_matrix_objects(monkeypatch):
+    """Make building a Mat2, MatTuple or ProjPoint raise: the certificate
+    search and the verifier draw, walk and check log states."""
+    for cls in (Mat2, MatTuple, ProjPoint):
+        def refuse(*args, _name=cls.__name__, **kwargs):
+            raise AssertionError(f"a benchmark job built a {_name}")
+        monkeypatch.setattr(cls, "__init__", refuse)
 
 
 def _quasifix_imports():
@@ -93,6 +103,7 @@ def test_verify_batch_verdicts_unchanged(seed, digest, monkeypatch):
     # so pin every verdict in full: check names, statuses, details and order
     batch = _load("workloads").make_batch("verify", seed)
     _forbid_object_arithmetic(monkeypatch)
+    _forbid_matrix_objects(monkeypatch)
     h = hashlib.sha256()
     for name in sorted(batch.files):
         try:
@@ -119,6 +130,8 @@ def test_default_seed_outputs_match_the_pinned_digests(workload, tmp_path, monke
             def refuse(*args, _name=f"{cls.__name__}.{name}", **kwargs):
                 raise AssertionError(f"an enumerate job called {_name}")
             monkeypatch.setattr(cls, name, refuse)
+    if workload == "certify":
+        _forbid_matrix_objects(monkeypatch)
     (tmp_path / "in").mkdir()
     for name, blob in batch.files.items():
         (tmp_path / "in" / name).write_bytes(blob)

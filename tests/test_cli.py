@@ -266,6 +266,24 @@ def test_fold_of_long_powers_in_bounded_time(capsys):
     assert code == 0 and json.loads(out)["rank"] == 1
 
 
+def test_fold_refuses_words_past_the_work_cap():
+    # the fold holds hundreds of bytes per letter; in a child capped at 64 MB of
+    # address space, 2^18 + 1 characters must be refused by name before any
+    # word is parsed, not fold until memory runs out
+    env = dict(os.environ, PYTHONPATH=str(Path(quasifix.__file__).resolve().parents[1]))
+    probe = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (64 << 20, 64 << 20))\n"
+             "from quasifix.cli import main\n"
+             "sys.exit(main(['fold', '--k', '2'] + ['ab' * 2**15] * 4 + ['a']))\n")
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, timeout=10, env=env)
+    assert time.perf_counter() - start < 1
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == ("error: words total 262145 characters, past the work cap "
+                             "MAX_VERIFY_WORK = 262144\n")
+
+
 def test_certify_and_verify_roundtrip(capsys, tmp_path):
     endo = tmp_path / "bs12.json"
     endo.write_text(json.dumps({"rank": 1, "images": ["aa"]}))

@@ -11,6 +11,7 @@ from oracles import (
     mat_scale,
     naive_adj,
     naive_det,
+    naive_eval,
     naive_is_scalar,
     naive_lift,
     naive_mat_mul,
@@ -30,6 +31,8 @@ from quasifix.matrep import (
     pi_w,
     proj_step,
     random_projpoint,
+    random_state,
+    state_orbit,
     state_rows,
     trace_indices,
     trace_states,
@@ -237,7 +240,7 @@ def test_phi_lift_polynomials_agree_pointwise_random():
     pmap = phi_lift_polynomials(phi, 5)
     for _ in range(100):
         mats = [entries(rand_mat(f5, rng)), entries(rand_mat(f5, rng))]
-        symbolic = pmap.apply(flatten(mats))
+        symbolic = tuple(naive_eval(f, flatten(mats)) for f in pmap.coords)
         direct = flatten(naive_lift(phi, mats))
         assert symbolic == direct
 
@@ -248,7 +251,8 @@ def test_phi_lift_polynomials_agree_exhaustive_f2():
     pmap = phi_lift_polynomials(phi, 2)
     for code in range(16):
         mats = [tuple(f2.from_int((code >> i) & 1) for i in range(4))]
-        assert pmap.apply(flatten(mats)) == flatten(naive_lift(phi, mats))
+        symbolic = tuple(naive_eval(f, flatten(mats)) for f in pmap.coords)
+        assert symbolic == flatten(naive_lift(phi, mats))
 
 
 def test_frobenius_tuple_prime_field_fixed():
@@ -403,6 +407,7 @@ def test_kernel_matches_object_oracle(phi, pm, seed, budget, singular):
     field = field_create(*pm)
     h0 = random_projpoint(field, phi.rank, random.Random(seed))
     assert h0 == oracle_projpoint(field, phi.rank, random.Random(seed))
+    assert h0.tuple._key == random_state(field, phi.rank, random.Random(seed))
     if singular:  # invertible tuples stay invertible; a singular start leaves the locus
         h0 = ProjPoint(MatTuple((Mat2(field, (0, 0, 0, 0)),) + h0.tuple.mats[1:]))
     # one step on states equals the entry-by-entry oracle and the object path
@@ -419,3 +424,7 @@ def test_kernel_matches_object_oracle(phi, pm, seed, budget, singular):
     res = find_periodic_orbit(phi, h0, budget)
     assert (res.found, res.point, res.period, res.steps, res.reason) == \
         oracle_orbit(phi, h0, budget)
+    # the search's walk on states is the same walk, with a state for the point
+    on_states = state_orbit(step, h0.tuple._key, budget)
+    assert on_states._replace(point=None) == res._replace(point=None)
+    assert on_states.point == (res.point.tuple._key if res.found else None)
