@@ -13,22 +13,17 @@ from the subcommand's `SUBCOMMANDS` entry without a parser. Every other argv
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
 from contextlib import nullcontext
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 from typing import Any, Iterable, Iterator
 
-from .certify import (
-    MAX_VERIFY_WORK,
-    CertifyConfig,
-    certificate_from_bytes,
-    search_certificate,
-    verify_certificate,
-)
+from .certify import (MAX_VERIFY_WORK, CertifyConfig, CertifyError, certificate_from_bytes,
+                      search_certificate, verify_certificate, verify_work)
 from .dynamics import (
     EnumerationCapExceeded,
     VarietySpec,
@@ -52,7 +47,7 @@ def _int(text: str) -> int:
             return int(text)
         except ValueError:  # past Python's digit limit
             pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    raise ValueError(f"invalid int value: {text!r}")
 
 
 def order_cap_from_env() -> int:
@@ -61,7 +56,7 @@ def order_cap_from_env() -> int:
         return DEFAULT_ORDER_CAP
     try:
         cap = _int(raw)
-    except argparse.ArgumentTypeError as exc:
+    except ValueError as exc:
         raise FieldError(f"QUASIFIX_CAP must be an integer, got {raw!r}") from exc
     if cap < 2:
         raise FieldError(f"QUASIFIX_CAP must be >= 2, got {cap}")
@@ -317,6 +312,11 @@ def cmd_certify(args) -> int:
             endo_data = json.load(handle)
         except RecursionError as exc:
             raise WordError(f"{args.endo}: JSON nested too deeply") from exc
+    # refuse by the raw text, before any word is parsed, what the search refuses by the words
+    images = endo_data.get("images") if isinstance(endo_data, dict) else None
+    if (isinstance(images, list) and all(isinstance(t, str) for t in images)
+            and verify_work(1, images, args.word) > MAX_VERIFY_WORK):
+        raise CertifyError(f"images and word exceed the verifier's work cap {MAX_VERIFY_WORK}")
     phi = FreeEndo.from_dict(endo_data)
     w = Word.parse(args.word, phi.rank)
     config = CertifyConfig(s_max=args.smax, seeds_per_field=args.seeds,
@@ -352,6 +352,7 @@ def cmd_verify(args) -> int:
     return 0 if verdict.passed else 1
 
 
+_int.__name__ = "int"  # argparse words a type's ValueError `invalid <__name__> value: ...`
 _FORMAT = ("--format", dict(choices=("json", "text"), default="text"))
 _OUT = ("--out", dict(default=None, help="write output to a file"))
 _CERTIFY = CertifyConfig._field_defaults
@@ -433,7 +434,7 @@ def _reader(name: str):
             required.add(dest)
         defaults[dest] = default
 
-    def read(tokens: list[str]) -> argparse.Namespace | None:
+    def read(tokens: list[str]) -> SimpleNamespace | None:
         values, seen, slots = dict(defaults), set(), iter(positionals)
         tokens = iter(tokens)
         for token in tokens:
@@ -452,7 +453,7 @@ def _reader(name: str):
                     if convert is not None:
                         try:
                             token = convert(token)
-                        except (argparse.ArgumentTypeError, TypeError, ValueError):
+                        except (TypeError, ValueError):
                             return None
                     if choices is not None and token not in choices:
                         return None
@@ -460,7 +461,7 @@ def _reader(name: str):
                 return None
             values[dest] = token
             seen.add(dest)
-        return argparse.Namespace(**values) if required <= seen else None
+        return SimpleNamespace(**values) if required <= seen else None
 
     return read
 
@@ -469,6 +470,7 @@ def _reader(name: str):
 def build_parser() -> argparse.ArgumentParser:
     """The `quasifix` parser tree, one subparser per `SUBCOMMANDS` entry; it reads
     every argv that `_reader` declines."""
+    import argparse  # only here: a canonical argv never loads it
     parser = argparse.ArgumentParser(
         prog="quasifix",
         description="Quasi-fixed points of polynomial maps over finite fields "
@@ -486,7 +488,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _reader(argv[0])(argv[1:]) if argv and argv[0] in SUBCOMMANDS else None
     if args is None:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(argv, SimpleNamespace())
     try:
         return args.func(args)
     except USAGE_ERRORS as exc:

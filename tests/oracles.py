@@ -2,56 +2,35 @@
 
 These deliberately avoid the library's evaluation and enumeration code:
 polynomials are evaluated straight off their term maps by repeated
-multiplication, Frobenius powers by literal p-fold products, subfield
-membership by its definition, and 2x2 matrices as four field elements
-multiplied out entry by entry (the library stores them as logarithms),
-Stallings folding by re-sorting the whole edge set after each merge,
-irreducibility over F_p by trial division with a remainder of their own,
-and a certificate's trace by one walk per entry, matrix, row and
-coefficient (the library reads it in whole-trace passes).
-What they share with the library is `field_create`, `FqField.from_int`
-(`elements` lists a field with it) and the `FqElement` arithmetic (verified
-exhaustively in test_gf), `Word` and `FreeEndo` for their letters, and
+multiplication, Frobenius powers by powering, subfield membership by its
+definition, and 2x2 matrices as four field elements multiplied out entry
+by entry (the library stores them as logarithms), Stallings folding by
+re-sorting the whole edge set after each merge, irreducibility over F_p by
+trial division with a remainder of their own, and a certificate's trace by
+one walk per entry, matrix, row and coefficient (the library reads it in
+whole-trace passes).
+Their field arithmetic is their own too: `NaiveField` is F_p[t]/(f) on
+coefficient tuples, with f found by trial division, a schoolbook product
+reduced by `naive_remainder`, and the inverse as a^(q - 2); the matrix
+helpers are its methods.  What they share with the library is the element
+boundary, `FqElement.coeffs` in and `FqField.from_int` out (`elements`
+lists a field with it), `Word` and `FreeEndo` for their letters, and
 `Mat2.from_entries`, the `Mat2` entry properties and `MatTuple` as
 containers that carry entries to and from the code under test.
 """
 
+import functools
 import itertools
 import math
 
 from quasifix.freegroup import FreeEndo, StallingsGraph, Word, WordError
-from quasifix.gf import field_create
+from quasifix.gf import FqElement
 from quasifix.matrep import Mat2, MatTuple
 
 
 def elements(field):
     """Every element of the field, in index order."""
     return [field.from_int(n) for n in range(field.order)]
-
-
-def naive_eval(f, point):
-    field = point[0].field
-    total = field.zero()
-    for expo, c in f.terms.items():
-        term = field.scalar(c)
-        for a, e in zip(point, expo):
-            for _ in range(e):
-                term = term * a
-        total = total + term
-    return total
-
-
-def naive_pth_power(a):
-    acc = a.field.one()
-    for _ in range(a.field.p):
-        acc = acc * a
-    return acc
-
-
-def naive_frobenius(a, m):
-    for _ in range(m):
-        a = naive_pth_power(a)
-    return a
 
 
 def naive_remainder(a, b, p):
@@ -64,19 +43,168 @@ def naive_remainder(a, b, p):
     return r[:k]
 
 
+def _monic(p, m):
+    """The monic polynomials of degree m over F_p, low coefficients counted in base p."""
+    return (tuple(reversed(high)) + (1,) for high in itertools.product(range(p), repeat=m))
+
+
 def naive_is_irreducible(f, p):
     """Whether monic f over F_p has no monic factor of degree 1 to deg(f)/2,
     by trial division by every such polynomial."""
-    return all(any(naive_remainder(f, low + (1,), p))
-               for d in range(1, (len(f) - 1) // 2 + 1)
-               for low in itertools.product(range(p), repeat=d))
+    return all(any(naive_remainder(f, g, p))
+               for d in range(1, (len(f) - 1) // 2 + 1) for g in _monic(p, d))
 
 
 def naive_min_irreducible(p, m):
     """The first monic irreducible of degree m, low coefficients counted in base p."""
-    return next(f for f in (tuple(reversed(high)) + (1,)
-                            for high in itertools.product(range(p), repeat=m))
-                if naive_is_irreducible(f, p))
+    return next(f for f in _monic(p, m) if naive_is_irreducible(f, p))
+
+
+class NaiveField:
+    """F_{p^m} as F_p[t]/(f), f = naive_min_irreducible(p, m), on coefficient
+    tuples (constant term first); index order counts them in base p.  Matrices
+    are (a, b, c, d) tuples of elements, row-major."""
+
+    def __init__(self, p, m):
+        self.p, self.m, self.f = p, m, naive_min_irreducible(p, m)
+        self.zero, self.one = (0,) * m, (1,) + (0,) * (m - 1)
+
+    def elements(self):
+        """Every element in index order: the monic polynomials of degree m less t^m."""
+        return [f[:-1] for f in _monic(self.p, self.m)]
+
+    def index(self, a):
+        n = 0
+        for c in reversed(a):
+            n = n * self.p + c
+        return n
+
+    def scalar(self, c):
+        return (c % self.p,) + self.zero[1:]
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple((x - y) % self.p for x, y in zip(a, b))
+
+    @functools.lru_cache(maxsize=1 << 16)  # brute force repeats the products of small fields
+    def mul(self, a, b):
+        """The schoolbook product, reduced by naive_remainder."""
+        prod = [0] * (2 * self.m - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        return tuple(c % self.p for c in naive_remainder(prod, self.f, self.p))
+
+    def power(self, a, e):
+        """a^e by left-to-right square-and-multiply."""
+        acc = self.one
+        for bit in bin(e)[2:]:
+            acc = self.mul(acc, acc)
+            if bit == "1":
+                acc = self.mul(acc, a)
+        return acc
+
+    def frobenius(self, a, k):
+        return self.power(a, self.p**k)
+
+    def inv(self, a):
+        return self.power(a, self.p**self.m - 2)
+
+    def eval(self, f, point):
+        total = self.zero
+        for expo, c in f.terms.items():
+            term = self.scalar(c)
+            for a, e in zip(point, expo):
+                for _ in range(e):
+                    term = self.mul(term, a)
+            total = self.add(total, term)
+        return total
+
+    def mat_mul(self, x, y):
+        (a, b, c, d), (e, f, g, h), mul, add = x, y, self.mul, self.add
+        return (add(mul(a, e), mul(b, g)), add(mul(a, f), mul(b, h)),
+                add(mul(c, e), mul(d, g)), add(mul(c, f), mul(d, h)))
+
+    def adj(self, x):
+        a, b, c, d = x
+        return (d, self.sub(self.zero, b), self.sub(self.zero, c), a)
+
+    def det(self, x):
+        a, b, c, d = x
+        return self.sub(self.mul(a, d), self.mul(b, c))
+
+    def scale(self, x, s):
+        return tuple(self.mul(v, s) for v in x)
+
+    def inverse(self, x):
+        return self.scale(self.adj(x), self.inv(self.det(x)))
+
+    def normalized(self, x):
+        """x scaled so its first nonzero entry is 1; None for the zero matrix."""
+        first = next((v for v in x if any(v)), None)
+        return None if first is None else self.scale(x, self.inv(first))
+
+    def is_scalar(self, x):
+        a, b, c, d = x
+        return not any(b) and not any(c) and a == d
+
+    def word_value(self, w, mats):
+        """w evaluated on matrices, the adjugate standing in for each inverse."""
+        acc = (self.one, self.zero, self.zero, self.one)
+        for x in w.letters:
+            acc = self.mat_mul(acc, mats[x - 1] if x > 0 else self.adj(mats[-x - 1]))
+        return acc
+
+    def lift(self, phi, mats):
+        """The lifted endomorphism: each image word's value at mats."""
+        return tuple(self.word_value(w, mats) for w in phi.images)
+
+
+naive_field = functools.cache(NaiveField)
+
+
+def _on_elements(method):
+    """`method` of `NaiveField` as a function of library elements: those in its
+    arguments (also inside tuples and lists) enter by `.coeffs`, and the
+    coefficient tuples in its result leave by `from_int`."""
+    def call(*args):
+        fields = []
+
+        def inward(v):
+            if isinstance(v, FqElement):
+                fields.append(v.field)
+                return v.coeffs
+            return tuple(map(inward, v)) if isinstance(v, (tuple, list)) else v
+
+        args = inward(args)
+        field = fields[0]
+        F = naive_field(field.p, field.m)
+
+        def outward(v):
+            if not isinstance(v, tuple):
+                return v
+            if all(type(c) is int for c in v):
+                return field.from_int(F.index(v))
+            return tuple(map(outward, v))
+
+        return outward(method(F, *args))
+    return call
+
+
+naive_eval = _on_elements(NaiveField.eval)
+naive_frobenius = _on_elements(NaiveField.frobenius)
+# -- 2x2 matrices as (a, b, c, d) tuples of library elements, row-major
+naive_mat_mul = _on_elements(NaiveField.mat_mul)
+naive_adj = _on_elements(NaiveField.adj)
+naive_det = _on_elements(NaiveField.det)
+naive_scale = _on_elements(NaiveField.scale)
+naive_inverse = _on_elements(NaiveField.inverse)
+naive_normalized = _on_elements(NaiveField.normalized)
+naive_is_scalar = _on_elements(NaiveField.is_scalar)
+naive_word_value = _on_elements(NaiveField.word_value)
+naive_lift = _on_elements(NaiveField.lift)
 
 
 def oracle_quasi_fixed(pmap, s_max):
@@ -84,23 +212,21 @@ def oracle_quasi_fixed(pmap, s_max):
     out = set()
     n, p = pmap.nvars, pmap.p
     for s in range(1, s_max + 1):
-        field = field_create(p, s)
-        elems = elements(field)
-        frob_rows = {a.coeffs: [naive_frobenius(a, m) for m in range(1, s + 1)]
-                     for a in elems}
+        F = naive_field(p, s)
+        elems = F.elements()
+        frob_rows = {a: [F.frobenius(a, m) for m in range(1, s + 1)] for a in elems}
         for point in itertools.product(elems, repeat=n):
             deg = 1
             for a in point:
                 d = next(d for d in range(1, s + 1)
-                         if s % d == 0 and frob_rows[a.coeffs][d - 1] == a)
+                         if s % d == 0 and frob_rows[a][d - 1] == a)
                 deg = deg * d // math.gcd(deg, d)
             if deg != s:
                 continue
-            values = [naive_eval(f, point) for f in pmap.coords]
+            values = [F.eval(f, point) for f in pmap.coords]
             for m in range(1, s + 1):
-                if all(v == frob_rows[a.coeffs][m - 1]
-                       for v, a in zip(values, point)):
-                    out.add((s, m, tuple(a.coeffs for a in point)))
+                if all(v == frob_rows[a][m - 1] for v, a in zip(values, point)):
+                    out.add((s, m, point))
                     break
     return out
 
@@ -110,66 +236,18 @@ def witness_key_set(witnesses):
             for w in witnesses}
 
 
-# -- 2x2 matrices as (a, b, c, d) tuples of field elements, row-major ----------
-
 def entries(m):
     """The entries of a library `Mat2`, as field elements."""
     return (m.a, m.b, m.c, m.d)
 
 
-def naive_mat_mul(x, y):
-    a, b, c, d = x
-    e, f, g, h = y
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-def naive_adj(x):
-    a, b, c, d = x
-    zero = a.field.zero()
-    return (d, zero - b, zero - c, a)
-
-
-def naive_det(x):
-    a, b, c, d = x
-    return a * d - b * c
-
-
-def naive_scale(x, s):
-    return tuple(v * s for v in x)
-
-
-def naive_normalized(x):
-    """x scaled so its first nonzero entry is 1; None for the zero matrix."""
-    first = next((v for v in x if not v.is_zero()), None)
-    return None if first is None else naive_scale(x, first.inv())
-
-
-def naive_is_scalar(x):
-    a, b, c, d = x
-    return b.is_zero() and c.is_zero() and a == d
-
-
-def naive_word_value(w, mats):
-    """w evaluated on entry tuples, the adjugate standing in for each inverse."""
-    one, zero = mats[0][0].field.one(), mats[0][0].field.zero()
-    acc = (one, zero, zero, one)
-    for x in w.letters:
-        acc = naive_mat_mul(acc, mats[x - 1] if x > 0 else naive_adj(mats[-x - 1]))
-    return acc
-
-
-def naive_lift(phi, mats):
-    """The lifted endomorphism on entry tuples: each image word's value at mats."""
-    return tuple(naive_word_value(w, mats) for w in phi.images)
-
-
 def naive_verdict(cert):
     """(name, status, detail) of every check `verify_certificate` reports for
     a certificate that passes `structure`, from entry-by-entry products of
-    the rows read as field elements; no matrix code of the library is used."""
-    field = field_create(cert.p, cert.s)
-    rows = [[tuple(field.element(row) for row in mat) for mat in entry]
-            for entry in cert.trace]
+    the rows read as coefficient tuples; no field or matrix code of the
+    library is used."""
+    F = naive_field(cert.p, cert.s)
+    rows = [[tuple(map(tuple, mat)) for mat in entry] for entry in cert.trace]
     phi, w = FreeEndo.parse(cert.images, cert.rank), Word.parse(cert.word, cert.rank)
     checks = [("structure", "pass", "fields, words and shapes are coherent")]
 
@@ -179,9 +257,9 @@ def naive_verdict(cert):
     member = []
     for i, entry in enumerate(rows):
         for j, x in enumerate(entry):
-            if naive_det(x).is_zero():
+            if not any(F.det(x)):
                 member.append(f"trace[{i}] matrix {j} is singular")
-            elif naive_normalized(x) != x:
+            elif F.normalized(x) != x:
                 member.append(f"trace[{i}] matrix {j} is not scalar-canonical")
     record("tuple_in_group", member, "all matrices invertible and scalar-canonical")
     record("condition_i", [], "free group: no relations, holds vacuously")
@@ -189,14 +267,14 @@ def naive_verdict(cert):
         return checks + [(name, "skipped", "tuple is not in the group")
                          for name in ("condition_ii", "condition_iii", "wreath_relations")]
     n = len(rows)
-    holds = [[naive_normalized(naive_word_value(image, rows[i])) == rows[(i + 1) % n][j]
+    holds = [[F.normalized(F.word_value(image, rows[i])) == rows[(i + 1) % n][j]
               for j, image in enumerate(phi.images)] for i in range(n)]
     orbit = [f"step from trace[{i}] does not give trace[{(i + 1) % n}]"
              for i in range(n) if not all(holds[i])]
     if len({tuple(entry) for entry in rows}) != n:
         orbit.append("period is not minimal: trace entries repeat")
     record("condition_ii", orbit, f"orbit closes with minimal period {n}")
-    nontrivial = not naive_is_scalar(naive_word_value(w, rows[0]))
+    nontrivial = not F.is_scalar(F.word_value(w, rows[0]))
     record("condition_iii", [] if nontrivial else ["word value at the base tuple is scalar"],
            "word value at the base tuple is non-scalar")
     bad = [f"generator {j + 1}" for j in range(cert.rank) if not all(h[j] for h in holds)]
@@ -268,8 +346,7 @@ def mat_scale(m, s):
 
 
 def mat_inverse(m):
-    x = entries(m)
-    return Mat2.from_entries(m.field, naive_scale(naive_adj(x), naive_det(x).inv()))
+    return Mat2.from_entries(m.field, naive_inverse(entries(m)))
 
 
 def mat_frobenius(m, e):

@@ -197,24 +197,35 @@ def test_characteristic_past_the_bound_is_refused(capsys):
     assert code == 2 and out == "" and "2^64" in err
 
 
-def test_import_builds_no_parser_and_no_field():
+def test_import_builds_no_parser_and_no_field(tmp_path):
     # the benchmark's setup_s times `import quasifix.cli` in a fresh interpreter:
     # the parser tree and the fields are built on first use, never at import; a
-    # canonical argv builds no parser, and any other builds the one tree
+    # canonical argv builds no parser and loads neither argparse nor the gettext
+    # it imports, and any other builds the one tree
+    (tmp_path / "endo.json").write_text(json.dumps({"rank": 2, "images": ["ab", "ba"]}))
     env = dict(os.environ, PYTHONPATH=str(Path(quasifix.__file__).resolve().parents[1]))
-    probe = ("import contextlib, io, quasifix.cli as cli, quasifix.gf as gf\n"
+    probe = ("import contextlib, io, sys, quasifix.cli as cli, quasifix.gf as gf\n"
              "def built(): return cli.build_parser.cache_info().currsize\n"
-             "print(built(), len(gf._FIELDS))\n"
+             "def loaded(): return sorted({'argparse', 'gettext'} & set(sys.modules))\n"
+             "print(built(), len(gf._FIELDS), loaded())\n"
              "iq = ['iq', '--p', '2', '--n', '1', '--map', 'x1', '--q', '4']\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    code = cli.main(iq)\n"
-             "print(code, built())\n"
+             "print(code, built(), loaded())\n"
+             "jobs = [['quasifixed', '--p', '3', '--n', '1', '--map', 'x1^2', '--smax', '2'],\n"
+             "        ['density', '--p', '3', '--n', '1', '--map', 'x1^2', '--w', 'x1'],\n"
+             "        ['certify', '--endo', 'endo.json', '--word', 'ab', '--out', 'c.json'],\n"
+             "        ['verify', 'c.json', '--format', 'json']]\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    codes = [cli.main(job) for job in jobs]\n"
+             "print(codes, built(), loaded())\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    code = cli.main(iq + ['--format=json'])\n"
-             "print(code, built())")
+             "print(code, built(), 'argparse' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                            text=True, timeout=30, env=env)
-    assert (result.returncode, result.stdout) == (0, "0 0\n0 0\n0 1\n"), result.stderr
+                            text=True, timeout=30, env=env, cwd=tmp_path)
+    assert (result.returncode, result.stdout) == (
+        0, "0 0 []\n0 0 []\n[0, 0, 0, 0] 0 []\n0 1 True\n"), result.stderr
 
 
 def test_iq_term_budget_is_a_usage_error(capsys, monkeypatch):
@@ -282,6 +293,28 @@ def test_fold_refuses_words_past_the_work_cap():
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == ("error: words total 262145 characters, past the work cap "
                              "MAX_VERIFY_WORK = 262144\n")
+
+
+def test_certify_refuses_raw_text_past_the_work_cap(tmp_path):
+    # an image padded with 2^20 cancelling pairs reduces to `a`, but its text is past
+    # the work cap: it is refused by that text, before any word is parsed, in a child
+    # capped at 64 MB of address space (without the check, all 2^21 + 1 letters were
+    # parsed, and the reduced endomorphism searched for and certified)
+    (tmp_path / "endo.json").write_text(json.dumps({"rank": 2, "images": ["a" + "bB" * 2**20,
+                                                                          "b"]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(quasifix.__file__).resolve().parents[1]))
+    probe = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (64 << 20, 64 << 20))\n"
+             "from quasifix.cli import main\n"
+             "sys.exit(main(['certify', '--endo', 'endo.json', '--word', 'a', "
+             "'--out', 'cert.json']))\n")
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, timeout=10, env=env, cwd=tmp_path)
+    assert time.perf_counter() - start < 1
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: images and word exceed the verifier's work cap 262144\n"
+    assert not (tmp_path / "cert.json").exists()
 
 
 def test_certify_and_verify_roundtrip(capsys, tmp_path):
@@ -696,11 +729,13 @@ def _nested_parser() -> argparse.ArgumentParser:
 
 
 def _parse_outcome(parse, argv):
-    """The namespace `parse` gives for argv, or its (exit code, stdout, stderr)."""
+    """The attributes of the namespace `parse` gives for argv, or its (exit code,
+    stdout, stderr); `main` hands its handlers a `SimpleNamespace`, and
+    `argparse.Namespace` compares equal on these too."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return parse(argv)
+            return vars(parse(argv))
         except SystemExit as exc:
             return exc.code, out.getvalue(), err.getvalue()
 

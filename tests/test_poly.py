@@ -342,6 +342,19 @@ def test_normal_form_and_product_match_division_oracle(case):
     assert product == system.normal_form(a * b) == multivariate_remainder(a * b, system)
 
 
+@settings(max_examples=100, deadline=None)
+@given(case=_iq_cases())
+def test_composition_is_the_frobenius_map_of_the_quotient(case):
+    # f_i = x_i^Q in A and g has F_p coefficients, so g(f_1, ..., f_n) = g(x_1^Q, ..., x_n^Q)
+    # = g^Q: composition, the only route through the products, the power cache and the
+    # grouping by key >> w, must give the Q-th power that _frob forms with no product
+    n, p, Q, coords, *polys = case
+    system = IqSystem(PolyMap([MPoly(n, p, f) for f in coords]), Q)
+    for terms in polys:
+        g = system._pack(system.normal_form(MPoly(n, p, terms)), system._layout[0])
+        assert system._compose(g) == system._frob(g)
+
+
 @pytest.mark.parametrize("n,p,Q,j", [
     (n, p, Q, j) for n in (1, 2, 3) for p in (2, 3, 5) for Q in (p, p * p) for j in (1, 2)
     if n == 1 or n * Q**j <= 100])  # the oracle's cost grows with Q^j in n > 1 variables

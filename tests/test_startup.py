@@ -17,7 +17,8 @@ import quasifix
 
 # importing the CLI may load quasifix's own modules and nothing outside the closure
 # of these standard modules, the ones quasifix imported when this guard was written
-STDLIB_IMPORTS = ("__future__", "argparse", "array", "functools", "heapq", "itertools",
+# less argparse, which `build_parser` imports on first use
+STDLIB_IMPORTS = ("__future__", "array", "functools", "heapq", "itertools",
                   "json", "math", "os", "random", "re", "sys", "typing")
 MODULES = ("quasifix.gf", "quasifix.poly", "quasifix.freegroup", "quasifix.matrep",
            "quasifix.dynamics", "quasifix.certify", "quasifix.cli")
