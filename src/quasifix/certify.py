@@ -51,7 +51,6 @@ from .matrep import (
 )
 
 FORMAT_VERSION = 1
-MAX_PERIOD = 4096  # longest orbit the search turns into a certificate
 MAX_PRIMES = 6  # admissible primes the search tries before giving up
 PRIME_BATCH = 5  # candidate primes whose product is the modulus of one substitution
 MAX_VERIFY_WORK = 2**18  # letters the verifier reads: see verify_work
@@ -319,13 +318,10 @@ def search_certificate(phi: FreeEndo, w: Word,
             frontier.append((p, s, config.seeds_per_field))
             for seed_index in range(config.seeds_per_field):
                 rng = random.Random(f"{config.seed}:{p}:{s}:{seed_index}")
-                result = state_orbit(step, random_state(field, k, rng), config.orbit_budget)
-                if (not result.found or result.period > MAX_PERIOD
-                        or verify_work(result.period, images, word) > MAX_VERIFY_WORK):
+                states: list[tuple] = []
+                result = state_orbit(step, random_state(field, k, rng), config.orbit_budget, states)
+                if not result.found or verify_work(result.period, images, word) > MAX_VERIFY_WORK:
                     continue
-                states = [result.point]
-                for _ in range(result.period - 1):
-                    states.append(step(states[-1]))
                 for rotation in range(result.period):
                     if word_is_scalar(w, field, states[rotation]):
                         continue

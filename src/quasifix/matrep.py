@@ -17,9 +17,9 @@ log from its nonzero entries, so no arithmetic creates a field element.
 
 A point of PGL2(F_q)^k is walked as a state: the k normalized log 4-tuples
 that `MatTuple._key` holds.  The certificate search draws one with
-`random_state` (each entry's coefficients folded by `FqField._index`),
-walks it with `state_orbit` under `proj_step` (built once per phi and
-field) and keeps states until it writes rows; the verifier reads rows into
+`random_state` (each entry's coefficients folded by `FqField._index`) and
+walks it once with `state_orbit` under `proj_step` (built once per phi and
+field), which hands back the cycle's states; the verifier reads rows into
 states and checks them with the same kernels.  `find_periodic_orbit`,
 `pgl_dynamics_step` and `random_projpoint` are their `ProjPoint` forms.
 `state_rows` is the one log -> row converter.  Back, the verifier's
@@ -358,14 +358,19 @@ class OrbitResult(NamedTuple):
 
 
 DEFAULT_ORBIT_BUDGET = 10**7
+MAX_PERIOD = 4096  # longest cycle a walk holds: the search's longest certificate
 
 
-def state_orbit(kernel, h0: tuple, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitResult:
+def state_orbit(kernel, h0: tuple, budget: int = DEFAULT_ORBIT_BUDGET,
+                cycle: list | None = None) -> OrbitResult:
     """Brent cycle detection on states under kernel, a `proj_step`.
 
-    Returns a state lying on the cycle reached from h0 together with the
-    exact minimal period.  Not-found happens only when the iteration budget
-    runs out or the orbit leaves the invertible locus.
+    The hare keeps the states it passes after the tortoise's last jump, at
+    most MAX_PERIOD, so they are the cycle when the two meet; one walk from
+    h0 into them finds the first cycle state.  Returns it with the exact
+    minimal period, and fills cycle, if given, with the cycle from it on.
+    Not-found happens only when the budget of kernel steps runs out, the
+    orbit leaves the invertible locus, or the period exceeds MAX_PERIOD.
     """
     steps = 0
 
@@ -378,23 +383,25 @@ def state_orbit(kernel, h0: tuple, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitR
 
     try:
         power = lam = 1
-        tortoise = h0
-        hare = step(tortoise)
+        tortoise, hare = h0, step(h0)
+        kept = [hare]
         while tortoise != hare:
             if power == lam:
-                tortoise = hare
-                power *= 2
-                lam = 0
+                tortoise, power, lam = hare, power * 2, 0
+                kept.clear()
             hare = step(hare)
             lam += 1
-        # advance a second pointer lam steps, then walk both to the cycle
-        tortoise = hare = h0
-        for _ in range(lam):
-            hare = step(hare)
-        while tortoise != hare:
-            tortoise = step(tortoise)
-            hare = step(hare)
-        return OrbitResult(True, tortoise, lam, steps)
+            if lam <= MAX_PERIOD:
+                kept.append(hare)
+        if lam > MAX_PERIOD:
+            return OrbitResult(False, None, 0, steps, reason="period")
+        index = {x: i for i, x in enumerate(kept)}
+        first = h0
+        while first not in index:
+            first = step(first)
+        if cycle is not None:
+            cycle[:] = kept[index[first]:] + kept[:index[first]]
+        return OrbitResult(True, first, lam, steps)
     except _BudgetExhausted:
         return OrbitResult(False, None, 0, steps, reason="budget")
     except SingularMatrixError:

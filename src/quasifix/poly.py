@@ -343,10 +343,10 @@ class IqSystem:
     the bit length of the largest total degree reached: n(2Q - 2) for a
     product, n p (Q - 1) for a p-th power, or a larger public input's.
     Rewrites only lower it, so bit b of each field is a guard.  It keeps the
-    reduced powers NF(f_k^e) and both sides of f^(j)_i = x_i^(Q^j).
+    reduced powers NF(f_k^e) and the last sides of f^(j)_i = x_i^(Q^j).
     """
 
-    __slots__ = ("map", "Q", "_layout", "_powers", "_iterates", "_frobenius")
+    __slots__ = ("map", "Q", "_layout", "_powers", "_sides", "_verdicts")
 
     def __init__(self, pmap: PolyMap, Q: int):
         p = pmap.p
@@ -363,10 +363,9 @@ class IqSystem:
         self._layout = self._layout_for(0)
         w = self._layout[0]
         self._powers = [[{0: 1}, f] for f in self._layout[4]]
-        # index j holds (NF(f^(j)_i))_i and (NF(x_i^(Q^j)))_i; j = 0 is x itself
-        variables = tuple({1 << w * i: 1} for i in range(pmap.nvars))
-        self._iterates = [variables]
-        self._frobenius = [variables]
+        # (NF(f^(j)_i))_i and (NF(x_i^(Q^j)))_i for the last j formed; j = 0 is x itself
+        self._sides = (tuple({1 << w * i: 1} for i in range(pmap.nvars)),) * 2
+        self._verdicts = [True]  # index j: whether the sides of j agree
 
     def _layout_for(self, degree: int) -> tuple:
         """(w, ADD, HIGH, rules, coords) for total degrees to max(degree, n(2Q - 2), np(Q - 1)).
@@ -503,20 +502,21 @@ class IqSystem:
     def iterate_congruence_check(self, j: int) -> bool:
         """True iff each coordinate of the j-th iterate is congruent to x_i^(Q^j).
 
-        Both sides are computed in A and kept for later calls.  The left is
-        f^(j)_i by j compositions g <- NF(g o f) from g = x_i; the right is
-        x_i^(Q^j) by raising x_i^(Q^(j-1)) to the power Q with p-th powers,
-        which multiply nothing.  The two routes share only the normal form.
+        Both sides are computed in A, and the last pair and every verdict are
+        kept.  The left is f^(j)_i by j compositions g <- NF(g o f) from g = x_i;
+        the right is x_i^(Q^j) by raising x_i^(Q^(j-1)) to the power Q with
+        p-th powers, which multiply nothing.  The routes share only the normal form.
 
         This must hold for every well-formed system; a False return signals
         an implementation bug rather than a property of the input.
         """
         if j < 1:
             raise PolyError("iterate index must be >= 1")
-        while len(self._iterates) <= j:
-            self._iterates.append(tuple(self._compose(g) for g in self._iterates[-1]))
-            self._frobenius.append(tuple(self._frob(x) for x in self._frobenius[-1]))
-        return self._iterates[j] == self._frobenius[j]
+        while len(self._verdicts) <= j:
+            left, right = self._sides
+            self._sides = (tuple(map(self._compose, left)), tuple(map(self._frob, right)))
+            self._verdicts.append(self._sides[0] == self._sides[1])
+        return self._verdicts[j]
 
 
 def _add_scaled(acc: dict[int, int], g: dict[int, int], c: int, p: int) -> None:

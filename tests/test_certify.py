@@ -19,7 +19,7 @@ from oracles import (
     naive_word_value,
     tuple_frobenius,
 )
-from quasifix import certify
+from quasifix import certify, matrep
 from quasifix.certify import (
     Certificate,
     CertificateFormatError,
@@ -54,6 +54,7 @@ from quasifix.matrep import (
     pi_w,
     proj_step,
     random_projpoint,
+    state_orbit,
     state_rows,
     trace_indices,
     trace_states,
@@ -922,6 +923,52 @@ def test_search_skips_orbits_over_the_work_cap(monkeypatch, swapmix_cert):
     assert out.found and (out.certificate.p, out.certificate.period) == (7, 3)
     assert verify_certificate(out.certificate).passed
     assert "work cap 13" in verify_certificate(swapmix_cert).checks[0].detail
+
+
+def test_the_search_steps_only_inside_its_walks(monkeypatch):
+    # each start is walked once: the cycle comes back from state_orbit, so
+    # every kernel call of a search is a step that some walk counted
+    calls, walks = [0], []
+
+    def counting_step(phi, field):
+        step = proj_step(phi, field)
+
+        def counted(state):
+            calls[0] += 1
+            return step(state)
+        return counted
+
+    def recorded(*args):
+        walks.append(state_orbit(*args))
+        return walks[-1]
+
+    monkeypatch.setattr(certify, "proj_step", counting_step)
+    monkeypatch.setattr(certify, "state_orbit", recorded)
+    for phi, text in ((BS12, "a"), (SWAPMIX, "a"), (SWAPMIX, "aB")):
+        assert search_certificate(phi, Word.parse(text, phi.rank)).found
+    assert any(walk.found and walk.period > 1 for walk in walks)
+    assert calls[0] == sum(walk.steps for walk in walks)
+
+
+def _order_three_state(field):
+    """[[0, -1], [1, -1]], of order 3 in PGL2: a -> a^2 sends it to its inverse."""
+    entries = [field.from_int(v) for v in (0, field.p - 1, 1, field.p - 1)]
+    return (Mat2.from_entries(field, entries).normalized().logs,)
+
+
+def test_a_cycle_past_max_period_ends_the_walk_and_the_search_skips_it(monkeypatch):
+    field = field_create(7, 1)
+    step = proj_step(BS12, field)
+    assert state_orbit(step, _order_three_state(field)).period == 2
+    monkeypatch.setattr(certify, "random_state", lambda f, k, rng: _order_three_state(f))
+    out = search_certificate(BS12, Word.parse("a", 1), CertifyConfig(s_max=1, seeds_per_field=1))
+    assert out.found and out.certificate.period == 2
+    monkeypatch.setattr(matrep, "MAX_PERIOD", 1)
+    # Brent's hare meets the tortoise after 3 steps, holding one state of two
+    assert state_orbit(step, _order_three_state(field)) == (False, None, 0, 3, "period")
+    out = search_certificate(BS12, Word.parse("a", 1), CertifyConfig(s_max=1, seeds_per_field=1))
+    assert not out.found and out.reason == "budget exhausted"
+    assert (7, 1, 1) in out.frontier
 
 
 # -- fuzzing the verifier ------------------------------------------------------

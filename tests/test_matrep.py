@@ -362,11 +362,12 @@ def oracle_projpoint(field, k, rng):
 
 
 def oracle_orbit(phi, h0, budget):
-    """(found, point, period, steps, reason) from a dict of visited points.
+    """(found, point, period, steps, reason) from a dict of visited points,
+    and the cycle from point on.
 
     Brent's hare stops at index 2^j - 1 + period for the least j with
-    2^j - 1 >= tail and 2^j >= period, then both pointers walk period + 2 tail
-    more steps; a singular value at index i costs i + 1 steps.
+    2^j - 1 >= tail and 2^j >= period, then one pointer walks the tail from
+    h0; a singular value at index i costs i + 1 steps.
     """
     seen, cur = {}, h0
     while cur not in seen and len(seen) <= budget:
@@ -376,18 +377,18 @@ def oracle_orbit(phi, h0, budget):
         except SingularMatrixError:
             if len(seen) > budget:
                 break
-            return False, None, 0, len(seen), "singular"
+            return (False, None, 0, len(seen), "singular"), []
     if cur not in seen:  # no repeat among budget + 1 points: 2 (tail + period) > budget
-        return False, None, 0, budget + 1, "budget"
+        return (False, None, 0, budget + 1, "budget"), []
     tail = seen[cur]
     period = len(seen) - tail
     power = 1
     while power - 1 < tail or power < period:
         power *= 2
-    steps = power - 1 + 2 * period + 2 * tail
+    steps = power - 1 + period + tail
     if steps > budget:
-        return False, None, 0, budget + 1, "budget"
-    return True, cur, period, steps, ""
+        return (False, None, 0, budget + 1, "budget"), []
+    return (True, cur, period, steps, ""), list(seen)[tail:]
 
 
 KERNEL_FIELDS = [(5, 1), (3, 2), (2, 3), (3, 3)]  # F_8: log(-1) = 0
@@ -422,9 +423,11 @@ def test_kernel_matches_object_oracle(phi, pm, seed, budget, singular):
         assert stepped == expected.tuple._key
         assert pgl_dynamics_step(phi, h0).tuple._key == stepped
     res = find_periodic_orbit(phi, h0, budget)
-    assert (res.found, res.point, res.period, res.steps, res.reason) == \
-        oracle_orbit(phi, h0, budget)
+    expected, expected_cycle = oracle_orbit(phi, h0, budget)
+    assert (res.found, res.point, res.period, res.steps, res.reason) == expected
     # the search's walk on states is the same walk, with a state for the point
-    on_states = state_orbit(step, h0.tuple._key, budget)
+    cycle = []
+    on_states = state_orbit(step, h0.tuple._key, budget, cycle)
     assert on_states._replace(point=None) == res._replace(point=None)
     assert on_states.point == (res.point.tuple._key if res.found else None)
+    assert cycle == [x.tuple._key for x in expected_cycle]

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -290,6 +292,29 @@ def test_iterate_congruence_examples():
     assert sys2.iterate_congruence_check(2)
 
 
+def test_iterate_congruence_retains_no_more_memory_at_larger_j():
+    # each step needs only the last pair of sides, so what a system holds
+    # after its checks must not grow with j; keeping every iterate held
+    # about 10 KB more per j here (tracemalloc, CPython 3.11)
+    def retained(j):
+        tracemalloc.start()
+        try:
+            system = IqSystem(PolyMap.parse(["x1^3+x1*x2+1", "x2^2+x1"], 2, 2), 8)
+            assert system.iterate_congruence_check(j)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    small, large = retained(8), retained(32)
+    assert large - small < 16 * 1024, (small, large)
+    # an earlier j still gets its answer from the kept verdicts
+    system = IqSystem(PolyMap.parse(["x1^3+x1*x2+1", "x2^2+x1"], 2, 2), 8)
+    assert system.iterate_congruence_check(5)
+    sides = system._sides
+    assert system.iterate_congruence_check(3) and system._sides is sides
+
+
 def test_iterate_congruence_instance_by_explicit_division():
     sys = IqSystem(PolyMap.parse(["x1+x2", "x1*x2"], 2, 2), 4)
     iterated = sys.map.iterate(2)
@@ -368,15 +393,16 @@ def test_congruence_sides_match_division_oracle(n, p, Q, j):
                                      rng.sample(below_q, rng.randint(1, min(3, len(below_q))))})
                         for _ in range(n)])
         system = IqSystem(pmap, Q)
-        assert system.iterate_congruence_check(j)
         w = system._layout[0]
         for k in range(1, j + 1):
+            assert system.iterate_congruence_check(k)
+            iterates, frobenius = system._sides  # the sides of iterate k
             iterated = pmap.iterate(k)
             for i in range(n):
                 power = monomial(1, tuple(Q**k if m == i else 0 for m in range(n)), p)
-                assert system._unpack(system._iterates[k][i], w) == multivariate_remainder(
+                assert system._unpack(iterates[i], w) == multivariate_remainder(
                     iterated.coords[i], system)
-                assert system._unpack(system._frobenius[k][i], w) == multivariate_remainder(
+                assert system._unpack(frobenius[i], w) == multivariate_remainder(
                     power, system)
 
 
@@ -396,14 +422,15 @@ def test_frobenius_side_multiplies_nothing(monkeypatch, n, p, Q, j):
     for coords in maps:
         system = IqSystem(PolyMap([MPoly(n, p, f) for f in coords]), Q)
         monkeypatch.setattr(IqSystem, "_product", refuse)
+        frobenius = [system._sides[1]]  # the variables, x_i^(Q^0)
         for _ in range(j):
-            system._frobenius.append(tuple(system._frob(x) for x in system._frobenius[-1]))
+            frobenius.append(tuple(system._frob(x) for x in frobenius[-1]))
         monkeypatch.undo()
         w = system._layout[0]
         for k in range(1, j + 1):
             for i in range(n):
                 power = monomial(1, tuple(Q**k if m == i else 0 for m in range(n)), p)
-                assert system._unpack(system._frobenius[k][i], w) == multivariate_remainder(
+                assert system._unpack(frobenius[k][i], w) == multivariate_remainder(
                     power, system)
 
 
