@@ -40,7 +40,6 @@ from .matrep import (
     _det,
     _normalized,
     _tables,
-    _word,
     proj_step,
     random_state,
     state_orbit,
@@ -288,7 +287,7 @@ def search_certificate(phi: FreeEndo, w: Word,
 
     Field degrees and seeds are explored in a fixed order, so the first
     success is reproducible; exhaustion of the budgets is inconclusive, not
-    a refutation.
+    a refutation.  A not-found reason counts the walks each cause ended.
     """
     if w.is_identity():
         raise CertifyError("the identity word cannot be separated from itself")
@@ -307,6 +306,9 @@ def search_certificate(phi: FreeEndo, w: Word,
             raise CertifyError("phi^k(w) = 1: the word dies in the mapping torus")
     k = phi.rank
     frontier: list[tuple[int, int, int]] = []
+    causes = ("walks out of budget", "walks past the period cap",
+              "cycles over the verify work cap", "cycles with a scalar word at every rotation")
+    failed = [0] * len(causes)  # walks ended by each cause
     primes = admissible_primes(phi, w)
     for _ in range(MAX_PRIMES):
         p = next(primes)
@@ -321,6 +323,7 @@ def search_certificate(phi: FreeEndo, w: Word,
                 states: list[tuple] = []
                 result = state_orbit(step, random_state(field, k, rng), config.orbit_budget, states)
                 if not result.found or verify_work(result.period, images, word) > MAX_VERIFY_WORK:
+                    failed[2 if result.found else 1 if result.reason == "period" else 0] += 1
                     continue
                 for rotation in range(result.period):
                     if word_is_scalar(w, field, states[rotation]):
@@ -342,7 +345,9 @@ def search_certificate(phi: FreeEndo, w: Word,
                             f"internal error: fresh certificate failed verification: "
                             f"{verdict.failures}")
                     return SearchOutcome(cert, tuple(frontier), verdict=verdict)
-    return SearchOutcome(None, tuple(frontier), reason="budget exhausted")
+                failed[3] += 1
+    reason = "; ".join(f"{cause}: {n}" for cause, n in zip(causes, failed) if n)
+    return SearchOutcome(None, tuple(frontier), reason=reason or "no field within the order cap")
 
 
 # ---------------------------------------------------------------------------
@@ -366,16 +371,12 @@ def build_wreath(phi: FreeEndo, w: Word, field: FqField, states: list[tuple]) ->
     the shift rotates coordinates one place and a shift-0 word is evaluated
     coordinatewise, so relation j reads states[i + 1][j] = pi_{phi(x_j)}(states[i])
     up to scalars at every i: the orbit step, one generator at a time.  Each
-    image word is evaluated once per state, normalized and compared with the
-    next state's matrix, per generator and per step; w is evaluated at
-    states[0].  Every trace matrix must be invertible and scalar-canonical.
+    state is stepped once by the search's `proj_step` and compared with the
+    next state, per generator and per step; w is evaluated at states[0].
+    Every trace matrix must be invertible and scalar-canonical.
     """
-    zero, zech, neg = _tables(field)  # zero is the log of 0
-    period = len(states)
-    images = [image.letters for image in phi.images]
-    holds = [[_normalized(_word(letters, state, zero, zech, neg), zero)
-              == states[(i + 1) % period][j]
-              for j, letters in enumerate(images)]
+    step, period = proj_step(phi, field), len(states)
+    holds = [[x == y for x, y in zip(step(state), states[(i + 1) % period])]
              for i, state in enumerate(states)]
     return WreathData(period, tuple(all(col) for col in zip(*holds)),
                       not word_is_scalar(w, field, states[0]),

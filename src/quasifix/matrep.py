@@ -20,8 +20,10 @@ that `MatTuple._key` holds.  The certificate search draws one with
 `random_state` (each entry's coefficients folded by `FqField._index`) and
 walks it once with `state_orbit` under `proj_step` (built once per phi and
 field), which hands back the cycle's states; the verifier reads rows into
-states and checks them with the same kernels.  `find_periodic_orbit`,
-`pgl_dynamics_step` and `random_projpoint` are their `ProjPoint` forms.
+states and checks them with the same kernels, once its membership check
+has refused a singular matrix: the step needs invertible states.
+`find_periodic_orbit`, `pgl_dynamics_step` and `random_projpoint` are their
+`ProjPoint` forms; the first two refuse a singular start.
 `state_rows` is the one log -> row converter.  Back, the verifier's
 structure check reads a whole trace at once: `trace_indices` range-checks
 its coefficients and folds them into element indices on big-integer lanes,
@@ -256,24 +258,18 @@ def phi_lift_polynomials(phi: FreeEndo, p: int) -> PolyMap:
 # states: a PGL2(F)^k point as the k normalized log 4-tuples of MatTuple._key
 
 def proj_step(phi: FreeEndo, field: FqField):
-    """The projective step of phi's lift on states over one field.
+    """The projective step of phi's lift on states over one field: each
+    image word evaluated on the state, scaled to scalar-canonical form.
 
-    Each image word is evaluated on the state, its value checked for a zero
-    determinant and scaled to scalar-canonical form.  Raises
-    SingularMatrixError when a value is singular.  The caller matches the
-    state's length to phi.rank.
+    The state must be invertible; then so is every value, as det(adj A) =
+    det A and det is multiplicative, so no determinant is computed.  The
+    caller matches the state's length to phi.rank.
     """
     n, zech, neg = _tables(field)
     images = tuple(w.letters for w in phi.images)
 
     def step(state: tuple) -> tuple:
-        out = []
-        for letters in images:
-            x = _word(letters, state, n, zech, neg)
-            if _det(x, n, zech, neg) == n:
-                raise SingularMatrixError("tuple has a singular component")
-            out.append(_normalized(x, n))
-        return tuple(out)
+        return tuple(_normalized(_word(letters, state, n, zech, neg), n) for letters in images)
     return step
 
 
@@ -342,6 +338,9 @@ def _point(field: FqField, state: tuple) -> ProjPoint:
 def _step_for(phi: FreeEndo, h: ProjPoint):
     if phi.rank != h.tuple.k:
         raise WordError("endomorphism rank does not match tuple length")
+    n, zech, neg = _tables(h.tuple.field)
+    if any(_det(m, n, zech, neg) == n for m in h.tuple._key):
+        raise SingularMatrixError("tuple has a singular component")
     return proj_step(phi, h.tuple.field)
 
 
@@ -369,8 +368,8 @@ def state_orbit(kernel, h0: tuple, budget: int = DEFAULT_ORBIT_BUDGET,
     most MAX_PERIOD, so they are the cycle when the two meet; one walk from
     h0 into them finds the first cycle state.  Returns it with the exact
     minimal period, and fills cycle, if given, with the cycle from it on.
-    Not-found happens only when the budget of kernel steps runs out, the
-    orbit leaves the invertible locus, or the period exceeds MAX_PERIOD.
+    h0 must be invertible.  Not-found has reason "budget" when the budget of
+    kernel steps runs out, and "period" when the period exceeds MAX_PERIOD.
     """
     steps = 0
 
@@ -404,8 +403,6 @@ def state_orbit(kernel, h0: tuple, budget: int = DEFAULT_ORBIT_BUDGET,
         return OrbitResult(True, first, lam, steps)
     except _BudgetExhausted:
         return OrbitResult(False, None, 0, steps, reason="budget")
-    except SingularMatrixError:
-        return OrbitResult(False, None, 0, steps, reason="singular")
 
 
 class _BudgetExhausted(Exception):
@@ -414,7 +411,8 @@ class _BudgetExhausted(Exception):
 
 def find_periodic_orbit(phi: FreeEndo, h0: ProjPoint,
                         budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitResult:
-    """`state_orbit` from h0, with the point on the cycle as a ProjPoint."""
+    """`state_orbit` from h0, with the point on the cycle as a ProjPoint;
+    raises SingularMatrixError before any step when h0 is not invertible."""
     result = state_orbit(_step_for(phi, h0), h0.tuple._key, budget)
     return result._replace(point=_point(h0.tuple.field, result.point)) if result.found else result
 

@@ -48,7 +48,6 @@ from quasifix.matrep import (
     Mat2,
     MatTuple,
     ProjPoint,
-    SingularMatrixError,
     find_periodic_orbit,
     pgl_dynamics_step,
     pi_w,
@@ -137,6 +136,15 @@ def test_pick_prime_rejects_identity_word():
         next(admissible_primes(BS12, Word.identity(1)))
 
 
+def test_a_diagonal_sanov_matrix_qualifies_through_its_diagonal():
+    # aababb under the identity of rank 2: mod 11 the Sanov matrix is
+    # diag(9, 5), whose off-diagonal entries vanish, so only a != d admits 11
+    phi, w = FreeEndo.parse(["a", "b"], 2), Word.parse("aababb", 2)
+    assert nonscalar_sanity_check(phi, w, 8, 11) == (True, IntMatrix2(9, 0, 0, 5))
+    primes = admissible_primes(phi, w)
+    assert [next(primes) for _ in range(4)] == [3, 5, 7, 11]
+
+
 def test_excluded_primes_form_finite_divisor_set():
     phi = SWAPMIX
     w = Word.parse("a", 2)
@@ -203,8 +211,42 @@ def test_search_budget_exhaustion_reports_frontier():
     out = search_certificate(SWAPMIX, Word.parse("a", 2),
                              CertifyConfig(s_max=1, seeds_per_field=1, orbit_budget=1))
     assert not out.found
-    assert out.reason == "budget exhausted"
+    assert out.reason == "walks out of budget: 6"
     assert out.frontier == tuple((p, 1, 1) for p in (5, 7, 13, 19, 23, 29))  # MAX_PRIMES
+
+
+def test_the_not_found_reason_counts_each_cause():
+    # under the identity every start is a fixed point with a scalar word
+    # value: each of the six walks finds its cycle in one step, and no budget
+    # runs out
+    ident = FreeEndo.parse(["a"], 1)
+    out = search_certificate(ident, Word.parse("a" * 5040, 1),
+                             CertifyConfig(s_max=1, seeds_per_field=1))
+    assert not out.found
+    assert out.reason == "cycles with a scalar word at every rotation: 6"
+    assert out.frontier == tuple((p, 1, 1) for p in (11, 13, 17, 19, 23, 29))
+    # no field of the first prime is within the order cap, so no walk ran
+    out = search_certificate(ident, Word.parse("a", 1), CertifyConfig(order_cap=2))
+    assert (out.found, out.frontier, out.reason) == (False, (), "no field within the order cap")
+
+
+def test_the_not_found_counts_add_up_to_the_walks(monkeypatch):
+    # three causes at once; the walks' own reasons recount the budget cause,
+    # and every walk run is counted under exactly one cause
+    walks = []
+
+    def recorded(*args):
+        walks.append(state_orbit(*args))
+        return walks[-1]
+
+    monkeypatch.setattr(certify, "state_orbit", recorded)
+    monkeypatch.setattr(certify, "MAX_VERIFY_WORK", 5)  # period 1 only, for word "a"
+    out = search_certificate(SWAPMIX, Word.parse("a", 2),
+                             CertifyConfig(s_max=1, seeds_per_field=2, orbit_budget=10))
+    assert out.reason == ("walks out of budget: 10; cycles over the verify work cap: 1; "
+                          "cycles with a scalar word at every rotation: 1")
+    assert sum(walk.reason == "budget" for walk in walks) == 10
+    assert len(walks) == sum(n for *_, n in out.frontier) == 12
 
 
 @pytest.mark.parametrize("images,word,p", [
@@ -927,8 +969,9 @@ def test_search_skips_orbits_over_the_work_cap(monkeypatch, swapmix_cert):
 
 def test_the_search_steps_only_inside_its_walks(monkeypatch):
     # each start is walked once: the cycle comes back from state_orbit, so
-    # every kernel call of a search is a step that some walk counted
-    calls, walks = [0], []
+    # every kernel call of a search is a step that some walk counted, or one
+    # step per trace state in the verification of the certificate it returns
+    calls, walks, periods = [0], [], []
 
     def counting_step(phi, field):
         step = proj_step(phi, field)
@@ -945,9 +988,11 @@ def test_the_search_steps_only_inside_its_walks(monkeypatch):
     monkeypatch.setattr(certify, "proj_step", counting_step)
     monkeypatch.setattr(certify, "state_orbit", recorded)
     for phi, text in ((BS12, "a"), (SWAPMIX, "a"), (SWAPMIX, "aB")):
-        assert search_certificate(phi, Word.parse(text, phi.rank)).found
+        out = search_certificate(phi, Word.parse(text, phi.rank))
+        assert out.found
+        periods.append(out.certificate.period)
     assert any(walk.found and walk.period > 1 for walk in walks)
-    assert calls[0] == sum(walk.steps for walk in walks)
+    assert calls[0] == sum(walk.steps for walk in walks) + sum(periods)
 
 
 def _order_three_state(field):
@@ -967,8 +1012,22 @@ def test_a_cycle_past_max_period_ends_the_walk_and_the_search_skips_it(monkeypat
     # Brent's hare meets the tortoise after 3 steps, holding one state of two
     assert state_orbit(step, _order_three_state(field)) == (False, None, 0, 3, "period")
     out = search_certificate(BS12, Word.parse("a", 1), CertifyConfig(s_max=1, seeds_per_field=1))
-    assert not out.found and out.reason == "budget exhausted"
+    assert not out.found and out.reason == "walks past the period cap: 6"
     assert (7, 1, 1) in out.frontier
+
+
+def test_a_cycle_of_exactly_max_period_comes_back_whole(monkeypatch):
+    # the hare keeps its MAX_PERIOD-th state: the cycle is held whole at the cap
+    field = field_create(7, 1)
+    step = proj_step(BS12, field)
+    start = _order_three_state(field)
+    monkeypatch.setattr(matrep, "MAX_PERIOD", 2)
+    cycle = []
+    assert state_orbit(step, start, cycle=cycle) == (True, start, 2, 3, "")
+    assert cycle == [start, step(start)] and step(cycle[1]) == start
+    monkeypatch.setattr(certify, "random_state", lambda f, k, rng: _order_three_state(f))
+    out = search_certificate(BS12, Word.parse("a", 1), CertifyConfig(s_max=1, seeds_per_field=1))
+    assert out.found and out.certificate.period == 2
 
 
 # -- fuzzing the verifier ------------------------------------------------------
@@ -1071,11 +1130,8 @@ def _small_certificate(data) -> Certificate:
     else:
         states, length = [start.tuple._key], data.draw(st.integers(1, 4))
     step = proj_step(phi, field)
-    try:
-        while len(states) < length:
-            states.append(step(states[-1]))
-    except SingularMatrixError:
-        pass
+    while len(states) < length:
+        states.append(step(states[-1]))
     r = data.draw(st.integers(0, len(states) - 1))
     states = states[r:] + states[:r]
     return Certificate(rank=k, images=tuple(x.to_text() for x in phi.images),

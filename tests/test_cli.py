@@ -389,6 +389,22 @@ def test_certify_refuses_long_noninjective_images_in_bounded_time(capsys, tmp_pa
     assert not (tmp_path / "c.json").exists()
 
 
+def test_certify_not_found_names_what_stopped_the_search(capsys, tmp_path):
+    # under the identity every walk finds a fixed point in one step, and its
+    # word value is scalar: nothing ran out of budget
+    endo = tmp_path / "endo.json"
+    endo.write_text(json.dumps({"rank": 1, "images": ["a"]}))
+    code, out, _ = run_cli(capsys, "certify", "--endo", str(endo), "--word", "a" * 5040,
+                           "--smax", "1", "--seeds", "1", "--format", "json",
+                           "--out", str(tmp_path / "c.json"))
+    assert code == 1
+    assert json.loads(out) == {
+        "command": "certify", "found": False,
+        "reason": "cycles with a scalar word at every rotation: 6",
+        "frontier": [{"p": p, "s": 1, "seeds": 1} for p in (11, 13, 17, 19, 23, 29)]}
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_certify_refuses_a_word_past_the_work_cap(capsys, tmp_path):
     # no certificate for this word could pass the verifier's work cap
     endo = tmp_path / "endo.json"

@@ -13,12 +13,13 @@ from quasifix.dynamics import (
     DEFAULT_POINT_CAP,
     EnumerationCapExceeded,
     VarietySpec,
+    check_degree_caps,
     containment_check,
     enumerate_quasi_fixed,
     find_quasi_fixed_avoiding,
 )
 from quasifix.freegroup import FreeEndo
-from quasifix.gf import field_create
+from quasifix.gf import DEFAULT_ORDER_CAP, field_create
 from quasifix.matrep import phi_lift_polynomials
 from quasifix.poly import MPoly, PolyError, PolyMap, parse_poly
 
@@ -288,6 +289,19 @@ def test_enumeration_caps():
     single = PolyMap.parse(["x1^2"], 1, 5)
     with pytest.raises(EnumerationCapExceeded):
         list(enumerate_quasi_fixed(single, 9, order_cap=5**3))
+
+
+def test_degree_caps_admit_exactly_2_20_points():
+    # each cap admits its own value: --p 2 --n 1 --smax 20 is inside both,
+    # and n = 2 at degree 10 is inside the point cap only through <=; the
+    # check enumerates nothing
+    line, plane = PolyMap.parse(["x1"], 1, 2), PolyMap.parse(["x1", "x2"], 2, 2)
+    check_degree_caps(line, 20, DEFAULT_ORDER_CAP)
+    with pytest.raises(EnumerationCapExceeded, match="field order 2\\^21"):
+        check_degree_caps(line, 21, DEFAULT_ORDER_CAP)
+    check_degree_caps(plane, 10, DEFAULT_ORDER_CAP)
+    with pytest.raises(EnumerationCapExceeded, match="2\\^22 points"):
+        check_degree_caps(plane, 11, DEFAULT_ORDER_CAP)
 
 
 def test_enumeration_rejects_smax_below_one():
