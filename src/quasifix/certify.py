@@ -8,13 +8,18 @@ homomorphism onto a subgroup of the wreath product PGL2(F_{p^s}) wr C_n
 sending the stable letter to the coordinate shift and killing nothing it
 should not: the verifier re-derives every condition from scratch, trusting
 nothing the search produced.  It bounds its work (`verify_work`, which the
-search obeys too) before it parses a word.  It reads the trace in
-whole-trace passes, with no Python step per entry or coefficient: the
-parser checks one level of the nesting per pass, and the structure check
-range-checks every coefficient and folds the rows into element indices on
-big-integer lanes (it only range-checks them when p^s is over the cap),
-before any field is built.  It checks the log states with the kernels the
-search walks.
+search obeys too) before it parses a word.  `certificate_from_bytes` reads
+the trace and the declared tuple off the file's bytes: json's own scanners
+read every other top-level key, and whole-buffer passes check each of the
+two arrays against the skeleton that (rank, s) implies and read out its
+coefficients, with no Python step per coefficient.  Any text that route
+cannot read (not ASCII, a float, a sign, a leading zero, a shape that does
+not match) goes to `json.loads` and `certificate_from_dict`, which checks
+one level of the nesting per pass; both give the same certificate or the
+same first problem.  The structure check range-checks every coefficient
+and folds the rows into element indices on big-integer lanes (it only
+range-checks them when p^s is over the cap), before any field is built.
+It checks the log states with the kernels the search walks.
 """
 
 from __future__ import annotations
@@ -23,7 +28,9 @@ import json
 import math
 import operator
 import random
+import re
 from itertools import chain, compress, count, islice, repeat
+from json.scanner import make_scanner
 from typing import NamedTuple
 
 from . import __version__
@@ -183,7 +190,8 @@ def _matrix_rows(mats: list, what: str, problem: str | None = None) -> list:
     return rows
 
 
-def certificate_from_dict(data: dict) -> Certificate:
+def _check_header(data) -> None:
+    """Raise the first problem of the top-level object found before its trace is read."""
     if not isinstance(data, dict):
         raise _shape_error("top level must be an object")
     for key in ("format_version", "rank", "images", "word", "p", "s",
@@ -195,6 +203,30 @@ def certificate_from_dict(data: dict) -> Certificate:
         raise _shape_error("images must be a list of strings")
     if not isinstance(data["word"], str):
         raise _shape_error("word must be a string")
+
+
+def _certificate(data: dict, trace: tuple, head: TupleData) -> Certificate:
+    """The certificate of a checked header (`_check_header`) and its read trace
+    and declared tuple; raises the first problem found after the trace."""
+    metadata = data["metadata"]
+    if not isinstance(metadata, dict):
+        raise _shape_error("metadata must be an object")
+    return Certificate(
+        rank=_as_int(data["rank"], "rank"),
+        images=tuple(data["images"]),
+        word=data["word"],
+        p=_as_int(data["p"], "p"),
+        s=_as_int(data["s"], "s"),
+        period=_as_int(data["period"], "period"),
+        trace=trace,
+        seed=_as_int(metadata.get("seed", 0), "metadata.seed"),
+        format_version=_as_int(data["format_version"], "format_version"),
+        declared_head=head if head != trace[0] else None,
+    )
+
+
+def certificate_from_dict(data: dict) -> Certificate:
+    _check_header(data)
     entries = data["trace"]
     if not isinstance(entries, list) or not entries:
         raise _shape_error("trace must be a nonempty list")
@@ -207,24 +239,158 @@ def certificate_from_dict(data: dict) -> Certificate:
     if not isinstance(data["tuple"], list):
         raise _shape_error("tuple must be a list")
     head = tuple(zip(*[map(tuple, _matrix_rows(data["tuple"], "tuple matrix"))] * 4))
-    metadata = data["metadata"]
-    if not isinstance(metadata, dict):
-        raise _shape_error("metadata must be an object")
-    return Certificate(
-        rank=_as_int(data["rank"], "rank"),
-        images=tuple(images),
-        word=data["word"],
-        p=_as_int(data["p"], "p"),
-        s=_as_int(data["s"], "s"),
-        period=_as_int(data["period"], "period"),
-        trace=trace,
-        seed=_as_int(metadata.get("seed", 0), "metadata.seed"),
-        format_version=_as_int(data["format_version"], "format_version"),
-        declared_head=head if head != trace[0] else None,
-    )
+    return _certificate(data, trace, head)
+
+
+# The byte route of `certificate_from_bytes`.  On ASCII text a str offset is a
+# byte offset, so json's own scanners read the top-level keys off the text
+# while the "trace" and "tuple" values are read off the bytes.
+_SPANS = ("trace", "tuple")
+_WHITESPACE = b" \t\n\r"  # JSON's four; any other byte is not skipped
+# a digit reads as d and a separator as itself; every other byte as ?, which no
+# skeleton holds
+_SHAPE = bytes(100 if 48 <= c <= 57 else c if c in b"[]," else 63 for c in range(256))
+_DIGIT_VALUE = bytes.maketrans(b"0123456789", bytes(range(10)))
+_TO_SPACE = bytes.maketrans(b"[],\t\n\r", b"      ")
+_LEADING_ZERO = re.compile(rb" 0[0-9]")
+# JSON's own whitespace, then "{"; a key with no escape and no control
+# character, and its colon; a comma or the closing "}"
+_OPEN = re.compile(r"[ \t\n\r]*\{")
+_KEY = re.compile(r'[ \t\n\r]*"([^"\\\x00-\x1f]*)"[ \t\n\r]*:[ \t\n\r]*')
+_NEXT = re.compile(r"[ \t\n\r]*([,}])[ \t\n\r]*")
+_scan_value = make_scanner(json.JSONDecoder())
+
+
+def _top_level(raw: bytes) -> dict | None:
+    """The top-level object of ASCII JSON text as `json.loads` reads it, but
+    with the (start, end) byte span of each "trace" and "tuple" value in place
+    of the value; None when the text is not such an object, a key has an
+    escape, or a span does not end in "]".
+
+    A span runs from its first byte to the last "]" before the next quote or
+    "}", as neither can be inside an array of numbers; what it holds is
+    checked by its reader, so a repeated "trace" or "tuple" key gives None.
+    Every other value is read by json's own scanner; a repeated key keeps
+    its last value, as in `json.loads`.
+    """
+    text = raw.decode("ascii")
+    start = _OPEN.match(text)
+    if start is None:
+        return None
+    data: dict = {}
+    i = start.end()
+    try:
+        while (key := _KEY.match(text, i)) is not None:
+            name, i = key.group(1), key.end()
+            if name in _SPANS:
+                if name in data:  # only json.loads checks the earlier one
+                    return None
+                stop = raw.find(b'"', i)
+                stop = len(raw) if stop < 0 else stop
+                close = raw.find(b"}", i, stop)
+                end = raw.rfind(b"]", i, stop if close < 0 else close) + 1
+                if end <= i:
+                    return None
+                data[name], i = (i, end), end
+            else:
+                data[name], i = _scan_value(text, i)
+            after = _NEXT.match(text, i)
+            if after is None:
+                return None
+            i = after.end()
+            if after.group(1) == "}":
+                return data if i == len(text) else None
+    # a missing value stops the scanner; ValueError covers bad strings, bad
+    # numbers and integers past the digit limit
+    except (StopIteration, ValueError, RecursionError):
+        return None
+    return None
+
+
+def _skeleton(row: bytes, rank: int, length: int, listed: bool) -> tuple[int, bytes] | None:
+    """The JSON array of rank matrices, each of four rows `row`, or, listed, the
+    nonempty array of such arrays that is `length` bytes long, with the number
+    of arrays; None when no such array is `length` bytes long."""
+    size = rank * (4 * len(row) + 6) + 1
+    n, rest = divmod(length - 1, size + 1) if listed else (1, length - size)
+    if rest or n < 1:
+        return None
+    entry = b"[" + b",".join([b"[" + b",".join([row] * 4) + b"]"] * rank) + b"]"
+    return n, b"[" + b",".join([entry] * n) + b"]" if listed else entry
+
+
+def _read_matrices(span: bytes, rank: int, s: int, listed: bool) -> bytes | list[int] | None:
+    """The coefficients of a JSON array of rank matrices of s-coefficient rows,
+    or, listed, of a nonempty array of such arrays, as one flat buffer; None
+    unless the span is exactly that, every coefficient a nonnegative JSON
+    integer.
+
+    Whole-buffer passes (Langdale and Lemire, VLDB J. 28, 2019): deleting
+    whitespace and reading each digit as d leaves the span's shape.  When it
+    is the skeleton that (rank, s) implies with one d in each coefficient
+    slot, the digits are the coefficients.  Otherwise the separators must be
+    that skeleton, with one run of digits in each slot and none elsewhere, no
+    whitespace inside a run and no leading zero.
+    """
+    if 4 * rank * s > len(span):  # a coefficient takes a byte at least
+        return None
+    shape = span.translate(_SHAPE, _WHITESPACE)
+    one_digit = _skeleton(b"[" + b"d," * (s - 1) + b"d]", rank, len(shape), listed)
+    if one_digit is not None and shape == one_digit[1]:
+        return span.translate(_DIGIT_VALUE, b"[]," + _WHITESPACE)
+    skeleton = shape.translate(None, b"d")
+    expected = _skeleton(b"[" + b"," * (s - 1) + b"]", rank, len(skeleton), listed)
+    if expected is None or skeleton != expected[1]:
+        return None
+    slots = expected[0] * rank * 4 * s
+    # a run that starts after "[" or "," and ends before "," or "]" is in a
+    # coefficient slot, and each slot holds one run at most
+    if b"]d" in shape or b"d[" in shape or shape.count(b"[d") + shape.count(b",d") != slots:
+        return None
+    spaced = span.translate(_TO_SPACE)
+    tokens = spaced.split()  # more than the runs when whitespace splits one
+    if len(tokens) != slots or _LEADING_ZERO.search(spaced):
+        return None
+    try:
+        return list(map(int, tokens))
+    except ValueError:  # past the digit limit
+        return None
+
+
+def _flat_certificate(raw: bytes) -> Certificate | None:
+    """The certificate, or the format error, that `certificate_from_dict` gives
+    for the object `json.loads` reads from raw, by the byte route; None when
+    the route cannot read raw."""
+    if not raw.isascii():
+        return None
+    data = _top_level(raw)
+    if data is None or not all(isinstance(data.get(key), tuple) for key in _SPANS):
+        return None
+    rank, s = data.get("rank"), data.get("s")
+    if type(rank) is not int or type(s) is not int or rank < 1 or s < 1:
+        return None
+    read = [_read_matrices(raw[slice(*data[key])], rank, s, key == "trace") for key in _SPANS]
+    if None in read:
+        return None
+    values, head_values = read
+    mats = zip(*[zip(*[iter(values)] * s)] * 4)
+    trace = tuple(zip(*[mats] * rank))
+    head = tuple(zip(*[zip(*[iter(head_values)] * s)] * 4))
+    _check_header(data)
+    return _certificate(data, trace, head)
 
 
 def certificate_from_bytes(raw: bytes) -> Certificate:
+    """The certificate in raw, exactly as `certificate_from_dict` reads the
+    JSON object that `json.loads` gives, or the same `CertificateFormatError`.
+
+    The trace and the declared tuple are read by the byte route when the text
+    is ASCII and both are arrays of the shape rank and s imply, holding
+    nonnegative JSON integers; any other text goes through `json.loads`.
+    """
+    cert = _flat_certificate(raw)
+    if cert is not None:
+        return cert
     try:
         data = json.loads(raw.decode("utf-8"))
     # ValueError covers bad UTF-8, bad JSON and integers past the digit limit
@@ -236,6 +402,29 @@ def certificate_from_bytes(raw: bytes) -> Certificate:
 def verify_work(period: int, images, word: str) -> int:
     """The letters the verifier parses and evaluates: period x sum |phi(x_j)| + |w|."""
     return max(period, 1) * sum(map(len, images)) + len(word)
+
+
+def max_certificate_bytes(order_cap: int) -> int:
+    """The verifier's byte cap at field-order cap order_cap: half again the
+    canonical trace of the most coefficients that MAX_VERIFY_WORK admits.
+
+    The widest rows within the cap are those of F_{2^s}, 2^s <= order_cap <
+    2^(s+1): s one-digit coefficients, 2s + 1 bytes.  A field of p^t elements
+    with p > 2 has rows of t(d + 1) + 1 bytes, d the digits of p - 1, and
+    t(d + 1) <= 2s.  When every image has a letter, period x rank <=
+    MAX_VERIFY_WORK - 1 (the word has one too), so the trace of rank 1, image
+    "a", word "a" and period MAX_VERIFY_WORK - 1 holds the most matrices, at
+    8s + 12 bytes an entry (`[[r,r,r,r]],`): 45,088,596 bytes at 2^20.  A
+    shape of higher rank holds at most 25 more matrices in its trace and
+    declared tuple together, and the largest, a period-1 certificate of rank
+    131,071 (images `x1`), is 0.3 % larger.  The other half admits those and
+    json.dumps's default separators, a space after each of the 80 commas of
+    an entry at s = 20: the cap is 67,632,894 bytes at 2^20.  An empty image
+    costs no work, so a certificate with empty images can be past the cap,
+    which refuses it.
+    """
+    s = order_cap.bit_length() - 1
+    return (MAX_VERIFY_WORK - 1) * (8 * s + 12) * 3 // 2
 
 
 # ---------------------------------------------------------------------------

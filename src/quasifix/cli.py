@@ -22,8 +22,9 @@ from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Any, Iterable, Iterator
 
-from .certify import (MAX_VERIFY_WORK, CertifyConfig, CertifyError, certificate_from_bytes,
-                      search_certificate, verify_certificate, verify_work)
+from .certify import (MAX_VERIFY_WORK, CertificateFormatError, CertifyConfig, CertifyError,
+                      certificate_from_bytes, max_certificate_bytes, search_certificate,
+                      verify_certificate, verify_work)
 from .dynamics import (
     EnumerationCapExceeded,
     VarietySpec,
@@ -341,10 +342,22 @@ def cmd_certify(args) -> int:
     return 0
 
 
+def _read_capped(path: str, limit: int) -> bytes:
+    """The bytes of the file at path, refused past limit bytes: a file is
+    measured before a byte of it is read, and a pipe or a device, which has
+    no size, is read one byte past the cap at most."""
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        if size <= limit:
+            raw = handle.read() if size else handle.read(limit + 1)
+    if size > limit or len(raw) > limit:
+        raise CertificateFormatError(f"certificate file exceeds the byte cap of {limit} bytes")
+    return raw
+
+
 def cmd_verify(args) -> int:
     cap = order_cap_from_env()
-    with open(args.certificate, "rb") as handle:
-        cert = certificate_from_bytes(handle.read())
+    cert = certificate_from_bytes(_read_capped(args.certificate, max_certificate_bytes(cap)))
     verdict = verify_certificate(cert, order_cap=cap)
     emit({"command": "verify", "certificate_path": args.certificate,
           "verdict": verdict.to_dict()},

@@ -40,7 +40,7 @@ from array import array
 from typing import NamedTuple
 
 from .freegroup import FreeEndo, Word, WordError, word_evaluate
-from .gf import FqElement, FqField
+from .gf import FieldError, FqElement, FqField
 from .poly import MPoly, PolyMap
 
 
@@ -125,7 +125,7 @@ class Mat2:
         entries = tuple(entries)
         for x in entries:
             if x.field != field:
-                raise SingularMatrixError("entries belong to a different field")
+                raise FieldError("entries belong to a different field")
         log = field.log_tables()[1]
         a, b, c, d = (log[x.to_int()] for x in entries)
         return cls(field, (a, b, c, d))
@@ -182,7 +182,7 @@ class MatTuple:
         field = mats[0].field
         for m in mats:
             if m.field != field:
-                raise SingularMatrixError("tuple components over different fields")
+                raise FieldError("tuple components over different fields")
         self.field = field
         self.mats = mats
         self._key = tuple(m.logs for m in mats)

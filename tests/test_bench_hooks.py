@@ -114,6 +114,18 @@ def test_verify_batch_verdicts_unchanged(seed, digest, monkeypatch):
     assert h.hexdigest() == digest
 
 
+def test_the_default_verify_batch_takes_the_byte_route(monkeypatch):
+    # every file of the batch is ASCII JSON with integer coefficients, canonical
+    # or written by json.dumps, so none is read through json.loads
+    batch = _load("workloads").make_batch("verify", 1)
+    loads, calls = json.loads, []
+    monkeypatch.setattr(json, "loads", lambda *args, **kwargs: calls.append(args) or loads(
+        *args, **kwargs))
+    for blob in batch.files.values():
+        certificate_from_bytes(blob)
+    assert (len(batch.files), calls) == (134, [])
+
+
 @pytest.mark.parametrize("workload", ["enumerate", "certify", "iq"])
 def test_default_seed_outputs_match_the_pinned_digests(workload, tmp_path, monkeypatch):
     # the benchmark compares these digests only inside its runs; a job that

@@ -881,6 +881,113 @@ def test_trace_buffers_at_the_work_cap_stay_small():
     assert peak <= 1.25 * 4.70 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
+# -- the byte route against json.loads -------------------------------------------
+
+def _json_route(raw: bytes):
+    """The certificate, or the message of the format error, that reading raw
+    with json.loads and certificate_from_dict gives."""
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        return f"malformed certificate: not valid JSON: {exc}"
+    try:
+        return certificate_from_dict(data)
+    except CertificateFormatError as exc:
+        return str(exc)
+
+
+def _byte_route(raw: bytes):
+    try:
+        return certificate_from_bytes(raw)
+    except CertificateFormatError as exc:
+        return str(exc)
+
+
+@pytest.fixture(scope="module")
+def certificate_bytes(bs12_cert, swapmix_cert):
+    # one-digit coefficients from the search (ranks 1 and 2), and rows of
+    # several digits, over F_{257^2} and F_1048573
+    return [bs12_cert.to_bytes(), swapmix_cert.to_bytes()] + [
+        certificate_from_dict(_lane_case(p, s)).to_bytes() for p, s in ((257, 2), (1048573, 1))]
+
+
+def _reordered(draw, raw: bytes) -> bytes:
+    """raw with its top-level keys in a drawn order, and maybe one key repeated
+    at the end with a drawn value."""
+    pairs = draw(st.permutations(list(json.loads(raw).items())))
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(pairs))[0]
+        pairs.append((key, draw(st.sampled_from(
+            [value for _, value in pairs] + [True, [], [[[[0]]]], "trace"]))))
+    return ("{" + ",".join(f"{json.dumps(k)}:{json.dumps(v, separators=(',', ':'))}"
+                           for k, v in pairs) + "}").encode()
+
+
+EDITS = ["space", "space_after_digit", "leading_zero", "minus", "exponent", "fraction", "bom",
+         "non_ascii_word", "trace_in_word", "trace_in_metadata", "truncate", "byte", "drop"]
+
+
+def _edited(draw, raw: bytes) -> bytes:
+    """raw with one edit that json.dumps never makes."""
+    kind = draw(st.sampled_from(EDITS))
+    at = draw(st.sampled_from([i for i, c in enumerate(raw) if 48 <= c <= 57] or [0]))
+    space = draw(st.sampled_from([b" ", b"\t", b"\n", b"\r\n", b"  \r\n\t"]))
+    if kind == "space":  # anywhere: between tokens, in a number, in a string
+        at = draw(st.integers(0, len(raw)))
+        return raw[:at] + space + raw[at:]
+    if kind == "truncate":
+        return raw[:draw(st.integers(0, max(len(raw) - 1, 0)))]
+    if kind == "byte":  # a structural byte more, anywhere
+        at = draw(st.integers(0, len(raw)))
+        return raw[:at] + draw(st.sampled_from(list(map(bytes, zip(b'{}[]",:x\\'))))) + raw[at:]
+    if kind == "drop":  # a byte less, anywhere
+        at = draw(st.integers(0, max(len(raw) - 1, 0)))
+        return raw[:at] + raw[at + 1:]
+    return {
+        "space_after_digit": raw[:at + 1] + space + raw[at + 1:],
+        "leading_zero": raw[:at] + b"0" + raw[at:],
+        "minus": raw[:at] + b"-" + raw[at:],  # -0 is the integer 0
+        "exponent": raw[:at + 1] + b"e0" + raw[at + 1:],
+        "fraction": raw[:at + 1] + b".0" + raw[at + 1:],
+        "bom": b"\xef\xbb\xbf" + raw,
+        "non_ascii_word": raw.replace(b'"word":"', '"word":"\u00e9'.encode(), 1),
+        "trace_in_word": raw.replace(b'"word":"', b'"word":"\\"trace\\":[[[[0]]]],', 1),
+        "trace_in_metadata": raw.replace(b'"metadata":{',
+                                         b'"metadata":{"trace":[[[[0]]]],"tuple":"]",', 1),
+    }[kind]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_byte_route_reads_what_json_loads_reads(certificate_bytes, data):
+    # certificate_from_bytes reads the trace and tuple off the bytes when it
+    # can; on any text it gives json.loads's certificate or its first message
+    raw = data.draw(st.sampled_from(certificate_bytes))
+    if data.draw(st.booleans()):
+        raw = _reordered(data.draw, raw)
+    for _ in range(data.draw(st.integers(0, 3))):
+        raw = _edited(data.draw, raw)
+    assert _byte_route(raw) == _json_route(raw)
+
+
+@pytest.mark.parametrize("key,earlier,later", [
+    ("trace", b"[[[[1],{[0],[0],[1]]]]", None),  # an earlier array that is not JSON
+    ("trace", b"true", None),
+    ("trace", None, b"[]"),
+    ("tuple", b"[[[1],[0],[0],[1]]", None),
+    ("tuple", None, b"[[[0],[0],[0],[1]],[[1],[0],[0],[1]]]"),
+    ("rank", None, b"3"),
+])
+def test_a_repeated_key_reads_as_json_loads_reads_it(swapmix_cert, key, earlier, later):
+    # the last value of a key counts, but every earlier one must be JSON too
+    raw = swapmix_cert.to_bytes()
+    if earlier is not None:
+        raw = b'{"%s":%s,%s' % (key.encode(), earlier, raw[1:])
+    if later is not None:
+        raw = b'%s,"%s":%s}' % (raw.rstrip()[:-1], key.encode(), later)
+    assert _byte_route(raw) == _json_route(raw)
+
+
 _LONG_ROWS = [[[1] * 10**5] * 4] * 2  # one rank-2 entry, 8 rows of 10^5 ones (1.6 MB)
 
 

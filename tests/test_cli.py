@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import quasifix
 from oracles import naive_eval, naive_frobenius, oracle_quasi_fixed
 from quasifix import cli, dynamics, gf, poly
-from quasifix.certify import certificate_from_bytes, verify_certificate
+from quasifix.certify import certificate_from_bytes, max_certificate_bytes, verify_certificate
 from quasifix.cli import SUBCOMMANDS, _reader, _render_json, build_parser, main
 from quasifix.poly import MPoly, PolyMap
 
@@ -367,6 +367,91 @@ def test_verify_malformed_exit_code(capsys, tmp_path):
     bad.write_text("{ not json")
     code, _, err = run_cli(capsys, "verify", str(bad))
     assert code == 2 and "error:" in err
+
+
+def _capped_child(argv: list[str], cwd, address_space: int) -> tuple:
+    """Run the CLI on argv in a child that caps its own address space; its exit
+    code, stdout and stderr, wall time and peak RSS in MB (VmHWM, which exec
+    resets, unlike the rusage of a child forked from a large process)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(quasifix.__file__).resolve().parents[1]))
+    env.pop("QUASIFIX_CAP", None)
+    probe = ("import resource, sys\n"
+             f"resource.setrlimit(resource.RLIMIT_AS, ({address_space}, {address_space}))\n"
+             "from quasifix.cli import main\n"
+             "try:\n"
+             f"    code = main({argv!r})\n"
+             "finally:\n"
+             "    with open('/proc/self/status') as status:\n"
+             "        hwm = next(line for line in status if line.startswith('VmHWM'))\n"
+             "    sys.stderr.write(f'{int(hwm.split()[1]) / 1024:.0f}\\n')\n"
+             "sys.exit(code)\n")
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=300,
+                            env=env, cwd=cwd)
+    elapsed = time.perf_counter() - start
+    err, _, peak = result.stderr.decode().rstrip("\n").rpartition("\n")
+    return result.returncode, result.stdout, err, elapsed, float(peak)
+
+
+def test_verify_refuses_a_file_past_the_byte_cap(tmp_path):
+    # a sparse file one byte past the cap is refused by its size, before a byte
+    # of it is read, within 1 s in a child capped at 64 MB of address space
+    limit = max_certificate_bytes(gf.DEFAULT_ORDER_CAP)
+    with open(tmp_path / "big.json", "wb") as handle:
+        handle.truncate(limit + 1)
+    code, out, err, elapsed, _ = _capped_child(["verify", "big.json"], tmp_path, 64 << 20)
+    assert elapsed < 1
+    assert (code, out) == (2, b"")
+    assert err == f"error: certificate file exceeds the byte cap of {limit} bytes"
+
+
+def test_the_byte_cap_admits_a_file_at_the_cap(capsys, monkeypatch, tmp_path):
+    # at the cap a file is read and parsed; a device with no size is read one
+    # byte past the cap, and refused by the cap
+    monkeypatch.setattr(cli, "max_certificate_bytes", lambda cap: 20)
+    (tmp_path / "at.json").write_bytes(b"{}" + b" " * 18)
+    (tmp_path / "past.json").write_bytes(b"{}" + b" " * 19)
+    assert run_cli(capsys, "verify", str(tmp_path / "at.json")) == (
+        2, "", "error: malformed certificate: missing key 'format_version'\n")
+    refused = (2, "", "error: certificate file exceeds the byte cap of 20 bytes\n")
+    assert run_cli(capsys, "verify", str(tmp_path / "past.json")) == refused
+    assert run_cli(capsys, "verify", "/dev/zero") == refused
+
+
+def _rank1_certificate(path, p: int, s: int, entries: list[bytes]) -> None:
+    """A canonical rank-1 certificate file, image and word `a`, of the given trace entries."""
+    path.write_bytes(b'{"format_version":1,"images":["a"],"metadata":{"seed":0},"p":%d,'
+                     b'"period":%d,"rank":1,"s":%d,"trace":[%s],"tuple":%s,"word":"a"}\n'
+                     % (p, len(entries), s, b",".join(entries), entries[0]))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name,failures,digest", [
+    # 10^6 entries over F_5 in 20 MB: past the work cap, so it fails structure
+    ("hostile", ["structure"],
+     "64a5c86dae0190e85cd0325842f86cb95f0ddd191259d0279e67028c5b39db3a"),
+    # the largest trace the work cap admits (45 MB): 2^18 - 1 distinct invertible
+    # F_{2^20} matrices [[1, b], [0, 1]], which the identity map does not step
+    ("valid_shape", ["condition_ii", "wreath_relations"],
+     "a7887938129f6d90024febdc0105eeebce1d45e329a22f2a0e066072ad54b0f3"),
+])
+def test_large_certificates_keep_their_outcome(tmp_path, name, failures, digest):
+    # stdout is pinned from the reader that parsed every file with json.loads
+    if name == "hostile":
+        _rank1_certificate(tmp_path / f"{name}.json", 5, 1, [b"[[[1],[0],[0],[1]]]"] * 10**6)
+    else:
+        one, zero = b"[1" + b",0" * 19 + b"]", b"[0" + b",0" * 19 + b"]"
+        _rank1_certificate(tmp_path / f"{name}.json", 2, 20, [
+            b"[[%s,[%s],%s,%s]]" % (one, ",".join(format(b, "020b")).encode(), zero, one)
+            for b in range(1, 2**18)])
+    code, out, err, elapsed, peak = _capped_child(
+        ["verify", f"{name}.json", "--format", "json"], tmp_path, 3 << 29)
+    print(f"{name}: {(tmp_path / f'{name}.json').stat().st_size} bytes, "
+          f"{elapsed:.2f} s, peak RSS {peak:.0f} MB")
+    assert (code, err) == (1, "")
+    assert [c["name"] for c in json.loads(out)["verdict"]["checks"]
+            if c["status"] == "fail"] == failures
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 def test_certify_refuses_noninjective(capsys, tmp_path):

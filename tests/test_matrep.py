@@ -21,7 +21,7 @@ from oracles import (
 )
 from quasifix import matrep
 from quasifix.freegroup import FreeEndo, Word, word_evaluate
-from quasifix.gf import field_create
+from quasifix.gf import FieldError, field_create
 from quasifix.matrep import (
     Mat2,
     MatTuple,
@@ -337,6 +337,24 @@ def test_projpoint_hash_consistency():
     for p in pts:
         assert ProjPoint(p.tuple) == p
         assert hash(ProjPoint(p.tuple)) == hash(p)
+
+
+# mixed fields are a FieldError, so that catching SingularMatrixError means
+# only "not invertible"
+def test_entries_from_another_field_are_a_field_error():
+    f5, f7 = field_create(5, 1), field_create(7, 1)
+    with pytest.raises(FieldError, match="entries belong to a different field") as caught:
+        Mat2.from_entries(f5, [f5.from_int(1), f7.from_int(0), f5.from_int(0), f5.from_int(1)])
+    assert not isinstance(caught.value, SingularMatrixError)
+
+
+def test_tuple_components_over_different_fields_are_a_field_error():
+    f5, f7 = field_create(5, 1), field_create(7, 1)
+    rng = random.Random(0)
+    mats = [random_projpoint(f, 1, rng).tuple.mats[0] for f in (f5, f7)]
+    with pytest.raises(FieldError, match="tuple components over different fields") as caught:
+        MatTuple(mats)
+    assert not isinstance(caught.value, SingularMatrixError)
 
 
 # -- the orbit-step kernel on states ------------------------------------------
