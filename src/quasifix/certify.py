@@ -3,6 +3,8 @@
 Given an injective endomorphism phi of a free group and a nontrivial word w,
 the search walks the projective matrix-tuple dynamics over growing finite
 fields until it finds a periodic tuple h whose word value is nontrivial.
+Each walk starts from a random tuple that depends only on (seed, p, s,
+index, rank), so `_walk_start` draws it once per process and keeps it.
 The data (prime, field degree, orbit, period) is enough to rebuild a
 homomorphism onto a subgroup of the wreath product PGL2(F_{p^s}) wr C_n
 sending the stable letter to the coordinate shift and killing nothing it
@@ -29,6 +31,7 @@ import math
 import operator
 import random
 import re
+from collections import OrderedDict
 from itertools import chain, compress, count, islice, repeat
 from json.scanner import make_scanner
 from typing import NamedTuple
@@ -60,6 +63,7 @@ FORMAT_VERSION = 1
 MAX_PRIMES = 6  # admissible primes the search tries before giving up
 PRIME_BATCH = 5  # candidate primes whose product is the modulus of one substitution
 MAX_VERIFY_WORK = 2**18  # letters the verifier reads: see verify_work
+MAX_KEPT_START_MATRICES = 2**14  # matrices of the walk starts kept: see _walk_start
 
 MatData = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 TupleData = tuple[MatData, ...]
@@ -400,8 +404,10 @@ def certificate_from_bytes(raw: bytes) -> Certificate:
 
 
 def verify_work(period: int, images, word: str) -> int:
-    """The letters the verifier parses and evaluates: period x sum |phi(x_j)| + |w|."""
-    return max(period, 1) * sum(map(len, images)) + len(word)
+    """The letters the verifier parses and evaluates: period x sum |phi(x_j)| +
+    |w|, an empty image counted as one letter, since it still has a trace
+    matrix per step; so period x rank is at most the work of any certificate."""
+    return max(period, 1) * (sum(map(len, images)) + images.count("")) + len(word)
 
 
 def max_certificate_bytes(order_cap: int) -> int:
@@ -411,17 +417,16 @@ def max_certificate_bytes(order_cap: int) -> int:
     The widest rows within the cap are those of F_{2^s}, 2^s <= order_cap <
     2^(s+1): s one-digit coefficients, 2s + 1 bytes.  A field of p^t elements
     with p > 2 has rows of t(d + 1) + 1 bytes, d the digits of p - 1, and
-    t(d + 1) <= 2s.  When every image has a letter, period x rank <=
-    MAX_VERIFY_WORK - 1 (the word has one too), so the trace of rank 1, image
-    "a", word "a" and period MAX_VERIFY_WORK - 1 holds the most matrices, at
+    t(d + 1) <= 2s.  `verify_work` counts each image as a letter at least, so
+    period x rank <= MAX_VERIFY_WORK - 1 when the word has a letter, and the
+    trace of rank 1, image "a", word "a" and period MAX_VERIFY_WORK - 1 holds
+    the most matrices (an empty word, which structure refuses, adds one), at
     8s + 12 bytes an entry (`[[r,r,r,r]],`): 45,088,596 bytes at 2^20.  A
     shape of higher rank holds at most 25 more matrices in its trace and
     declared tuple together, and the largest, a period-1 certificate of rank
     131,071 (images `x1`), is 0.3 % larger.  The other half admits those and
     json.dumps's default separators, a space after each of the 80 commas of
-    an entry at s = 20: the cap is 67,632,894 bytes at 2^20.  An empty image
-    costs no work, so a certificate with empty images can be past the cap,
-    which refuses it.
+    an entry at s = 20: the cap is 67,632,894 bytes at 2^20.
     """
     s = order_cap.bit_length() - 1
     return (MAX_VERIFY_WORK - 1) * (8 * s + 12) * 3 // 2
@@ -458,6 +463,36 @@ def admissible_primes(phi: FreeEndo, w: Word):
 
 # ---------------------------------------------------------------------------
 # search
+
+# walk starts drawn by _walk_start, oldest first, keyed by (p, s, k, seed,
+# index), and the number of matrices they hold
+_STARTS: OrderedDict[tuple[int, int, int, int, int], tuple] = OrderedDict()
+_start_matrices = 0
+
+
+def _walk_start(field: FqField, k: int, seed: int, index: int) -> tuple:
+    """The start of the search's walk `index` at `seed` over field: the rank-k
+    `random_state` drawn from `random.Random(f"{seed}:{p}:{s}:{index}")`.
+
+    The draw reads only p, s and the field's tables, which `field_create`
+    derives from (p, s), and a start is a tuple that no walk changes; so each
+    start is drawn once per process and kept.  The kept starts hold at most
+    MAX_KEPT_START_MATRICES matrices, the oldest dropped first; a start of
+    more is returned but not kept.
+    """
+    global _start_matrices
+    p, s = field.p, field.m
+    key = (p, s, k, seed, index)
+    start = _STARTS.get(key)
+    if start is None:
+        start = random_state(field, k, random.Random(f"{seed}:{p}:{s}:{index}"))
+        if k <= MAX_KEPT_START_MATRICES:
+            while _start_matrices + k > MAX_KEPT_START_MATRICES:
+                _start_matrices -= _STARTS.popitem(last=False)[0][2]
+            _STARTS[key] = start
+            _start_matrices += k
+    return start
+
 
 class SearchOutcome(NamedTuple):
     certificate: Certificate | None
@@ -508,9 +543,9 @@ def search_certificate(phi: FreeEndo, w: Word,
             step = proj_step(phi, field)
             frontier.append((p, s, config.seeds_per_field))
             for seed_index in range(config.seeds_per_field):
-                rng = random.Random(f"{config.seed}:{p}:{s}:{seed_index}")
                 states: list[tuple] = []
-                result = state_orbit(step, random_state(field, k, rng), config.orbit_budget, states)
+                result = state_orbit(step, _walk_start(field, k, config.seed, seed_index),
+                                     config.orbit_budget, states)
                 if not result.found or verify_work(result.period, images, word) > MAX_VERIFY_WORK:
                     failed[2 if result.found else 1 if result.reason == "period" else 0] += 1
                     continue

@@ -17,11 +17,13 @@ log from its nonzero entries, so no arithmetic creates a field element.
 
 A point of PGL2(F_q)^k is walked as a state: the k normalized log 4-tuples
 that `MatTuple._key` holds.  The certificate search draws one with
-`random_state` (each entry's coefficients folded by `FqField._index`) and
-walks it once with `state_orbit` under `proj_step` (built once per phi and
-field), which hands back the cycle's states; the verifier reads rows into
-states and checks them with the same kernels, once its membership check
-has refused a singular matrix: the step needs invertible states.
+`random_state` (each entry's coefficients folded by `FqField._index`) from
+an rng seeded by the walk's (seed, p, s, index), once per process, since
+`certify._walk_start` keeps the starts, and walks it once with `state_orbit`
+under `proj_step` (built once per phi and field), which hands back the
+cycle's states; the verifier reads rows into states and checks them with
+the same kernels, once its membership check has refused a singular
+matrix: the step needs invertible states.
 `find_periodic_orbit`, `pgl_dynamics_step` and `random_projpoint` are their
 `ProjPoint` forms; the first two refuse a singular start.
 `state_rows` is the one log -> row converter.  Back, the verifier's
@@ -285,6 +287,9 @@ def state_rows(field: FqField, state: tuple) -> tuple:
     return tuple(tuple(field._coeffs(exp[x]) for x in m) for m in state)
 
 
+_FOLD_LANES = 1 << 16  # lanes per chunk of trace_indices: bounds its working memory
+
+
 def trace_indices(coeffs: list, p: int, s: int) -> array | None:
     """The element index of each row of s coefficients laid end to end in
     coeffs, or None when a coefficient is not in range(p); p >= 2, s >= 1.
@@ -295,33 +300,40 @@ def trace_indices(coeffs: list, p: int, s: int) -> array | None:
     lane.  Adding 2^(8w) - p to every lane carries out of the first lane that
     holds p or more, and out of none when no lane does; the sum of p^j times
     the lanes shifted j places down leaves each row's index in its first lane.
+    The rows go through in chunks of whole rows, at most _FOLD_LANES lanes
+    when a row fits, so each shift copies a chunk, not the whole trace.
     """
     q = p**s
     code = "B" if q <= 1 << 8 else "H" if q <= 1 << 16 else "I" if q <= 1 << 32 else "Q"
     w = array(code).itemsize
-    size = len(coeffs) * w
-    try:
-        if p <= 256:
-            lanes = bytearray(size)
-            lanes[::w] = bytes(coeffs)  # little-endian lanes
-        else:
-            lanes = array(code, coeffs)
-            if sys.byteorder == "big":
-                lanes.byteswap()
-    except (ValueError, OverflowError):  # below 0 or too wide for the lane
-        return None
-    v = int.from_bytes(lanes, "little")
-    ones = int.from_bytes((1).to_bytes(w, "little") * len(coeffs), "little")
-    add = ones * ((1 << 8 * w) - p)
-    if ((v + add) ^ v ^ add) & ones << 8 * w:  # the carries into each next lane
-        return None
-    index = v
-    for j in range(1, s):
-        index += p**j * (v >> 8 * w * j)
-    out = array(code, index.to_bytes(size, "little"))
-    if sys.byteorder == "big":
-        out.byteswap()
-    return out[::s]
+    out = array(code)
+    chunk = max(_FOLD_LANES // s, 1) * s
+    for start in range(0, len(coeffs), chunk):
+        part = coeffs[start:start + chunk]
+        size = len(part) * w
+        try:
+            if p <= 256:
+                lanes = bytearray(size)
+                lanes[::w] = bytes(part)  # little-endian lanes
+            else:
+                lanes = array(code, part)
+                if sys.byteorder == "big":
+                    lanes.byteswap()
+        except (ValueError, OverflowError):  # below 0 or too wide for the lane
+            return None
+        v = int.from_bytes(lanes, "little")
+        ones = int.from_bytes((1).to_bytes(w, "little") * len(part), "little")
+        add = ones * ((1 << 8 * w) - p)
+        if ((v + add) ^ v ^ add) & ones << 8 * w:  # the carries into each next lane
+            return None
+        index = v
+        for j in range(1, s):
+            index += p**j * (v >> 8 * w * j)
+        folded = array(code, index.to_bytes(size, "little"))
+        if sys.byteorder == "big":
+            folded.byteswap()
+        out.extend(folded[::s])
+    return out
 
 
 def trace_states(field: FqField, indices, k: int) -> list[tuple]:

@@ -15,8 +15,8 @@ reduced by `naive_remainder`, and the inverse as a^(q - 2); the matrix
 helpers are its methods.  What they share with the library is the element
 boundary, `FqElement.coeffs` in and `FqField.from_int` out (`elements`
 lists a field with it), `Word` and `FreeEndo` for their letters, and
-`Mat2.from_entries`, the `Mat2` entry properties and `MatTuple` as
-containers that carry entries to and from the code under test.
+`Mat2.from_entries`, the `Mat2` entry properties, `MatTuple` and
+`ProjPoint` as containers that carry entries to and from the code under test.
 """
 
 import functools
@@ -25,7 +25,7 @@ import math
 
 from quasifix.freegroup import FreeEndo, StallingsGraph, Word, WordError
 from quasifix.gf import FqElement
-from quasifix.matrep import Mat2, MatTuple
+from quasifix.matrep import Mat2, MatTuple, ProjPoint
 
 
 def elements(field):
@@ -205,6 +205,19 @@ naive_normalized = _on_elements(NaiveField.normalized)
 naive_is_scalar = _on_elements(NaiveField.is_scalar)
 naive_word_value = _on_elements(NaiveField.word_value)
 naive_lift = _on_elements(NaiveField.lift)
+
+
+def oracle_projpoint(field, k, rng):
+    """Matrices drawn row by row in coefficient order, redrawn while singular."""
+    mats = []
+    for _ in range(k):
+        while True:
+            x = tuple(field.element([rng.randrange(field.p) for _ in range(field.m)])
+                      for _ in range(4))
+            if not naive_det(x).is_zero():
+                break
+        mats.append(Mat2.from_entries(field, naive_normalized(x)))
+    return ProjPoint(MatTuple(mats))
 
 
 def oracle_quasi_fixed(pmap, s_max):

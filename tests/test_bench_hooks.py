@@ -126,11 +126,26 @@ def test_the_default_verify_batch_takes_the_byte_route(monkeypatch):
     assert (len(batch.files), calls) == (134, [])
 
 
+def _run_jobs(batch, tmp_path, monkeypatch):
+    """(job, exit code, stdout) of each job of the batch, run through cli.main.
+    Certify jobs read ../in/endo_*.json and write cert_*.json, so the jobs run
+    in a pass directory beside in/, which holds the batch's files."""
+    (tmp_path / "in").mkdir()
+    for name, blob in batch.files.items():
+        (tmp_path / "in" / name).write_bytes(blob)
+    (tmp_path / "pass").mkdir()
+    monkeypatch.chdir(tmp_path / "pass")
+    for job in batch.jobs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli_main(job["argv"])
+        yield job, code, out.getvalue()
+
+
 @pytest.mark.parametrize("workload", ["enumerate", "certify", "iq"])
 def test_default_seed_outputs_match_the_pinned_digests(workload, tmp_path, monkeypatch):
     # the benchmark compares these digests only inside its runs; a job that
-    # exits non-zero has no pinned result.  Certify jobs read ../in/endo_*.json
-    # and write cert_*.json, so they run in a pass directory beside in/
+    # exits non-zero has no pinned result
     pins = json.loads((PERFBENCH / "pinned.json").read_text())[workload]
     batch = _load("workloads").make_batch(workload, 1)
     _forbid_object_arithmetic(monkeypatch)
@@ -144,23 +159,32 @@ def test_default_seed_outputs_match_the_pinned_digests(workload, tmp_path, monke
             monkeypatch.setattr(cls, name, refuse)
     if workload == "certify":
         _forbid_matrix_objects(monkeypatch)
-    (tmp_path / "in").mkdir()
-    for name, blob in batch.files.items():
-        (tmp_path / "in" / name).write_bytes(blob)
-    (tmp_path / "pass").mkdir()
-    monkeypatch.chdir(tmp_path / "pass")
     digests = []
-    for job in batch.jobs:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = cli_main(job["argv"])
+    for job, code, out in _run_jobs(batch, tmp_path, monkeypatch):
         if code != 0:
             digests.append(None)
         elif job["kind"] == "certify":
             cert = Path(job["expect"]["out"]).read_bytes()
             digests.append(hashlib.sha256(cert).hexdigest()[:16])
         else:
-            digests.append(hashlib.sha256(out.getvalue().encode()).hexdigest()[:16])
+            digests.append(hashlib.sha256(out.encode()).hexdigest()[:16])
     assert len(digests) == len(pins)
     assert [d for d, pin in zip(digests, pins) if pin is not None] == \
         [pin for pin in pins if pin is not None]
+
+
+@pytest.mark.parametrize("seed,digest", [
+    (2, "493bacb54d20fec048dd4f75c4d09e08d446501122ba233577a2bf6b3b090968"),
+    (3, "d41bf7cf804fa199b5248a5590eb33e1734e2fa643b12455d8af498d718a6c23"),
+])
+def test_certify_outputs_at_seeds_2_and_3_match_their_digests(seed, digest, tmp_path,
+                                                               monkeypatch):
+    # pinned.json pins seed 1 only; one digest over every job's exit code,
+    # stdout and certificate bytes pins the search's draws at two more seeds
+    h = hashlib.sha256()
+    for job, code, out in _run_jobs(_load("workloads").make_batch("certify", seed), tmp_path,
+                                    monkeypatch):
+        cert = Path(job["expect"]["out"])
+        h.update(b"%d\n%s\0%s\n" % (code, out.encode(),
+                                     cert.read_bytes() if cert.exists() else b""))
+    assert h.hexdigest() == digest

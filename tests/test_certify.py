@@ -4,6 +4,8 @@ import math
 import random
 import time
 import tracemalloc
+from collections import OrderedDict
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,7 @@ from oracles import (
     naive_trace_problem,
     naive_verdict,
     naive_word_value,
+    oracle_projpoint,
     tuple_frobenius,
 )
 from quasifix import certify, matrep
@@ -27,6 +30,7 @@ from quasifix.certify import (
     CertifyError,
     MAX_VERIFY_WORK,
     CheckResult,
+    SearchOutcome,
     _structure_problems,
     admissible_primes,
     build_wreath,
@@ -34,6 +38,7 @@ from quasifix.certify import (
     certificate_from_dict,
     search_certificate,
     verify_certificate,
+    verify_work,
 )
 from quasifix.freegroup import (
     FreeEndo,
@@ -53,6 +58,7 @@ from quasifix.matrep import (
     pi_w,
     proj_step,
     random_projpoint,
+    random_state,
     state_orbit,
     state_rows,
     trace_indices,
@@ -824,17 +830,20 @@ def test_whole_trace_ingest_matches_the_walk_oracle(data):
     # the parser gives the walk's certificate or its first message, and the
     # structure check its problem list and element indices, on the parsed
     # certificate and on the same trace built in code (3 or 5 rows, empty rows
-    # and bools reach the structure check only that way)
+    # and bools reach the structure check only that way); the fold gives them
+    # with the trace in one chunk and with one or two rows a chunk
     p, s, rank = data["p"], data["s"], data["rank"]
     cap = ([f"field order {p}^{s} exceeds cap {DEFAULT_ORDER_CAP}"]
            if p**s > DEFAULT_ORDER_CAP else [])
 
     def check_structure(cert, head_problems):
-        problems, _, indices = _structure_problems(cert, DEFAULT_ORDER_CAP)
         problem, naive_indices = naive_trace_problem(cert.trace, rank, p, s)
-        assert problems == cap + head_problems + ([problem] if problem else [])
-        if not problems:
-            assert list(indices) == naive_indices
+        for lanes in (matrep._FOLD_LANES, 1, 2 * s + 1):
+            with mock.patch.object(matrep, "_FOLD_LANES", lanes):
+                problems, _, indices = _structure_problems(cert, DEFAULT_ORDER_CAP)
+            assert problems == cap + head_problems + ([problem] if problem else [])
+            if not problems:
+                assert list(indices) == naive_indices
 
     try:
         trace, head = naive_trace_and_head(data)
@@ -1030,6 +1039,22 @@ def test_verifier_bounds_image_work():
     assert elapsed < 1.0, f"rejecting took {elapsed:.2f}s"
 
 
+def test_empty_images_count_toward_the_work_cap():
+    # an empty image still has a trace matrix per step, so it counts as one
+    # letter and the work cap bounds period x rank: rank 512 with every image
+    # empty at period 512 holds 262,144 trace matrices (in memory, one matrix
+    # shared by all of them), where the images used to count for nothing
+    rank, mat = 512, ((1,), (0,), (0,), (1,))
+    assert verify_work(511, [""] * rank, "a") == 511 * 512 + 1 <= MAX_VERIFY_WORK
+    cert = Certificate(rank=rank, images=("",) * rank, word="a", p=3, s=1, period=512,
+                       trace=((mat,) * rank,) * 512, seed=0)
+    verdict = verify_certificate(cert)
+    assert verdict.checks[0] == CheckResult(
+        "structure", "fail",
+        f"period x |images| + |word| = 262145 exceeds work cap {MAX_VERIFY_WORK}")
+    assert [c.status for c in verdict.checks[1:]] == ["skipped"] * 5
+
+
 @pytest.mark.parametrize("period", [1, 0, -10**6])
 def test_verifier_bounds_word_work(period):
     # rank 1 over F_5 with image a and a word of 10^6 letters (1.0 MB): the
@@ -1112,7 +1137,7 @@ def test_a_cycle_past_max_period_ends_the_walk_and_the_search_skips_it(monkeypat
     field = field_create(7, 1)
     step = proj_step(BS12, field)
     assert state_orbit(step, _order_three_state(field)).period == 2
-    monkeypatch.setattr(certify, "random_state", lambda f, k, rng: _order_three_state(f))
+    monkeypatch.setattr(certify, "_walk_start", lambda f, k, seed, index: _order_three_state(f))
     out = search_certificate(BS12, Word.parse("a", 1), CertifyConfig(s_max=1, seeds_per_field=1))
     assert out.found and out.certificate.period == 2
     monkeypatch.setattr(matrep, "MAX_PERIOD", 1)
@@ -1132,9 +1157,98 @@ def test_a_cycle_of_exactly_max_period_comes_back_whole(monkeypatch):
     cycle = []
     assert state_orbit(step, start, cycle=cycle) == (True, start, 2, 3, "")
     assert cycle == [start, step(start)] and step(cycle[1]) == start
-    monkeypatch.setattr(certify, "random_state", lambda f, k, rng: _order_three_state(f))
+    monkeypatch.setattr(certify, "_walk_start", lambda f, k, seed, index: _order_three_state(f))
     out = search_certificate(BS12, Word.parse("a", 1), CertifyConfig(s_max=1, seeds_per_field=1))
     assert out.found and out.certificate.period == 2
+
+
+# -- the walk-start table --------------------------------------------------------
+
+def _fresh_start(field, k, seed, index):
+    """The search's start drawn afresh on every call, as before it kept starts."""
+    return random_state(field, k, random.Random(f"{seed}:{field.p}:{field.m}:{index}"))
+
+
+def _clear_starts(monkeypatch):
+    monkeypatch.setattr(certify, "_STARTS", OrderedDict())
+    monkeypatch.setattr(certify, "_start_matrices", 0)
+
+
+def test_kept_starts_are_the_draws_of_their_keys(monkeypatch):
+    _clear_starts(monkeypatch)
+    for (p, s), k, seed, index in zip(
+            [(3, 1), (5, 1), (2, 3), (3, 2), (7, 2), (11, 1)] * 3,
+            [1, 2, 3] * 6, [0, 1, 7, 2**40, 3, 0] * 3, range(0, 90, 5)):
+        field = field_create(p, s)
+        start = certify._walk_start(field, k, seed, index)
+        assert start == _fresh_start(field_create(p, s), k, seed, index)
+        rng = random.Random(f"{seed}:{p}:{s}:{index}")
+        assert start == oracle_projpoint(field, k, rng).tuple._key
+        assert certify._STARTS[p, s, k, seed, index] is start
+        assert certify._walk_start(field, k, seed, index) is start
+    assert certify._start_matrices == sum(key[2] for key in certify._STARTS) == 36
+
+
+def _random_searches(n: int) -> list:
+    """n (phi, w, config) of random injective endomorphisms of rank 1 to 3,
+    with seeds 0 and 1, so that the searches share starts."""
+    rng, searches = random.Random(39), []
+    while len(searches) < n:
+        k = rng.randrange(1, 4)
+        letters = [x for i in range(1, k + 1) for x in (i, -i)]
+        phi = FreeEndo([Word([rng.choice(letters) for _ in range(rng.randrange(1, 4))], k)
+                        for _ in range(k)], k)
+        w = Word([rng.choice(letters) for _ in range(rng.randrange(1, 4))], k)
+        if not endo_is_injective(phi) or w.is_identity():
+            continue
+        searches.append((phi, w, CertifyConfig(s_max=2, seeds_per_field=3,
+                                               orbit_budget=3000, seed=len(searches) % 2)))
+    return searches
+
+
+def test_searches_give_the_same_outcomes_whatever_the_table_holds(monkeypatch):
+    searches = _random_searches(20)
+    with monkeypatch.context() as fresh:
+        fresh.setattr(certify, "_walk_start", _fresh_start)
+        expected = [search_certificate(*search) for search in searches]
+    assert sum(out.found for out in expected) >= 10
+
+    _clear_starts(monkeypatch)
+    assert [search_certificate(*search) for search in searches] == expected
+    _clear_starts(monkeypatch)
+    assert [search_certificate(*search) for search in reversed(searches)] == expected[::-1]
+    _clear_starts(monkeypatch)
+    for phi, w, config in searches:
+        search_certificate(phi, w, config._replace(seed=config.seed + 5))
+    assert len(certify._STARTS) > 0
+    assert [search_certificate(*search) for search in searches] == expected
+    # a bound below one search's starts drops starts while the searches run
+    _clear_starts(monkeypatch)
+    monkeypatch.setattr(certify, "MAX_KEPT_START_MATRICES", 7)
+    assert [search_certificate(*search) for search in searches] == expected
+
+
+def test_the_start_table_keeps_at_most_its_bound_oldest_out_first(monkeypatch):
+    _clear_starts(monkeypatch)
+    monkeypatch.setattr(certify, "MAX_KEPT_START_MATRICES", 5)
+    field, drawn = field_create(5, 1), []
+    for index, k in enumerate([2, 1, 2, 3, 1, 1, 2, 5, 1]):
+        drawn.append((5, 1, k, 0, index))
+        start = certify._walk_start(field, k, 0, index)
+        assert len(start) == k
+        kept = list(certify._STARTS)
+        # the newest starts, as many as fit, in the order they were drawn
+        assert kept == drawn[len(drawn) - len(kept):]
+        assert sum(key[2] for key in kept) == certify._start_matrices <= 5
+        if len(kept) < len(drawn):  # with the start dropped last they would not fit
+            assert sum(key[2] for key in drawn[len(drawn) - len(kept) - 1:]) > 5
+    # a start past the bound is returned and not kept, and leaves the table as it was
+    kept = dict(certify._STARTS)
+    start = certify._walk_start(field, 6, 0, 99)
+    assert start == _fresh_start(field, 6, 0, 99) and dict(certify._STARTS) == kept
+    # a dropped start is drawn again, the same
+    assert (5, 1, 2, 0, 0) not in certify._STARTS
+    assert certify._walk_start(field, 2, 0, 0) == _fresh_start(field, 2, 0, 0)
 
 
 # -- fuzzing the verifier ------------------------------------------------------

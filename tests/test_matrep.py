@@ -17,6 +17,7 @@ from oracles import (
     naive_lift,
     naive_mat_mul,
     naive_normalized,
+    oracle_projpoint,
     tuple_frobenius,
 )
 from quasifix import matrep
@@ -366,19 +367,6 @@ def oracle_step(phi, point):
         raise SingularMatrixError("tuple has a singular component")
     return ProjPoint(MatTuple(Mat2.from_entries(point.tuple.field, naive_normalized(v))
                               for v in values))
-
-
-def oracle_projpoint(field, k, rng):
-    """Matrices drawn row by row in coefficient order, redrawn while singular."""
-    mats = []
-    for _ in range(k):
-        while True:
-            x = tuple(field.element([rng.randrange(field.p) for _ in range(field.m)])
-                      for _ in range(4))
-            if not naive_det(x).is_zero():
-                break
-        mats.append(Mat2.from_entries(field, naive_normalized(x)))
-    return ProjPoint(MatTuple(mats))
 
 
 def oracle_orbit(phi, h0, budget):
