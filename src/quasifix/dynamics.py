@@ -16,11 +16,13 @@ point of A^n, and reports all s conjugates of each one it finds.
 
 It scans these candidates CHUNK at a time as columns, one list of
 discrete logs per coordinate: f_1 is evaluated over the whole chunk with
-one list comprehension per term, the points where it fails are dropped
-from every column, and f_2, ..., f_n run on the rest.  So the interpreted
-work per point is a few comprehension steps, and the scan's memory is
-bounded by the chunk, not by the number of points.  The same kernel tests
-the survivors against a variety and an avoided polynomial (`density`).
+one list comprehension per term in at most two variables, each term after
+the first formed inside the comprehension that adds it to the sum, the
+points where it fails are dropped from every column, and f_2, ..., f_n run
+on the rest.  So the interpreted work per point is a few comprehension
+steps, and the scan's memory is bounded by the chunk, not by the number of
+points.  The same kernel tests the survivors against a variety and an
+avoided polynomial (`density`).
 
 What a degree's scan returns is one int per witness (`scan_quasi_fixed`):
 its m and the digit-reversed index of each coordinate of each conjugate,

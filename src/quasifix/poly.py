@@ -13,7 +13,9 @@ reducible monomials, greatest total degree first.
 Evaluation runs on the point field's log tables: `_log_eval_column` gives
 log f(a) for a column of points, products as sums of logs and sums through
 the Zech table (Huber, IEEE Trans. IT 36, 1990), over chunks of candidates
-in enumeration and over one point in `MPoly.evaluate`.
+in enumeration and over one point in `MPoly.evaluate`.  Each term after the
+first is formed inside the comprehension that adds it to the sum, so a term
+in at most two variables costs one interpreted pass over the column.
 
 `IqSystem` computes in the quotient A = F_p[x]/(x_i^Q - f_i), whose
 elements are the reduced polynomials (every exponent < Q).  Every product
@@ -213,35 +215,59 @@ def _log_eval_column(terms: list[tuple[int, tuple[int, ...]]], cols: list,
     """[log f(a) for a in a chunk] from f's (log c, exponents) terms.
 
     cols[j] holds the logs of coordinate j of every point of the chunk; logs
-    live mod n = q - 1 and n itself stands for 0, as in `log_tables`.  Each
-    term takes one comprehension per two variables it uses, and each further
-    term one Zech sum.
+    live mod n = q - 1 and n itself stands for 0, as in `log_tables`.  The
+    first term is formed in one pass over the chunk for its first two
+    variables and one more for each further variable.  Every later term is
+    formed inside the pass that Zech-adds it to the sum so far, so a term in
+    at most two variables takes one pass, and one in k > 2 variables k - 1:
+    all factors but its last are formed apart.
     """
-    acc = [n] * len(cols[0])
-    for k, (c, expo) in enumerate(terms):
+    acc = None
+    for c, expo in terms:
         used = [(e, cols[j]) for j, e in enumerate(expo) if e]
+        if acc is None or len(used) > 2:
+            # the first term is formed whole, a later one all but its last
+            # factor, which joins the sum below
+            factors = used if acc is None else used[:-1]
+            if not factors:
+                term = [c] * len(cols[0])
+            elif len(factors) == 1:
+                (e, xs), = factors
+                term = [n if x == n else (c + e * x) % n for x in xs]
+            else:
+                (e, xs), (f, ys), *rest = factors
+                term = [n if x == n or y == n else (c + e * x + f * y) % n
+                        for x, y in zip(xs, ys)]
+                for e, xs in rest:  # a value below n, or n for 0
+                    term = [n if t == n or x == n else (t + e * x) % n
+                            for t, x in zip(term, xs)]
+            if acc is None:
+                acc = term
+                continue
+            c, used = 0, [(1, term), used[-1]]
+        # the term t = c + e x (+ f y) joins the sum a as a + zech[t - a]:
+        # a zero coordinate leaves a, and a zero a takes t
         if not used:
-            term = [c] * len(acc)
+            acc = [c if a == n else n if (z := zech[(c - a) % n]) == n else (a + z) % n
+                   for a in acc]
         elif len(used) == 1:
             (e, xs), = used
-            term = [n if x == n else (c + e * x) % n for x in xs]
+            acc = [a if x == n else (c + e * x) % n if a == n
+                   else n if (z := zech[(c + e * x - a) % n]) == n else (a + z) % n
+                   for a, x in zip(acc, xs)]
         else:
-            (e, xs), (f, ys), *rest = used
-            term = [n if x == n or y == n else (c + e * x + f * y) % n
-                    for x, y in zip(xs, ys)]
-            for e, xs in rest:  # a value below n, or n for 0
-                term = [n if t == n or x == n else (t + e * x) % n
-                        for t, x in zip(term, xs)]
-        acc = term if not k else [
-            b if a == n else a if b == n
-            else n if (z := zech[(b - a) % n]) == n else (a + z) % n
-            for a, b in zip(acc, term)]
-    return acc
+            (e, xs), (f, ys) = used
+            acc = [a if x == n or y == n else (c + e * x + f * y) % n if a == n
+                   else n if (z := zech[(c + e * x + f * y - a) % n]) == n else (a + z) % n
+                   for a, x, y in zip(acc, xs, ys)]
+    return [n] * len(cols[0]) if acc is None else acc
 
 
 # matched with fullmatch: "$" would also accept a trailing newline
 _VAR_RE = re.compile(r"x([0-9]+)(?:\^([0-9]+))?")
 _INT_RE = re.compile(r"[0-9]+")
+# spaces are dropped before a factor is read, so one between digits would join them
+_SPLIT_DIGITS_RE = re.compile(r"[0-9] +[0-9]")
 
 
 def _parse_int(digits: str) -> int:
@@ -252,11 +278,16 @@ def _parse_int(digits: str) -> int:
 
 
 def parse_poly(text: str, nvars: int, p: int) -> MPoly:
-    """Parse `c*x1^e1*...*xn^en` terms joined by `+`; exact, rejects junk."""
+    """Parse `c*x1^e1*...*xn^en` terms joined by `+`; exact, rejects junk.
+
+    Spaces are ignored, except that one between two digits is an error."""
     if p >= 2**64:  # keeps the primality test exact and fast
         raise PolyParseError(f"characteristic {p} is not below the bound 2^64")
     if not is_prime(p):
         raise PolyParseError(f"characteristic {p} is not prime")
+    if _SPLIT_DIGITS_RE.search(text):
+        factor = next(f for f in re.split("[+*]", text) if _SPLIT_DIGITS_RE.search(f))
+        raise PolyParseError(f"space between digits in factor {factor.strip(' ')!r} of {text!r}")
     stripped = text.replace(" ", "")
     if not stripped:
         raise PolyParseError("empty polynomial text")

@@ -55,6 +55,14 @@ def test_quasifixed_malformed_polynomial(capsys):
     assert "error:" in err
 
 
+def test_quasifixed_refuses_a_space_between_digits(capsys):
+    # read with the space dropped, the map would be x1^10
+    code, out, err = run_cli(capsys, "quasifixed", "--p", "2", "--n", "1",
+                             "--map", "x1^1 0", "--smax", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: space between digits in factor 'x1^1 0' of 'x1^1 0'\n"
+
+
 def test_quasifixed_map_echo_reparses(capsys):
     code, out, _ = run_cli(capsys, "quasifixed", "--p", "3", "--n", "2",
                            "--map", "x1*x2+2, x2^2", "--smax", "2",

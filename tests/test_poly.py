@@ -199,6 +199,43 @@ def test_evaluate_matches_naive_at_exponents_that_wrap_mod_q_minus_1(p, m):
             assert f.evaluate(pt) == naive_eval(oracle_f, pt)
 
 
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 2), (5, 2), (3, 3)])
+def test_log_kernel_matches_naive_on_every_point_term_shape_by_term_shape(p, m):
+    # the kernel forms the first term apart and folds each later one into the
+    # sum, with its own branch for a term in 0, 1, 2 or more variables; so for
+    # each count k0 of the first term's variables, one polynomial follows it
+    # with a term of every count in shuffled order, over whole columns that
+    # hold every point of F_q^n, those with zero coordinates included
+    field = field_create(p, m)
+    q = field.order
+    exp, log, zech = field.log_tables()
+    elems = elements(field)
+    rng = random.Random(q)
+    shapes = set()
+    nmax = 4 if q <= 4 else 3
+    for n in range(1, nmax + 1):
+        points = list(itertools.product(elems, repeat=n))
+        cols = [[log[a.to_int()] for a in col] for col in zip(*points)]
+        assert poly._log_eval_column([], cols, zech, q - 1) == [q - 1] * len(points)
+
+        def term(k):  # a term in k of the n variables, some repeated
+            used = rng.sample(range(n), k)
+            return (rng.randrange(1, p),
+                    tuple(rng.randint(1, 3) if j in used else 0 for j in range(n)))
+
+        for k0 in range(n + 1):
+            later = [term(k) for k in range(n + 1)]
+            rng.shuffle(later)
+            terms = [term(k0)] + later
+            expos = [e for _, e in terms]  # a repeated exponent keeps its first term
+            terms = [t for i, t in enumerate(terms) if t[1] not in expos[:i]]
+            shapes.update((i > 0, sum(map(bool, e))) for i, (_, e) in enumerate(terms))
+            f = MPoly(n, p, {e: c for c, e in terms})
+            got = poly._log_eval_column([(log[c], e) for c, e in terms], cols, zech, q - 1)
+            assert [exp[v] for v in got] == [naive_eval(f, pt).to_int() for pt in points]
+    assert shapes == {(is_later, k) for is_later in (False, True) for k in range(nmax + 1)}
+
+
 def test_compose_projection_and_identity():
     phi = PolyMap.parse(["x1^2+x2", "x1*x2"], 2, 3)
     x1 = MPoly.var(1, 2, 3)
@@ -515,10 +552,14 @@ def test_parse_examples():
     assert parse_poly("0", 2, 5).is_zero()
     assert parse_poly("x1*x1", 1, 3) == parse_poly("x1^2", 1, 3)
     assert parse_poly("7", 1, 5) == MPoly.const(2, 1, 5)
+    # a space is dropped unless it separates two digits
+    assert parse_poly(" x1 ^ 2 + 2 * x2 ", 2, 5) == parse_poly("x1^2+2*x2", 2, 5)
+    with pytest.raises(PolyParseError, match="'x1 2'"):
+        parse_poly("x1 2", 12, 5)
 
 
 @pytest.mark.parametrize("bad", ["", "x0", "x3", "y1", "x1^-1", "x1++x2", "2**x1", "x1 x2", "*x1",
-                                 "x1\n+1", "2\n", "x2^3\n"])
+                                 "x1\n+1", "2\n", "x2^3\n", "x1^1 0", "2 3*x1"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(PolyParseError):
         parse_poly(bad, 2, 5)
