@@ -9,7 +9,10 @@ The data (prime, field degree, orbit, period) is enough to rebuild a
 homomorphism onto a subgroup of the wreath product PGL2(F_{p^s}) wr C_n
 sending the stable letter to the coordinate shift and killing nothing it
 should not: the verifier re-derives every condition from scratch, trusting
-nothing the search produced.  It bounds its work (`verify_work`, which the
+nothing the search produced.  Both work within one field-order cap,
+`gf.DEFAULT_ORDER_CAP` (2^20): the search tries no field past it, the
+verifier refuses one, and the verifier's byte cap, MAX_CERTIFICATE_BYTES, is
+derived from it.  The verifier bounds its work (`verify_work`, which the
 search obeys too) before it parses a word.  `certificate_from_bytes` reads
 the trace and the declared tuple off the file's bytes: json's own scanners
 read every other top-level key, and whole-buffer passes check each of the
@@ -63,6 +66,21 @@ FORMAT_VERSION = 1
 MAX_PRIMES = 6  # admissible primes the search tries before giving up
 PRIME_BATCH = 5  # candidate primes whose product is the modulus of one substitution
 MAX_VERIFY_WORK = 2**18  # letters the verifier reads: see verify_work
+# The verifier's byte cap: half again the canonical trace of the most
+# coefficients that MAX_VERIFY_WORK admits.  The widest rows within the
+# field-order cap are those of F_{2^s}, s = 20: s one-digit coefficients,
+# 2s + 1 bytes.  A field of p^t elements with p > 2 has rows of t(d + 1) + 1
+# bytes, d the digits of p - 1, and t(d + 1) <= 2s.  `verify_work` counts each
+# image as a letter at least, so period x rank <= MAX_VERIFY_WORK - 1 when the
+# word has a letter, and the trace of rank 1, image "a", word "a" and period
+# MAX_VERIFY_WORK - 1 holds the most matrices (an empty word, which structure
+# refuses, adds one), at 8s + 12 bytes an entry (`[[r,r,r,r]],`): 45,088,596
+# bytes.  A shape of higher rank holds at most 25 more matrices in its trace
+# and declared tuple together, and the largest, a period-1 certificate of rank
+# 131,071 (images `x1`), is 0.3 % larger.  The other half admits those and
+# json.dumps's default separators, a space after each of the 80 commas of an
+# entry: 67,632,894 bytes.
+MAX_CERTIFICATE_BYTES = (MAX_VERIFY_WORK - 1) * (8 * 20 + 12) * 3 // 2
 MAX_KEPT_START_MATRICES = 2**14  # matrices of the walk starts kept: see _walk_start
 
 MatData = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
@@ -84,7 +102,6 @@ class _CertifyFields(NamedTuple):
     orbit_budget: int = DEFAULT_ORBIT_BUDGET
     seed: int = 0
     allow_noninjective: bool = False
-    order_cap: int = DEFAULT_ORDER_CAP
 
 
 class CertifyConfig(_CertifyFields):
@@ -410,28 +427,6 @@ def verify_work(period: int, images, word: str) -> int:
     return max(period, 1) * (sum(map(len, images)) + images.count("")) + len(word)
 
 
-def max_certificate_bytes(order_cap: int) -> int:
-    """The verifier's byte cap at field-order cap order_cap: half again the
-    canonical trace of the most coefficients that MAX_VERIFY_WORK admits.
-
-    The widest rows within the cap are those of F_{2^s}, 2^s <= order_cap <
-    2^(s+1): s one-digit coefficients, 2s + 1 bytes.  A field of p^t elements
-    with p > 2 has rows of t(d + 1) + 1 bytes, d the digits of p - 1, and
-    t(d + 1) <= 2s.  `verify_work` counts each image as a letter at least, so
-    period x rank <= MAX_VERIFY_WORK - 1 when the word has a letter, and the
-    trace of rank 1, image "a", word "a" and period MAX_VERIFY_WORK - 1 holds
-    the most matrices (an empty word, which structure refuses, adds one), at
-    8s + 12 bytes an entry (`[[r,r,r,r]],`): 45,088,596 bytes at 2^20.  A
-    shape of higher rank holds at most 25 more matrices in its trace and
-    declared tuple together, and the largest, a period-1 certificate of rank
-    131,071 (images `x1`), is 0.3 % larger.  The other half admits those and
-    json.dumps's default separators, a space after each of the 80 commas of
-    an entry at s = 20: the cap is 67,632,894 bytes at 2^20.
-    """
-    s = order_cap.bit_length() - 1
-    return (MAX_VERIFY_WORK - 1) * (8 * s + 12) * 3 // 2
-
-
 # ---------------------------------------------------------------------------
 # prime selection
 
@@ -537,9 +532,9 @@ def search_certificate(phi: FreeEndo, w: Word,
     for _ in range(MAX_PRIMES):
         p = next(primes)
         for s in range(1, config.s_max + 1):
-            if p**s > config.order_cap:
+            if p**s > DEFAULT_ORDER_CAP:
                 break
-            field = field_create(p, s, config.order_cap)
+            field = field_create(p, s)
             step = proj_step(phi, field)
             frontier.append((p, s, config.seeds_per_field))
             for seed_index in range(config.seeds_per_field):
@@ -563,7 +558,7 @@ def search_certificate(phi: FreeEndo, w: Word,
                         trace=tuple(state_rows(field, state) for state in rotated),
                         seed=config.seed,
                     )
-                    verdict = verify_certificate(cert, order_cap=config.order_cap)
+                    verdict = verify_certificate(cert)
                     if not verdict.passed:
                         raise RuntimeError(
                             f"internal error: fresh certificate failed verification: "
@@ -649,17 +644,17 @@ def _skip_rest(checks: list[CheckResult], reason: str) -> CertVerdict:
     return CertVerdict(tuple(checks))
 
 
-def _order_within_cap(p: int, s: int, cap: int) -> bool:
-    """Whether p^s <= cap for p >= 2, in at most log2(cap) + 1 multiplications."""
+def _order_within_cap(p: int, s: int) -> bool:
+    """Whether p^s <= DEFAULT_ORDER_CAP for p >= 2, in at most 21 multiplications."""
     order = 1
     for _ in range(s):
         order *= p
-        if order > cap:
+        if order > DEFAULT_ORDER_CAP:
             return False
     return True
 
 
-def _structure_problems(cert: Certificate, order_cap: int
+def _structure_problems(cert: Certificate
                         ) -> tuple[list[str], tuple[FreeEndo, Word] | None, list[tuple]]:
     """Problems found, the parsed endomorphism and word when both parse, and
     the element indices of the trace (`trace_indices`) when it checks."""
@@ -672,9 +667,9 @@ def _structure_problems(cert: Certificate, order_cap: int
     if len(cert.images) != cert.rank:
         problems.append(f"{len(cert.images)} images for rank {cert.rank}")
     # p and s are untrusted: bound them before the primality test or p**s runs
-    bounded = cert.p < 2 or _order_within_cap(cert.p, max(cert.s, 1), order_cap)
+    bounded = cert.p < 2 or _order_within_cap(cert.p, max(cert.s, 1))
     if not bounded:
-        problems.append(f"field order {cert.p}^{cert.s} exceeds cap {order_cap}")
+        problems.append(f"field order {cert.p}^{cert.s} exceeds cap {DEFAULT_ORDER_CAP}")
     elif not is_prime(cert.p):
         problems.append(f"p = {cert.p} is not prime")
     if cert.s < 1:
@@ -731,8 +726,7 @@ def _structure_problems(cert: Certificate, order_cap: int
     return problems, parsed, indices
 
 
-def verify_certificate(cert: Certificate,
-                       order_cap: int = DEFAULT_ORDER_CAP) -> CertVerdict:
+def verify_certificate(cert: Certificate) -> CertVerdict:
     """Independent re-derivation of every certificate condition.
 
     Rebuilds the field from (p, s) alone, re-walks the orbit once through
@@ -741,13 +735,13 @@ def verify_certificate(cert: Certificate,
     """
     checks: list[CheckResult] = []
 
-    problems, parsed, indices = _structure_problems(cert, order_cap)
+    problems, parsed, indices = _structure_problems(cert)
     _record(checks, problems, "fields, words and shapes are coherent")
     if problems:
         return _skip_rest(checks, "structure check failed")
 
     phi, w = parsed
-    field = field_create(cert.p, cert.s, order_cap)
+    field = field_create(cert.p, cert.s)
     states = trace_states(field, indices, cert.rank)
 
     zero, zech, neg = _tables(field)  # zero is the log of 0

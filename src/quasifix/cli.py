@@ -22,9 +22,9 @@ from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Any, Iterable, Iterator
 
-from .certify import (MAX_VERIFY_WORK, CertificateFormatError, CertifyConfig, CertifyError,
-                      certificate_from_bytes, max_certificate_bytes, search_certificate,
-                      verify_certificate, verify_work)
+from .certify import (MAX_CERTIFICATE_BYTES, MAX_VERIFY_WORK, CertifyConfig, CertifyError,
+                      certificate_from_bytes, search_certificate, verify_certificate,
+                      verify_work)
 from .dynamics import (
     EnumerationCapExceeded,
     VarietySpec,
@@ -33,11 +33,16 @@ from .dynamics import (
     witness_coeffs,
 )
 from .freegroup import FreeEndo, Word, WordError, stallings_fold, subgroup_rank
-from .gf import DEFAULT_ORDER_CAP, FieldError, _digits
+from .gf import DEFAULT_ORDER_CAP, _digits
 from .poly import IqSystem, PolyError, PolyMap, TermBudgetExceeded, parse_poly
 
 # ValueError covers the parse, word, field and certificate errors
 USAGE_ERRORS = (ValueError, OSError, EnumerationCapExceeded, TermBudgetExceeded)
+# certify's byte cap on its endomorphism file: json.dumps writes an image in at
+# most 4 + 2 * indent bytes more than its letters, and `verify_work` counts each
+# image as a letter at least, so every file it writes, at an indent of up to 4,
+# of images within the work cap is below 13 * MAX_VERIFY_WORK + 64 bytes
+MAX_ENDO_BYTES = 16 * MAX_VERIFY_WORK
 
 
 def _int(text: str) -> int:
@@ -49,19 +54,6 @@ def _int(text: str) -> int:
         except ValueError:  # past Python's digit limit
             pass
     raise ValueError(f"invalid int value: {text!r}")
-
-
-def order_cap_from_env() -> int:
-    raw = os.environ.get("QUASIFIX_CAP")
-    if raw is None:
-        return DEFAULT_ORDER_CAP
-    try:
-        cap = _int(raw)
-    except ValueError as exc:
-        raise FieldError(f"QUASIFIX_CAP must be an integer, got {raw!r}") from exc
-    if cap < 2:
-        raise FieldError(f"QUASIFIX_CAP must be >= 2, got {cap}")
-    return cap
 
 
 def _render_text(value: Any, indent: int = 0) -> list[str]:
@@ -220,11 +212,10 @@ def _split_polys(raw: str) -> list[str]:
 
 
 def cmd_quasifixed(args) -> int:
-    cap = order_cap_from_env()
     pmap = PolyMap.parse(_split_polys(args.map), args.n, args.p)
     for s in range(1, args.smax + 1):  # refuse before enumerating anything
-        check_degree_caps(pmap, s, cap)
-    degrees = list(scan_quasi_fixed(pmap, args.smax, order_cap=cap))
+        check_degree_caps(pmap, s)
+    degrees = list(scan_quasi_fixed(pmap, args.smax))
     emit({"command": "quasifixed", "p": args.p, "nvars": args.n,
           "map": [f.to_text() for f in pmap.coords], "smax": args.smax,
           "count": sum(len(keys) for _, keys in degrees), "witnesses": _PIECES},
@@ -233,7 +224,6 @@ def cmd_quasifixed(args) -> int:
 
 
 def cmd_density(args) -> int:
-    cap = order_cap_from_env()
     pmap = PolyMap.parse(_split_polys(args.map), args.n, args.p)
     v_texts = _split_polys(args.v) if args.v else []
     v = VarietySpec.parse(v_texts, args.n, args.p)
@@ -242,13 +232,13 @@ def cmd_density(args) -> int:
     scanned, stopped_by = args.smax, None
     for s in range(1, args.smax + 1):
         try:
-            check_degree_caps(pmap, s, cap)
+            check_degree_caps(pmap, s)
         except EnumerationCapExceeded as exc:
             scanned, stopped_by = s - 1, str(exc)
             break
     witness = None
     if scanned or stopped_by is None:  # --smax below 1 is refused by the search
-        for field, keys in scan_quasi_fixed(pmap, scanned, cap, v, w_spec):
+        for field, keys in scan_quasi_fixed(pmap, scanned, v, w_spec):
             if keys:
                 m, coeffs = witness_coeffs(keys[0], args.p, field.m, args.n)
                 witness = {"p": args.p, "s": field.m, "m": m, "point": list(map(list, coeffs))}
@@ -259,7 +249,7 @@ def cmd_density(args) -> int:
                "avoid": w_spec.to_text(), "smax": args.smax,
                "found": witness is not None}
     if witness is None:
-        payload["frontier"] = {"smax_scanned": scanned, "order_cap": cap}
+        payload["frontier"] = {"smax_scanned": scanned, "order_cap": DEFAULT_ORDER_CAP}
         if stopped_by is not None:
             payload["frontier"]["stopped_by"] = stopped_by
         emit(payload, args.format, args.out)
@@ -307,12 +297,11 @@ def cmd_fold(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    cap = order_cap_from_env()
-    with open(args.endo, "r", encoding="utf-8") as handle:
-        try:
-            endo_data = json.load(handle)
-        except RecursionError as exc:
-            raise WordError(f"{args.endo}: JSON nested too deeply") from exc
+    text = _read_capped(args.endo, MAX_ENDO_BYTES, "endomorphism file").decode("utf-8")
+    try:
+        endo_data = json.loads(text)
+    except RecursionError as exc:
+        raise WordError(f"{args.endo}: JSON nested too deeply") from exc
     # refuse by the raw text, before any word is parsed, what the search refuses by the words
     images = endo_data.get("images") if isinstance(endo_data, dict) else None
     if (isinstance(images, list) and all(isinstance(t, str) for t in images)
@@ -322,8 +311,7 @@ def cmd_certify(args) -> int:
     w = Word.parse(args.word, phi.rank)
     config = CertifyConfig(s_max=args.smax, seeds_per_field=args.seeds,
                            orbit_budget=args.budget, seed=args.seed,
-                           allow_noninjective=args.allow_noninjective,
-                           order_cap=cap)
+                           allow_noninjective=args.allow_noninjective)
     outcome = search_certificate(phi, w, config)
     if not outcome.found:
         emit({"command": "certify", "found": False, "reason": outcome.reason,
@@ -342,23 +330,22 @@ def cmd_certify(args) -> int:
     return 0
 
 
-def _read_capped(path: str, limit: int) -> bytes:
-    """The bytes of the file at path, refused past limit bytes: a file is
-    measured before a byte of it is read, and a pipe or a device, which has
-    no size, is read one byte past the cap at most."""
+def _read_capped(path: str, limit: int, what: str) -> bytes:
+    """The bytes of the file at path; past limit bytes, a ValueError that
+    calls it `what`.  A file is measured before a byte of it is read, and a
+    pipe or a device, which has no size, is read one byte past the cap at most."""
     with open(path, "rb") as handle:
         size = os.fstat(handle.fileno()).st_size
         if size <= limit:
             raw = handle.read() if size else handle.read(limit + 1)
     if size > limit or len(raw) > limit:
-        raise CertificateFormatError(f"certificate file exceeds the byte cap of {limit} bytes")
+        raise ValueError(f"{what} exceeds the byte cap of {limit} bytes")
     return raw
 
 
 def cmd_verify(args) -> int:
-    cap = order_cap_from_env()
-    cert = certificate_from_bytes(_read_capped(args.certificate, max_certificate_bytes(cap)))
-    verdict = verify_certificate(cert, order_cap=cap)
+    raw = _read_capped(args.certificate, MAX_CERTIFICATE_BYTES, "certificate file")
+    verdict = verify_certificate(certificate_from_bytes(raw))
     emit({"command": "verify", "certificate_path": args.certificate,
           "verdict": verdict.to_dict()},
          args.format, args.out)

@@ -100,11 +100,11 @@ def _orbit_representatives(by_degree: dict[int, array],
     return cols
 
 
-def check_degree_caps(pmap: PolyMap, s: int, order_cap: int) -> None:
+def check_degree_caps(pmap: PolyMap, s: int) -> None:
     """Refuse field degree s when F_{p^s} or its points of A^n pass a cap."""
     p, nv = pmap.p, pmap.nvars
-    if p**s > order_cap:
-        raise EnumerationCapExceeded(f"field order {p}^{s} exceeds cap {order_cap}")
+    if p**s > DEFAULT_ORDER_CAP:
+        raise EnumerationCapExceeded(f"field order {p}^{s} exceeds cap {DEFAULT_ORDER_CAP}")
     if p ** (s * nv) > DEFAULT_POINT_CAP:
         raise EnumerationCapExceeded(
             f"enumerating {p}^{s * nv} points exceeds cap {DEFAULT_POINT_CAP}")
@@ -131,8 +131,7 @@ def _reversed_index(p: int, s: int) -> tuple[int, Sequence[int], Sequence[int]]:
     return p**h, [r * p**(s - h) for r in reversed_k(h)], reversed_k(s - h)
 
 
-def scan_quasi_fixed(pmap: PolyMap, s_max: int, order_cap: int = DEFAULT_ORDER_CAP,
-                     variety: VarietySpec = VarietySpec(),
+def scan_quasi_fixed(pmap: PolyMap, s_max: int, variety: VarietySpec = VarietySpec(),
                      avoid: MPoly | None = None) -> Iterator[tuple[FqField, array]]:
     """(F_{p^s}, keys) for s = 1..s_max: the witnesses of least field F_{p^s},
     one int key each, in ascending (m, coordinate) order.
@@ -172,8 +171,8 @@ def scan_quasi_fixed(pmap: PolyMap, s_max: int, order_cap: int = DEFAULT_ORDER_C
             raise PolyError(f"variety and avoided polynomials must be in {nv} variables "
                             f"over F_{p}, like the map")
     for s in range(1, s_max + 1):
-        check_degree_caps(pmap, s, order_cap)
-        field = field_create(p, s, order_cap)
+        check_degree_caps(pmap, s)
+        field = field_create(p, s)
         exp, log, zech = field.log_tables()
         orbit, by_degree = field.frobenius_tables()
         q = field.order
@@ -235,8 +234,7 @@ def _witness(field: FqField, nvars: int, key: int) -> QuasiFixedWitness:
     return QuasiFixedWitness(tuple(FqElement(field, c) for c in coeffs), m, field.m)
 
 
-def enumerate_quasi_fixed(pmap: PolyMap, s_max: int,
-                          order_cap: int = DEFAULT_ORDER_CAP) -> Iterator[QuasiFixedWitness]:
+def enumerate_quasi_fixed(pmap: PolyMap, s_max: int) -> Iterator[QuasiFixedWitness]:
     """All quasi-fixed witnesses with field degree <= s_max, each once.
 
     Witnesses stream in ascending (s, m, coordinate) order, read off the keys
@@ -244,7 +242,7 @@ def enumerate_quasi_fixed(pmap: PolyMap, s_max: int,
     and carries its minimal valid m.  Each degree is scanned only when the
     iterator reaches it.
     """
-    for field, keys in scan_quasi_fixed(pmap, s_max, order_cap):
+    for field, keys in scan_quasi_fixed(pmap, s_max):
         for key in keys:
             yield _witness(field, pmap.nvars, key)
 
@@ -272,15 +270,14 @@ def containment_check(pmap: PolyMap, v: VarietySpec, s_max: int) -> ContainmentR
 
 
 def find_quasi_fixed_avoiding(pmap: PolyMap, v: VarietySpec, w_spec: MPoly,
-                              s_max: int,
-                              order_cap: int = DEFAULT_ORDER_CAP) -> QuasiFixedWitness | None:
+                              s_max: int) -> QuasiFixedWitness | None:
     """First witness on v where w_spec does not vanish, else None.
 
     Quasi-fixed points are dense in the stable image closure, so a witness
     exists at some field degree; a persistent None at generous budgets
     points at bad inputs rather than at a missing witness.
     """
-    for field, keys in scan_quasi_fixed(pmap, s_max, order_cap, v, w_spec):
+    for field, keys in scan_quasi_fixed(pmap, s_max, v, w_spec):
         if keys:
             return _witness(field, pmap.nvars, keys[0])
     return None

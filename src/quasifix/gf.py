@@ -44,7 +44,7 @@ from itertools import chain, zip_longest
 from operator import itemgetter, mul
 from typing import Sequence
 
-DEFAULT_ORDER_CAP = 2**20
+DEFAULT_ORDER_CAP = 2**20  # the one field-order cap: field_create builds no larger field
 
 
 class FieldError(ValueError):
@@ -403,31 +403,30 @@ class FqElement:
 _FIELDS: dict[tuple[int, int], FqField] = {}
 
 
-def field_create(p: int, m: int, cap: int = DEFAULT_ORDER_CAP) -> FqField:
+def field_create(p: int, m: int) -> FqField:
     """F_{p^m} with the first irreducible modulus in deterministic order.
 
-    The field is shared: calls with the same (p, m) in one process return
-    the same object, with its modulus and log tables built once.  That is
-    safe because everything a field caches is a deterministic function of
-    (p, m).  The checks still run on every call, the cap before primality.
-    Kept fields are dropped oldest first once their orders would sum past
-    DEFAULT_ORDER_CAP; a field above it (only allowed by a larger cap) is
-    returned but not kept.
+    The order p^m may be at most DEFAULT_ORDER_CAP, the one field-order cap
+    of enumeration, search and verification.  The field is shared: calls
+    with the same (p, m) in one process return the same object, with its
+    modulus and log tables built once.  That is safe because everything a
+    field caches is a deterministic function of (p, m).  The checks still
+    run on every call, the cap before primality.  Kept fields are dropped
+    oldest first once their orders would sum past DEFAULT_ORDER_CAP.
     """
     if m < 1:
         raise FieldError(f"extension degree must be >= 1, got {m}")
-    if p**m > cap:
-        raise FieldError(f"field order {p}^{m} exceeds cap {cap}")
+    if p**m > DEFAULT_ORDER_CAP:
+        raise FieldError(f"field order {p}^{m} exceeds cap {DEFAULT_ORDER_CAP}")
     if not is_prime(p):
         raise FieldError(f"{p} is not prime")
     field = _FIELDS.get((p, m))
     if field is None:
         field = FqField(p, m, _min_irreducible(p, m))
-        if field.order <= DEFAULT_ORDER_CAP:
-            kept = sum(f.order for f in _FIELDS.values())
-            while kept + field.order > DEFAULT_ORDER_CAP:
-                kept -= _FIELDS.pop(next(iter(_FIELDS))).order
-            _FIELDS[p, m] = field
+        kept = sum(f.order for f in _FIELDS.values())
+        while kept + field.order > DEFAULT_ORDER_CAP:
+            kept -= _FIELDS.pop(next(iter(_FIELDS))).order
+        _FIELDS[p, m] = field
     return field
 
 

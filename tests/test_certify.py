@@ -221,7 +221,7 @@ def test_search_budget_exhaustion_reports_frontier():
     assert out.frontier == tuple((p, 1, 1) for p in (5, 7, 13, 19, 23, 29))  # MAX_PRIMES
 
 
-def test_the_not_found_reason_counts_each_cause():
+def test_the_not_found_reason_counts_each_cause(monkeypatch):
     # under the identity every start is a fixed point with a scalar word
     # value: each of the six walks finds its cycle in one step, and no budget
     # runs out
@@ -232,7 +232,8 @@ def test_the_not_found_reason_counts_each_cause():
     assert out.reason == "cycles with a scalar word at every rotation: 6"
     assert out.frontier == tuple((p, 1, 1) for p in (11, 13, 17, 19, 23, 29))
     # no field of the first prime is within the order cap, so no walk ran
-    out = search_certificate(ident, Word.parse("a", 1), CertifyConfig(order_cap=2))
+    monkeypatch.setattr(certify, "DEFAULT_ORDER_CAP", 2)
+    out = search_certificate(ident, Word.parse("a", 1), CertifyConfig())
     assert (out.found, out.frontier, out.reason) == (False, (), "no field within the order cap")
 
 
@@ -453,14 +454,16 @@ def test_wreath_arithmetic_matches_matrep_oracle(criterion6_outcomes):
 
 
 def test_verifier_honours_order_cap_above_default():
-    # identity endomorphism, period 1, over F_{1031^2}: p^s = 1062961 > 2^20
+    # identity endomorphism, period 1, over F_{1031^2}: p^s = 1062961 > 2^20, a
+    # valid certificate but for the cap, which no caller can raise
     one, zero, x = [1, 0], [0, 0], [0, 1]
     cert = certificate_from_dict({
         "format_version": 1, "rank": 1, "images": ["a"], "word": "a",
         "p": 1031, "s": 2, "period": 1, "tuple": [[one, x, zero, one]],
         "trace": [[[one, x, zero, one]]], "metadata": {"seed": 0}})
-    assert verify_certificate(cert, order_cap=2**22).passed
-    assert verify_certificate(cert).failures == ["structure"]
+    verdict = verify_certificate(cert)
+    assert verdict.failures == ["structure"]
+    assert verdict.checks[0].detail == "field order 1031^2 exceeds cap 1048576"
 
 
 # -- verifier and negative paths ----------------------------------------------
@@ -840,7 +843,7 @@ def test_whole_trace_ingest_matches_the_walk_oracle(data):
         problem, naive_indices = naive_trace_problem(cert.trace, rank, p, s)
         for lanes in (matrep._FOLD_LANES, 1, 2 * s + 1):
             with mock.patch.object(matrep, "_FOLD_LANES", lanes):
-                problems, _, indices = _structure_problems(cert, DEFAULT_ORDER_CAP)
+                problems, _, indices = _structure_problems(cert)
             assert problems == cap + head_problems + ([problem] if problem else [])
             if not problems:
                 assert list(indices) == naive_indices
@@ -1160,6 +1163,20 @@ def test_a_cycle_of_exactly_max_period_comes_back_whole(monkeypatch):
     monkeypatch.setattr(certify, "_walk_start", lambda f, k, seed, index: _order_three_state(f))
     out = search_certificate(BS12, Word.parse("a", 1), CertifyConfig(s_max=1, seeds_per_field=1))
     assert out.found and out.certificate.period == 2
+
+
+def test_a_natural_cycle_of_max_period_states_certifies():
+    # 319,489 divides 2^2048 + 1, so 2 has order 4,096 modulo it: a -> a^2 walks
+    # the unipotent [[1, 1], [0, 1]] of order p in PGL2(F_319489) round a cycle
+    # of exactly MAX_PERIOD states, the longest a certificate of the search has
+    field = field_create(319489, 1)
+    start = (Mat2.from_entries(field, [field.from_int(v) for v in (1, 1, 0, 1)]).logs,)
+    cycle = []
+    result = state_orbit(proj_step(BS12, field), start, cycle=cycle)
+    assert (result.found, result.point, result.period) == (True, start, matrep.MAX_PERIOD)
+    cert = Certificate(rank=1, images=("aa",), word="a", p=319489, s=1, period=result.period,
+                       trace=tuple(state_rows(field, state) for state in cycle), seed=0)
+    assert verify_certificate(cert).passed
 
 
 # -- the walk-start table --------------------------------------------------------

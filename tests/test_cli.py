@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import quasifix
 from oracles import naive_eval, naive_frobenius, oracle_quasi_fixed
 from quasifix import cli, dynamics, gf, poly
-from quasifix.certify import certificate_from_bytes, max_certificate_bytes, verify_certificate
+from quasifix.certify import (MAX_CERTIFICATE_BYTES, MAX_VERIFY_WORK, certificate_from_bytes,
+                              verify_certificate, verify_work)
 from quasifix.cli import SUBCOMMANDS, _reader, _render_json, build_parser, main
 from quasifix.poly import MPoly, PolyMap
 
@@ -382,7 +383,6 @@ def _capped_child(argv: list[str], cwd, address_space: int) -> tuple:
     code, stdout and stderr, wall time and peak RSS in MB (VmHWM, which exec
     resets, unlike the rusage of a child forked from a large process)."""
     env = dict(os.environ, PYTHONPATH=str(Path(quasifix.__file__).resolve().parents[1]))
-    env.pop("QUASIFIX_CAP", None)
     probe = ("import resource, sys\n"
              f"resource.setrlimit(resource.RLIMIT_AS, ({address_space}, {address_space}))\n"
              "from quasifix.cli import main\n"
@@ -404,7 +404,8 @@ def _capped_child(argv: list[str], cwd, address_space: int) -> tuple:
 def test_verify_refuses_a_file_past_the_byte_cap(tmp_path):
     # a sparse file one byte past the cap is refused by its size, before a byte
     # of it is read, within 1 s in a child capped at 64 MB of address space
-    limit = max_certificate_bytes(gf.DEFAULT_ORDER_CAP)
+    limit = MAX_CERTIFICATE_BYTES
+    assert limit == 67_632_894
     with open(tmp_path / "big.json", "wb") as handle:
         handle.truncate(limit + 1)
     code, out, err, elapsed, _ = _capped_child(["verify", "big.json"], tmp_path, 64 << 20)
@@ -416,7 +417,7 @@ def test_verify_refuses_a_file_past_the_byte_cap(tmp_path):
 def test_the_byte_cap_admits_a_file_at_the_cap(capsys, monkeypatch, tmp_path):
     # at the cap a file is read and parsed; a device with no size is read one
     # byte past the cap, and refused by the cap
-    monkeypatch.setattr(cli, "max_certificate_bytes", lambda cap: 20)
+    monkeypatch.setattr(cli, "MAX_CERTIFICATE_BYTES", 20)
     (tmp_path / "at.json").write_bytes(b"{}" + b" " * 18)
     (tmp_path / "past.json").write_bytes(b"{}" + b" " * 19)
     assert run_cli(capsys, "verify", str(tmp_path / "at.json")) == (
@@ -530,6 +531,50 @@ def test_certify_rejects_deeply_nested_endo(capsys, tmp_path):
     assert code == 2 and "nested too deeply" in err
 
 
+def _padded_endo(path, size: int) -> None:
+    """An endomorphism file of `size` bytes: a ↦ aa, then spaces."""
+    text = json.dumps({"rank": 1, "images": ["aa"]}).encode()
+    path.write_bytes(text + b" " * (size - len(text)))
+
+
+def test_certify_refuses_an_endo_file_past_the_byte_cap(tmp_path):
+    # one byte past the cap is refused by its size, and a device with no size
+    # once one byte past the cap is read, before any JSON is parsed: within 1 s
+    # in a child capped at 64 MB of address space
+    _padded_endo(tmp_path / "past.json", cli.MAX_ENDO_BYTES + 1)
+    for endo in ("past.json", "/dev/zero"):
+        code, out, err, elapsed, _ = _capped_child(
+            ["certify", "--endo", endo, "--word", "a", "--out", "c.json"], tmp_path, 64 << 20)
+        assert elapsed < 1
+        assert (code, out) == (2, b"")
+        assert err == f"error: endomorphism file exceeds the byte cap of {cli.MAX_ENDO_BYTES} bytes"
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_the_largest_admitted_endo_file_certifies_as_before(capsys, tmp_path):
+    (tmp_path / "endo.json").write_text(json.dumps({"rank": 1, "images": ["aa"]}))
+    _padded_endo(tmp_path / "at.json", cli.MAX_ENDO_BYTES)
+    results = []
+    for name in ("endo", "at"):
+        code, out, err = run_cli(capsys, "certify", "--endo", str(tmp_path / f"{name}.json"),
+                                 "--word", "a", "--out", str(tmp_path / f"{name}.cert"))
+        results.append((code, out.replace(f"{name}.cert", "?"), err,
+                        (tmp_path / f"{name}.cert").read_bytes()))
+    assert results[0][0] == 0 and results[1] == results[0]
+
+
+@pytest.mark.parametrize("indent", [None, 0, 2, 4])
+def test_the_endo_byte_cap_admits_every_file_within_the_work_cap(indent):
+    # the files json.dumps writes of the images with the most bytes a letter
+    # of work: an empty image counts as one letter, and so does a one-letter one
+    work = MAX_VERIFY_WORK - 1  # the word has a letter at least
+    for images in ([""] * work, ["a"] + [""] * (work - 1), ["a" * work],
+                   list("abcdefghijklmnopqrstuvwxyz") + [""] * (work - 26)):
+        assert verify_work(1, images, "a") == MAX_VERIFY_WORK
+        size = len(json.dumps({"rank": len(images), "images": images}, indent=indent))
+        assert size <= 13 * MAX_VERIFY_WORK + 64 <= cli.MAX_ENDO_BYTES
+
+
 @pytest.mark.parametrize("argv", [
     ["quasifixed", "--p", "2", "--n", "1", "--map", "x1", "--smax", "-3"],
     ["density", "--p", "2", "--n", "1", "--map", "x1", "--smax", "0", "--w", "x1"],
@@ -581,16 +626,21 @@ def test_text_format_mirrors_json(capsys):
     assert "congruence:" in text_out and "1: true" in text_out
 
 
-def test_cap_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("QUASIFIX_CAP", "4")
-    code, _, err = run_cli(capsys, "quasifixed", "--p", "2", "--n", "1",
-                           "--map", "x1^2", "--smax", "3")
-    assert code == 2 and "cap" in err
+def _with_cap_env(capsys, monkeypatch, value, *argv):
+    """run_cli on argv with QUASIFIX_CAP unset and with it set to value."""
+    monkeypatch.delenv("QUASIFIX_CAP", raising=False)
+    unset = run_cli(capsys, *argv)
+    monkeypatch.setenv("QUASIFIX_CAP", value)
+    return unset, run_cli(capsys, *argv)
 
-    monkeypatch.setenv("QUASIFIX_CAP", "not-a-number")
-    code, _, err = run_cli(capsys, "quasifixed", "--p", "2", "--n", "1",
-                           "--map", "x1^2", "--smax", "1")
-    assert code == 2
+
+def test_cap_env_override(capsys, monkeypatch):
+    # no code reads QUASIFIX_CAP: a value below the order of F_{2^3} leaves
+    # the output and the exit code as they are without it
+    unset, capped = _with_cap_env(capsys, monkeypatch, "4", "quasifixed", "--p", "2",
+                                  "--n", "1", "--map", "x1^2", "--smax", "3")
+    assert unset[0] == 0 and unset[2] == ""
+    assert capped == unset
 
 
 # forms Python's int() reads as a number but the CLI refuses rather than reinterprets:
@@ -610,24 +660,31 @@ def test_int_options_accept_ascii_digits_only(capsys, text):
 
 @pytest.mark.parametrize("text", NOT_ASCII_INTS)
 def test_cap_env_accepts_ascii_digits_only(capsys, monkeypatch, text):
-    monkeypatch.setenv("QUASIFIX_CAP", text)
-    code, out, err = run_cli(capsys, "quasifixed", "--p", "2", "--n", "1", "--map", "x1")
-    assert (code, out) == (2, "")
-    assert err == f"error: QUASIFIX_CAP must be an integer, got {text!r}\n"
+    # no code reads QUASIFIX_CAP, so no text of it, digits or not, is an error
+    unset, capped = _with_cap_env(capsys, monkeypatch, text,
+                                  "quasifixed", "--p", "2", "--n", "1", "--map", "x1")
+    assert unset[0] == 0 and capped == unset
+
+
+# a valid certificate but for its field F_{1031^2}, of order 1,062,961 > 2^20:
+# identity endomorphism of rank 1, w = a, period 1
+OVER_CAP_CERTIFICATE = json.dumps({
+    "format_version": 1, "rank": 1, "images": ["a"], "word": "a",
+    "p": 1031, "s": 2, "period": 1, "tuple": [[[1, 0], [0, 1], [0, 0], [1, 0]]],
+    "trace": [[[[1, 0], [0, 1], [0, 0], [1, 0]]]], "metadata": {"seed": 0}})
 
 
 def test_verify_honours_cap_env_above_default(capsys, monkeypatch, tmp_path):
-    # a valid certificate over F_{1031^2} (order above the default cap 2^20):
-    # identity endomorphism of rank 1, w = a, period 1
-    one, zero, x = [1, 0], [0, 0], [0, 1]
+    # the cap is 2^20 whatever QUASIFIX_CAP says, even when it says 2^22
     cert_path = tmp_path / "cert.json"
-    cert_path.write_text(json.dumps({
-        "format_version": 1, "rank": 1, "images": ["a"], "word": "a",
-        "p": 1031, "s": 2, "period": 1, "tuple": [[one, x, zero, one]],
-        "trace": [[[one, x, zero, one]]], "metadata": {"seed": 0}}))
-    monkeypatch.setenv("QUASIFIX_CAP", "4194304")
-    code, out, _ = run_cli(capsys, "verify", str(cert_path), "--format", "json")
-    assert code == 0 and json.loads(out)["verdict"]["passed"]
+    cert_path.write_text(OVER_CAP_CERTIFICATE)
+    unset, capped = _with_cap_env(capsys, monkeypatch, "4194304",
+                                  "verify", str(cert_path), "--format", "json")
+    assert capped == unset
+    code, out, _ = capped
+    checks = json.loads(out)["verdict"]["checks"]
+    assert code == 1 and [c["status"] for c in checks] == ["fail"] + ["skipped"] * 5
+    assert checks[0]["detail"] == "field order 1031^2 exceeds cap 1048576"
 
 
 def test_output_file_option(capsys, tmp_path):
@@ -761,10 +818,10 @@ def test_quasifixed_refuses_past_cap_before_enumerating(capsys, monkeypatch):
     real = dynamics.field_create
     monkeypatch.setattr(dynamics, "field_create",
                         lambda p, s, *rest: created.append((p, s)) or real(p, s, *rest))
-    monkeypatch.setenv("QUASIFIX_CAP", "343")
-    code, out, err = run_cli(capsys, "quasifixed", "--p", "7", "--n", "1",
+    code, out, err = run_cli(capsys, "quasifixed", "--p", "1031", "--n", "1",
                              "--map", "x1", "--smax", "8")
-    assert code == 2 and out == "" and err == "error: field order 7^4 exceeds cap 343\n"
+    assert code == 2 and out == ""
+    assert err == "error: field order 1031^2 exceeds cap 1048576\n"
     assert created == []
 
 
@@ -774,24 +831,24 @@ def test_usage_error_exits_two(capsys):
     assert exc.value.code == 2
 
 
-def test_density_stops_at_first_degree_past_cap(capsys, monkeypatch):
-    # no witness avoids W = {x1 = 0}, and F_{2^7} is past the cap: the scan of
-    # degrees 1..6 is reported as not found instead of thrown away
-    monkeypatch.setenv("QUASIFIX_CAP", "64")
-    code, out, err = run_cli(capsys, "density", "--p", "2", "--n", "1", "--map", "x1",
-                             "--w", "0", "--smax", "8", "--format", "json")
+def test_density_stops_at_first_degree_past_cap(capsys):
+    # no witness avoids W = {x1 = 0}, and F_{1031^2} is past the cap: the scan of
+    # degree 1 is reported as not found instead of thrown away
+    code, out, err = run_cli(capsys, "density", "--p", "1031", "--n", "1", "--map", "x1",
+                             "--w", "0", "--smax", "3", "--format", "json")
     assert code == 1 and err == ""
     data = json.loads(out)
-    assert not data["found"] and data["smax"] == 8
-    assert data["frontier"] == {"smax_scanned": 6, "order_cap": 64,
-                                "stopped_by": "field order 2^7 exceeds cap 64"}
+    assert not data["found"] and data["smax"] == 3
+    assert data["frontier"] == {"smax_scanned": 1, "order_cap": 1048576,
+                                "stopped_by": "field order 1031^2 exceeds cap 1048576"}
 
-    monkeypatch.setenv("QUASIFIX_CAP", "2")  # F_3 itself is past the cap
-    code, out, _ = run_cli(capsys, "density", "--p", "3", "--n", "1", "--map", "x1",
+    # F_p itself is past the cap: 1048583 is the least prime above 2^20
+    code, out, _ = run_cli(capsys, "density", "--p", "1048583", "--n", "1", "--map", "x1",
                            "--w", "0", "--smax", "2", "--format", "json")
     assert code == 1
-    assert json.loads(out)["frontier"] == {"smax_scanned": 0, "order_cap": 2,
-                                           "stopped_by": "field order 3^1 exceeds cap 2"}
+    assert json.loads(out)["frontier"] == {
+        "smax_scanned": 0, "order_cap": 1048576,
+        "stopped_by": "field order 1048583^1 exceeds cap 1048576"}
 
 
 def test_parser_keeps_no_state_between_calls(capsys, tmp_path, monkeypatch):
@@ -946,57 +1003,46 @@ def test_benchmark_shaped_argv_never_reaches_argparse(tmp_path, monkeypatch):
     assert codes == [0] * len(jobs)
 
 
-# (QUASIFIX_CAP or None, argv) steps; a step's files are read back after its unit
+# argv steps; a step's files are read back after its unit
 WARM_UNITS = [
-    [(None, ["quasifixed", "--p", "3", "--n", "2", "--map", "x1*x2+2,x2^2",
-             "--smax", "2", "--format", "json"])],
-    [(None, ["density", "--p", "3", "--n", "1", "--map", "x1^2",
-             "--w", "x1^2+2*x1", "--smax", "4"])],
-    [(None, ["certify", "--endo", "endo.json", "--word", "ab", "--seed", "3",
-             "--out", "cert.json"]),
-     (None, ["verify", "cert.json", "--format", "json"])],
-    [(None, ["iq", "--p", "3", "--n", "2", "--map", "x1*x2,x1+x2", "--q", "3",
-             "--j", "2"])],
-    [(None, ["quasifixed", "--p", "2", "--n", "1", "--map", "x1^3+x1", "--smax", "6"])],
-    # caps are checked on every call, also against fields kept from earlier jobs
-    [(None, ["certify", "--endo", "endo.json", "--word", "a", "--out", "capped.json"]),
-     ("4", ["verify", "capped.json"]),
-     ("4", ["quasifixed", "--p", "2", "--n", "1", "--map", "x1", "--smax", "3"]),
-     ("64", ["density", "--p", "2", "--n", "1", "--map", "x1", "--w", "0",
-             "--smax", "8"])],
+    [["quasifixed", "--p", "3", "--n", "2", "--map", "x1*x2+2,x2^2", "--smax", "2",
+      "--format", "json"]],
+    [["density", "--p", "3", "--n", "1", "--map", "x1^2", "--w", "x1^2+2*x1", "--smax", "4"]],
+    [["certify", "--endo", "endo.json", "--word", "ab", "--seed", "3", "--out", "cert.json"],
+     ["verify", "cert.json", "--format", "json"]],
+    [["iq", "--p", "3", "--n", "2", "--map", "x1*x2,x1+x2", "--q", "3", "--j", "2"]],
+    [["quasifixed", "--p", "2", "--n", "1", "--map", "x1^3+x1", "--smax", "6"]],
+    # the cap is checked on every call, also after a field of the prime is kept
+    [["quasifixed", "--p", "1031", "--n", "1", "--map", "x1", "--smax", "1"],
+     ["verify", "over.json"],
+     ["quasifixed", "--p", "1031", "--n", "1", "--map", "x1", "--smax", "2"],
+     ["density", "--p", "1031", "--n", "1", "--map", "x1", "--w", "0", "--smax", "3"]],
 ]
 
 
-def _run_unit(capsys, monkeypatch, unit):
-    results = []
-    for cap, argv in unit:
-        if cap is None:
-            monkeypatch.delenv("QUASIFIX_CAP", raising=False)
-        else:
-            monkeypatch.setenv("QUASIFIX_CAP", cap)
-        results.append(run_cli(capsys, *argv))
-    monkeypatch.delenv("QUASIFIX_CAP", raising=False)
-    for name in ("cert.json", "capped.json"):
-        path = Path(name)
-        if path.exists():
-            results.append((name, path.read_bytes()))
-            path.unlink()
+def _run_unit(capsys, unit):
+    results = [run_cli(capsys, *argv) for argv in unit]
+    path = Path("cert.json")
+    if path.exists():
+        results.append(("cert.json", path.read_bytes()))
+        path.unlink()
     return results
 
 
 def test_warm_process_matches_fresh_calls(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     Path("endo.json").write_text(json.dumps({"rank": 2, "images": ["ab", "ba"]}))
+    Path("over.json").write_text(OVER_CAP_CERTIFICATE)
     fresh = []
     for unit in WARM_UNITS:
         build_parser.cache_clear()
         _reader.cache_clear()
         gf._FIELDS.clear()
-        fresh.append(_run_unit(capsys, monkeypatch, unit))
+        fresh.append(_run_unit(capsys, unit))
     assert [unit[0][0] for unit in fresh] == [0] * len(WARM_UNITS)
     capped = fresh[-1]
     assert [step[0] for step in capped[1:4]] == [1, 2, 1]
-    assert capped[2][2] == "error: field order 2^3 exceeds cap 4\n"
+    assert capped[2][2] == "error: field order 1031^2 exceeds cap 1048576\n"
     for order in (range(len(WARM_UNITS)), reversed(range(len(WARM_UNITS)))):
         for i in order:
-            assert _run_unit(capsys, monkeypatch, WARM_UNITS[i]) == fresh[i], WARM_UNITS[i]
+            assert _run_unit(capsys, WARM_UNITS[i]) == fresh[i], WARM_UNITS[i]

@@ -19,7 +19,7 @@ from quasifix.dynamics import (
     find_quasi_fixed_avoiding,
 )
 from quasifix.freegroup import FreeEndo
-from quasifix.gf import DEFAULT_ORDER_CAP, field_create
+from quasifix.gf import field_create
 from quasifix.matrep import phi_lift_polynomials
 from quasifix.poly import MPoly, PolyError, PolyMap, parse_poly
 
@@ -286,9 +286,9 @@ def test_enumeration_caps():
     pmap = PolyMap.parse(["x1^2", "x2", "x3"], 3, 5)
     with pytest.raises(EnumerationCapExceeded, match="points"):
         list(enumerate_quasi_fixed(pmap, 3))
-    single = PolyMap.parse(["x1^2"], 1, 5)
-    with pytest.raises(EnumerationCapExceeded):
-        list(enumerate_quasi_fixed(single, 9, order_cap=5**3))
+    single = PolyMap.parse(["x1^2"], 1, 1031)  # 1031^2 > 2^20
+    with pytest.raises(EnumerationCapExceeded, match="field order 1031\\^2 exceeds cap 1048576"):
+        list(enumerate_quasi_fixed(single, 2))
 
 
 def test_degree_caps_admit_exactly_2_20_points():
@@ -296,12 +296,12 @@ def test_degree_caps_admit_exactly_2_20_points():
     # and n = 2 at degree 10 is inside the point cap only through <=; the
     # check enumerates nothing
     line, plane = PolyMap.parse(["x1"], 1, 2), PolyMap.parse(["x1", "x2"], 2, 2)
-    check_degree_caps(line, 20, DEFAULT_ORDER_CAP)
+    check_degree_caps(line, 20)
     with pytest.raises(EnumerationCapExceeded, match="field order 2\\^21"):
-        check_degree_caps(line, 21, DEFAULT_ORDER_CAP)
-    check_degree_caps(plane, 10, DEFAULT_ORDER_CAP)
+        check_degree_caps(line, 21)
+    check_degree_caps(plane, 10)
     with pytest.raises(EnumerationCapExceeded, match="2\\^22 points"):
-        check_degree_caps(plane, 11, DEFAULT_ORDER_CAP)
+        check_degree_caps(plane, 11)
 
 
 def test_enumeration_rejects_smax_below_one():

@@ -64,9 +64,10 @@ def test_field_create_errors():
         field_create(4, 1)
     with pytest.raises(FieldError):
         field_create(2, 0)
-    with pytest.raises(FieldError):
-        field_create(2, 21)  # 2^21 over default cap
-    field_create(2, 21, cap=2**22)  # override allows it
+    with pytest.raises(FieldError, match="field order 2\\^21 exceeds cap 1048576"):
+        field_create(2, 21)  # 2^21 over the cap, which no caller can raise
+    with pytest.raises(FieldError, match="field order 1031\\^2 exceeds cap 1048576"):
+        field_create(1031, 2)
 
 
 def test_prime_field_inverse():
@@ -206,12 +207,14 @@ def test_field_create_checks_the_cap_before_primality():
         field_create(2**89 - 1, 1)
 
 
-def test_field_create_shares_one_field_per_p_m():
+def test_field_create_shares_one_field_per_p_m(monkeypatch):
     assert field_create(3, 4) is field_create(3, 4)
     f1024 = field_create(2, 10)
     f1024.log_tables()
-    with pytest.raises(FieldError, match="field order 2\\^10 exceeds cap 512"):
-        field_create(2, 10, cap=512)  # a kept field is still checked against the cap
+    with monkeypatch.context() as patched:
+        patched.setattr(gf, "DEFAULT_ORDER_CAP", 512)
+        with pytest.raises(FieldError, match="field order 2\\^10 exceeds cap 512"):
+            field_create(2, 10)  # a kept field is still checked against the cap
     assert field_create(2, 10) is f1024
 
 
@@ -232,9 +235,10 @@ def test_kept_fields_bounded_by_default_cap():
     field_create(3, 12)  # 2^19 + 3^12 > 2^20: the older F_{2^19} is dropped
     assert sum(f.order for f in gf._FIELDS.values()) <= DEFAULT_ORDER_CAP
     assert (3, 12) in gf._FIELDS and (2, 19) not in gf._FIELDS
-    big = field_create(2, 21, cap=2**22)
-    assert (2, 21) not in gf._FIELDS
-    assert field_create(2, 21, cap=2**22) is not big
+    kept = dict(gf._FIELDS)
+    with pytest.raises(FieldError, match="exceeds cap"):
+        field_create(2, 21)  # refused before it could evict a kept field
+    assert gf._FIELDS == kept
 
 
 def test_frobenius_tables_kept_with_the_field_and_dropped_with_it(monkeypatch):

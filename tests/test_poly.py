@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import elements, naive_eval, naive_frobenius
-from quasifix import poly
+from quasifix import gf, poly
 from quasifix.gf import DEFAULT_ORDER_CAP, FieldError, field_create
 from quasifix.poly import (
     IqSystem,
@@ -148,9 +148,10 @@ def test_evaluate_errors():
 
 
 def test_evaluate_refuses_a_field_past_the_order_cap_before_its_tables():
-    # F_{2^21} is past gf.DEFAULT_ORDER_CAP = 2^20: its log tables would take
+    # F_{2^21} is past gf.DEFAULT_ORDER_CAP = 2^20, so field_create refuses it,
+    # but a field built directly can be past it: its log tables would take
     # seconds and tens of MiB, so the first evaluation is refused without them
-    field = field_create(2, 21, 2**21)
+    field = gf.FqField(2, 21, gf._min_irreducible(2, 21))
     point = (field.from_int(3), field.from_int(5))
     start = time.perf_counter()
     with pytest.raises(FieldError, match=f"exceeds cap {DEFAULT_ORDER_CAP}"):

@@ -1,6 +1,7 @@
 """README's table of names removed from the public API matches the library."""
 
 import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -14,6 +15,15 @@ def removed_names() -> list[str]:
     section = README.read_text(encoding="utf-8").split("### Removed from the public API")[1]
     rows = [line for line in section.split("\n## ")[0].splitlines() if line.startswith("| `")]
     return [name for row in rows for name in re.findall(r"`([\w.]+)`", row.split("|")[1])]
+
+
+def cap_table_names() -> list[str]:
+    """The backquoted `module.NAME` references to quasifix modules, calls
+    included, in README's cap table."""
+    section = README.read_text(encoding="utf-8").split("| cap | worst valid input inside it |")[1]
+    rows = [line for line in section.split("\n\n")[0].splitlines() if line.startswith("| ")]
+    modules = "|".join(module.name for module in pkgutil.iter_modules(quasifix.__path__))
+    return [name for row in rows for name in re.findall(rf"`((?:{modules})\.\w+)", row)]
 
 
 def owner(name: str):
@@ -36,3 +46,11 @@ def test_every_name_in_the_removed_table_is_gone():
 
 def test_every_exported_name_resolves():
     assert all(hasattr(quasifix, name) for name in quasifix.__all__)
+
+
+def test_every_name_in_the_cap_table_resolves():
+    names = cap_table_names()
+    assert "certify.MAX_CERTIFICATE_BYTES" in names and "cli.MAX_ENDO_BYTES" in names
+    for name in names:
+        prefix, attr = name.rsplit(".", 1)
+        assert hasattr(owner(prefix), attr), f"{name} is cited in the cap table but does not exist"

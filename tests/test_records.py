@@ -25,10 +25,10 @@ CHECK = CheckResult("structure", "fail", "bad")
 RECORDS = [
     (CertifyConfig(), CertifyConfig(s_max=6, seeds_per_field=64, orbit_budget=10**7),
      "CertifyConfig(s_max=6, seeds_per_field=64, orbit_budget=10000000, seed=0, "
-     "allow_noninjective=False, order_cap=1048576)"),
+     "allow_noninjective=False)"),
     (CertifyConfig(3, 64, 10**7, 7), CertifyConfig(seed=7, s_max=3),
      "CertifyConfig(s_max=3, seeds_per_field=64, orbit_budget=10000000, seed=7, "
-     "allow_noninjective=False, order_cap=1048576)"),
+     "allow_noninjective=False)"),
     (Certificate(1, ("a",), "a", 5, 1, 1, TRACE, 0),
      Certificate(rank=1, images=("a",), word="a", p=5, s=1, period=1, trace=TRACE, seed=0),
      "Certificate(rank=1, images=('a',), word='a', p=5, s=1, period=1, "
@@ -80,7 +80,7 @@ def test_construction_repr_and_immutability(positional, keyword, text):
 def test_defaults():
     assert CertifyConfig()._asdict() == {
         "s_max": 6, "seeds_per_field": 64, "orbit_budget": 10**7, "seed": 0,
-        "allow_noninjective": False, "order_cap": 2**20}
+        "allow_noninjective": False}
     cert = Certificate(1, ("a",), "a", 5, 1, 1, TRACE, 0)
     assert (cert.format_version, cert.declared_head, cert.h) == (1, None, TRACE[0])
     outcome = SearchOutcome(None)
@@ -102,8 +102,8 @@ def test_records_compare_as_tuples():
     lambda: CertifyConfig(orbit_budget=0),
     lambda: CertifyConfig()._replace(s_max=0),
     lambda: CertifyConfig()._replace(seeds_per_field=0),
-    lambda: CertifyConfig._make((1, 1, 0, 0, False, 2**20)),
-    lambda: CertifyConfig()._make((0, 64, 10**7, 0, False, 2**20)),
+    lambda: CertifyConfig._make((1, 1, 0, 0, False)),
+    lambda: CertifyConfig()._make((0, 64, 10**7, 0, False)),
 ], ids=["position", "position-2", "keyword", "replace-s_max", "replace-seeds", "make",
         "make-on-instance"])
 def test_config_counts_checked_on_every_path(build):
