@@ -14,14 +14,14 @@ nothing the search produced.  Both work within one field-order cap,
 verifier refuses one, and the verifier's byte cap, MAX_CERTIFICATE_BYTES, is
 derived from it.  The verifier bounds its work (`verify_work`, which the
 search obeys too) before it parses a word.  `certificate_from_bytes` reads
-the trace and the declared tuple off the file's bytes: json's own scanners
-read every other top-level key, and whole-buffer passes check each of the
-two arrays against the skeleton that (rank, s) implies and read out its
+the trace and the declared tuple off the file's bytes: `json.loads` reads
+the rest of the text, the two arrays cut out, and whole-buffer passes check
+each array against the skeleton that (rank, s) implies and read out its
 coefficients, with no Python step per coefficient.  Any text that route
-cannot read (not ASCII, a float, a sign, a leading zero, a shape that does
-not match) goes to `json.loads` and `certificate_from_dict`, which checks
-one level of the nesting per pass; both give the same certificate or the
-same first problem.  The structure check range-checks every coefficient
+cannot read (a backslash, a float, a sign, a leading zero, a shape that
+does not match) goes to `json.loads` and `certificate_from_dict`, which
+checks one level of the nesting per pass; both give the same certificate or
+the same first problem.  The structure check range-checks every coefficient
 and folds the rows into element indices on big-integer lanes (it only
 range-checks them when p^s is over the cap), before any field is built.
 It checks the log states with the kernels the search walks.
@@ -36,7 +36,6 @@ import random
 import re
 from collections import OrderedDict
 from itertools import chain, compress, count, islice, repeat
-from json.scanner import make_scanner
 from typing import NamedTuple
 
 from . import __version__
@@ -263,9 +262,8 @@ def certificate_from_dict(data: dict) -> Certificate:
     return _certificate(data, trace, head)
 
 
-# The byte route of `certificate_from_bytes`.  On ASCII text a str offset is a
-# byte offset, so json's own scanners read the top-level keys off the text
-# while the "trace" and "tuple" values are read off the bytes.
+# The byte route of `certificate_from_bytes`: the "trace" and "tuple" values
+# are read off the bytes, and `json.loads` reads the rest of the text
 _SPANS = ("trace", "tuple")
 _WHITESPACE = b" \t\n\r"  # JSON's four; any other byte is not skipped
 # a digit reads as d and a separator as itself; every other byte as ?, which no
@@ -274,58 +272,26 @@ _SHAPE = bytes(100 if 48 <= c <= 57 else c if c in b"[]," else 63 for c in range
 _DIGIT_VALUE = bytes.maketrans(b"0123456789", bytes(range(10)))
 _TO_SPACE = bytes.maketrans(b"[],\t\n\r", b"      ")
 _LEADING_ZERO = re.compile(rb" 0[0-9]")
-# JSON's own whitespace, then "{"; a key with no escape and no control
-# character, and its colon; a comma or the closing "}"
-_OPEN = re.compile(r"[ \t\n\r]*\{")
-_KEY = re.compile(r'[ \t\n\r]*"([^"\\\x00-\x1f]*)"[ \t\n\r]*:[ \t\n\r]*')
-_NEXT = re.compile(r"[ \t\n\r]*([,}])[ \t\n\r]*")
-_scan_value = make_scanner(json.JSONDecoder())
+_COLON = re.compile(rb"[ \t\n\r]*:[ \t\n\r]*\[")  # a key's colon and the "[" of its value
 
 
-def _top_level(raw: bytes) -> dict | None:
-    """The top-level object of ASCII JSON text as `json.loads` reads it, but
-    with the (start, end) byte span of each "trace" and "tuple" value in place
-    of the value; None when the text is not such an object, a key has an
-    escape, or a span does not end in "]".
-
-    A span runs from its first byte to the last "]" before the next quote or
-    "}", as neither can be inside an array of numbers; what it holds is
-    checked by its reader, so a repeated "trace" or "tuple" key gives None.
-    Every other value is read by json's own scanner; a repeated key keeps
-    its last value, as in `json.loads`.
-    """
-    text = raw.decode("ascii")
-    start = _OPEN.match(text)
-    if start is None:
+def _span(raw: bytes, key: str) -> tuple[int, int] | None:
+    """The (start, end) byte span of the value of the one `"key"` in raw, from
+    its "[" to the last "]" before the next quote or "}", as neither can be in
+    an array of numbers; None unless the key occurs once, before ":" and "["."""
+    quoted = b'"%s"' % key.encode()
+    at = raw.find(quoted)
+    if at < 0 or raw.find(quoted, at + 1) >= 0:
         return None
-    data: dict = {}
-    i = start.end()
-    try:
-        while (key := _KEY.match(text, i)) is not None:
-            name, i = key.group(1), key.end()
-            if name in _SPANS:
-                if name in data:  # only json.loads checks the earlier one
-                    return None
-                stop = raw.find(b'"', i)
-                stop = len(raw) if stop < 0 else stop
-                close = raw.find(b"}", i, stop)
-                end = raw.rfind(b"]", i, stop if close < 0 else close) + 1
-                if end <= i:
-                    return None
-                data[name], i = (i, end), end
-            else:
-                data[name], i = _scan_value(text, i)
-            after = _NEXT.match(text, i)
-            if after is None:
-                return None
-            i = after.end()
-            if after.group(1) == "}":
-                return data if i == len(text) else None
-    # a missing value stops the scanner; ValueError covers bad strings, bad
-    # numbers and integers past the digit limit
-    except (StopIteration, ValueError, RecursionError):
+    colon = _COLON.match(raw, at + len(quoted))
+    if colon is None:
         return None
-    return None
+    start = colon.end() - 1
+    stop = raw.find(b'"', start)
+    stop = len(raw) if stop < 0 else stop
+    close = raw.find(b"}", start, stop)
+    end = raw.rfind(b"]", start, stop if close < 0 else close) + 1
+    return (start, end) if end else None
 
 
 def _skeleton(row: bytes, rank: int, length: int, listed: bool) -> tuple[int, bytes] | None:
@@ -381,16 +347,33 @@ def _read_matrices(span: bytes, rank: int, s: int, listed: bool) -> bytes | list
 def _flat_certificate(raw: bytes) -> Certificate | None:
     """The certificate, or the format error, that `certificate_from_dict` gives
     for the object `json.loads` reads from raw, by the byte route; None when
-    the route cannot read raw."""
-    if not raw.isascii():
+    the route cannot read raw.
+
+    `json.loads` reads raw with each span replaced by 0; an array that
+    `_read_matrices` reads is a JSON value, so raw is that object with the
+    two arrays in place of the two 0s.
+    """
+    if b"\\" in raw:  # then no key is escaped
         return None
-    data = _top_level(raw)
-    if data is None or not all(isinstance(data.get(key), tuple) for key in _SPANS):
+    spans = [_span(raw, key) for key in _SPANS]
+    if None in spans:
+        return None
+    # each span ends before the next quote, so before the other key: they are disjoint
+    (a, b), (c, d) = sorted(spans)
+    try:
+        data = json.loads((raw[:a] + b"0" + raw[b:c] + b"0" + raw[d:]).decode("utf-8"))
+    # ValueError covers bad UTF-8, bad JSON and integers past the digit limit
+    except (ValueError, RecursionError):
+        return None
+    # each key's value is the 0 put in its span's place, or a float when a
+    # fraction or an exponent follows the span
+    if not isinstance(data, dict) or any(type(data.get(key)) is not int for key in _SPANS):
         return None
     rank, s = data.get("rank"), data.get("s")
     if type(rank) is not int or type(s) is not int or rank < 1 or s < 1:
         return None
-    read = [_read_matrices(raw[slice(*data[key])], rank, s, key == "trace") for key in _SPANS]
+    read = [_read_matrices(raw[start:end], rank, s, key == "trace")
+            for key, (start, end) in zip(_SPANS, spans)]
     if None in read:
         return None
     values, head_values = read
@@ -405,9 +388,11 @@ def certificate_from_bytes(raw: bytes) -> Certificate:
     """The certificate in raw, exactly as `certificate_from_dict` reads the
     JSON object that `json.loads` gives, or the same `CertificateFormatError`.
 
-    The trace and the declared tuple are read by the byte route when the text
-    is ASCII and both are arrays of the shape rank and s imply, holding
-    nonnegative JSON integers; any other text goes through `json.loads`.
+    The trace and the declared tuple are read by the byte route when raw has
+    no backslash, each key occurs once, and both are arrays of the shape rank
+    and s imply, holding nonnegative JSON integers; `json.loads` reads every
+    other top-level value on either route.  Any other text goes through
+    `json.loads` and `certificate_from_dict`.
     """
     cert = _flat_certificate(raw)
     if cert is not None:
@@ -691,11 +676,11 @@ def _structure_problems(cert: Certificate
             parsed = (phi, w)
             if w.is_identity():
                 problems.append("certified word reduces to the identity")
-            for text, image in zip(cert.images, phi.images):
-                if image.to_text() != text:
-                    problems.append(f"image {text!r} is not freely reduced")
-            if w.to_text() != cert.word:
-                problems.append(f"word {cert.word!r} is not freely reduced")
+            texts = [("image", text, image) for text, image in zip(cert.images, phi.images)]
+            for what, text, word in texts + [("word", cert.word, w)]:
+                if (canonical := word.to_text()) != text:
+                    problems.append(f"{what} {text!r} is not its canonical reduced text "
+                                    f"{canonical!r}")
         except WordError as exc:
             problems.append(f"word syntax: {exc}")
     # whole-trace passes: as in the parser, each cuts the trace at its first

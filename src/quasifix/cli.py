@@ -56,10 +56,10 @@ def _int(text: str) -> int:
     raise ValueError(f"invalid int value: {text!r}")
 
 
-def _render_text(value: Any, indent: int = 0) -> list[str]:
+def _render_text(value: dict | list, indent: int = 0) -> list[str]:
     pad = "  " * indent
+    lines = []
     if isinstance(value, dict):
-        lines = []
         for key in sorted(value):
             item = value[key]
             if isinstance(item, (dict, list)):
@@ -68,22 +68,18 @@ def _render_text(value: Any, indent: int = 0) -> list[str]:
             else:
                 lines.append(f"{pad}{key}: {json.dumps(item)}")
         return lines
-    if isinstance(value, list):
-        lines = []
-        for item in value:
-            if isinstance(item, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_render_text(item, indent + 1))
-            else:
-                lines.append(f"{pad}- {json.dumps(item)}")
-        return lines
-    return [f"{pad}{json.dumps(value)}"]
+    for item in value:
+        if isinstance(item, (dict, list)):
+            lines.append(f"{pad}-")
+            lines.extend(_render_text(item, indent + 1))
+        else:
+            lines.append(f"{pad}- {json.dumps(item)}")
+    return lines
 
 
 # type -> the writer of a JSON leaf of that type, as `json.dumps` writes it
 _leaf_writer = {int: repr, str: encode_basestring_ascii,
-                bool: {False: "false", True: "true"}.__getitem__,
-                type(None): lambda _: "null", float: json.dumps}.get
+                bool: {False: "false", True: "true"}.__getitem__}.get
 
 
 def _render_json(value: Any, pad: str = "") -> str:

@@ -67,7 +67,7 @@ class Word:
                     raise WordError(f"generator index of {len(token) - 1} digits "
                                     "is too long") from exc
                 if not 1 <= idx <= rank:
-                    raise WordError(f"generator index {idx} exceeds rank {rank}")
+                    raise WordError(f"generator index {idx} is out of range 1..{rank}")
                 letters.append(idx if token[0] == "x" else -idx)
         else:
             for ch in text:

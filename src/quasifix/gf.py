@@ -640,7 +640,4 @@ def _build_frobenius_tables(field: FqField) -> tuple[array, dict[int, array]]:
 def min_subfield_degree(a: FqElement) -> int:
     """Least d with a in F_{p^d}, i.e. least d | m fixed by Frobenius^d."""
     m = a.field.m
-    for d in range(1, m + 1):
-        if m % d == 0 and a.frobenius(d) == a:
-            return d
-    return m
+    return next(d for d in range(1, m + 1) if m % d == 0 and a.frobenius(d) == a)

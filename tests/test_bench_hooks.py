@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from quasifix import certify
 from quasifix.certify import CertificateFormatError, certificate_from_bytes, verify_certificate
 from quasifix.cli import main as cli_main
 from quasifix.dynamics import QuasiFixedWitness
@@ -115,12 +116,12 @@ def test_verify_batch_verdicts_unchanged(seed, digest, monkeypatch):
 
 
 def test_the_default_verify_batch_takes_the_byte_route(monkeypatch):
-    # every file of the batch is ASCII JSON with integer coefficients, canonical
-    # or written by json.dumps, so none is read through json.loads
+    # every file of the batch is JSON with integer coefficients, canonical or
+    # written by json.dumps, so none falls back to certificate_from_dict
     batch = _load("workloads").make_batch("verify", 1)
-    loads, calls = json.loads, []
-    monkeypatch.setattr(json, "loads", lambda *args, **kwargs: calls.append(args) or loads(
-        *args, **kwargs))
+    from_dict, calls = certify.certificate_from_dict, []
+    monkeypatch.setattr(certify, "certificate_from_dict",
+                        lambda *args: calls.append(args) or from_dict(*args))
     for blob in batch.files.values():
         certificate_from_bytes(blob)
     assert (len(batch.files), calls) == (134, [])

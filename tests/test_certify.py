@@ -703,13 +703,49 @@ def test_in_code_certificate_with_wrong_row_count(rows):
 
 
 @pytest.mark.parametrize("edit,detail", [
-    ({"word": " a "}, "word ' a ' is not freely reduced"),
-    ({"images": [" aaa"]}, "image ' aaa' is not freely reduced"),
-], ids=["word", "image"])
+    ({"word": " a "}, "word ' a ' is not its canonical reduced text 'a'"),
+    ({"images": [" aaa"]}, "image ' aaa' is not its canonical reduced text 'aaa'"),
+    ({"word": "x1"}, "word 'x1' is not its canonical reduced text 'a'"),
+    ({"word": "x0"}, "word syntax: generator index 0 is out of range 1..1"),
+], ids=["word", "image", "indexed-word", "index-zero"])
 def test_whitespace_in_a_text_fails_structure(bs12_cert, edit, detail):
-    # the word is compared with its reduced text as it stands, as the images are
+    # the word is compared with its canonical reduced text as it stands, as the
+    # images are: x1 is reduced, but at rank 1 its canonical text is a
     verdict = verify_certificate(mutate(bs12_cert, lambda d: d.update(edit)))
     assert verdict.checks[0] == CheckResult("structure", "fail", detail)
+
+
+@pytest.mark.parametrize("edit,detail", [
+    ({"format_version": 2}, "unsupported format_version 2"),
+    ({"rank": 0}, "rank must be >= 1; 1 images for rank 0; word syntax: generator 'a' "
+                  "exceeds rank 0; trace entry arity differs from rank"),
+], ids=["format-version", "rank-zero"])
+def test_a_header_fault_fails_structure_by_name(bs12_cert, edit, detail):
+    verdict = verify_certificate(mutate(bs12_cert, lambda d: d.update(edit)))
+    assert verdict.checks[0] == CheckResult("structure", "fail", detail)
+    assert [c.status for c in verdict.checks[1:]] == ["skipped"] * 5
+
+
+def test_an_indexed_certificate_past_rank_26_verifies():
+    # a cyclic permutation of 27 generators: images and word are written x2, x27X1, ...
+    phi = FreeEndo.parse([f"x{j % 27 + 1}" for j in range(1, 28)], 27)
+    cert = search_certificate(phi, Word.parse("x27X1", 27)).certificate
+    assert (cert.images[:2], cert.images[-1], cert.word) == (("x2", "x3"), "x1", "x27X1")
+    assert verify_certificate(certificate_from_bytes(cert.to_bytes())).passed
+
+
+def test_search_refuses_a_certificate_that_fails_its_own_verification(monkeypatch):
+    # one coefficient of the first trace matrix written off by one
+    rows = certify.state_rows
+
+    def off_by_one(field, state):
+        (((c, *cs), *entries), *mats) = rows(field, state)
+        return ((((c + 1) % field.p, *cs), *entries), *mats)
+
+    monkeypatch.setattr(certify, "state_rows", off_by_one)
+    with pytest.raises(RuntimeError, match=r"^internal error: fresh certificate failed "
+                                           r"verification: \['tuple_in_group'\]$"):
+        search_certificate(BS12, Word.parse("a", 1))
 
 
 # -- whole-trace ingest against the walk oracle --------------------------------
@@ -998,6 +1034,18 @@ def test_a_repeated_key_reads_as_json_loads_reads_it(swapmix_cert, key, earlier,
     if later is not None:
         raw = b'%s,"%s":%s}' % (raw.rstrip()[:-1], key.encode(), later)
     assert _byte_route(raw) == _json_route(raw)
+
+
+@pytest.mark.parametrize("key", ["trace", "tuple"])
+@pytest.mark.parametrize("suffix", [b".0", b"e0", b" 0"])
+def test_a_number_after_an_array_reads_as_json_loads_reads_it(swapmix_cert, key, suffix):
+    # the byte route reads the text with the array cut out: a fraction or an
+    # exponent after it must not make a number of the 0 put in its place
+    raw = swapmix_cert.to_bytes()
+    at = raw.index(b',"', raw.index(b'"%s":' % key.encode()))
+    raw = raw[:at] + suffix + raw[at:]
+    assert _byte_route(raw) == _json_route(raw)
+    assert _json_route(raw).startswith("malformed certificate: not valid JSON")
 
 
 _LONG_ROWS = [[[1] * 10**5] * 4] * 2  # one rank-2 entry, 8 rows of 10^5 ones (1.6 MB)

@@ -304,6 +304,13 @@ def test_fold_refuses_words_past_the_work_cap():
                              "MAX_VERIFY_WORK = 262144\n")
 
 
+def test_fold_refuses_one_word_past_the_work_cap(capsys):
+    code, out, err = run_cli(capsys, "fold", "--k", "1", "a" * (MAX_VERIFY_WORK + 1))
+    assert (code, out) == (2, "")
+    assert err == ("error: words total 262145 characters, past the work cap "
+                   "MAX_VERIFY_WORK = 262144\n")
+
+
 def test_certify_refuses_raw_text_past_the_work_cap(tmp_path):
     # an image padded with 2^20 cancelling pairs reduces to `a`, but its text is past
     # the work cap: it is refused by that text, before any word is parsed, in a child

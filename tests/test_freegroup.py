@@ -37,6 +37,13 @@ def test_parse_errors():
         Word.parse("x3", 2)
 
 
+def test_indexed_text_roundtrip_past_rank_26():
+    # past 26 generators there are no letters to spell them: to_text writes x27X1
+    w = Word.parse("x27X1x3", 27)
+    assert w.letters == (27, -1, 3)
+    assert w.to_text() == "x27X1x3"
+
+
 def test_text_roundtrip():
     rng = random.Random(2)
     for _ in range(50):
