@@ -19,23 +19,22 @@ the rest of the text, the two arrays cut out, and whole-buffer passes check
 each array against the skeleton that (rank, s) implies and read out its
 coefficients, with no Python step per coefficient.  Any text that route
 cannot read (a backslash, a float, a sign, a leading zero, a shape that
-does not match) goes to `json.loads` and `certificate_from_dict`, which
-checks one level of the nesting per pass; both give the same certificate or
-the same first problem.  The structure check range-checks every coefficient
-and folds the rows into element indices on big-integer lanes (it only
-range-checks them when p^s is over the cap), before any field is built.
-It checks the log states with the kernels the search walks.
+does not match) goes to `json.loads` and `certificate_from_dict`, one walk
+in file order with one Python step per row; both give the same certificate
+or the same first problem.  The structure check range-checks every
+coefficient and folds the rows into element indices on big-integer lanes
+(it only range-checks them when p^s is over the cap), before any field is
+built.  It checks the log states with the kernels the search walks.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 import random
 import re
 from collections import OrderedDict
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count
 from typing import NamedTuple
 
 from . import __version__
@@ -46,7 +45,7 @@ from .freegroup import (
     endo_is_injective,
     nonscalar_sanity_check,
 )
-from .gf import DEFAULT_ORDER_CAP, FqField, field_create, is_prime
+from .gf import DEFAULT_ORDER_CAP, FqField, field_create, is_prime, power_within
 from .matrep import (
     DEFAULT_ORBIT_BUDGET,
     _det,
@@ -176,38 +175,23 @@ def _first(flags) -> int | None:
     return next(compress(count(), flags), None)
 
 
-def _first_bad(items: list, size_ok=None) -> int:
-    """The index of the first item that is not a list or whose length size_ok
-    refuses, else len(items); each index is sought only once all() fails."""
-    end = len(items)
-    if not all(map(isinstance, items, repeat(list))):
-        end = _first(map(operator.not_, map(isinstance, items, repeat(list))))
-    if size_ok is not None and not all(map(size_ok, map(len, islice(items, end)))):
-        end = _first(map(operator.not_, map(size_ok, map(len, items))))
-    return end
+def _matrices(mats: list, what: str) -> TupleData:
+    """A list of matrices, each 4 nonempty rows of integer coefficients, as
+    tuples of coefficient tuples; their range is checked by `structure`.
 
-
-def _matrix_rows(mats: list, what: str, problem: str | None = None) -> list:
-    """The rows of a list of matrices, each 4 rows of integer coefficients;
-    their range is checked by `structure`.
-
-    One pass per level of the nesting.  A pass that finds a bad item cuts its
-    list there and the passes below read what is left, so the problem found
-    deepest is the first in file order, as an item is checked before its
-    parts.  `problem` is one found above the matrices.
+    Raises the first problem in file order, as each matrix and row is checked
+    before its parts: one Python step per row, whose coefficients one C-level
+    pass checks.
     """
-    end = _first_bad(mats, (4).__eq__)
-    if end < len(mats):
-        problem, mats = f"{what} must be a list of 4 entry rows", mats[:end]
-    rows = list(chain.from_iterable(mats))
-    end = _first_bad(rows, bool)
-    if end < len(rows):
-        problem, rows = f"{what} entries must be nonempty coefficient lists", rows[:end]
-    if not _INT_ONLY.issuperset(map(type, chain.from_iterable(rows))):
-        problem = f"{what} coefficient must be an integer"
-    if problem:
-        raise _shape_error(problem)
-    return rows
+    for mat in mats:
+        if not isinstance(mat, list) or len(mat) != 4:
+            raise _shape_error(f"{what} must be a list of 4 entry rows")
+        for row in mat:
+            if not isinstance(row, list) or not row:
+                raise _shape_error(f"{what} entries must be nonempty coefficient lists")
+            if not _INT_ONLY.issuperset(map(type, row)):
+                raise _shape_error(f"{what} coefficient must be an integer")
+    return tuple(tuple(map(tuple, mat)) for mat in mats)
 
 
 def _check_header(data) -> None:
@@ -250,16 +234,14 @@ def certificate_from_dict(data: dict) -> Certificate:
     entries = data["trace"]
     if not isinstance(entries, list) or not entries:
         raise _shape_error("trace must be a nonempty list")
-    end = _first_bad(entries)
-    rows = _matrix_rows(list(chain.from_iterable(entries[:end])), "trace matrix",
-                        "trace entries must be lists of matrices" if end < len(entries) else None)
-    mats = zip(*[map(tuple, rows)] * 4)
-    # each entry takes its own number of matrices off the one iterator
-    trace = tuple(map(tuple, map(islice, repeat(mats), map(len, entries))))
+    trace = []
+    for entry in entries:
+        if not isinstance(entry, list):
+            raise _shape_error("trace entries must be lists of matrices")
+        trace.append(_matrices(entry, "trace matrix"))
     if not isinstance(data["tuple"], list):
         raise _shape_error("tuple must be a list")
-    head = tuple(zip(*[map(tuple, _matrix_rows(data["tuple"], "tuple matrix"))] * 4))
-    return _certificate(data, trace, head)
+    return _certificate(data, tuple(trace), _matrices(data["tuple"], "tuple matrix"))
 
 
 # The byte route of `certificate_from_bytes`: the "trace" and "tuple" values
@@ -517,7 +499,7 @@ def search_certificate(phi: FreeEndo, w: Word,
     for _ in range(MAX_PRIMES):
         p = next(primes)
         for s in range(1, config.s_max + 1):
-            if p**s > DEFAULT_ORDER_CAP:
+            if not power_within(p, s, DEFAULT_ORDER_CAP):
                 break
             field = field_create(p, s)
             step = proj_step(phi, field)
@@ -629,16 +611,6 @@ def _skip_rest(checks: list[CheckResult], reason: str) -> CertVerdict:
     return CertVerdict(tuple(checks))
 
 
-def _order_within_cap(p: int, s: int) -> bool:
-    """Whether p^s <= DEFAULT_ORDER_CAP for p >= 2, in at most 21 multiplications."""
-    order = 1
-    for _ in range(s):
-        order *= p
-        if order > DEFAULT_ORDER_CAP:
-            return False
-    return True
-
-
 def _structure_problems(cert: Certificate
                         ) -> tuple[list[str], tuple[FreeEndo, Word] | None, list[tuple]]:
     """Problems found, the parsed endomorphism and word when both parse, and
@@ -652,7 +624,7 @@ def _structure_problems(cert: Certificate
     if len(cert.images) != cert.rank:
         problems.append(f"{len(cert.images)} images for rank {cert.rank}")
     # p and s are untrusted: bound them before the primality test or p**s runs
-    bounded = cert.p < 2 or _order_within_cap(cert.p, max(cert.s, 1))
+    bounded = cert.p < 2 or power_within(cert.p, max(cert.s, 1), DEFAULT_ORDER_CAP)
     if not bounded:
         problems.append(f"field order {cert.p}^{cert.s} exceeds cap {DEFAULT_ORDER_CAP}")
     elif not is_prime(cert.p):
@@ -683,9 +655,9 @@ def _structure_problems(cert: Certificate
                                     f"{canonical!r}")
         except WordError as exc:
             problems.append(f"word syntax: {exc}")
-    # whole-trace passes: as in the parser, each cuts the trace at its first
-    # bad entry, so the last problem found is the first entry's, taken in the
-    # order arity, row count, range
+    # whole-trace passes: each cuts the trace at its first bad entry, so the
+    # last problem found is the first entry's, taken in the order arity, row
+    # count, range
     s, p, rank = cert.s, cert.p, cert.rank
     trace, problem, indices = cert.trace, None, None
     end = _first(map(rank.__ne__, map(len, trace)))

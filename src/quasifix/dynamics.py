@@ -40,7 +40,7 @@ from functools import cache
 from math import gcd, lcm
 from typing import Iterator, NamedTuple, Sequence
 
-from .gf import DEFAULT_ORDER_CAP, FqElement, FqField, _digits, field_create
+from .gf import DEFAULT_ORDER_CAP, FqElement, FqField, _digits, field_create, power_within
 from .poly import MPoly, PolyError, PolyMap, _log_eval_column, parse_poly
 
 DEFAULT_POINT_CAP = 2**20
@@ -103,9 +103,9 @@ def _orbit_representatives(by_degree: dict[int, array],
 def check_degree_caps(pmap: PolyMap, s: int) -> None:
     """Refuse field degree s when F_{p^s} or its points of A^n pass a cap."""
     p, nv = pmap.p, pmap.nvars
-    if p**s > DEFAULT_ORDER_CAP:
+    if not power_within(p, s, DEFAULT_ORDER_CAP):
         raise EnumerationCapExceeded(f"field order {p}^{s} exceeds cap {DEFAULT_ORDER_CAP}")
-    if p ** (s * nv) > DEFAULT_POINT_CAP:
+    if not power_within(p, s * nv, DEFAULT_POINT_CAP):
         raise EnumerationCapExceeded(
             f"enumerating {p}^{s * nv} points exceeds cap {DEFAULT_POINT_CAP}")
 

@@ -76,6 +76,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def power_within(p: int, e: int, cap: int) -> bool:
+    """Whether p**e <= cap, for any int p and e >= 0, building p**e only when
+    it has at most twice the bits of cap.  For |p| >= 2 of b bits, |p^e| >=
+    2^(e(b - 1)); past |cap|, p^e <= cap exactly when p^e is negative."""
+    if abs(p) >= 2 and e * (abs(p).bit_length() - 1) > abs(cap).bit_length():
+        return p < 0 and e % 2 == 1
+    return p**e <= cap
+
+
 def _prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n >= 1 in increasing order, by trial division."""
     out = []
@@ -416,7 +425,7 @@ def field_create(p: int, m: int) -> FqField:
     """
     if m < 1:
         raise FieldError(f"extension degree must be >= 1, got {m}")
-    if p**m > DEFAULT_ORDER_CAP:
+    if not power_within(p, m, DEFAULT_ORDER_CAP):
         raise FieldError(f"field order {p}^{m} exceeds cap {DEFAULT_ORDER_CAP}")
     if not is_prime(p):
         raise FieldError(f"{p} is not prime")

@@ -431,12 +431,6 @@ class IqSystem:
         layout = self._layout_for(g.total_degree())
         return self._unpack(self._reduce(self._pack(g, layout[0]), layout), layout[0])
 
-    def product(self, a: MPoly, b: MPoly) -> MPoly:
-        """a * b in A: the normal form of the product of two reduced polynomials."""
-        layout = self._layout_for(a.total_degree() + b.total_degree())
-        w = layout[0]
-        return self._unpack(self._product(self._pack(a, w), self._pack(b, w), layout), w)
-
     def _reduce(self, terms: dict[int, int], layout: tuple) -> dict[int, int]:
         """Rewrite a packed term map in place to its normal form, and return it.
 
@@ -470,7 +464,7 @@ class IqSystem:
                 raise TermBudgetExceeded(f"normal form grew past {budget} terms")
         return terms
 
-    def _product(self, a: dict[int, int], b: dict[int, int], layout: tuple = ()) -> dict[int, int]:
+    def _product(self, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
         """a * b in A for packed reduced a and b; a monomial product is one add."""
         if len(a) * len(b) > DEFAULT_TERM_BUDGET:
             raise TermBudgetExceeded(f"product of {len(a)} x {len(b)} terms over budget")
@@ -480,7 +474,7 @@ class IqSystem:
             for e2, c2 in b.items():
                 e = e1 + e2
                 terms[e] = get(e, 0) + c1 * c2
-        return self._reduce({e: c % p for e, c in terms.items() if c % p}, layout or self._layout)
+        return self._reduce({e: c % p for e, c in terms.items() if c % p}, self._layout)
 
     def _power(self, k: int, e: int) -> dict[int, int]:
         """NF(f_k^e), from the cache; f_k is reduced because Q > deg f_k."""

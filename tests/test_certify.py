@@ -865,6 +865,12 @@ def _in_code_trace(entries):
 @example(data=_lane_case(2, 7, bad=True))  # JSON true: refused, though bytes() reads it
 # an entry's row counts are checked before the range of any of its coefficients
 @example(data=_ingest_object(5, 1, 2, [[[[1], [0], [0], [5]], [[1], [0], [0]]]]))
+# the first problem in file order: a coefficient before a later row of its
+# matrix, a later matrix, a later entry, and the tuple
+@example(data=_ingest_object(5, 1, 1, [[[[True], [], [0], [1]]]]))
+@example(data=_ingest_object(5, 1, 2, [[[[True], [0], [0], [1]], [[1], [0], [0]]]]))
+@example(data=_ingest_object(5, 1, 1, [[[[True], [0], [0], [1]]], 7]))
+@example(data={**_ingest_object(5, 1, 1, [[[[True], [0], [0], [1]]]]), "tuple": 7})
 def test_whole_trace_ingest_matches_the_walk_oracle(data):
     # the parser gives the walk's certificate or its first message, and the
     # structure check its problem list and element indices, on the parsed

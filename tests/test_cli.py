@@ -434,11 +434,12 @@ def test_the_byte_cap_admits_a_file_at_the_cap(capsys, monkeypatch, tmp_path):
     assert run_cli(capsys, "verify", "/dev/zero") == refused
 
 
-def _rank1_certificate(path, p: int, s: int, entries: list[bytes]) -> None:
-    """A canonical rank-1 certificate file, image and word `a`, of the given trace entries."""
+def _rank1_certificate(path, p: int, s: int, entries: list[bytes], word: bytes = b"a") -> None:
+    """A rank-1 certificate file, image `a` and the word spelled `word`, of the
+    given trace entries; canonical when the word is spelled `a`."""
     path.write_bytes(b'{"format_version":1,"images":["a"],"metadata":{"seed":0},"p":%d,'
-                     b'"period":%d,"rank":1,"s":%d,"trace":[%s],"tuple":%s,"word":"a"}\n'
-                     % (p, len(entries), s, b",".join(entries), entries[0]))
+                     b'"period":%d,"rank":1,"s":%d,"trace":[%s],"tuple":%s,"word":"%s"}\n'
+                     % (p, len(entries), s, b",".join(entries), entries[0], word))
 
 
 @pytest.mark.slow
@@ -450,19 +451,29 @@ def _rank1_certificate(path, p: int, s: int, entries: list[bytes]) -> None:
     # F_{2^20} matrices [[1, b], [0, 1]], which the identity map does not step
     ("valid_shape", ["condition_ii", "wreath_relations"],
      "a7887938129f6d90024febdc0105eeebce1d45e329a22f2a0e066072ad54b0f3"),
+    # the same two files with the word spelled as the JSON escape \u0061: the
+    # backslash sends each to json.loads and certificate_from_dict
+    ("hostile_json", ["structure"],
+     "951772cbb70868c129fbb6c065c1e821498a06fcbc24fd8b81548e35e17edcbe"),
+    ("valid_json", ["condition_ii", "wreath_relations"],
+     "1e931835ea27fd055b92e973f3e90e5b92fa290393c62865b8148743b3a4e90f"),
 ])
 def test_large_certificates_keep_their_outcome(tmp_path, name, failures, digest):
     # stdout is pinned from the reader that parsed every file with json.loads.
     # The peaks measured 431 and 460 MB (VmHWM, CPython 3.11) once the fold went
-    # a chunk of rows at a time; folding the 45 MB trace whole peaked at 1,026 MB
-    peak_mb = {"hostile": 500, "valid_shape": 530}[name]
-    if name == "hostile":
-        _rank1_certificate(tmp_path / f"{name}.json", 5, 1, [b"[[[1],[0],[0],[1]]]"] * 10**6)
+    # a chunk of rows at a time; folding the 45 MB trace whole peaked at 1,026 MB.
+    # Through json.loads the same files peaked at 946 and 619 MB, and at 915
+    # and 612 MB once the fallback became one walk in file order
+    peak_mb = {"hostile": 500, "valid_shape": 530, "hostile_json": 1090, "valid_json": 710}[name]
+    word = rb"\u0061" if name.endswith("_json") else b"a"
+    if name.startswith("hostile"):
+        _rank1_certificate(tmp_path / f"{name}.json", 5, 1, [b"[[[1],[0],[0],[1]]]"] * 10**6,
+                           word)
     else:
         one, zero = b"[1" + b",0" * 19 + b"]", b"[0" + b",0" * 19 + b"]"
         _rank1_certificate(tmp_path / f"{name}.json", 2, 20, [
             b"[[%s,[%s],%s,%s]]" % (one, ",".join(format(b, "020b")).encode(), zero, one)
-            for b in range(1, 2**18)])
+            for b in range(1, 2**18)], word)
     code, out, err, elapsed, peak = _capped_child(
         ["verify", f"{name}.json", "--format", "json"], tmp_path, 3 << 29)
     print(f"{name}: {(tmp_path / f'{name}.json').stat().st_size} bytes, "

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 from unittest import mock
 
@@ -19,7 +20,7 @@ from quasifix.dynamics import (
     find_quasi_fixed_avoiding,
 )
 from quasifix.freegroup import FreeEndo
-from quasifix.gf import field_create
+from quasifix.gf import FieldError, field_create
 from quasifix.matrep import phi_lift_polynomials
 from quasifix.poly import MPoly, PolyError, PolyMap, parse_poly
 
@@ -289,6 +290,18 @@ def test_enumeration_caps():
     single = PolyMap.parse(["x1^2"], 1, 1031)  # 1031^2 > 2^20
     with pytest.raises(EnumerationCapExceeded, match="field order 1031\\^2 exceeds cap 1048576"):
         list(enumerate_quasi_fixed(single, 2))
+
+
+def test_a_huge_degree_is_refused_without_building_its_order():
+    # 3^(10^7) has 16 million bits: built before it was compared with the cap,
+    # it took each refusal 2.5 s
+    refusal = f"field order 3\\^{10**7} exceeds cap 1048576"
+    start = time.perf_counter()
+    with pytest.raises(FieldError, match=refusal):
+        field_create(3, 10**7)
+    with pytest.raises(EnumerationCapExceeded, match=refusal):
+        check_degree_caps(PolyMap.parse(["x1"], 1, 3), 10**7)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_degree_caps_admit_exactly_2_20_points():

@@ -16,6 +16,7 @@ from quasifix.gf import (
     field_create,
     is_prime,
     min_subfield_degree,
+    power_within,
 )
 
 
@@ -205,6 +206,13 @@ def test_field_create_checks_the_cap_before_primality():
         field_create(10**18 + 3, 1)
     with pytest.raises(FieldError, match="exceeds cap"):
         field_create(2**89 - 1, 1)
+
+
+def test_power_within_is_the_comparison_it_names():
+    # negative p included: a negative power is within every cap it passes in size
+    caps = (-2**20 - 1, -2**20, -9, -1, 0, 1, 8, 9, 2**20 - 1, 2**20, 2**20 + 1)
+    for p, e, cap in itertools.product(range(-40, 41), range(25), caps):
+        assert power_within(p, e, cap) == (p**e <= cap), (p, e, cap)
 
 
 def test_field_create_shares_one_field_per_p_m(monkeypatch):

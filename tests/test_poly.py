@@ -401,8 +401,7 @@ def test_normal_form_and_product_match_division_oracle(case):
     g = MPoly(n, p, g)
     assert system.normal_form(g) == multivariate_remainder(g, system)
     a, b = MPoly(n, p, a), MPoly(n, p, b)
-    product = system.product(system.normal_form(a), system.normal_form(b))
-    assert product == system.normal_form(a * b) == multivariate_remainder(a * b, system)
+    assert system.normal_form(a * b) == multivariate_remainder(a * b, system)
 
 
 @settings(max_examples=100, deadline=None)
