@@ -18,13 +18,14 @@ the trace and the declared tuple off the file's bytes: `json.loads` reads
 the rest of the text, the two arrays cut out, and whole-buffer passes check
 each array against the skeleton that (rank, s) implies and read out its
 coefficients, with no Python step per coefficient.  Any text that route
-cannot read (a backslash, a float, a sign, a leading zero, a shape that
-does not match) goes to `json.loads` and `certificate_from_dict`, one walk
-in file order with one Python step per row; both give the same certificate
-or the same first problem.  The structure check range-checks every
-coefficient and folds the rows into element indices on big-integer lanes
-(it only range-checks them when p^s is over the cap), before any field is
-built.  It checks the log states with the kernels the search walks.
+cannot read (a sign, a fraction, an exponent, a leading zero, a shape that
+does not match, a last key spelled with an escape) goes to `json.loads` and
+`certificate_from_dict`, one walk in file order with one Python step per
+row; both give the same certificate or the same first problem.  The
+structure check range-checks every coefficient and folds the rows into
+element indices on big-integer lanes (it only range-checks them when p^s is
+over the cap), before any field is built.  It checks the log states with the
+kernels the search walks.
 """
 
 from __future__ import annotations
@@ -258,22 +259,18 @@ _COLON = re.compile(rb"[ \t\n\r]*:[ \t\n\r]*\[")  # a key's colon and the "[" of
 
 
 def _span(raw: bytes, key: str) -> tuple[int, int] | None:
-    """The (start, end) byte span of the value of the one `"key"` in raw, from
-    its "[" to the last "]" before the next quote or "}", as neither can be in
-    an array of numbers; None unless the key occurs once, before ":" and "["."""
+    """The (start, end) byte span of the value of the last `"key"` in raw, which
+    `json.loads` keeps: from the "[" after its colon to the last "]" before the
+    next quote, which ends a top-level array, as only a comma, whitespace and
+    the object's "}" can follow it; None unless ":" and "[" follow the key."""
     quoted = b'"%s"' % key.encode()
-    at = raw.find(quoted)
-    if at < 0 or raw.find(quoted, at + 1) >= 0:
-        return None
-    colon = _COLON.match(raw, at + len(quoted))
+    at = raw.rfind(quoted)
+    colon = _COLON.match(raw, at + len(quoted)) if at >= 0 else None
     if colon is None:
         return None
-    start = colon.end() - 1
-    stop = raw.find(b'"', start)
-    stop = len(raw) if stop < 0 else stop
-    close = raw.find(b"}", start, stop)
-    end = raw.rfind(b"]", start, stop if close < 0 else close) + 1
-    return (start, end) if end else None
+    stop = raw.find(b'"', colon.end())
+    end = raw.rfind(b"]", colon.end(), len(raw) if stop < 0 else stop) + 1
+    return (colon.end() - 1, end) if end else None
 
 
 def _skeleton(row: bytes, rank: int, length: int, listed: bool) -> tuple[int, bytes] | None:
@@ -331,25 +328,24 @@ def _flat_certificate(raw: bytes) -> Certificate | None:
     for the object `json.loads` reads from raw, by the byte route; None when
     the route cannot read raw.
 
-    `json.loads` reads raw with each span replaced by 0; an array that
-    `_read_matrices` reads is a JSON value, so raw is that object with the
-    two arrays in place of the two 0s.
+    The one route test: `json.loads` reads raw with each span replaced by a
+    NaN, each read as a new object.  When those are the two keys' top-level
+    values and raw holds no other constant, raw is that object with the two
+    arrays that `_read_matrices` reads, each a JSON value, in their place.
     """
-    if b"\\" in raw:  # then no key is escaped
-        return None
     spans = [_span(raw, key) for key in _SPANS]
     if None in spans:
         return None
     # each span ends before the next quote, so before the other key: they are disjoint
     (a, b), (c, d) = sorted(spans)
+    marks = []
     try:
-        data = json.loads((raw[:a] + b"0" + raw[b:c] + b"0" + raw[d:]).decode("utf-8"))
+        data = json.loads((raw[:a] + b"NaN" + raw[b:c] + b"NaN" + raw[d:]).decode("utf-8"),
+                          parse_constant=lambda _: marks.append(object()) or marks[-1])
     # ValueError covers bad UTF-8, bad JSON and integers past the digit limit
     except (ValueError, RecursionError):
         return None
-    # each key's value is the 0 put in its span's place, or a float when a
-    # fraction or an exponent follows the span
-    if not isinstance(data, dict) or any(type(data.get(key)) is not int for key in _SPANS):
+    if not isinstance(data, dict) or marks != [data.get(k) for _, k in sorted(zip(spans, _SPANS))]:
         return None
     rank, s = data.get("rank"), data.get("s")
     if type(rank) is not int or type(s) is not int or rank < 1 or s < 1:
@@ -370,10 +366,10 @@ def certificate_from_bytes(raw: bytes) -> Certificate:
     """The certificate in raw, exactly as `certificate_from_dict` reads the
     JSON object that `json.loads` gives, or the same `CertificateFormatError`.
 
-    The trace and the declared tuple are read by the byte route when raw has
-    no backslash, each key occurs once, and both are arrays of the shape rank
-    and s imply, holding nonnegative JSON integers; `json.loads` reads every
-    other top-level value on either route.  Any other text goes through
+    The byte route reads the trace and the declared tuple when the last
+    literal `"trace"` and `"tuple"` keys are the top-level ones, each an
+    array of nonnegative JSON integers of the shape rank and s imply, and
+    `json.loads` every other top-level value; any other text goes through
     `json.loads` and `certificate_from_dict`.
     """
     cert = _flat_certificate(raw)

@@ -490,6 +490,9 @@ def main(argv: list[str] | None = None) -> int:
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # unwinding freed what its frames held, so printing works
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -101,10 +101,15 @@ def test_verify_batch_inputs_unchanged():
 ])
 def test_verify_batch_verdicts_unchanged(seed, digest, monkeypatch):
     # the benchmark's own check compares only the names of the failing checks,
-    # so pin every verdict in full: check names, statuses, details and order
+    # so pin every verdict in full: check names, statuses, details and order.
+    # Every file is JSON with integer coefficients, canonical or written by
+    # json.dumps, so none falls back to certificate_from_dict
     batch = _load("workloads").make_batch("verify", seed)
     _forbid_object_arithmetic(monkeypatch)
     _forbid_matrix_objects(monkeypatch)
+    from_dict, calls = certify.certificate_from_dict, []
+    monkeypatch.setattr(certify, "certificate_from_dict",
+                        lambda *args: calls.append(args) or from_dict(*args))
     h = hashlib.sha256()
     for name in sorted(batch.files):
         try:
@@ -112,19 +117,7 @@ def test_verify_batch_verdicts_unchanged(seed, digest, monkeypatch):
         except CertificateFormatError as exc:
             out = f"format: {exc}"
         h.update(name.encode() + b"\0" + json.dumps(out, sort_keys=True).encode() + b"\n")
-    assert h.hexdigest() == digest
-
-
-def test_the_default_verify_batch_takes_the_byte_route(monkeypatch):
-    # every file of the batch is JSON with integer coefficients, canonical or
-    # written by json.dumps, so none falls back to certificate_from_dict
-    batch = _load("workloads").make_batch("verify", 1)
-    from_dict, calls = certify.certificate_from_dict, []
-    monkeypatch.setattr(certify, "certificate_from_dict",
-                        lambda *args: calls.append(args) or from_dict(*args))
-    for blob in batch.files.values():
-        certificate_from_bytes(blob)
-    assert (len(batch.files), calls) == (134, [])
+    assert (h.hexdigest(), len(batch.files), calls) == (digest, 134, [])
 
 
 def _run_jobs(batch, tmp_path, monkeypatch):

@@ -1042,6 +1042,42 @@ def test_a_repeated_key_reads_as_json_loads_reads_it(swapmix_cert, key, earlier,
     assert _byte_route(raw) == _json_route(raw)
 
 
+_ESCAPED = b'"tr\\u0061ce"'  # the key "trace" spelled with an escape
+
+
+def _one_entry(raw: bytes) -> bytes:
+    return json.dumps(json.loads(raw)["trace"][:1], separators=(",", ":")).encode()
+
+
+@pytest.mark.parametrize("edit,falls_back", [
+    (lambda raw: raw.replace(b'"trace"', _ESCAPED), True),
+    # json.loads keeps the escaped key's value, here a trace of one entry
+    (lambda raw: raw.rstrip()[:-1] + b",%s:%s}" % (_ESCAPED, _one_entry(raw)), True),
+    (lambda raw: b"{%s:[]," % _ESCAPED + raw[1:], False),
+    (lambda raw: b'{"x\\"trace":[[[[0]]]],' + raw[1:], False),
+    (lambda raw: raw.replace(b'"word":"a"', b'"word":"\\u0061"')
+                    .replace(b'"quasifix ', b'"quasifix\\/'), False),
+    (lambda raw: b'{"trace":[],' + raw[1:], False),
+    # the file's own 0, or its own NaN, is the last top-level value of "trace"
+    (lambda raw: raw.rstrip()[:-1] + b",%s:0}" % _ESCAPED, True),
+    (lambda raw: raw.replace(b'"trace":', b'"trace":0,"metadata":{"trace":')
+                    .replace(b',"tuple":', b'},"tuple":'), True),
+    (lambda raw: raw.replace(b'"trace":', b'"trace":NaN,"metadata":{"trace":')
+                    .replace(b',"tuple":', b'},"tuple":'), True),
+], ids=["escaped", "escaped_after", "escaped_before", "key_tail", "escapes_elsewhere",
+        "repeated", "escaped_zero_after", "own_zero", "own_nan"])
+def test_the_readback_alone_chooses_the_route(swapmix_cert, monkeypatch, edit, falls_back):
+    # escapes and repeated names leave the byte route only when the readback,
+    # json.loads of the text with each array cut out, does not find the two
+    # arrays as the last top-level values of "trace" and "tuple"
+    raw = edit(swapmix_cert.to_bytes())
+    from_dict, calls = certify.certificate_from_dict, []
+    monkeypatch.setattr(certify, "certificate_from_dict",
+                        lambda data: calls.append(data) or from_dict(data))
+    assert _byte_route(raw) == _json_route(raw)
+    assert len(calls) == falls_back
+
+
 @pytest.mark.parametrize("key", ["trace", "tuple"])
 @pytest.mark.parametrize("suffix", [b".0", b"e0", b" 0"])
 def test_a_number_after_an_array_reads_as_json_loads_reads_it(swapmix_cert, key, suffix):

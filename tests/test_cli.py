@@ -436,10 +436,21 @@ def test_the_byte_cap_admits_a_file_at_the_cap(capsys, monkeypatch, tmp_path):
 
 def _rank1_certificate(path, p: int, s: int, entries: list[bytes], word: bytes = b"a") -> None:
     """A rank-1 certificate file, image `a` and the word spelled `word`, of the
-    given trace entries; canonical when the word is spelled `a`."""
+    given trace entries; canonical when they are and the word is spelled `a`."""
     path.write_bytes(b'{"format_version":1,"images":["a"],"metadata":{"seed":0},"p":%d,'
                      b'"period":%d,"rank":1,"s":%d,"trace":[%s],"tuple":%s,"word":"%s"}\n'
                      % (p, len(entries), s, b",".join(entries), entries[0], word))
+
+
+def test_running_out_of_memory_is_a_named_refusal(tmp_path):
+    # a 5 MB certificate with one -0 coefficient goes through json.loads, whose
+    # objects outgrow a 128 MiB address space (under 256 MiB it reaches its
+    # verdict at about 240 MB): a named error and exit 2, as for a cap breach
+    _rank1_certificate(tmp_path / "c.json", 5, 1, [b"[[[1],[0],[0],[1]]]"] * 249_999
+                       + [b"[[[1],[0],[-0],[1]]]"])
+    assert (tmp_path / "c.json").stat().st_size == 5_000_145
+    code, out, err, _, _ = _capped_child(["verify", "c.json"], tmp_path, 128 << 20)
+    assert (code, out, err) == (2, b"", "error: out of memory")
 
 
 @pytest.mark.slow
@@ -451,8 +462,14 @@ def _rank1_certificate(path, p: int, s: int, entries: list[bytes], word: bytes =
     # F_{2^20} matrices [[1, b], [0, 1]], which the identity map does not step
     ("valid_shape", ["condition_ii", "wreath_relations"],
      "a7887938129f6d90024febdc0105eeebce1d45e329a22f2a0e066072ad54b0f3"),
-    # the same two files with the word spelled as the JSON escape \u0061: the
-    # backslash sends each to json.loads and certificate_from_dict
+    # the same two files with the word spelled as the JSON escape \u0061,
+    # which the byte route reads as json.loads reads it
+    ("hostile_escaped", ["structure"],
+     "b0cdddefff1d623017c1cbbf7582f2c1f7df3db9ac1cad2f031f698770932f5a"),
+    ("valid_escaped", ["condition_ii", "wreath_relations"],
+     "8dddc0b81ff120a196c77f367596f7ce5851ee8adcd2abacf265abbd555aeaa2"),
+    # the same two files with one coefficient of the last entry spelled -0,
+    # JSON's integer 0: the sign sends each to json.loads and certificate_from_dict
     ("hostile_json", ["structure"],
      "951772cbb70868c129fbb6c065c1e821498a06fcbc24fd8b81548e35e17edcbe"),
     ("valid_json", ["condition_ii", "wreath_relations"],
@@ -463,17 +480,21 @@ def test_large_certificates_keep_their_outcome(tmp_path, name, failures, digest)
     # The peaks measured 431 and 460 MB (VmHWM, CPython 3.11) once the fold went
     # a chunk of rows at a time; folding the 45 MB trace whole peaked at 1,026 MB.
     # Through json.loads the same files peaked at 946 and 619 MB, and at 915
-    # and 612 MB once the fallback became one walk in file order
-    peak_mb = {"hostile": 500, "valid_shape": 530, "hostile_json": 1090, "valid_json": 710}[name]
-    word = rb"\u0061" if name.endswith("_json") else b"a"
+    # and 612 MB once the fallback became one walk in file order; the _escaped
+    # files, once read by json.loads, now peak with their byte-route twins
+    peak_mb = {"hostile": 500, "valid_shape": 530, "hostile_escaped": 500, "valid_escaped": 530,
+               "hostile_json": 1090, "valid_json": 710}[name]
     if name.startswith("hostile"):
-        _rank1_certificate(tmp_path / f"{name}.json", 5, 1, [b"[[[1],[0],[0],[1]]]"] * 10**6,
-                           word)
+        p, s, entries = 5, 1, [b"[[[1],[0],[0],[1]]]"] * 10**6
     else:
         one, zero = b"[1" + b",0" * 19 + b"]", b"[0" + b",0" * 19 + b"]"
-        _rank1_certificate(tmp_path / f"{name}.json", 2, 20, [
+        p, s, entries = 2, 20, [
             b"[[%s,[%s],%s,%s]]" % (one, ",".join(format(b, "020b")).encode(), zero, one)
-            for b in range(1, 2**18)], word)
+            for b in range(1, 2**18)]
+    if name.endswith("_json"):
+        entries[-1] = entries[-1].replace(b"[0", b"[-0", 1)
+    _rank1_certificate(tmp_path / f"{name}.json", p, s, entries,
+                       rb"\u0061" if name.endswith("_escaped") else b"a")
     code, out, err, elapsed, peak = _capped_child(
         ["verify", f"{name}.json", "--format", "json"], tmp_path, 3 << 29)
     print(f"{name}: {(tmp_path / f'{name}.json').stat().st_size} bytes, "
