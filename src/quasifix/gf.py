@@ -12,23 +12,23 @@ Ben-Or's irreducibility test on each candidate modulus, the log-table build
 and the `FqElement` operators.  The test refuses a candidate f at its first
 d <= m/2 with x^(p^d) - x and f not coprime, read off one resultant
 (`_norm`), which also gives the norm that the search for a primitive
-element uses.  The extended Euclid (`_euclid`) serves inversion only, in
-F_p too, whose modulus is x.  No command-line path runs the element
-operators: polynomial evaluation, enumeration and the matrices of `matrep`
-compute on the log tables, and an element there is only the library's
-witness value (coefficients, index, equality); the command line writes
-witnesses from element indices.
+element uses.  Inversion negates a log on the field's log tables.  No
+command-line path runs the element operators: polynomial evaluation,
+enumeration and the matrices of `matrep` compute on the log tables, and an
+element there is only the library's witness value (coefficients, index,
+equality); the command line writes witnesses from element indices.
 
 An element's index is the base-p value of its coefficients (`from_int`,
 `to_int`).  `FqField.log_tables` gives exp/log/Zech tables over these
 indices for one primitive element, so products, sums and Frobenius powers
 become integer arithmetic on logarithms.  They take three `array`s of q
 ints, 6 bytes per element when q <= 2^16 (and p < 2^15) and 12 above; a
-field builds them on first use.  The build reads exp off one m-sequence
-that it extends by big-integer operations on lane-packed ints, so only the
-log scatter and the Zech gather take a Python step per element: under a
-second for F_{2^20}.  Quasi-fixed point enumeration runs on them, and so
-do the 2x2 matrices of `matrep`, which store their entries as logarithms.
+field builds them on first use, and none past DEFAULT_ORDER_CAP.  The
+build reads exp off one m-sequence that it extends by big-integer
+operations on lane-packed ints, so only the log scatter and the Zech
+gather take a Python step per element: under a second for F_{2^20}.
+Quasi-fixed point enumeration runs on them, and so do the 2x2 matrices of
+`matrep`, which store their entries as logarithms.
 `FqField.frobenius_tables` sorts those logs into Frobenius orbits (about 8
 bytes per element) for enumeration.
 `field_create` keeps the fields it returns, so one process finds each
@@ -117,15 +117,6 @@ def _trim(c: list[int]) -> tuple[int, ...]:
     return tuple(c)
 
 
-def _umul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
 def _usub(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
     return _trim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
 
@@ -141,18 +132,6 @@ def _udivmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[tuple[int, ...
                 if bi:
                     r[shift + i] = (r[shift + i] - coef * bi) % p
     return _trim(q), _trim(r[:len(b) - 1])
-
-
-def _euclid(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    """s with s*b = 1 mod a, for a trimmed and b coprime to it: the inverse of b."""
-    r0, r1 = a, _trim(list(b))
-    s0, s1 = (), (1,)
-    while r1:
-        q, r = _udivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _usub(s0, _umul(q, s1, p), p)
-    inv = pow(r0[-1], p - 2, p)  # r0 is the gcd, a nonzero constant
-    return tuple([c * inv % p for c in s0])
 
 
 def _norm(c: Sequence[int], mod: tuple[int, ...], p: int) -> int:
@@ -294,13 +273,6 @@ class FqField:
                 out = self._mul(a, out)
         return out
 
-    def _inv(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        if not any(a):
-            raise ZeroDivisionError("inversion of zero field element")
-        # the modulus is irreducible, so the gcd is 1 and s*a = 1
-        s = _euclid(self.modulus, a, self.p)
-        return s + (0,) * (self.m - len(s))
-
     # -- logarithm tables
 
     def log_tables(self) -> tuple[array, array, array]:
@@ -311,9 +283,13 @@ class FqField:
         value n is the logarithm of 0: log[0] = n, exp[n] = 0, zech[k] = n
         when 1 + g^k = 0, and zech[n] = log(1) = 0.  So a product is a sum
         of logs mod n, a sum is a + zech[(b - a) % n] mod n, and the
-        Frobenius a -> a^(p^e) is log(a) * p^e mod n.  Built on first call.
+        Frobenius a -> a^(p^e) is log(a) * p^e mod n.  Built on first call,
+        which refuses a field past DEFAULT_ORDER_CAP: every table user
+        (evaluation, inversion, the matrices of `matrep`) meets this one check.
         """
         if self._log_tables is None:
+            if self.order > DEFAULT_ORDER_CAP:  # a field built directly can pass it
+                raise FieldError(f"field order {self.p}^{self.m} exceeds cap {DEFAULT_ORDER_CAP}")
             self._log_tables = _build_log_tables(self)
         return self._log_tables
 
@@ -362,7 +338,12 @@ class FqElement:
         return FqElement(self.field, self.field._mul(self.coeffs, other.coeffs))
 
     def inv(self) -> "FqElement":
-        return FqElement(self.field, self.field._inv(self.coeffs))
+        """1/a, the negated log on the field's log tables, built on first use."""
+        if not any(self.coeffs):
+            raise ZeroDivisionError("inversion of zero field element")
+        field = self.field
+        exp, log, _ = field.log_tables()
+        return field.from_int(exp[-log[self.to_int()] % (field.order - 1)])
 
     def __pow__(self, e: int) -> "FqElement":
         if e < 0:

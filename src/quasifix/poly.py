@@ -38,7 +38,7 @@ from heapq import heapify, heappop, heappush
 from operator import lshift
 from typing import Sequence
 
-from .gf import DEFAULT_ORDER_CAP, FieldError, FqElement, is_prime
+from .gf import FqElement, is_prime
 
 DEFAULT_TERM_BUDGET = 10**6
 
@@ -145,9 +145,9 @@ class MPoly:
     # -- evaluation and substitution
 
     def evaluate(self, point: Sequence[FqElement]) -> FqElement:
-        """Exact value at a point over an extension of F_p of order at most
-        `gf.DEFAULT_ORDER_CAP`, computed on the point field's log tables
-        (`_log_eval_column`), which the field builds on first use."""
+        """Exact value at a point over an extension of F_p, computed on the
+        point field's log tables (`_log_eval_column`), which the field builds
+        on first use and refuses past `gf.DEFAULT_ORDER_CAP`."""
         if len(point) != self.nvars:
             raise PolyError(f"point has {len(point)} coordinates, expected {self.nvars}")
         field = point[0].field
@@ -156,9 +156,6 @@ class MPoly:
         for a in point:
             if a.field != field:
                 raise PolyError("point coordinates belong to different fields")
-        if field.order > DEFAULT_ORDER_CAP:  # its tables would take 12 bytes per element
-            raise FieldError(f"point field order {field.p}^{field.m} exceeds cap "
-                             f"{DEFAULT_ORDER_CAP} for evaluation")
         exp, log, zech = field.log_tables()
         terms = [(log[c], e) for e, c in self.terms.items()]
         value, = _log_eval_column(terms, [[log[a.to_int()]] for a in point], zech,

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 import time
 import tracemalloc
 from collections import OrderedDict
@@ -1088,6 +1089,50 @@ def test_a_number_after_an_array_reads_as_json_loads_reads_it(swapmix_cert, key,
     raw = raw[:at] + suffix + raw[at:]
     assert _byte_route(raw) == _json_route(raw)
     assert _json_route(raw).startswith("malformed certificate: not valid JSON")
+
+
+@pytest.mark.parametrize("edit,message,falls_back", [
+    (lambda raw: b"[" + raw.rstrip() + b"]", "top level must be an object", True),
+    (lambda raw: raw.replace(b'"images":["ab","ba"]', b'"images":"ab"'),
+     "images must be a list of strings", False),
+    (lambda raw: raw.replace(b'"images":["ab","ba"]', b'"images":["a",1]'),
+     "images must be a list of strings", False),
+    (lambda raw: raw.replace(b'"metadata":{"generator":"quasifix 0.1.0","seed":0}',
+                             b'"metadata":[0]'), "metadata must be an object", False),
+], ids=["top_level", "images_string", "images_mixed", "metadata"])
+def test_the_header_refusals_are_named(swapmix_cert, monkeypatch, edit, message, falls_back):
+    # a header the byte route reads is refused as certificate_from_dict refuses
+    # the object json.loads gives
+    raw = edit(swapmix_cert.to_bytes())
+    from_dict, calls = certify.certificate_from_dict, []
+    monkeypatch.setattr(certify, "certificate_from_dict",
+                        lambda data: calls.append(data) or from_dict(data))
+    with pytest.raises(CertificateFormatError, match=f"^malformed certificate: {message}$"):
+        certificate_from_bytes(raw)
+    assert len(calls) == falls_back
+    assert _json_route(raw) == f"malformed certificate: {message}"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no integer digit limit before Python 3.11")
+def test_a_coefficient_past_the_digit_limit_falls_back_to_json_loads():
+    # a canonical rank-1 file with one 4,301-digit coefficient: the byte route
+    # cannot convert it, so json.loads reads the file and refuses it by name
+    raw = (b'{"format_version":1,"images":["a"],"metadata":{"seed":0},"p":5,"period":1,'
+           b'"rank":1,"s":1,"trace":[[[[%s],[0],[0],[1]]]],"tuple":[[[1],[0],[0],[1]]],'
+           b'"word":"a"}\n' % (b"1" * 4301))
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        assert certify._flat_certificate(raw) is None
+        with pytest.raises(CertificateFormatError) as err:
+            certificate_from_bytes(raw)
+        assert str(err.value) == _json_route(raw)
+        assert "Exceeds the limit (4300 digits)" in str(err.value)
+        sys.set_int_max_str_digits(0)  # no limit: the byte route reads the file
+        assert certify._flat_certificate(raw) == certificate_from_dict(json.loads(raw))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 _LONG_ROWS = [[[1] * 10**5] * 4] * 2  # one rank-2 entry, 8 rows of 10^5 ones (1.6 MB)

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -385,10 +386,17 @@ def test_verify_malformed_exit_code(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+_PEAK_MARK = "capped-child peak MB: "
+
+
 def _capped_child(argv: list[str], cwd, address_space: int) -> tuple:
     """Run the CLI on argv in a child that caps its own address space; its exit
     code, stdout and stderr, wall time and peak RSS in MB (VmHWM, which exec
-    resets, unlike the rusage of a child forked from a large process)."""
+    resets, unlike the rusage of a child forked from a large process).
+
+    The child writes its peak on a marked stderr line, which is taken out
+    wherever it stands; the rest of stderr comes back whole, a traceback
+    included, and the peak is None when the line is missing."""
     env = dict(os.environ, PYTHONPATH=str(Path(quasifix.__file__).resolve().parents[1]))
     probe = ("import resource, sys\n"
              f"resource.setrlimit(resource.RLIMIT_AS, ({address_space}, {address_space}))\n"
@@ -398,14 +406,17 @@ def _capped_child(argv: list[str], cwd, address_space: int) -> tuple:
              "finally:\n"
              "    with open('/proc/self/status') as status:\n"
              "        hwm = next(line for line in status if line.startswith('VmHWM'))\n"
-             "    sys.stderr.write(f'{int(hwm.split()[1]) / 1024:.0f}\\n')\n"
+             f"    sys.stderr.write(f'\\n{_PEAK_MARK}{{int(hwm.split()[1]) / 1024:.0f}}\\n')\n"
              "sys.exit(code)\n")
     start = time.perf_counter()
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=300,
                             env=env, cwd=cwd)
     elapsed = time.perf_counter() - start
-    err, _, peak = result.stderr.decode().rstrip("\n").rpartition("\n")
-    return result.returncode, result.stdout, err, elapsed, float(peak)
+    err, peak = result.stderr.decode(), None
+    marked = re.search(f"\n{_PEAK_MARK}([0-9]+)\n", err)
+    if marked:
+        err, peak = err[:marked.start()] + err[marked.end():], float(marked[1])
+    return result.returncode, result.stdout, err, elapsed, peak
 
 
 def test_verify_refuses_a_file_past_the_byte_cap(tmp_path):
@@ -418,7 +429,7 @@ def test_verify_refuses_a_file_past_the_byte_cap(tmp_path):
     code, out, err, elapsed, _ = _capped_child(["verify", "big.json"], tmp_path, 64 << 20)
     assert elapsed < 1
     assert (code, out) == (2, b"")
-    assert err == f"error: certificate file exceeds the byte cap of {limit} bytes"
+    assert err == f"error: certificate file exceeds the byte cap of {limit} bytes\n"
 
 
 def test_the_byte_cap_admits_a_file_at_the_cap(capsys, monkeypatch, tmp_path):
@@ -450,7 +461,7 @@ def test_running_out_of_memory_is_a_named_refusal(tmp_path):
                        + [b"[[[1],[0],[-0],[1]]]"])
     assert (tmp_path / "c.json").stat().st_size == 5_000_145
     code, out, err, _, _ = _capped_child(["verify", "c.json"], tmp_path, 128 << 20)
-    assert (code, out, err) == (2, b"", "error: out of memory")
+    assert (code, out, err) == (2, b"", "error: out of memory\n")
 
 
 @pytest.mark.slow
@@ -586,7 +597,8 @@ def test_certify_refuses_an_endo_file_past_the_byte_cap(tmp_path):
             ["certify", "--endo", endo, "--word", "a", "--out", "c.json"], tmp_path, 64 << 20)
         assert elapsed < 1
         assert (code, out) == (2, b"")
-        assert err == f"error: endomorphism file exceeds the byte cap of {cli.MAX_ENDO_BYTES} bytes"
+        assert err == (f"error: endomorphism file exceeds the byte cap of "
+                       f"{cli.MAX_ENDO_BYTES} bytes\n")
     assert not (tmp_path / "c.json").exists()
 
 

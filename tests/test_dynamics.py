@@ -18,6 +18,7 @@ from quasifix.dynamics import (
     containment_check,
     enumerate_quasi_fixed,
     find_quasi_fixed_avoiding,
+    scan_quasi_fixed,
 )
 from quasifix.freegroup import FreeEndo
 from quasifix.gf import FieldError, field_create
@@ -212,6 +213,18 @@ def test_variety_membership_rejects_wrong_arity():
         v.membership((f5.zero(),))
     with pytest.raises(PolyError, match="variety expects 2"):
         v.membership((f5.zero(), f5.one(), f5.one()))
+
+
+@pytest.mark.parametrize("other", [(3, 5), (2, 3)], ids=["nvars", "p"])
+@pytest.mark.parametrize("role", ["variety", "avoid"])
+def test_scan_refuses_polynomials_from_another_ring(role, other):
+    # the map is in 2 variables over F_5; the check runs at the first degree
+    pmap = PolyMap.identity(2, 5)
+    f = parse_poly("x1+1", *other)
+    kwargs = {"variety": VarietySpec((f,))} if role == "variety" else {"avoid": f}
+    with pytest.raises(PolyError, match="^variety and avoided polynomials must be in 2 "
+                                        "variables over F_5, like the map$"):
+        next(scan_quasi_fixed(pmap, 1, **kwargs))
 
 
 def test_containment_collapsing_map():

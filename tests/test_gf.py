@@ -18,6 +18,7 @@ from quasifix.gf import (
     min_subfield_degree,
     power_within,
 )
+from quasifix.matrep import Mat2
 
 
 def naive_has_root(coeffs, p):
@@ -78,6 +79,23 @@ def test_prime_field_inverse():
     assert (two * two.inv()) == f5.one()
     with pytest.raises(ZeroDivisionError):
         f5.zero().inv()
+
+
+@pytest.mark.parametrize("use", ["inv", "negative_power", "from_entries"])
+def test_every_table_user_is_refused_past_the_cap_before_a_table(use):
+    # F_{2^21} is past DEFAULT_ORDER_CAP, so field_create refuses it; a field
+    # built directly is refused by log_tables, before it builds any table
+    # (test_poly checks MPoly.evaluate the same way)
+    field = FqField(2, 21, gf._min_irreducible(2, 21))
+    a = field.from_int(3)
+    call = {"inv": a.inv,
+            "negative_power": lambda: a ** -1,
+            "from_entries": lambda: Mat2.from_entries(field, (a, a, a, field.one()))}[use]
+    start = time.perf_counter()
+    with pytest.raises(FieldError, match="field order 2\\^21 exceeds cap 1048576"):
+        call()
+    assert time.perf_counter() - start < 0.05
+    assert field._log_tables is None
 
 
 def test_f4_generator_square():
@@ -147,6 +165,7 @@ def test_field_axioms_exhaustive_small(p, m):
         assert a + (zero - a) == zero
         if not a.is_zero():
             assert a * a.inv() == one
+            assert all(a ** -k == a.inv() ** k for k in (1, 2, 3, field.order))
     for a, b in itertools.product(elems, repeat=2):
         assert a + b == b + a
         assert a * b == b * a
