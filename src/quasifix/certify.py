@@ -13,19 +13,19 @@ nothing the search produced.  Both work within one field-order cap,
 `gf.DEFAULT_ORDER_CAP` (2^20): the search tries no field past it, the
 verifier refuses one, and the verifier's byte cap, MAX_CERTIFICATE_BYTES, is
 derived from it.  The verifier bounds its work (`verify_work`, which the
-search obeys too) before it parses a word.  `certificate_from_bytes` reads
-the trace and the declared tuple off the file's bytes: `json.loads` reads
-the rest of the text, the two arrays cut out, and whole-buffer passes check
-each array against the skeleton that (rank, s) implies and read out its
-coefficients, with no Python step per coefficient.  Any text that route
-cannot read (a sign, a fraction, an exponent, a leading zero, a shape that
-does not match, a last key spelled with an escape) goes to `json.loads` and
-`certificate_from_dict`, one walk in file order with one Python step per
-row; both give the same certificate or the same first problem.  The
-structure check range-checks every coefficient and folds the rows into
-element indices on big-integer lanes (it only range-checks them when p^s is
-over the cap), before any field is built.  It checks the log states with the
-kernels the search walks.
+search obeys too) before it parses a word.  The byte route reads the trace
+and the declared tuple off the bytes: `json.loads` reads the rest of the
+text, the two arrays cut out, and whole-buffer passes check each array
+against the skeleton that (rank, s) implies and read its coefficients into
+one flat buffer, with no Python step per coefficient.  `verify_bytes` checks
+that buffer; only `certificate_from_bytes` nests it in tuples.  Any text that
+route cannot read (a sign, a fraction, an exponent, a leading zero, a shape
+that does not match, a last key spelled with an escape) goes to `json.loads`
+and `certificate_from_dict`, one walk in file order with one Python step per
+row; both give the same certificate or the same first problem.  The structure
+check range-checks every coefficient and folds the rows into element indices
+on big-integer lanes (only range-checking past the cap), before any field is
+built.  It checks the log states with the kernels the search walks.
 """
 
 from __future__ import annotations
@@ -210,9 +210,9 @@ def _check_header(data) -> None:
         raise _shape_error("word must be a string")
 
 
-def _certificate(data: dict, trace: tuple, head: TupleData) -> Certificate:
+def _certificate(data: dict, trace: tuple, declared_head) -> Certificate:
     """The certificate of a checked header (`_check_header`) and its read trace
-    and declared tuple; raises the first problem found after the trace."""
+    and differing declared tuple; raises the first problem found after the trace."""
     metadata = data["metadata"]
     if not isinstance(metadata, dict):
         raise _shape_error("metadata must be an object")
@@ -226,7 +226,7 @@ def _certificate(data: dict, trace: tuple, head: TupleData) -> Certificate:
         trace=trace,
         seed=_as_int(metadata.get("seed", 0), "metadata.seed"),
         format_version=_as_int(data["format_version"], "format_version"),
-        declared_head=head if head != trace[0] else None,
+        declared_head=declared_head,
     )
 
 
@@ -242,7 +242,8 @@ def certificate_from_dict(data: dict) -> Certificate:
         trace.append(_matrices(entry, "trace matrix"))
     if not isinstance(data["tuple"], list):
         raise _shape_error("tuple must be a list")
-    return _certificate(data, tuple(trace), _matrices(data["tuple"], "tuple matrix"))
+    head = _matrices(data["tuple"], "tuple matrix")
+    return _certificate(data, tuple(trace), head if head != trace[0] else None)
 
 
 # The byte route of `certificate_from_bytes`: the "trace" and "tuple" values
@@ -323,10 +324,11 @@ def _read_matrices(span: bytes, rank: int, s: int, listed: bool) -> bytes | list
         return None
 
 
-def _flat_certificate(raw: bytes) -> Certificate | None:
+def _flat_certificate(raw: bytes) -> tuple[Certificate, int, bytes | list[int]] | None:
     """The certificate, or the format error, that `certificate_from_dict` gives
-    for the object `json.loads` reads from raw, by the byte route; None when
-    the route cannot read raw.
+    for the object `json.loads` reads from raw, by the byte route: its header
+    with no trace (a differing declared tuple as its flat buffer), the entry
+    count and the trace's flat buffer; None when the route cannot read raw.
 
     The one route test: `json.loads` reads raw with each span replaced by a
     NaN, each read as a new object.  When those are the two keys' top-level
@@ -354,12 +356,21 @@ def _flat_certificate(raw: bytes) -> Certificate | None:
             for key, (start, end) in zip(_SPANS, spans)]
     if None in read:
         return None
-    values, head_values = read
-    mats = zip(*[zip(*[iter(values)] * s)] * 4)
-    trace = tuple(zip(*[mats] * rank))
-    head = tuple(zip(*[zip(*[iter(head_values)] * s)] * 4))
+    values, head = read
     _check_header(data)
-    return _certificate(data, trace, head)
+    # either buffer may be bytes (one-digit coefficients) or a list
+    cert = _certificate(data, (), head if list(head) != list(values[:len(head)]) else None)
+    return cert, len(values) // len(head), values
+
+
+def _loaded_certificate(raw: bytes) -> Certificate:
+    """The certificate `certificate_from_dict` reads from `json.loads` of raw."""
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    # ValueError covers bad UTF-8, bad JSON and integers past the digit limit
+    except (ValueError, RecursionError) as exc:
+        raise _shape_error(f"not valid JSON: {exc}") from exc
+    return certificate_from_dict(data)
 
 
 def certificate_from_bytes(raw: bytes) -> Certificate:
@@ -369,18 +380,15 @@ def certificate_from_bytes(raw: bytes) -> Certificate:
     The byte route reads the trace and the declared tuple when the last
     literal `"trace"` and `"tuple"` keys are the top-level ones, each an
     array of nonnegative JSON integers of the shape rank and s imply, and
-    `json.loads` every other top-level value; any other text goes through
-    `json.loads` and `certificate_from_dict`.
+    `json.loads` every other top-level value, and zips its flat buffers into
+    rows; any other text goes through `json.loads` and `certificate_from_dict`.
     """
-    cert = _flat_certificate(raw)
-    if cert is not None:
-        return cert
-    try:
-        data = json.loads(raw.decode("utf-8"))
-    # ValueError covers bad UTF-8, bad JSON and integers past the digit limit
-    except (ValueError, RecursionError) as exc:
-        raise _shape_error(f"not valid JSON: {exc}") from exc
-    return certificate_from_dict(data)
+    flat = _flat_certificate(raw)
+    if flat is None:
+        return _loaded_certificate(raw)
+    cert, _, values = flat
+    mats, head = (zip(*[zip(*[iter(b)] * cert.s)] * 4) for b in (values, cert.declared_head or ()))
+    return cert._replace(trace=tuple(zip(*[mats] * cert.rank)), declared_head=tuple(head) or None)
 
 
 def verify_work(period: int, images, word: str) -> int:
@@ -607,10 +615,28 @@ def _skip_rest(checks: list[CheckResult], reason: str) -> CertVerdict:
     return CertVerdict(tuple(checks))
 
 
-def _structure_problems(cert: Certificate
+def _flat_trace(cert: Certificate) -> tuple[int, list | None, str | None]:
+    """The entry count of a nested trace, its coefficients laid end to end (None
+    when a row's length is not s) and its first shape problem: whole-trace
+    passes, each cutting the trace at its first bad entry, so the last problem
+    found is the first entry's, in the order arity, row count, row length."""
+    rank, trace, problem = cert.rank, cert.trace, None
+    end = _first(map(rank.__ne__, map(len, trace)))
+    if end is not None:
+        problem, trace = "trace entry arity differs from rank", trace[:end]
+    mats = list(chain.from_iterable(trace))
+    end = _first(map((4).__ne__, map(len, mats)))  # parsed files have 4; in-code ones may not
+    if end is not None:  # the entries before its own hold rank >= 1 matrices each
+        problem, mats = "trace matrix does not have 4 entry rows", mats[:end - end % rank]
+    rows = list(chain.from_iterable(mats))
+    coeffs = list(chain.from_iterable(rows)) if set(map(len, rows)) <= {cert.s} else None
+    return len(cert.trace), coeffs, problem
+
+
+def _structure_problems(cert: Certificate, entries: int, coeffs, problem: str | None
                         ) -> tuple[list[str], tuple[FreeEndo, Word] | None, list[tuple]]:
     """Problems found, the parsed endomorphism and word when both parse, and
-    the element indices of the trace (`trace_indices`) when it checks."""
+    the element indices of the trace, given flat (`_flat_trace`), when it checks."""
     problems = []
     parsed = None
     if cert.format_version != FORMAT_VERSION:
@@ -629,8 +655,8 @@ def _structure_problems(cert: Certificate
         problems.append(f"field degree s = {cert.s} must be >= 1")
     if cert.period < 1:
         problems.append(f"period {cert.period} must be >= 1")
-    if len(cert.trace) != cert.period:
-        problems.append(f"trace has {len(cert.trace)} entries but period is {cert.period}")
+    if entries != cert.period:
+        problems.append(f"trace has {entries} entries but period is {cert.period}")
     if cert.declared_head is not None:
         problems.append("declared tuple differs from the first trace entry")
     # bounded before the texts are parsed: parsing and evaluation are linear in them
@@ -651,21 +677,8 @@ def _structure_problems(cert: Certificate
                                     f"{canonical!r}")
         except WordError as exc:
             problems.append(f"word syntax: {exc}")
-    # whole-trace passes: each cuts the trace at its first bad entry, so the
-    # last problem found is the first entry's, taken in the order arity, row
-    # count, range
-    s, p, rank = cert.s, cert.p, cert.rank
-    trace, problem, indices = cert.trace, None, None
-    end = _first(map(rank.__ne__, map(len, trace)))
-    if end is not None:
-        problem, trace = "trace entry arity differs from rank", trace[:end]
-    mats = list(chain.from_iterable(trace))
-    end = _first(map((4).__ne__, map(len, mats)))  # parsed files have 4; in-code ones may not
-    if end is not None:  # the entries before its own hold rank >= 1 matrices each
-        problem, mats = "trace matrix does not have 4 entry rows", mats[:end - end % rank]
-    rows = list(chain.from_iterable(mats))
-    coeffs = list(chain.from_iterable(rows))
-    if not set(map(len, rows)) <= {s}:
+    s, p, indices = cert.s, cert.p, None  # the range problem comes after the shape's
+    if coeffs is None:
         bad = True
     elif bounded and p >= 2 and s >= 1:  # p**s is within the cap, so the indices stay small
         indices = trace_indices(coeffs, p, s)
@@ -686,9 +699,21 @@ def verify_certificate(cert: Certificate) -> CertVerdict:
     `build_wreath`, and reports one named result per condition; nothing
     produced by the search is trusted.
     """
+    return _verify(cert, *_flat_trace(cert))
+
+
+def verify_bytes(raw: bytes) -> CertVerdict:
+    """`verify_certificate(certificate_from_bytes(raw))`, or the same format
+    error; a trace the byte route reads is checked as its flat buffer."""
+    flat = _flat_certificate(raw)
+    return _verify(*flat) if flat else verify_certificate(_loaded_certificate(raw))
+
+
+def _verify(cert: Certificate, entries: int, coeffs, problem: str | None = None) -> CertVerdict:
+    """The verdict on cert, its trace given as `_structure_problems` takes it."""
     checks: list[CheckResult] = []
 
-    problems, parsed, indices = _structure_problems(cert)
+    problems, parsed, indices = _structure_problems(cert, entries, coeffs, problem)
     _record(checks, problems, "fields, words and shapes are coherent")
     if problems:
         return _skip_rest(checks, "structure check failed")

@@ -23,8 +23,7 @@ from types import SimpleNamespace
 from typing import Any, Iterable, Iterator
 
 from .certify import (MAX_CERTIFICATE_BYTES, MAX_VERIFY_WORK, CertifyConfig, CertifyError,
-                      certificate_from_bytes, search_certificate, verify_certificate,
-                      verify_work)
+                      search_certificate, verify_bytes, verify_work)
 from .dynamics import (
     EnumerationCapExceeded,
     VarietySpec,
@@ -341,7 +340,7 @@ def _read_capped(path: str, limit: int, what: str) -> bytes:
 
 def cmd_verify(args) -> int:
     raw = _read_capped(args.certificate, MAX_CERTIFICATE_BYTES, "certificate file")
-    verdict = verify_certificate(certificate_from_bytes(raw))
+    verdict = verify_bytes(raw)
     emit({"command": "verify", "certificate_path": args.certificate,
           "verdict": verdict.to_dict()},
          args.format, args.out)

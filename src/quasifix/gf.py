@@ -283,15 +283,9 @@ class FqField:
         value n is the logarithm of 0: log[0] = n, exp[n] = 0, zech[k] = n
         when 1 + g^k = 0, and zech[n] = log(1) = 0.  So a product is a sum
         of logs mod n, a sum is a + zech[(b - a) % n] mod n, and the
-        Frobenius a -> a^(p^e) is log(a) * p^e mod n.  Built on first call,
-        which refuses a field past DEFAULT_ORDER_CAP: every table user
-        (evaluation, inversion, the matrices of `matrep`) meets this one check.
+        Frobenius a -> a^(p^e) is log(a) * p^e mod n.  Built on first call.
         """
-        if self._log_tables is None:
-            if self.order > DEFAULT_ORDER_CAP:  # a field built directly can pass it
-                raise FieldError(f"field order {self.p}^{self.m} exceeds cap {DEFAULT_ORDER_CAP}")
-            self._log_tables = _build_log_tables(self)
-        return self._log_tables
+        return self._log_tables or self._build("_log_tables", _build_log_tables)
 
     def frobenius_tables(self) -> tuple[array, dict[int, array]]:
         """(orbit, by_degree): the Frobenius orbits on the logs of `log_tables`.
@@ -305,9 +299,15 @@ class FqField:
         k * len(by_degree[d]) // d entries are the x * p^j with j < k of the
         orbits' least logs x.  About 8 bytes per element; built on first call.
         """
-        if self._frobenius_tables is None:
-            self._frobenius_tables = _build_frobenius_tables(self)
-        return self._frobenius_tables
+        return self._frobenius_tables or self._build("_frobenius_tables", _build_frobenius_tables)
+
+    def _build(self, slot: str, build) -> tuple:
+        """The tables `build` makes, kept in slot, past the one check of
+        DEFAULT_ORDER_CAP that every table user meets."""
+        if self.order > DEFAULT_ORDER_CAP:  # a field built directly can pass it
+            raise FieldError(f"field order {self.p}^{self.m} exceeds cap {DEFAULT_ORDER_CAP}")
+        setattr(self, slot, build(self))
+        return getattr(self, slot)
 
 
 class FqElement:
@@ -535,7 +535,7 @@ def _build_log_tables(field: FqField) -> tuple[array, array, array]:
         powers.append(field._mul(powers[-1], g))
     bit = p.bit_length()  # digit 0 is p - 1 just when adding 2^bit - p + 1 carries into bit
     # the narrowest lanes that hold n and keep that carry inside the lane
-    code = "H" if n < 2**16 and bit < 16 else "i" if n < 2**31 else "q"
+    code = "H" if n < 2**16 and bit < 16 else "i"
     w = array(code).itemsize
     s = _m_sequence([c[0] for c in powers], p, n, w)
 
@@ -606,7 +606,7 @@ def _build_frobenius_tables(field: FqField) -> tuple[array, dict[int, array]]:
     which is walked from it at once.
     """
     p, m, n = field.p, field.m, field.order - 1
-    code = "i" if n < 2**31 else "q"  # signed: orbit holds -1
+    code = "i"  # signed: orbit holds -1
     orbit = array(code, [-1]) * (n + 1)
     step = n // (p - 1)  # each log of F_p is an orbit of its own
     by_degree = {1: array(code, range(0, n, step))}

@@ -290,18 +290,19 @@ def state_rows(field: FqField, state: tuple) -> tuple:
 _FOLD_LANES = 1 << 16  # lanes per chunk of trace_indices: bounds its working memory
 
 
-def trace_indices(coeffs: list, p: int, s: int) -> array | None:
+def trace_indices(coeffs: list | bytes, p: int, s: int) -> array | None:
     """The element index of each row of s coefficients laid end to end in
-    coeffs, or None when a coefficient is not in range(p); p >= 2, s >= 1.
+    coeffs, a list or bytes, or None if one is not in range(p); p >= 2, s >= 1.
 
     Big-integer operations on lanes wide enough for p**s (Lamport, CACM 18,
     1975), so no coefficient takes a Python step: `bytes` reads them one to a
-    byte when p <= 256, `array` otherwise, and either refuses one outside its
-    lane.  Adding 2^(8w) - p to every lane carries out of the first lane that
-    holds p or more, and out of none when no lane does; the sum of p^j times
-    the lanes shifted j places down leaves each row's index in its first lane.
-    The rows go through in chunks of whole rows, at most _FOLD_LANES lanes
-    when a row fits, so each shift copies a chunk, not the whole trace.
+    byte when p <= 256 or coeffs is `bytes`, `array` otherwise, and either
+    refuses one outside its lane.  Adding 2^(8w) - p to every lane carries
+    out of the first lane that holds p or more, and out of none when no lane
+    does; the sum of p^j times the lanes shifted j places down leaves each
+    row's index in its first lane.  The rows go through in chunks of whole
+    rows, at most _FOLD_LANES lanes when a row fits, so each shift copies a
+    chunk, not the whole trace.
     """
     q = p**s
     code = "B" if q <= 1 << 8 else "H" if q <= 1 << 16 else "I" if q <= 1 << 32 else "Q"
@@ -312,7 +313,7 @@ def trace_indices(coeffs: list, p: int, s: int) -> array | None:
         part = coeffs[start:start + chunk]
         size = len(part) * w
         try:
-            if p <= 256:
+            if p <= 256 or type(part) is bytes:  # array() would read bytes as machine words
                 lanes = bytearray(size)
                 lanes[::w] = bytes(part)  # little-endian lanes
             else:

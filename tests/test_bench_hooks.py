@@ -94,30 +94,51 @@ def test_verify_batch_inputs_unchanged():
         "df296bfc98c8de1de1dcb2c8bc4a3b23c37bfac836f44f1e20c9eb7b2e1b96e3")
 
 
+def _library_verdict(path: Path):
+    """The verdict dict of the certificate file at path, or its format error."""
+    try:
+        return verify_certificate(certificate_from_bytes(path.read_bytes())).to_dict()
+    except CertificateFormatError as exc:
+        return f"format: {exc}"
+
+
+def _command_verdict(path: Path):
+    """The same, from `quasifix verify` run through cli.main: the verdict it
+    prints, or the format error it reports."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(["verify", str(path), "--format", "json"])
+    if code == 2:
+        return "format: " + err.getvalue().removeprefix("error: ").removesuffix("\n")
+    return json.loads(out.getvalue())["verdict"]
+
+
 @pytest.mark.parametrize("seed,digest", [
     (1, "467ed4a3e8a531c6550186f624873f781f6bc7100aec6ef60d9ba732ebe604fd"),
     (2, "599c399ab9b45a557695ad9f13ad00df10563474643b27d8f15d4ee41d931076"),
     (3, "3878024186e439feb75da321b5987d12c4d8aa5578c66fd67f55c44922572813"),
 ])
-def test_verify_batch_verdicts_unchanged(seed, digest, monkeypatch):
+def test_verify_batch_verdicts_unchanged(seed, digest, monkeypatch, tmp_path):
     # the benchmark's own check compares only the names of the failing checks,
-    # so pin every verdict in full: check names, statuses, details and order.
+    # so pin every verdict in full: check names, statuses, details and order,
+    # through the library's reader and verifier and through the command.
     # Every file is JSON with integer coefficients, canonical or written by
     # json.dumps, so none falls back to certificate_from_dict
     batch = _load("workloads").make_batch("verify", seed)
+    for name, blob in batch.files.items():
+        (tmp_path / name).write_bytes(blob)
     _forbid_object_arithmetic(monkeypatch)
     _forbid_matrix_objects(monkeypatch)
     from_dict, calls = certify.certificate_from_dict, []
     monkeypatch.setattr(certify, "certificate_from_dict",
                         lambda *args: calls.append(args) or from_dict(*args))
-    h = hashlib.sha256()
-    for name in sorted(batch.files):
-        try:
-            out = verify_certificate(certificate_from_bytes(batch.files[name])).to_dict()
-        except CertificateFormatError as exc:
-            out = f"format: {exc}"
-        h.update(name.encode() + b"\0" + json.dumps(out, sort_keys=True).encode() + b"\n")
-    assert (h.hexdigest(), len(batch.files), calls) == (digest, 134, [])
+    for route in (_library_verdict, _command_verdict):
+        h = hashlib.sha256()
+        for name in sorted(batch.files):
+            out = route(tmp_path / name)
+            h.update(name.encode() + b"\0" + json.dumps(out, sort_keys=True).encode() + b"\n")
+        assert (route.__name__, h.hexdigest(), len(batch.files), calls) == (
+            route.__name__, digest, 134, [])
 
 
 def _run_jobs(batch, tmp_path, monkeypatch):

@@ -32,6 +32,7 @@ from quasifix.certify import (
     MAX_VERIFY_WORK,
     CheckResult,
     SearchOutcome,
+    _flat_trace,
     _structure_problems,
     admissible_primes,
     build_wreath,
@@ -886,7 +887,7 @@ def test_whole_trace_ingest_matches_the_walk_oracle(data):
         problem, naive_indices = naive_trace_problem(cert.trace, rank, p, s)
         for lanes in (matrep._FOLD_LANES, 1, 2 * s + 1):
             with mock.patch.object(matrep, "_FOLD_LANES", lanes):
-                problems, _, indices = _structure_problems(cert)
+                problems, _, indices = _structure_problems(cert, *_flat_trace(cert))
             assert problems == cap + head_problems + ([problem] if problem else [])
             if not problems:
                 assert list(indices) == naive_indices
@@ -958,6 +959,20 @@ def _byte_route(raw: bytes):
         return str(exc)
 
 
+def _command_route(raw: bytes):
+    """The verdict, or the message of the format error, that `verify` gives."""
+    try:
+        return certify.verify_bytes(raw)
+    except CertificateFormatError as exc:
+        return str(exc)
+
+
+def _json_verdict(raw: bytes):
+    """The same for the json.loads route."""
+    cert = _json_route(raw)
+    return cert if isinstance(cert, str) else verify_certificate(cert)
+
+
 @pytest.fixture(scope="module")
 def certificate_bytes(bs12_cert, swapmix_cert):
     # one-digit coefficients from the search (ranks 1 and 2), and rows of
@@ -1016,13 +1031,15 @@ def _edited(draw, raw: bytes) -> bytes:
 @given(data=st.data())
 def test_the_byte_route_reads_what_json_loads_reads(certificate_bytes, data):
     # certificate_from_bytes reads the trace and tuple off the bytes when it
-    # can; on any text it gives json.loads's certificate or its first message
+    # can; on any text it gives json.loads's certificate or its first message,
+    # and verify_bytes the verdict on that certificate or the same message
     raw = data.draw(st.sampled_from(certificate_bytes))
     if data.draw(st.booleans()):
         raw = _reordered(data.draw, raw)
     for _ in range(data.draw(st.integers(0, 3))):
         raw = _edited(data.draw, raw)
     assert _byte_route(raw) == _json_route(raw)
+    assert _command_route(raw) == _json_verdict(raw)
 
 
 @pytest.mark.parametrize("key,earlier,later", [
@@ -1130,9 +1147,24 @@ def test_a_coefficient_past_the_digit_limit_falls_back_to_json_loads():
         assert str(err.value) == _json_route(raw)
         assert "Exceeds the limit (4300 digits)" in str(err.value)
         sys.set_int_max_str_digits(0)  # no limit: the byte route reads the file
-        assert certify._flat_certificate(raw) == certificate_from_dict(json.loads(raw))
+        assert certify._flat_certificate(raw) is not None
+        assert certificate_from_bytes(raw) == certificate_from_dict(json.loads(raw))
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("p,s", [(257, 1), (257, 2), (65521, 1), (1048573, 1)])
+def test_one_digit_coefficients_over_wide_lanes_verify_as_read(p, s):
+    # every coefficient is one digit, so the byte route reads the trace into
+    # bytes, which trace_indices must take one coefficient to a byte though
+    # p > 256 gives wider lanes: the command's verdict is the nested trace's
+    one, zero, two = [1] + [0] * (s - 1), [0] * s, [2] + [0] * (s - 1)
+    raw = json.dumps(_ingest_object(p, s, 1, [[[one, zero, zero, one]], [[one, two, zero, one]],
+                                              [[two, zero, one, one]]])).encode()
+    assert type(certify._flat_certificate(raw)[2]) is bytes
+    verdict = certify.verify_bytes(raw)
+    assert verdict == verify_certificate(certificate_from_dict(json.loads(raw)))
+    assert verdict.checks[0].status == "pass"
 
 
 _LONG_ROWS = [[[1] * 10**5] * 4] * 2  # one rank-2 entry, 8 rows of 10^5 ones (1.6 MB)

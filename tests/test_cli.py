@@ -207,6 +207,11 @@ def test_characteristic_past_the_bound_is_refused(capsys):
     assert code == 2 and out == "" and "2^64" in err
 
 
+def test_composite_characteristic_is_refused(capsys):
+    assert run_cli(capsys, "quasifixed", "--p", "4", "--n", "1", "--map", "x1") == (
+        2, "", "error: characteristic 4 is not prime\n")
+
+
 def test_import_builds_no_parser_and_no_field(tmp_path):
     # the benchmark's setup_s times `import quasifix.cli` in a fresh interpreter:
     # the parser tree and the fields are built on first use, never at import; a
@@ -485,6 +490,9 @@ def test_running_out_of_memory_is_a_named_refusal(tmp_path):
      "951772cbb70868c129fbb6c065c1e821498a06fcbc24fd8b81548e35e17edcbe"),
     ("valid_json", ["condition_ii", "wreath_relations"],
      "1e931835ea27fd055b92e973f3e90e5b92fa290393c62865b8148743b3a4e90f"),
+    # the hostile shape at period 3,381,000: 67,620,145 bytes, 12,749 under the byte cap
+    ("hostile_cap", ["structure"],
+     "9fef7e6f35a108aefcd4ae9d035fee74549d6454067b578652bc3ac6fc9c7cf9"),
 ])
 def test_large_certificates_keep_their_outcome(tmp_path, name, failures, digest):
     # stdout is pinned from the reader that parsed every file with json.loads.
@@ -492,11 +500,15 @@ def test_large_certificates_keep_their_outcome(tmp_path, name, failures, digest)
     # a chunk of rows at a time; folding the 45 MB trace whole peaked at 1,026 MB.
     # Through json.loads the same files peaked at 946 and 619 MB, and at 915
     # and 612 MB once the fallback became one walk in file order; the _escaped
-    # files, once read by json.loads, now peak with their byte-route twins
-    peak_mb = {"hostile": 500, "valid_shape": 530, "hostile_escaped": 500, "valid_escaped": 530,
-               "hostile_json": 1090, "valid_json": 710}[name]
+    # files, once read by json.loads, now peak with their byte-route twins.
+    # Read into nested tuples, the byte route peaked at 438 and 499 MB, and at
+    # 1,400 MB on the file at the cap; its flat buffer, checked as it is, at
+    # 176 and 231 MB, and 558 MB at the cap
+    peak_mb = {"hostile": 205, "valid_shape": 256, "hostile_escaped": 205, "valid_escaped": 256,
+               "hostile_json": 1090, "valid_json": 710, "hostile_cap": 640}[name]
     if name.startswith("hostile"):
-        p, s, entries = 5, 1, [b"[[[1],[0],[0],[1]]]"] * 10**6
+        period = 3_381_000 if name == "hostile_cap" else 10**6
+        p, s, entries = 5, 1, [b"[[[1],[0],[0],[1]]]"] * period
     else:
         one, zero = b"[1" + b",0" * 19 + b"]", b"[0" + b",0" * 19 + b"]"
         p, s, entries = 2, 20, [

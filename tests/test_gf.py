@@ -81,21 +81,22 @@ def test_prime_field_inverse():
         f5.zero().inv()
 
 
-@pytest.mark.parametrize("use", ["inv", "negative_power", "from_entries"])
+@pytest.mark.parametrize("use", ["inv", "negative_power", "from_entries", "frobenius_tables"])
 def test_every_table_user_is_refused_past_the_cap_before_a_table(use):
     # F_{2^21} is past DEFAULT_ORDER_CAP, so field_create refuses it; a field
-    # built directly is refused by log_tables, before it builds any table
-    # (test_poly checks MPoly.evaluate the same way)
+    # built directly is refused by the one check both table builds pass,
+    # before it builds any table (test_poly checks MPoly.evaluate the same way)
     field = FqField(2, 21, gf._min_irreducible(2, 21))
     a = field.from_int(3)
     call = {"inv": a.inv,
             "negative_power": lambda: a ** -1,
-            "from_entries": lambda: Mat2.from_entries(field, (a, a, a, field.one()))}[use]
+            "from_entries": lambda: Mat2.from_entries(field, (a, a, a, field.one())),
+            "frobenius_tables": field.frobenius_tables}[use]
     start = time.perf_counter()
     with pytest.raises(FieldError, match="field order 2\\^21 exceeds cap 1048576"):
         call()
     assert time.perf_counter() - start < 0.05
-    assert field._log_tables is None
+    assert field._log_tables is None and field._frobenius_tables is None
 
 
 def test_f4_generator_square():
